@@ -703,7 +703,8 @@ def _require(data, key, where, types):
     if not isinstance(data, dict) or key not in data:
         raise SchemaError(f"{where}: missing field {key!r}")
     value = data[key]
-    if not isinstance(value, types):
+    # JSON true/false load as bool, which Python counts as an int
+    if isinstance(value, bool) or not isinstance(value, types):
         raise SchemaError(f"{where}.{key}: unexpected type {type(value).__name__}")
     return value
 

@@ -11,27 +11,39 @@ tetra state shrunk by a factor that the compiler tracks exactly:
     fork              a / 9
     sink              a (unchanged)
 
-where a is the shrink factor of the incoming edge.  The sampling laws of
-fork and two-to-one nodes are parameterized by the incoming shrink factor;
-`compile_protocol` re-derives both laws at the state level for every such
-node and fails loudly if the table does not reproduce the claimed output.
+where a is the shrink factor of the incoming edge.
+
+Every join, fork and transform op also carries its transition kernel: the
+exact conditional law P(output letters | input letters), as integer
+numerators over one denominator per node.  Kernels come from integer closed
+forms in the incoming shrink a = p/q (the two-to-one emission law and the
+cloner's pair weights are the only ones that depend on it), and are
+memoized within one compile.  The exact sweep in `qsim` runs on them.
+
+`check_kernel` verifies every kernel once, at every incoming shrink where
+it occurs: mixed over the latent letter mixture
+tetra_weights(ShrunkState(z, a_in)) of each input, it must give exactly
+tetra_weights(ShrunkState(f(z), a_out)), and for a fork the product of two
+such vectors.  A mismatch raises VerificationError, so a compiled protocol
+only exists if each of its node laws lands on the bookkeeping above.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
+from math import gcd, prod
 
 from .errors import CompileError, VerificationError
 from .netgraph import (
     LETTERS,
     D3Network,
+    GroupKind,
     Letter,
     LetterMap,
     MapClass,
     letter_to_str,
     validate_d3,
 )
-from . import efc, qmath
-from .qmath import ShrunkState
 
 SOURCE_TTR = "SourceTTR"
 JOIN = "Join"
@@ -67,12 +79,25 @@ def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dic
 
 
 @dataclass(frozen=True)
+class Kernel:
+    """Exact transition law of one node: P(output letters | input letters).
+
+    rows[i] lists the (output letters, numerator) pairs with a nonzero
+    numerator, for input index i: the incoming letter u, or 4 * u1 + u2 for
+    a join.  Every probability is numerator / den.
+    """
+
+    den: int
+    rows: tuple[tuple[tuple[tuple[Letter, ...], int], ...], ...]
+
+
+@dataclass(frozen=True)
 class QuantumOp:
-    """One compiled node: its sampling law and exact shrink bookkeeping.
+    """One compiled node: its transition kernel and exact shrink bookkeeping.
 
     alpha is the shrink factor of the states this node emits; input_alpha
     is the incoming shrink factor that parameterizes the node's law (None
-    for sources and joins).
+    for sources and joins).  kernel is None for sources and sinks.
     """
 
     node: str
@@ -81,6 +106,7 @@ class QuantumOp:
     input_alpha: Fraction | None = None
     map: LetterMap | None = None
     letter: Letter | None = None
+    kernel: Kernel | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -103,28 +129,135 @@ class CompiledProtocol:
         }
 
 
-def _check_two_to_one_law(map_: LetterMap, a: Fraction) -> None:
-    # state-level: mixing the emission law over the measurement statistics of
-    # a shrunk input must land exactly on the shrunk mapped letter at a/(6-a)
-    for z in LETTERS:
-        probs = qmath.ttr_probabilities(ShrunkState(z, a))
-        out = {y: Fraction(0) for y in LETTERS}
+# ---------------------------------------------------------------------------
+# transition kernels in integer arithmetic
+
+
+def _kernel(den: int, rows) -> Kernel:
+    """Kernel from per-input dicts {output letters: numerator}, with zero
+    entries dropped and the common factor of all numerators and den
+    cancelled."""
+    g = gcd(den, *(n for row in rows for n in row.values()))
+    return Kernel(
+        den // g,
+        tuple(tuple((out, n // g) for out, n in row.items() if n) for row in rows),
+    )
+
+
+def _measured(emit) -> list[dict]:
+    """Rows, over 6 times emit's denominator, of a node that measures a
+    pure tetra state u (outcome u with weight 3/6, each other letter 1/6)
+    and on outcome x emits emit(x) = {output letters: numerator}."""
+    rows = []
+    for u in LETTERS:
+        row: dict = {}
         for x in LETTERS:
-            for y, w in two_to_one_emission(x, map_, a).items():
-                out[y] += probs[x] * w
-        expect = qmath.tetra_weights(ShrunkState(map_(z), a / (6 - a)))
-        if out != expect:
-            raise VerificationError(
-                f"two-to-one law at incoming shrink {a} misses its target"
-            )
+            t = 3 if x == u else 1
+            for out, n in emit(x).items():
+                row[out] = row.get(out, 0) + t * n
+        rows.append(row)
+    return rows
+
+
+def build_kernel(op: QuantumOp, group: GroupKind) -> Kernel:
+    """Transition kernel of a join, fork or transform op.
+
+    Denominators before cancelling, with incoming shrink a = p/q: 36 for a
+    join, 6 for a one-to-one map, 1 for a constant, 12(6q - p) for a
+    two-to-one map and 7776 q^2 for a fork.
+    """
+    if op.tag == JOIN:
+        rows = []
+        for u1, u2 in product(LETTERS, repeat=2):
+            row: dict = {}
+            for x1, x2 in product(LETTERS, repeat=2):
+                y = (group.add(x1, x2),)
+                row[y] = row.get(y, 0) + (3 if x1 == u1 else 1) * (3 if x2 == u2 else 1)
+            rows.append(row)
+        return _kernel(36, rows)
+    if op.tag == TRANSFORM_CONSTANT:
+        return _kernel(1, [{(op.letter,): 1}] * 4)
+    m = op.map
+    if op.tag == TRANSFORM_ONE_TO_ONE:
+        return _kernel(6, _measured(lambda x: {(m(x),): 1}))
+    p, q = op.input_alpha.numerator, op.input_alpha.denominator
+    if op.tag == TRANSFORM_TWO_TO_ONE:
+        # two_to_one_emission over 2(6q - p): the mapped letter 6q, each of
+        # the two letters outside the image 3q - p
+        off = [(z,) for z in LETTERS if z not in m.image()]
+        return _kernel(
+            12 * (6 * q - p),
+            _measured(lambda x: {(m(x),): 6 * q, off[0]: 3 * q - p, off[1]: 3 * q - p}),
+        )
+    if op.tag == FORK_EFC:
+        # efc_params' pair weights p1..p4 over 1296 q^2
+        p1 = 3 * (81 * q * q + 6 * p * q + p * p)
+        p2 = (9 * q - p) * (15 * q + p)
+        p3 = (9 * q - p) * (3 * q + p)
+        p4 = 3 * (9 * q * q - 2 * p * q + p * p)
+
+        def emit(x):
+            return {
+                (z1, z2): p1 if z1 == z2 == x
+                else p2 if x in (z1, z2)
+                else p4 if z1 == z2
+                else p3
+                for z1, z2 in product(LETTERS, repeat=2)
+            }
+
+        return _kernel(7776 * q * q, _measured(emit))
+    raise CompileError(f"node {op.node}: no kernel for op {op.tag}")
+
+
+def _shrunk_weights(a: Fraction) -> tuple[int, int, int]:
+    """tetra_weights(ShrunkState(z, a)) as integers: the weight of z, of
+    each other letter, and their common denominator 4q."""
+    p, q = a.numerator, a.denominator
+    return q + 3 * p, q - p, 4 * q
+
+
+def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:
+    """Verify op.kernel at the incoming shrinks a_in, exactly.
+
+    For every tuple z of incoming letters, the kernel mixed over
+    tetra_weights(ShrunkState(z_i, a_in[i])) must equal the output letters
+    f(z) each at shrink op.alpha: one weight vector for a join or a
+    transform, the product of two for a fork.  Raises VerificationError.
+    """
+    if len(op.kernel.rows) != 4 ** len(a_in):
+        raise VerificationError(f"{op.tag} kernel of node {op.node} has the wrong shape")
+    ins = [_shrunk_weights(a) for a in a_in]
+    own, other, scale = _shrunk_weights(op.alpha)
+    in_scale = op.kernel.den * prod(w[2] for w in ins)
+    for zs in product(LETTERS, repeat=len(a_in)):
+        mixed: dict = {}
+        for row, us in zip(op.kernel.rows, product(LETTERS, repeat=len(a_in))):
+            w = prod(o if u == z else f for z, u, (o, f, _) in zip(zs, us, ins))
+            for out, n in row:
+                mixed[out] = mixed.get(out, 0) + w * n
+        if op.tag == JOIN:
+            want = (group.add(*zs),)
+        elif op.tag == FORK_EFC:
+            want = zs * 2
+        else:
+            want = (op.map(zs[0]),)
+        for out in product(LETTERS, repeat=len(want)):
+            rhs = in_scale * prod(own if y == t else other for y, t in zip(out, want))
+            if mixed.get(out, 0) * scale ** len(want) != rhs:
+                shrinks = ", ".join(map(str, a_in))
+                raise VerificationError(
+                    f"{op.tag} kernel of node {op.node} at incoming shrink "
+                    f"{shrinks} misses its target on input letters {zs}"
+                )
 
 
 def compile_protocol(d3: D3Network) -> CompiledProtocol:
-    """Assign a quantum op and an exact shrink factor to every node.
+    """Assign a quantum op, an exact shrink factor and a verified transition
+    kernel to every node.
 
-    Raises CompileError if the network is not in normal form.  Fork and
-    two-to-one laws are re-verified at the state level for the exact
-    shrink factors occurring in this network.
+    Raises CompileError if the network is not in normal form, and
+    VerificationError if a kernel misses its target at an incoming shrink
+    occurring in this network.
     """
     report = validate_d3(d3)
     if not report.ok:
@@ -140,53 +273,52 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
 
     ops: dict[str, QuantumOp] = {}
     notes: list[str] = []
-    checked: set = set()
+    # verified kernels by (tag, map, incoming shrinks); the group is fixed
+    # within one compile
+    kernels: dict[tuple, Kernel] = {}
     for v in order:
         role = d3.roles[v]
         if role == "source":
             ops[v] = QuantumOp(v, SOURCE_TTR, Fraction(1))
             continue
-        a_in = [ops[net.edges[e][0]].alpha for e in net.in_edges(v)]
+        a_in = tuple(ops[net.edges[e][0]].alpha for e in net.in_edges(v))
+        a = a_in[0]
+        m = None
+        if role == "sink":
+            ops[v] = QuantumOp(v, SINK_NOOP, a, input_alpha=a)
+            continue
         if role == "join":
-            ops[v] = QuantumOp(v, JOIN, a_in[0] * a_in[1] / 9)
-        elif role == "sink":
-            ops[v] = QuantumOp(v, SINK_NOOP, a_in[0], input_alpha=a_in[0])
+            op = QuantumOp(v, JOIN, a * a_in[1] / 9)
         elif role == "fork":
-            a = a_in[0]
-            if a not in checked:
-                for z in LETTERS:
-                    efc.efc_apply(ShrunkState(z, a))
-                checked.add(a)
-                notes.append(f"fork law verified at incoming shrink {a}")
-            ops[v] = QuantumOp(v, FORK_EFC, a / 9, input_alpha=a)
+            op = QuantumOp(v, FORK_EFC, a / 9, input_alpha=a)
         else:
-            a = a_in[0]
             m = d3.transforms[v]
             cls = m.try_classify()
             if cls is MapClass.CONSTANT:
-                ops[v] = QuantumOp(
+                op = QuantumOp(
                     v, TRANSFORM_CONSTANT, Fraction(1), input_alpha=a, map=m,
                     letter=m(0),
                 )
             elif cls is MapClass.ONE_TO_ONE:
-                ops[v] = QuantumOp(
-                    v, TRANSFORM_ONE_TO_ONE, a / 3, input_alpha=a, map=m
-                )
+                op = QuantumOp(v, TRANSFORM_ONE_TO_ONE, a / 3, input_alpha=a, map=m)
             elif cls is MapClass.TWO_TO_ONE:
-                key = (m.table, a)
-                if key not in checked:
-                    _check_two_to_one_law(m, a)
-                    checked.add(key)
-                    notes.append(
-                        f"two-to-one law verified at incoming shrink {a}"
-                    )
-                ops[v] = QuantumOp(
+                op = QuantumOp(
                     v, TRANSFORM_TWO_TO_ONE, a / (6 - a), input_alpha=a, map=m
                 )
             else:
                 raise CompileError(f"node {v} carries an unusable letter map")
-        if ops[v].alpha <= 0:
+        if op.alpha <= 0:
             raise CompileError(f"nonpositive shrink factor at node {v}")
+        key = (op.tag, None if m is None else m.table, a_in)
+        if key not in kernels:
+            op = replace(op, kernel=build_kernel(op, d3.group))
+            check_kernel(op, a_in, d3.group)
+            kernels[key] = op.kernel
+            if op.tag == FORK_EFC:
+                notes.append(f"fork law verified at incoming shrink {a}")
+            elif op.tag == TRANSFORM_TWO_TO_ONE:
+                notes.append(f"two-to-one law verified at incoming shrink {a}")
+        ops[v] = replace(op, kernel=kernels[key])
     return CompiledProtocol(d3, ops, order, depths, tuple(notes))
 
 

@@ -2,23 +2,32 @@
 
 All three entry points agree on the semantics: every node measures its
 incoming qubit(s) with the tetra measurement and prepares fresh tetra
-states according to its sampling law, so a protocol run is a distribution
-over letter assignments to edges.
+states according to its transition law, so a protocol run is a
+distribution over letter assignments to edges.
 
-`simulate_oracle` computes that distribution exactly (rational weights for
-letter inputs) by sweeping the network once and keeping the joint
-distribution over the currently live edges only, merging histories that
-agree there.  It makes no independence assumptions across edges, which is
-what lets its per-edge marginals serve as ground truth.
-`enumerate_branches` keeps the full joint over all edges instead; it is
-exponential and only for tiny networks.  `simulate_analytic` skips
-enumeration entirely and reads sink mixtures off the compiled shrink
-factors.  `simulate_montecarlo` samples trials in vectorized chunks with
-deterministic, chunk-indexed substreams.
+`simulate_oracle` computes that distribution exactly by sweeping the
+network once and keeping the joint distribution over the currently live
+edges only, merging histories that agree there.  It applies each node's
+compiled transition kernel (`QuantumOp.kernel`) in Python-int arithmetic:
+weights are integer numerators over one running denominator, and become
+`Fraction`s only when a marginal, fork joint or sink mixture is recorded
+(floats once a source is given a state vector or density matrix).  It makes
+no independence assumptions across edges, which is what lets its per-edge
+marginals serve as ground truth.
+
+The per-node `Fraction` laws below (`transform_branch_law`,
+`join_branch_law`, `fork_branch_law`) are an independent reference for the
+kernels; `enumerate_branches` uses them to keep the full joint over all
+edges.  It is exponential and only for tiny networks.
+`simulate_analytic` skips enumeration entirely and reads sink mixtures off
+the compiled shrink factors.  `simulate_montecarlo` samples trials in
+vectorized chunks with deterministic, chunk-indexed substreams.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -34,6 +43,7 @@ from .qcompiler import (
     TRANSFORM_ONE_TO_ONE,
     TRANSFORM_TWO_TO_ONE,
     CompiledProtocol,
+    Kernel,
     QuantumOp,
     two_to_one_emission,
 )
@@ -42,6 +52,7 @@ from .qmath import ShrunkState
 
 MAX_ORACLE_BRANCHES = 10**7
 MAX_FULL_BRANCHES = 10**6
+STATE_TOL = 1e-9  # allowed error in the norm of a source state
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +64,25 @@ def source_distribution(value) -> dict[Letter, object]:
 
     A plain letter means the conditioned process that prepares exactly that
     tetra state; a ShrunkState yields its exact measurement statistics; a
-    density matrix yields float measurement statistics.
+    normalized state vector or a density matrix yields float measurement
+    statistics.  Raises ValueError on an unnormalized vector or a matrix
+    that is not a density matrix.
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         if value not in LETTERS:
             raise ValueError(f"not a letter: {value!r}")
         return {int(value): Fraction(1)}
-    if isinstance(value, ShrunkState) or isinstance(value, np.ndarray):
-        if isinstance(value, np.ndarray):
-            value = np.outer(value, value.conj()) if value.ndim == 1 else value
+    if isinstance(value, np.ndarray):
+        if value.ndim == 1:
+            if value.shape != (2,):
+                raise ValueError(f"state vector must have 2 entries, got {value.shape}")
+            norm = float(np.linalg.norm(value))
+            if not abs(norm - 1) <= STATE_TOL:  # also catches nan
+                raise ValueError(f"state vector is not normalized (norm {norm})")
+            value = np.outer(value, value.conj())
+        elif not qmath.is_density_matrix(value, tol=STATE_TOL):
+            raise ValueError("source matrix is not a single-qubit density matrix")
+    if isinstance(value, (ShrunkState, np.ndarray)):
         probs = qmath.ttr_probabilities(value)
         return {z: probs[z] for z in LETTERS}
     raise TypeError(f"unsupported source input: {value!r}")
@@ -125,6 +146,50 @@ class OracleResult:
         return qmath.mixture_matrix(self.sink_mixtures[sink])
 
 
+# a sink passes its letter's mass into its mixture and emits nothing
+_SINK_KERNEL = Kernel(1, tuple((((), 1),) for _ in LETTERS))
+
+
+def _source_kernel(value) -> Kernel:
+    """A source's letter law on one common denominator.  Float
+    probabilities (vector or density-matrix inputs) convert exactly."""
+    law = [(z, Fraction(w)) for z, w in source_distribution(value).items() if w]
+    den = lcm(*(w.denominator for _, w in law))
+    row = tuple(((z,), w.numerator * (den // w.denominator)) for z, w in law)
+    return Kernel(den, (row,))
+
+
+def _sweep_step(dist: dict, in_shifts: list, table: list) -> tuple[dict, list]:
+    """Apply one node to the live-edge distribution.
+
+    Keys pack the letter of each live edge into its 2-bit field; table[i]
+    lists (output field bits, numerator) for input index i.  Returns the new
+    distribution, with the node's input fields cleared, and the mass that
+    entered each input index.
+    """
+    new: dict = defaultdict(int)
+    mass = [0] * len(table)
+    if len(in_shifts) == 1:
+        sh = in_shifts[0]
+        keep = ~(3 << sh)
+        for key, p in dist.items():
+            i = key >> sh & 3
+            mass[i] += p
+            base = key & keep
+            for bits, n in table[i]:
+                new[base | bits] += p * n
+    else:
+        sh1, sh2 = in_shifts
+        keep = ~(3 << sh1 | 3 << sh2)
+        for key, p in dist.items():
+            i = (key >> sh1 & 3) << 2 | key >> sh2 & 3
+            mass[i] += p
+            base = key & keep
+            for bits, n in table[i]:
+                new[base | bits] += p * n
+    return new, mass
+
+
 def simulate_oracle(
     compiled: CompiledProtocol, inputs, max_branches: int = MAX_ORACLE_BRANCHES
 ) -> OracleResult:
@@ -132,72 +197,64 @@ def simulate_oracle(
 
     Tracks the joint distribution of letters on live edges (created, not
     yet consumed), so memory scales with 4^(frontier width), not network
-    size.  Raises SizeError beyond max_branches; Monte Carlo still works
-    there.
+    size.  Weights are Python-int numerators over one running denominator,
+    multiplied by each node's kernel denominator.  Raises SizeError beyond
+    max_branches; Monte Carlo still works there.
     """
     net = compiled.d3.network
     by_source = _resolve_inputs(compiled, inputs)
-    group = compiled.d3.group
 
-    live: list[int] = []
-    dist: dict[tuple, object] = {(): Fraction(1)}
+    offset: dict[int, int] = {}  # live edge -> bit offset of its letter in a key
+    dist: dict[int, int] = {0: 1}
+    den = 1
+    as_value = Fraction
     marginals: dict[int, dict] = {}
     fork_joints: dict[str, dict] = {}
     sink_mixtures: dict[str, dict] = {}
 
     for v in compiled.order:
         op = compiled.ops[v]
-        in_pos = [live.index(e) for e in net.in_edges(v)]
-        out_edges = net.out_edges(v)
         if len(dist) * 16 > max_branches:
             raise SizeError(
-                f"oracle frontier would exceed {max_branches} branches; "
+                f"oracle frontier at node {v} could reach {len(dist) * 16} "
+                f"branches, over the limit of {max_branches}; "
                 "use Monte Carlo for this network"
             )
-        src_law = None
+        in_shifts = [offset.pop(e) for e in net.in_edges(v)]
+        out_edges = net.out_edges(v)
+        taken = set(offset.values())
+        free = (b for b in range(0, 2 * (len(offset) + len(out_edges)), 2) if b not in taken)
+        offset.update(zip(out_edges, free))
         if op.tag == SOURCE_TTR:
-            src_law = [((z,), w) for z, w in source_distribution(by_source[v]).items()]
-        new_dist: dict[tuple, object] = {}
-        for key, p in dist.items():
-            if op.tag == SOURCE_TTR:
-                law = src_law
-            elif op.tag == JOIN:
-                u1, u2 = key[in_pos[0]], key[in_pos[1]]
-                law = [((y,), w) for y, w in join_branch_law(group, u1, u2).items()]
-            elif op.tag == FORK_EFC:
-                law = [
-                    (pair, w) for pair, w in fork_branch_law(op, key[in_pos[0]]).items()
-                ]
-            elif op.tag == SINK_NOOP:
-                u = key[in_pos[0]]
-                mix = sink_mixtures.setdefault(v, {})
-                mix[u] = mix.get(u, Fraction(0)) + p
-                law = [((), Fraction(1))]
-            else:
-                law = [
-                    ((y,), w)
-                    for y, w in transform_branch_law(op, key[in_pos[0]]).items()
-                ]
-            base = tuple(x for i, x in enumerate(key) if i not in in_pos)
-            for out_letters, w in law:
-                nk = base + out_letters
-                q = p * w
-                new_dist[nk] = new_dist.get(nk, Fraction(0)) + q
-        dist = new_dist
-        live = [e for e in live if e not in net.in_edges(v)] + list(out_edges)
-        for e in out_edges:
-            pos = live.index(e)
-            marg: dict = {}
-            for key, p in dist.items():
-                marg[key[pos]] = marg.get(key[pos], Fraction(0)) + p
-            marginals[e] = marg
+            kernel = _source_kernel(by_source[v])
+            if isinstance(by_source[v], np.ndarray):
+                as_value = lambda n, d: n / d  # results are floats from here on
+            # the output field is still clear, so it reads as input index 0
+            in_shifts = [offset[out_edges[0]]]
+        else:
+            kernel = _SINK_KERNEL if op.tag == SINK_NOOP else op.kernel
+        out_shifts = [offset[e] for e in out_edges]
+        table = [
+            [(sum(y << sh for y, sh in zip(out, out_shifts)), n) for out, n in row]
+            for row in kernel.rows
+        ]
+        dist, mass = _sweep_step(dist, in_shifts, table)
+        if op.tag == SINK_NOOP:
+            sink_mixtures[v] = {u: as_value(m, den) for u, m in enumerate(mass) if m}
+            continue
+        den *= kernel.den
+        joint: dict = defaultdict(int)
+        for m, row in zip(mass, kernel.rows):
+            if m:
+                for out, n in row:
+                    joint[out] += m * n
+        for j, e in enumerate(out_edges):
+            marg: dict = defaultdict(int)
+            for out, n in joint.items():
+                marg[out[j]] += n
+            marginals[e] = {z: as_value(n, den) for z, n in marg.items()}
         if op.tag == FORK_EFC:
-            p1, p2 = live.index(out_edges[0]), live.index(out_edges[1])
-            joint: dict = {}
-            for key, p in dist.items():
-                pair = (key[p1], key[p2])
-                joint[pair] = joint.get(pair, Fraction(0)) + p
-            fork_joints[v] = joint
+            fork_joints[v] = {pair: as_value(n, den) for pair, n in joint.items()}
     return OracleResult(compiled, marginals, fork_joints, sink_mixtures)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qnc4 import cli, netgraph
+from qnc4 import cli, instances, netgraph
 from qnc4.cli import main
 from qnc4.instances import BUNDLED
 from qnc4.netgraph import (
@@ -218,3 +218,15 @@ def test_report_fails_on_bad_statistics(monkeypatch, capsys):
     assert main(["report", "single-edge", "--trials", "1000"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_json_booleans_are_not_integers(tmp_path, capsys, command):
+    # true and false would otherwise pass as the integers 1 and 0
+    doc = netgraph.instance_to_json(*instances.butterfly())
+    op = doc["ops"]["s0"][0]
+    op["out"] = False
+    op["terms"][1]["in"] = True
+    path = _write_json(tmp_path, "bools.json", doc)
+    assert main([command, path]) == 2
+    assert "unexpected type bool" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qnc4 import netgraph, qmath
-from qnc4.errors import CompileError
+from qnc4 import instances, netgraph, qcompiler, qmath
+from qnc4.errors import CompileError, VerificationError
 from qnc4.instances import HIGH_BIT, LOW_BIT
 from qnc4.netgraph import (
     LETTERS,
@@ -23,13 +24,16 @@ from qnc4.qcompiler import (
     TRANSFORM_CONSTANT,
     TRANSFORM_ONE_TO_ONE,
     TRANSFORM_TWO_TO_ONE,
+    Kernel,
+    check_kernel,
     compile_protocol,
     protocol_to_json,
     two_to_one_emission,
 )
 from qnc4.qmath import ShrunkState
+from qnc4.qsim import fork_branch_law, join_branch_law, transform_branch_law
 
-from _generators import random_two_to_one_map
+from _generators import random_d3_instance, random_two_to_one_map
 
 
 def _chain(maps, group=GroupKind.Z2xZ2) -> D3Network:
@@ -233,3 +237,103 @@ def test_protocol_json_shape(diamond_compiled):
     assert data["u1"]["map"] == ["00", "00", "10", "10"]
     assert "letter" not in data["u1"]
     assert data["s"] == {"op": SOURCE_TTR, "alpha": "1"}
+
+
+# ---------------------------------------------------------------------------
+# transition kernels
+
+
+def _incoming(comp, v) -> tuple:
+    net = comp.d3.network
+    return tuple(comp.edge_alpha(e) for e in net.in_edges(v))
+
+
+def _kernel_ops(comp):
+    return [op for op in comp.ops.values() if op.kernel is not None]
+
+
+def _reference_law(op, group, i: int) -> dict:
+    """The Fraction branch law of op for input index i, keyed like a kernel
+    row by the tuple of output letters."""
+    if op.tag == JOIN:
+        law = join_branch_law(group, i >> 2, i & 3)
+    elif op.tag == FORK_EFC:
+        return {pair: w for pair, w in fork_branch_law(op, i).items() if w}
+    else:
+        law = transform_branch_law(op, i)
+    return {(y,): w for y, w in law.items() if w}
+
+
+def _compiled_samples():
+    for name in sorted(instances.BUNDLED):
+        net, proto = instances.bundled(name)
+        yield netgraph.normalize_to_d3(net, proto)[0]
+    rng = random.Random(606)
+    for _ in range(25):
+        yield random_d3_instance(rng, max_nodes=12, max_sources=3)
+
+
+def test_kernels_equal_reference_laws():
+    tags = set()
+    for d3 in _compiled_samples():
+        comp = compile_protocol(d3)
+        for v, op in comp.ops.items():
+            if op.tag in (SOURCE_TTR, SINK_NOOP):
+                assert op.kernel is None
+                continue
+            assert len(op.kernel.rows) == (16 if op.tag == JOIN else 4)
+            for i, row in enumerate(op.kernel.rows):
+                got = {out: Fraction(n, op.kernel.den) for out, n in row}
+                assert len(got) == len(row) and all(n > 0 for _, n in row)
+                assert got == _reference_law(op, d3.group, i), (v, i)
+            tags.add(op.tag)
+    assert tags == {
+        JOIN, FORK_EFC, TRANSFORM_CONSTANT, TRANSFORM_ONE_TO_ONE, TRANSFORM_TWO_TO_ONE
+    }
+
+
+def _tampered(kernel: Kernel, i: int) -> Kernel:
+    # move one unit of numerator between two outputs of row i, so the row
+    # still sums to the denominator; a one-entry row moves to another letter
+    row = list(kernel.rows[i])
+    if len(row) == 1:
+        ((y,), n) = row[0]
+        row[0] = ((y ^ 1,), n)
+    else:
+        (a, n), (b, m) = row[0], row[1]
+        row[0], row[1] = (a, n + 1), (b, m - 1)
+    rows = list(kernel.rows)
+    rows[i] = tuple(row)
+    return Kernel(kernel.den, tuple(rows))
+
+
+def test_tampered_kernel_is_caught(butterfly_compiled, diamond_compiled):
+    checked = set()
+    chain = compile_protocol(_chain([constant_map(2), SWAP01]))
+    for comp in (butterfly_compiled, diamond_compiled, chain):
+        for op in _kernel_ops(comp):
+            if op.tag in checked:
+                continue
+            a_in = _incoming(comp, op.node)
+            check_kernel(op, a_in, comp.d3.group)
+            for i in (0, len(op.kernel.rows) - 1):
+                bad = replace(op, kernel=_tampered(op.kernel, i))
+                with pytest.raises(VerificationError, match=op.node):
+                    check_kernel(bad, a_in, comp.d3.group)
+            checked.add(op.tag)
+    assert checked == {
+        JOIN, FORK_EFC, TRANSFORM_CONSTANT, TRANSFORM_ONE_TO_ONE, TRANSFORM_TWO_TO_ONE
+    }
+
+
+def test_compile_verifies_every_kernel(monkeypatch):
+    build = qcompiler.build_kernel
+
+    def tamper_one_to_one(op, group):
+        kernel = build(op, group)
+        return _tampered(kernel, 2) if op.tag == TRANSFORM_ONE_TO_ONE else kernel
+
+    monkeypatch.setattr(qcompiler, "build_kernel", tamper_one_to_one)
+    compile_protocol(_chain([HIGH_BIT]))
+    with pytest.raises(VerificationError, match="h1"):
+        compile_protocol(_chain([HIGH_BIT, SWAP01]))

@@ -8,7 +8,7 @@ import pytest
 from qnc4 import classical_eval, instances, netgraph, qmath
 from qnc4.errors import SizeError
 from qnc4.netgraph import GroupKind, LetterMap, normalize_to_d3
-from qnc4.qcompiler import compile_protocol
+from qnc4.qcompiler import FORK_EFC, compile_protocol
 from qnc4.qmath import ShrunkState
 from qnc4.qsim import (
     chi_square_statistic,
@@ -114,25 +114,50 @@ def test_fork_law_marginals(butterfly_compiled):
 # exact modes against each other
 
 
-def test_oracle_matches_full_enumeration(diamond_compiled):
-    net = diamond_compiled.d3.network
-    for x in (0, 3):
-        oracle = simulate_oracle(diamond_compiled, [x])
-        full = enumerate_branches(diamond_compiled, [x])
-        assert sum(full.values()) == 1
-        for e in range(len(net.edges)):
-            marg: dict = {}
-            for key, p in full.items():
-                marg[key[e]] = marg.get(key[e], Fraction(0)) + p
-            for z in range(4):
-                assert marg.get(z, 0) == oracle.edge_marginals[e].get(z, 0)
-        # the fork's pair joint, cross-checked against the full joint
-        fork_out = net.out_edges("d")
-        joint: dict = {}
+def _assert_sweep_matches_enumeration(compiled, inputs) -> None:
+    """The integer sweep against the Fraction full joint over all edges:
+    every edge marginal, fork pair joint and sink mixture, exactly."""
+    net = compiled.d3.network
+    oracle = simulate_oracle(compiled, inputs)
+    full = enumerate_branches(compiled, inputs)
+    assert sum(full.values()) == 1
+
+    def marginal(edges) -> dict:
+        out: dict = {}
         for key, p in full.items():
-            pair = (key[fork_out[0]], key[fork_out[1]])
-            joint[pair] = joint.get(pair, Fraction(0)) + p
-        assert joint == oracle.fork_joints["d"]
+            sub = tuple(key[e] for e in edges)
+            out[sub] = out.get(sub, Fraction(0)) + p
+        return out
+
+    for e in range(len(net.edges)):
+        marg = {z: p for (z,), p in marginal([e]).items()}
+        assert marg == oracle.edge_marginals[e]
+    for v in net.sink_ids:
+        (e,) = net.in_edges(v)
+        assert {z: p for (z,), p in marginal([e]).items()} == oracle.sink_mixtures[v]
+    forks = [v for v, op in compiled.ops.items() if op.tag == FORK_EFC]
+    assert set(forks) == set(oracle.fork_joints)
+    for v in forks:
+        assert marginal(net.out_edges(v)) == oracle.fork_joints[v]
+
+
+def test_oracle_matches_full_enumeration(diamond_compiled):
+    for x in (0, 3):
+        _assert_sweep_matches_enumeration(diamond_compiled, [x])
+    rng = random.Random(4711)
+    done = 0
+    while done < 5:
+        d3 = random_d3_instance(rng, max_nodes=8, max_sources=2)
+        if len(d3.network.edges) < 4:
+            continue
+        done += 1
+        comp = compile_protocol(d3)
+        n_src = len(d3.network.source_ids)
+        inputs = [rng.randrange(4) for _ in range(n_src)]
+        _assert_sweep_matches_enumeration(comp, inputs)
+        _assert_sweep_matches_enumeration(
+            comp, [ShrunkState(x, Fraction(1, 2 + x)) for x in inputs]
+        )
 
 
 def test_oracle_accepts_shrunk_and_vector_inputs(single_compiled):
@@ -143,6 +168,22 @@ def test_oracle_accepts_shrunk_and_vector_inputs(single_compiled):
     assert abs(total - 1) < 1e-12
     rho = res.sink_state("t")
     assert qmath.is_density_matrix(rho)
+
+
+def test_oracle_result_types(butterfly_compiled):
+    # exact inputs give Fractions; a state-vector source turns every value
+    # recorded after it into a float
+    res = simulate_oracle(butterfly_compiled, [ShrunkState(1, Fraction(1, 3)), 2])
+    values = [p for m in res.edge_marginals.values() for p in m.values()]
+    values += [p for m in res.sink_mixtures.values() for p in m.values()]
+    assert values and all(type(p) is Fraction for p in values)
+    res = simulate_oracle(butterfly_compiled, [np.array([0.6, 0.8]), 2])
+    net = butterfly_compiled.d3.network
+    for e in net.out_edges("s1"):
+        assert all(type(p) is float for p in res.edge_marginals[e].values())
+    for mix in res.sink_mixtures.values():
+        assert all(type(p) is float for p in mix.values())
+        assert abs(sum(mix.values()) - 1) < 1e-12
 
 
 def test_oracle_matches_analytic_on_butterfly(butterfly_compiled):
@@ -174,6 +215,34 @@ def test_size_guards(diamond_compiled):
         simulate_oracle(diamond_compiled, [0], max_branches=10)
     with pytest.raises(SizeError):
         enumerate_branches(diamond_compiled, [0], max_branches=10)
+
+
+def test_size_error_names_node_and_branches(diamond_compiled):
+    # a letter input leaves one branch; the fork makes 16, the first
+    # two-to-one node after it could make 16 * 16
+    with pytest.raises(SizeError, match=r"at node u1 could reach 256 branches"):
+        simulate_oracle(diamond_compiled, [0], max_branches=255)
+    simulate_oracle(diamond_compiled, [0], max_branches=256)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([3.0, 0.0]),
+        np.array([0.6, 0.6]),
+        np.array([1.0, 0.0, 0.0]),
+        np.eye(2),
+        np.array([[0.5, 0.5], [0.0, 0.5]]),
+        np.diag([1.5, -0.5]),
+    ],
+)
+def test_unnormalized_inputs_rejected(single_compiled, bad):
+    with pytest.raises(ValueError):
+        source_distribution(bad)
+    with pytest.raises(ValueError):
+        simulate_oracle(single_compiled, [bad])
+    with pytest.raises(ValueError):
+        simulate_montecarlo(single_compiled, [bad], trials=1000, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +343,4 @@ def test_chi_square_zero_prob_bucket():
     probs = {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(0), 3: Fraction(0)}
     assert chi_square_statistic(np.array([5, 5, 0, 0]), probs) == pytest.approx(0.0)
     assert chi_square_statistic(np.array([5, 4, 1, 0]), probs) == float("inf")
+
