@@ -132,6 +132,7 @@ def cmd_compile(args) -> int:
     net, proto, d3 = load_instance(args.instance)
     d3, _ = _to_d3(net, proto, d3)
     compiled = compile_protocol(d3)
+    plan = compiled.sweep_plan
     doc = {
         "group": d3.group.value,
         "ops": protocol_to_json(compiled),
@@ -144,6 +145,11 @@ def cmd_compile(args) -> int:
             for t, a in compiled.sink_alphas.items()
         },
         "notes": list(compiled.notes),
+        "sweep": {
+            "peak_live": plan.peak_live,
+            "peak_node": plan.peak_node,
+            "predicted_branches": plan.predicted_branches,
+        },
     }
     _write(args, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -188,9 +194,10 @@ def cmd_simulate(args) -> int:
         doc["fork_pairs"] = {
             v: {
                 letter_to_str(a) + letter_to_str(b): _num(p)
-                for (a, b), p in sorted(j.items())
+                for (a, b), p in sorted(res.fork_joints[v].items())
             }
-            for v, j in res.fork_joints.items()
+            for v in compiled.order
+            if v in res.fork_joints
         }
     else:
         res = qsim.simulate_montecarlo(compiled, letters, args.trials, seed=args.seed)

@@ -6,14 +6,15 @@ states according to its transition law, so a protocol run is a
 distribution over letter assignments to edges.
 
 `simulate_oracle` computes that distribution exactly by sweeping the
-network once and keeping the joint distribution over the currently live
-edges only, merging histories that agree there.  It applies each node's
-compiled transition kernel (`QuantumOp.kernel`) in Python-int arithmetic:
-weights are integer numerators over one running denominator, and become
-`Fraction`s only when a marginal, fork joint or sink mixture is recorded
-(floats once a source is given a state vector or density matrix).  It makes
-no independence assumptions across edges, which is what lets its per-edge
-marginals serve as ground truth.
+network once, along the order of `compiled.sweep_plan`, and keeping the
+joint distribution over the currently live edges only, merging histories
+that agree there.  It applies each node's compiled transition kernel
+(`QuantumOp.kernel`) in Python-int arithmetic: weights are integer
+numerators over one running denominator, and become `Fraction`s only when
+a marginal, fork joint or sink mixture is recorded (floats once a source is
+given a state vector or density matrix).  It makes no independence
+assumptions across edges, which is what lets its per-edge marginals serve
+as ground truth.
 
 The per-node `Fraction` laws below (`transform_branch_law`,
 `join_branch_law`, `fork_branch_law`) are an independent reference for the
@@ -28,6 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import truediv
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .qcompiler import (
 from . import efc, qmath
 from .qmath import ShrunkState
 
-MAX_ORACLE_BRANCHES = 10**7
+MAX_ORACLE_BRANCHES = 4**10
 MAX_FULL_BRANCHES = 10**6
 STATE_TOL = 1e-9  # allowed error in the norm of a source state
 
@@ -146,10 +148,6 @@ class OracleResult:
         return qmath.mixture_matrix(self.sink_mixtures[sink])
 
 
-# a sink passes its letter's mass into its mixture and emits nothing
-_SINK_KERNEL = Kernel(1, tuple((((), 1),) for _ in LETTERS))
-
-
 def _source_kernel(value) -> Kernel:
     """A source's letter law on one common denominator.  Float
     probabilities (vector or density-matrix inputs) convert exactly."""
@@ -159,7 +157,7 @@ def _source_kernel(value) -> Kernel:
     return Kernel(den, (row,))
 
 
-def _sweep_step(dist: dict, in_shifts: list, table: list) -> tuple[dict, list]:
+def _sweep_step(dist: dict, in_shifts: tuple, table) -> tuple[dict, list]:
     """Apply one node to the live-edge distribution.
 
     Keys pack the letter of each live edge into its 2-bit field; table[i]
@@ -197,50 +195,43 @@ def simulate_oracle(
 
     Tracks the joint distribution of letters on live edges (created, not
     yet consumed), so memory scales with 4^(frontier width), not network
-    size.  Weights are Python-int numerators over one running denominator,
-    multiplied by each node's kernel denominator.  Raises SizeError beyond
-    max_branches; Monte Carlo still works there.
+    size.  Walks `compiled.sweep_plan`, which orders the nodes to keep that
+    width small.  Weights are Python-int numerators over one running
+    denominator, multiplied by each node's kernel denominator.  Values are
+    floats at every node that follows a vector or density-matrix source in
+    `compiled.order`.  Raises SizeError, before sweeping, when the plan's
+    peak of 4^(live edges) exceeds max_branches; Monte Carlo still works
+    there.
     """
-    net = compiled.d3.network
+    plan = compiled.sweep_plan
     by_source = _resolve_inputs(compiled, inputs)
+    source_kernels = {s: _source_kernel(x) for s, x in by_source.items()}
+    if plan.predicted_branches > max_branches:
+        raise SizeError(
+            f"oracle frontier at node {plan.peak_node} could reach "
+            f"{plan.predicted_branches} branches, over the limit of {max_branches}; "
+            "use Monte Carlo for this network"
+        )
+    vectors = [i for i, v in enumerate(compiled.order)
+               if isinstance(by_source.get(v), np.ndarray)]
+    floats = set(compiled.order[min(vectors):]) if vectors else set()
 
-    offset: dict[int, int] = {}  # live edge -> bit offset of its letter in a key
     dist: dict[int, int] = {0: 1}
     den = 1
-    as_value = Fraction
     marginals: dict[int, dict] = {}
     fork_joints: dict[str, dict] = {}
     sink_mixtures: dict[str, dict] = {}
-
-    for v in compiled.order:
-        op = compiled.ops[v]
-        if len(dist) * 16 > max_branches:
-            raise SizeError(
-                f"oracle frontier at node {v} could reach {len(dist) * 16} "
-                f"branches, over the limit of {max_branches}; "
-                "use Monte Carlo for this network"
-            )
-        in_shifts = [offset.pop(e) for e in net.in_edges(v)]
-        out_edges = net.out_edges(v)
-        taken = set(offset.values())
-        free = (b for b in range(0, 2 * (len(offset) + len(out_edges)), 2) if b not in taken)
-        offset.update(zip(out_edges, free))
+    for step in plan.steps:
+        op = step.op
+        as_value = truediv if op.node in floats else Fraction
         if op.tag == SOURCE_TTR:
-            kernel = _source_kernel(by_source[v])
-            if isinstance(by_source[v], np.ndarray):
-                as_value = lambda n, d: n / d  # results are floats from here on
-            # the output field is still clear, so it reads as input index 0
-            in_shifts = [offset[out_edges[0]]]
+            kernel = source_kernels[op.node]
+            table = [[(z << step.in_shifts[0], n) for (z,), n in kernel.rows[0]]]
         else:
-            kernel = _SINK_KERNEL if op.tag == SINK_NOOP else op.kernel
-        out_shifts = [offset[e] for e in out_edges]
-        table = [
-            [(sum(y << sh for y, sh in zip(out, out_shifts)), n) for out, n in row]
-            for row in kernel.rows
-        ]
-        dist, mass = _sweep_step(dist, in_shifts, table)
+            kernel, table = op.kernel, step.table
+        dist, mass = _sweep_step(dist, step.in_shifts, table)
         if op.tag == SINK_NOOP:
-            sink_mixtures[v] = {u: as_value(m, den) for u, m in enumerate(mass) if m}
+            sink_mixtures[op.node] = {u: as_value(m, den) for u, m in enumerate(mass) if m}
             continue
         den *= kernel.den
         joint: dict = defaultdict(int)
@@ -248,13 +239,13 @@ def simulate_oracle(
             if m:
                 for out, n in row:
                     joint[out] += m * n
-        for j, e in enumerate(out_edges):
+        for j, e in enumerate(step.out_edges):
             marg: dict = defaultdict(int)
             for out, n in joint.items():
                 marg[out[j]] += n
             marginals[e] = {z: as_value(n, den) for z, n in marg.items()}
         if op.tag == FORK_EFC:
-            fork_joints[v] = {pair: as_value(n, den) for pair, n in joint.items()}
+            fork_joints[op.node] = {pair: as_value(n, den) for pair, n in joint.items()}
     return OracleResult(compiled, marginals, fork_joints, sink_mixtures)
 
 

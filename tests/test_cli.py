@@ -15,6 +15,7 @@ from qnc4.netgraph import (
     make_network,
     node_op,
 )
+from qnc4.qcompiler import compile_protocol
 
 
 def _write_json(tmp_path, name, doc):
@@ -145,6 +146,7 @@ def test_compile_butterfly(capsys):
     assert sink["fidelity_floor"] == "797162/1594323"
     assert doc["ops"]["s1.f0"]["op"] == "ForkEFC"
     assert any("fork law" in n for n in doc["notes"])
+    assert doc["sweep"] == {"peak_live": 4, "peak_node": "s2.f0", "predicted_branches": 256}
 
 
 def test_compile_rejects_bad_normal_form(tmp_path, capsys):
@@ -182,6 +184,30 @@ def test_simulate_oracle_diamond(capsys):
         doc["sinks"]["t"]["fidelity_tetra_input"]
         == analytic["sinks"]["t"]["fidelity_tetra_input"]
     )
+
+
+def test_simulate_oracle_lists_forks_in_listing_order(tmp_path, capsys):
+    # the sweep takes fork f0, behind transform x0, before fork f1; the
+    # output lists forks by (depth, id) all the same
+    net = make_network(
+        nodes=[("s0", "source"), ("s1", "source"), ("x0", "internal"),
+               ("f0", "internal"), ("f1", "internal")]
+        + [(f"t{i}", "sink") for i in range(4)],
+        edges=[("s0", "x0"), ("x0", "f0"), ("f0", "t0"), ("f0", "t1"),
+               ("s1", "f1"), ("f1", "t2"), ("f1", "t3")],
+        requirements={"t0": "s0", "t1": "s0", "t2": "s1", "t3": "s1"},
+    )
+    roles = {"s0": "source", "s1": "source", "x0": "transform", "f0": "fork",
+             "f1": "fork", **{f"t{i}": "sink" for i in range(4)}}
+    d3 = D3Network(net, roles, {"x0": IDENTITY_MAP}, GroupKind.Z4)
+    compiled = compile_protocol(d3)
+    swept = [s.op.node for s in compiled.sweep_plan.steps if s.op.node in ("f0", "f1")]
+    assert swept == ["f0", "f1"]
+    path = _write_json(tmp_path, "forks.json", netgraph.d3_to_json(d3))
+    assert main(["simulate", path, "--mode", "oracle", "--inputs", "01,10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["fork_pairs"]) == [v for v in compiled.order if v in ("f0", "f1")]
+    assert list(doc["fork_pairs"]) == ["f1", "f0"]
 
 
 def test_simulate_montecarlo(capsys):

@@ -184,6 +184,12 @@ def test_diamond_two_to_one_compile(diamond_compiled):
     assert "two-to-one law verified at incoming shrink 1/9" in joined
 
 
+def test_diamond_notes_name_their_maps(diamond_compiled):
+    notes = diamond_compiled.notes
+    assert len(set(notes)) == len(notes) == 3
+    assert "two-to-one law verified at incoming shrink 1/9 for map 00,00,10,10" in notes
+
+
 def test_edge_alpha_matches_producer(butterfly_compiled):
     comp = butterfly_compiled
     for e, (u, _) in enumerate(comp.d3.network.edges):

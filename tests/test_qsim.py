@@ -218,11 +218,10 @@ def test_size_guards(diamond_compiled):
 
 
 def test_size_error_names_node_and_branches(diamond_compiled):
-    # a letter input leaves one branch; the fork makes 16, the first
-    # two-to-one node after it could make 16 * 16
-    with pytest.raises(SizeError, match=r"at node u1 could reach 256 branches"):
-        simulate_oracle(diamond_compiled, [0], max_branches=255)
-    simulate_oracle(diamond_compiled, [0], max_branches=256)
+    # two edges are live after the fork d, so the sweep can hold 4^2 keys
+    with pytest.raises(SizeError, match=r"at node d could reach 16 branches"):
+        simulate_oracle(diamond_compiled, [0], max_branches=15)
+    simulate_oracle(diamond_compiled, [0], max_branches=16)
 
 
 @pytest.mark.parametrize(
@@ -243,6 +242,79 @@ def test_unnormalized_inputs_rejected(single_compiled, bad):
         simulate_oracle(single_compiled, [bad])
     with pytest.raises(ValueError):
         simulate_montecarlo(single_compiled, [bad], trials=1000, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# sweep plan
+
+
+def _peak_live(net, order) -> int:
+    live, peak = set(), 0
+    for v in order:
+        live.difference_update(net.in_edges(v))
+        live.update(net.out_edges(v))
+        peak = max(peak, len(live))
+    return peak
+
+
+def _disjoint_copies(d3, k: int) -> netgraph.D3Network:
+    net = d3.network
+    tags = [f"c{i}." for i in range(k)]
+    return netgraph.D3Network(
+        netgraph.make_network(
+            nodes=[(c + n.id, n.kind) for c in tags for n in net.nodes],
+            edges=[(c + u, c + v) for c in tags for u, v in net.edges],
+            requirements={c + t: c + s for c in tags for t, s in net.requirements.items()},
+        ),
+        {c + v: r for c in tags for v, r in d3.roles.items()},
+        {c + v: m for c in tags for v, m in d3.transforms.items()},
+        d3.group,
+    )
+
+
+def test_plan_is_never_wider_than_listing_order():
+    rng = random.Random(7)
+    narrower = 0
+    for _ in range(100):
+        comp = compile_protocol(random_d3_instance(rng, max_nodes=40, max_sources=6))
+        net = comp.d3.network
+        plan = comp.sweep_plan
+        order = [step.op.node for step in plan.steps]
+        assert sorted(order) == sorted(comp.order)
+        done: set = set()
+        for v in order:
+            assert all(net.edges[e][0] in done for e in net.in_edges(v))
+            done.add(v)
+        assert plan.peak_live == _peak_live(net, order)
+        old = _peak_live(net, comp.order)
+        assert plan.peak_live <= old
+        narrower += plan.peak_live < old
+    assert narrower
+
+
+def test_plan_sweeps_disjoint_diamonds_one_at_a_time(diamond_compiled):
+    d3 = _disjoint_copies(diamond_compiled.d3, 3)
+    comp = compile_protocol(d3)
+    net = d3.network
+    assert _peak_live(net, comp.order) == 6
+    assert comp.sweep_plan.peak_live == 2
+    for inputs in ((0, 1, 2), (3, 3, 1)):
+        oracle = simulate_oracle(comp, list(inputs), max_branches=16)
+        assert oracle.sink_mixtures == simulate_analytic(comp, inputs).sink_mixtures
+        letters = classical_eval.edge_values(d3, None, list(inputs))
+        for e in range(len(net.edges)):
+            want = qmath.tetra_weights(ShrunkState(letters[e], comp.edge_alpha(e)))
+            assert {z: oracle.edge_marginals[e].get(z, 0) for z in range(4)} == want
+
+
+def test_plan_is_built_once_on_first_sweep():
+    net, proto = instances.butterfly()
+    comp = compile_protocol(normalize_to_d3(net, proto)[0])
+    assert "sweep_plan" not in vars(comp)
+    simulate_oracle(comp, [0, 1])
+    plan = comp.sweep_plan
+    simulate_oracle(comp, [2, 3])
+    assert comp.sweep_plan is plan
 
 
 # ---------------------------------------------------------------------------
