@@ -85,18 +85,23 @@ def _parse_inputs(raw: str, n: int) -> list:
     return [letter_from_str(s) for s in parts]
 
 
+def _print_violations(net, proto, d3) -> bool:
+    """Validate the loaded instance and print each violation; True if any."""
+    report = (
+        netgraph.validate_d3(d3) if d3 is not None else netgraph.validate_network(net, proto)
+    )
+    for v in report.violations:
+        print(f"violation: {v}")
+    return not report.ok
+
+
 def cmd_validate(args) -> int:
     if args.list:
         for name in sorted(instances.BUNDLED):
             print(name)
         return 0
     net, proto, d3 = load_instance(args.instance)
-    report = (
-        netgraph.validate_d3(d3) if d3 is not None else netgraph.validate_network(net, proto)
-    )
-    if not report.ok:
-        for v in report.violations:
-            print(f"violation: {v}")
+    if _print_violations(net, proto, d3):
         return 3
     res = classical_eval.check_requirement(d3 if d3 is not None else net, proto)
     if not res.ok:
@@ -108,6 +113,8 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     net, proto, d3 = load_instance(args.instance)
+    if _print_violations(net, proto, d3):
+        return 3
     table = classical_eval.truth_table(d3 if d3 is not None else net, proto)
     buf = io.StringIO()
     w = csv.writer(buf)

@@ -22,12 +22,17 @@ kernels; `enumerate_branches` uses them to keep the full joint over all
 edges.  It is exponential and only for tiny networks.
 `simulate_analytic` skips enumeration entirely and reads sink mixtures off
 the compiled shrink factors.  `simulate_montecarlo` samples trials in
-vectorized chunks with deterministic, chunk-indexed substreams.
+vectorized chunks with deterministic, chunk-indexed substreams, from the
+same verified kernels the sweep runs on: each node, sources included, makes
+one draw per trial from Vose alias tables built off its kernel's rows
+(`alias_table`), and each edge's letter array is freed once its consumer
+has read it.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import truediv
 
@@ -43,7 +48,6 @@ from .qcompiler import (
     SOURCE_TTR,
     TRANSFORM_CONSTANT,
     TRANSFORM_ONE_TO_ONE,
-    TRANSFORM_TWO_TO_ONE,
     CompiledProtocol,
     Kernel,
     QuantumOp,
@@ -149,12 +153,14 @@ class OracleResult:
 
 
 def _source_kernel(value) -> Kernel:
-    """A source's letter law on one common denominator.  Float
-    probabilities (vector or density-matrix inputs) convert exactly."""
+    """A source's letter law over its own total.  Float probabilities
+    (vector or density-matrix inputs) convert exactly, and dividing by
+    their exact sum rather than 1 makes the law sum to exactly 1, so edges
+    that do not depend on the source keep their exact values."""
     law = [(z, Fraction(w)) for z, w in source_distribution(value).items() if w]
-    den = lcm(*(w.denominator for _, w in law))
-    row = tuple(((z,), w.numerator * (den // w.denominator)) for z, w in law)
-    return Kernel(den, (row,))
+    scale = lcm(*(w.denominator for _, w in law))
+    row = tuple(((z,), w.numerator * (scale // w.denominator)) for z, w in law)
+    return Kernel(sum(n for _, n in row), (row,))
 
 
 def _sweep_step(dist: dict, in_shifts: tuple, table) -> tuple[dict, list]:
@@ -361,21 +367,39 @@ class MonteCarloResult:
         return self.sink_counts[sink] / self.trials
 
 
-def _ttr_sample(rng, letters: np.ndarray) -> np.ndarray:
-    # outcome equals the prepared letter w.p. 1/2, each other letter 1/6;
-    # xor with a nonzero offset enumerates exactly the three others
-    r = rng.random(letters.shape[0])
-    off = np.zeros(letters.shape[0], dtype=letters.dtype)
-    wrong = r >= 0.5
-    off[wrong] = 1 + np.minimum(((r[wrong] - 0.5) * 6).astype(letters.dtype), 2)
-    return letters ^ off
+def alias_table(kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:
+    """Vose alias tables for every row of a kernel, laid out flat.
 
-
-def _sample_categorical(rng, cum: np.ndarray, n: int) -> np.ndarray:
-    r = rng.random(n)
-    return np.minimum((r[:, None] >= cum[None, :]).sum(axis=1), len(cum) - 1).astype(
-        np.int8
-    )
+    With K = 4^(output letters) outcome slots, slot k of row i sits at
+    j = i*K + k, and outcome k packs the output letters two bits each,
+    first letter highest.  A draw lands in slot k with probability 1/K and
+    keeps k with probability prob[j], else takes the slot's alias;
+    outcomes[j] holds (k, alias).  The tables are built on exact integers,
+    so the only rounding is one true division per slot (Vose, IEEE TSE
+    17(9), 1991).  Returns (log2 K, prob, outcomes).
+    """
+    width = len(kernel.rows[0][0][0])
+    size, den = 4**width, kernel.den
+    slot = {out: k for k, out in enumerate(product(LETTERS, repeat=width))}
+    prob: list[float] = []
+    alias: list[int] = []
+    for row in kernel.rows:
+        # slot weights scaled by K, so each slot holds exactly den on average
+        w = [0] * size
+        for out, n in row:
+            w[slot[out]] = n * size
+        p, a = [1.0] * size, list(range(size))
+        small = [k for k in range(size) if w[k] < den]
+        large = [k for k in range(size) if w[k] >= den]
+        while small:
+            k, big = small.pop(), large.pop()
+            p[k], a[k] = w[k] / den, big
+            w[big] -= den - w[k]
+            (small if w[big] < den else large).append(big)
+        prob += p
+        alias += a
+    outcomes = np.column_stack((np.arange(len(alias)) % size, alias)).astype(np.uint8)
+    return 2 * width, np.array(prob), outcomes
 
 
 def simulate_montecarlo(
@@ -387,79 +411,56 @@ def simulate_montecarlo(
 ) -> MonteCarloResult:
     """Sample full protocol runs and tally the letters reaching each sink.
 
-    Trials are processed in chunks; chunk c uses the substream spawned from
-    (seed, c), so a given (seed, chunk_size) pair reproduces exactly.
+    Every node, sources included, makes one alias draw per trial from its
+    compiled kernel (a source from its input's law): one uniform picks the
+    slot and decides between it and its alias.  Edge letters are uint8
+    arrays, freed as soon as their consumer has read them.  Trials are
+    processed in chunks; chunk c uses the substream spawned from (seed, c),
+    so a given (seed, chunk_size) pair reproduces exactly.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    for name, value in (("trials", trials), ("chunk_size", chunk_size)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value <= 0:
+            raise ValueError(f"{name} must be a positive int, got {value!r}")
     net = compiled.d3.network
     by_source = _resolve_inputs(compiled, inputs)
-    group = compiled.d3.group
-
-    # precomputed float tables per node
-    src_cum: dict[str, np.ndarray] = {}
-    for s, value in by_source.items():
-        probs = np.array(
-            [float(w) for w in (source_distribution(value).get(z, 0) for z in LETTERS)]
-        )
-        src_cum[s] = np.cumsum(probs)
-    fork_cum: dict[str, np.ndarray] = {}
-    two1_tab: dict[str, tuple] = {}
+    tables: dict[Kernel, tuple] = {}  # nodes with equal laws share a kernel
+    steps = []
     for v in compiled.order:
         op = compiled.ops[v]
-        if op.tag == FORK_EFC:
-            table = np.zeros((4, 16))
-            for x in LETTERS:
-                d = efc.efc_pair_distribution(op.input_alpha, x)
-                for (z1, z2), w in d.items():
-                    table[x, 4 * z1 + z2] = float(w)
-            fork_cum[v] = np.cumsum(table, axis=1)
-        elif op.tag == TRANSFORM_TWO_TO_ONE:
-            image = op.map.image()
-            off = [z for z in LETTERS if z not in image]
-            keep = float(Fraction(3, 1) / (6 - op.input_alpha))
-            two1_tab[v] = (np.array(op.map.table, dtype=np.int8), keep, off[0], off[1])
+        if op.tag == SINK_NOOP:
+            table = None
+        else:
+            kernel = _source_kernel(by_source[v]) if op.tag == SOURCE_TTR else op.kernel
+            if kernel not in tables:
+                tables[kernel] = alias_table(kernel)
+            table = tables[kernel]
+        steps.append((v, net.in_edges(v), net.out_edges(v), table))
 
     counts = {t: np.zeros(4, dtype=np.int64) for t in net.sink_ids}
     n_chunks = (trials + chunk_size - 1) // chunk_size
     for c in range(n_chunks):
         n = min(chunk_size, trials - c * chunk_size)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        edge_vals: dict[int, np.ndarray] = {}
-        for v in compiled.order:
-            op = compiled.ops[v]
-            ins = [edge_vals[e] for e in net.in_edges(v)]
-            outs = net.out_edges(v)
-            if op.tag == SOURCE_TTR:
-                edge_vals[outs[0]] = _sample_categorical(rng, src_cum[v], n)
-            elif op.tag == JOIN:
-                x1, x2 = _ttr_sample(rng, ins[0]), _ttr_sample(rng, ins[1])
-                if group is GroupKind.Z4:
-                    out = (x1 + x2) & 3
-                else:
-                    out = x1 ^ x2
-                edge_vals[outs[0]] = out.astype(np.int8)
-            elif op.tag == FORK_EFC:
-                x = _ttr_sample(rng, ins[0])
-                r = rng.random(n)
-                idx = np.minimum((r[:, None] >= fork_cum[v][x]).sum(axis=1), 15)
-                edge_vals[outs[0]] = (idx >> 2).astype(np.int8)
-                edge_vals[outs[1]] = (idx & 3).astype(np.int8)
-            elif op.tag == TRANSFORM_CONSTANT:
-                edge_vals[outs[0]] = np.full(n, op.letter, dtype=np.int8)
-            elif op.tag == TRANSFORM_ONE_TO_ONE:
-                table = np.array(op.map.table, dtype=np.int8)
-                edge_vals[outs[0]] = table[_ttr_sample(rng, ins[0])]
-            elif op.tag == TRANSFORM_TWO_TO_ONE:
-                table, keep, off0, off1 = two1_tab[v]
-                x = _ttr_sample(rng, ins[0])
-                kept = rng.random(n) < keep
-                half = rng.random(n) < 0.5
-                edge_vals[outs[0]] = np.where(
-                    kept, table[x], np.where(half, off0, off1)
-                ).astype(np.int8)
-            else:
+        letters: dict[int, np.ndarray] = {}
+        for v, in_edges, out_edges, table in steps:
+            ins = [letters.pop(e) for e in in_edges]
+            if table is None:
                 counts[v] += np.bincount(ins[0], minlength=4)
+                continue
+            shift, prob, outcomes = table
+            u = rng.random(n)
+            u *= 1 << shift  # exact: a power of two
+            j = u.astype(np.uint8)
+            u -= j
+            if ins:
+                row = ins[0] if len(ins) == 1 else ins[0] << 2 | ins[1]
+                j |= row << shift
+            out = outcomes.take(j << 1 | (u >= prob.take(j)))
+            if len(out_edges) == 1:
+                letters[out_edges[0]] = out
+            else:
+                letters[out_edges[0]] = out >> 2
+                letters[out_edges[1]] = out & 3
     return MonteCarloResult(compiled, trials, seed, counts)
 
 

@@ -106,6 +106,42 @@ def test_eval_out_file(tmp_path):
     assert len(rows) == 5
 
 
+def _drop_op(doc):
+    del doc["ops"]["t0"]
+
+
+def _edge_to_nowhere(doc):
+    doc["edges"][0]["to"] = "nowhere"
+
+
+def _term_out_of_range(doc):
+    doc["ops"]["s0"][0]["terms"][1]["in"] = 7
+
+
+def _duplicate_id(doc):
+    doc["nodes"][2]["id"] = "s1"
+
+
+@pytest.mark.parametrize(
+    "mutate, problem",
+    [
+        (_drop_op, "outgoing edge 0 of node t0 has no operation"),
+        (_edge_to_nowhere, "edge 0 ends at unknown node nowhere"),
+        (_term_out_of_range, "references missing incoming edge 7"),
+        (_duplicate_id, "duplicate node id s1"),
+    ],
+    ids=["missing-op", "unknown-node", "term-out-of-range", "duplicate-id"],
+)
+def test_eval_validates_first(tmp_path, capsys, mutate, problem):
+    doc = netgraph.instance_to_json(*instances.butterfly())
+    mutate(doc)
+    path = _write_json(tmp_path, "mutated.json", doc)
+    assert main(["eval", path]) in (2, 3)
+    captured = capsys.readouterr()
+    assert problem in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_eval_too_many_sources(tmp_path, capsys):
     n = 9
     nodes = [(f"s{i}", "source") for i in range(n)] + [("t", "sink")]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,12 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qnc4 import classical_eval, instances, netgraph, qmath
+from qnc4 import classical_eval, instances, netgraph, qcompiler, qmath, qsim
 from qnc4.errors import SizeError
-from qnc4.netgraph import GroupKind, LetterMap, normalize_to_d3
+from qnc4.instances import HIGH_BIT, LOW_BIT
+from qnc4.netgraph import GroupKind, LetterMap, constant_map, normalize_to_d3
 from qnc4.qcompiler import FORK_EFC, compile_protocol
 from qnc4.qmath import ShrunkState
 from qnc4.qsim import (
+    alias_table,
     chi_square_statistic,
     enumerate_branches,
     estimate_fidelity,
@@ -210,6 +213,29 @@ def test_random_networks_hit_compiled_shrinks():
                 assert oracle.edge_marginals[e].get(z, 0) == want[z]
 
 
+def test_float_sweep_is_order_independent(butterfly_compiled, monkeypatch):
+    # a vector source's law sums to exactly 1, so every edge fed only by the
+    # letter source reads the all-letter sweep's exact value, in either order
+    d3 = butterfly_compiled.d3
+    net = d3.network
+    planned = butterfly_compiled.sweep_plan.steps  # built before the patch
+    monkeypatch.setattr(qcompiler, "sweep_order", lambda comp: comp.order)
+    listed = compile_protocol(d3)
+    assert [step.op.node for step in listed.sweep_plan.steps] == list(listed.order)
+    assert [step.op.node for step in planned] != list(listed.order)
+    fed_by: dict = {}
+    for v in butterfly_compiled.order:
+        ins = net.in_edges(v)
+        fed_by[v] = {v} if not ins else set().union(*(fed_by[net.edges[e][0]] for e in ins))
+    letter_only = [e for e, (u, _) in enumerate(net.edges) if fed_by[u] == {"s1"}]
+    assert len(letter_only) == 3
+    exact = simulate_oracle(butterfly_compiled, [2, 0]).edge_marginals
+    for comp in (butterfly_compiled, listed):
+        got = simulate_oracle(comp, [2, np.array([0.6, 0.8])]).edge_marginals
+        for e in letter_only:
+            assert got[e] == {z: float(p) for z, p in exact[e].items()}
+
+
 def test_size_guards(diamond_compiled):
     with pytest.raises(SizeError):
         simulate_oracle(diamond_compiled, [0], max_branches=10)
@@ -384,6 +410,111 @@ def test_montecarlo_rejects_bad_trials(diamond_compiled):
         simulate_montecarlo(diamond_compiled, [0], trials=0)
     with pytest.raises(ValueError):
         simulate_montecarlo(diamond_compiled, [0, 1], trials=10)
+    for bad in (True, 10.0, 0, -5):
+        with pytest.raises(ValueError, match="trials must be a positive int"):
+            simulate_montecarlo(diamond_compiled, [0], trials=bad)
+        with pytest.raises(ValueError, match="chunk_size must be a positive int"):
+            simulate_montecarlo(diamond_compiled, [0], trials=10, chunk_size=bad)
+    assert simulate_montecarlo(diamond_compiled, [0], trials=np.int64(10)).trials == 10
+
+
+def _assert_rebuilds_kernel(kernel) -> None:
+    """Every outcome's mass in the alias tables, (prob[k] + sum of
+    1 - prob[j] over the slots j aliased to k) / K, taken exactly from the
+    float tables, is the kernel's n / den within 4 ulp."""
+    shift, prob, outcomes = alias_table(kernel)
+    size = 1 << shift
+    assert len(prob) == len(outcomes) == len(kernel.rows) * size
+    assert prob.dtype == np.float64 and outcomes.dtype == np.uint8
+    assert (outcomes[:, 0] == np.arange(len(prob)) % size).all()
+    slot = {out: k for k, out in enumerate(product(range(4), repeat=shift // 2))}
+    for i, row in enumerate(kernel.rows):
+        want = [Fraction(0)] * size
+        for out, n in row:
+            want[slot[out]] = Fraction(n, kernel.den)
+        mass = [Fraction(0)] * size
+        for j in range(i * size, (i + 1) * size):
+            p = Fraction(prob[j])
+            assert 0 <= p <= 1
+            mass[j - i * size] += p
+            mass[outcomes[j, 1]] += 1 - p
+        for k in range(size):
+            exact = want[k].numerator / want[k].denominator
+            assert abs(mass[k] / size - want[k]) <= 4 * math.ulp(exact)
+
+
+def test_alias_tables_rebuild_kernels():
+    samples = [
+        compile_protocol(normalize_to_d3(*instances.bundled(name))[0])
+        for name in sorted(instances.BUNDLED)
+    ]
+    rng = random.Random(2718)
+    samples += [compile_protocol(random_d3_instance(rng, max_nodes=14)) for _ in range(20)]
+    checked = 0
+    for comp in samples:
+        for op in comp.ops.values():
+            if op.kernel is not None:
+                _assert_rebuilds_kernel(op.kernel)
+                checked += 1
+    assert checked > 80
+    for value in (3, ShrunkState(1, Fraction(2, 7)), np.array([0.6, 0.8]), np.eye(2) / 2):
+        _assert_rebuilds_kernel(qsim._source_kernel(value))
+
+
+def _every_op_network(group: GroupKind) -> netgraph.D3Network:
+    """Every op kind, with the fork chain f0 -> f1 -> f2 -> f3."""
+    net = netgraph.make_network(
+        nodes=[("s0", "source"), ("s1", "source")]
+        + [(v, "internal") for v in ("f0", "f1", "f2", "f3", "x0", "x1", "x2", "j")]
+        + [(f"t{i}", "sink") for i in range(5)],
+        edges=[("s0", "f0"), ("f0", "j"), ("f0", "f1"), ("s1", "x0"), ("x0", "j"),
+               ("j", "x1"), ("x1", "t0"), ("f1", "f2"), ("f1", "x2"), ("x2", "t1"),
+               ("f2", "f3"), ("f2", "t2"), ("f3", "t3"), ("f3", "t4")],
+        requirements={f"t{i}": "s0" for i in range(5)},
+    )
+    roles = {"s0": "source", "s1": "source", "j": "join",
+             **{f"f{i}": "fork" for i in range(4)},
+             **{f"x{i}": "transform" for i in range(3)},
+             **{f"t{i}": "sink" for i in range(5)}}
+    maps = {"x0": SWAP01, "x1": HIGH_BIT, "x2": constant_map(3)}
+    return netgraph.D3Network(net, roles, maps, group)
+
+
+@pytest.mark.parametrize("group", [GroupKind.Z2xZ2, GroupKind.Z4])
+def test_montecarlo_fits_every_op_kind(group):
+    comp = compile_protocol(_every_op_network(group))
+    tags = {op.tag for op in comp.ops.values()}
+    assert tags == {qcompiler.SOURCE_TTR, qcompiler.JOIN, qcompiler.FORK_EFC,
+                    qcompiler.TRANSFORM_CONSTANT, qcompiler.TRANSFORM_ONE_TO_ONE,
+                    qcompiler.TRANSFORM_TWO_TO_ONE, qcompiler.SINK_NOOP}
+    for inputs in ((1, 2), (3, 0)):
+        mc = simulate_montecarlo(comp, list(inputs), trials=200_000, seed=31)
+        exact = simulate_analytic(comp, inputs).sink_mixtures
+        for t, counts in mc.sink_counts.items():
+            assert counts.sum() == 200_000
+            assert chi_square_statistic(counts, exact[t]) < 16.266
+
+
+def test_montecarlo_on_huge_denominators():
+    # seven two-to-one diamonds in series: the last kernels' denominators
+    # pass 2^1024, so their float rows must come from integer true division
+    nodes, edges, roles = [("s", "source"), ("t", "sink")], [], {"s": "source", "t": "sink"}
+    maps, prev = {}, "s"
+    for c in range(7):
+        d, u1, u2, j = (f"c{c}.{v}" for v in ("d", "u1", "u2", "j"))
+        nodes += [(v, "internal") for v in (d, u1, u2, j)]
+        edges += [(prev, d), (d, u1), (d, u2), (u1, j), (u2, j)]
+        roles.update({d: "fork", u1: "transform", u2: "transform", j: "join"})
+        maps.update({u1: HIGH_BIT, u2: LOW_BIT})
+        prev = j
+    edges.append((prev, "t"))
+    net = netgraph.make_network(nodes, edges, {"t": "s"})
+    comp = compile_protocol(netgraph.D3Network(net, roles, maps, GroupKind.Z2xZ2))
+    assert max(op.kernel.den for op in comp.ops.values() if op.kernel) > 2**1024
+    for x in (0, 2):
+        mc = simulate_montecarlo(comp, [x], trials=100_000, seed=17)
+        exact = simulate_analytic(comp, [x]).sink_mixtures["t"]
+        assert chi_square_statistic(mc.sink_counts["t"], exact) < 16.266
 
 
 # ---------------------------------------------------------------------------
