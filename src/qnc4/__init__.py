@@ -53,7 +53,6 @@ from .efc import (
     efc_params,
     efc2_apply,
     efco2_apply,
-    two_mixed_state_efc,
 )
 from .qcompiler import CompiledProtocol, QuantumOp, compile_protocol, two_to_one_emission
 from .qsim import (

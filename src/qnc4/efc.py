@@ -10,9 +10,7 @@ rationals and the product form is checked exactly on every call.
 `efco2_apply` is the analogous cloner for a pair of opposite computational
 basis states, and `efc2_apply` extends it to mirror-symmetric pure states
 by solving for the two free mixing probabilities and verifying the claimed
-closed form by substitution.  `two_mixed_state_efc` chains the same moves
-for two generic mixed states; it is exploratory and stays behind an
-explicit flag.
+closed form by substitution.
 """
 
 import math
@@ -22,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import QncError, VerificationError
+from .errors import VerificationError
 from .netgraph import LETTERS, Letter
 from . import qmath
 from .qmath import ShrunkState, identity2
@@ -266,121 +264,3 @@ def efc2_apply(theta: float, x: int, p) -> Efc2Result:
     if np.abs(joint - np.kron(clone, clone)).max() > 1e-12:
         raise VerificationError("joint output is not a product")
     return Efc2Result(theta, x, p, p_mid, q, r, clone, joint)
-
-
-# ---------------------------------------------------------------------------
-# exploratory cloner for two generic mixed states
-
-
-@dataclass(frozen=True)
-class TwoMixedEfcResult:
-    shrink: float
-    clones: tuple[np.ndarray, np.ndarray]  # per input state
-    joints: tuple[np.ndarray, np.ndarray]
-    axis: np.ndarray
-    equalize_prob: float
-    equalized_shrink: float
-    tilt_prob: float
-
-
-def two_mixed_state_efc(
-    rho1: np.ndarray, rho2: np.ndarray, *, allow_non_normative: bool = False
-) -> TwoMixedEfcResult:
-    """Entanglement-free cloner for two generic mixed states.
-
-    Exploratory: the construction picks a separating measurement axis,
-    equalizes the two shrink factors by mixing in a fixed basis state,
-    clones with the opposite-basis-state cloner, and tilts the outputs back
-    toward the original pair by mixing in one fixed state.  Every free
-    probability comes from solving the matching linear condition, and the
-    final outputs are checked against shrink * rho_i + (1 - shrink) * I/2
-    at 1e-9; geometries with no separating axis are rejected.  Pass
-    allow_non_normative=True to acknowledge the exploratory status.
-    """
-    if not allow_non_normative:
-        raise QncError(
-            "two_mixed_state_efc is exploratory; pass allow_non_normative=True"
-        )
-    for rho in (rho1, rho2):
-        if not qmath.is_density_matrix(rho, tol=1e-9):
-            raise ValueError("inputs must be single-qubit density matrices")
-    r1, r2 = qmath.bloch_vector(rho1), qmath.bloch_vector(rho2)
-    diff = r1 - r2
-    dn = float(np.linalg.norm(diff))
-    if dn < 1e-9:
-        raise ValueError("the two states coincide")
-    cross = float(np.linalg.norm(np.cross(r1, r2)))
-    esum = float(np.linalg.norm(r1 + r2))
-    if cross < 1e-9 and esum > 1e-9:
-        raise ValueError("collinear non-antipodal states: no common shrink exists here")
-    axis = diff / dn
-    alpha = float(r1 @ axis)
-    beta = float(-(r2 @ axis))
-    if alpha < 1e-9 or beta < 1e-9:
-        raise ValueError("no separating measurement axis for these states")
-
-    # basis along the axis
-    th = math.acos(max(-1.0, min(1.0, axis[2])))
-    ph = math.atan2(axis[1], axis[0])
-    psi = qmath.state_from_bloch(th, ph)
-    psi_perp = np.array([-psi[1].conjugate(), psi[0].conjugate()])
-    proj = (np.outer(psi, psi.conj()), np.outer(psi_perp, psi_perp.conj()))
-
-    # equalize the two shrink factors by mixing in the weaker pole
-    s = abs(alpha - beta) / (2 + abs(alpha - beta))
-    gamma = (alpha + beta) / (2 + abs(alpha - beta))
-    fill = proj[1] if alpha > beta else proj[0]
-
-    c = gamma / 2  # per-clone shrink along the axis after cloning
-    if esum < 1e-9:
-        w, lam = 0.0, 2 * c / dn
-        tau = identity2 / 2
-    else:
-        w = c * esum / (dn + c * esum)
-        lam = 2 * c / (dn + c * esum)
-        t_vec = lam * (r1 + r2) / (2 * w)
-        tau = (
-            identity2
-            + t_vec[0] * qmath.pauli_x
-            + t_vec[1] * qmath.pauli_y
-            + t_vec[2] * qmath.pauli_z
-        ) / 2
-
-    clones, joints = [], []
-    for rho in (rho1, rho2):
-        collapsed = sum(float(np.vdot(b.flatten(), rho.flatten()).real) * b for b in proj)
-        equalized = (1 - s) * collapsed + s * fill
-        # opposite-basis cloning in the axis basis
-        meas = [float(np.vdot(b.flatten(), equalized.flatten()).real) for b in proj]
-        p1 = 0.5 + gamma * gamma / 16
-        p2 = 0.25 - gamma * gamma / 16
-        p3 = gamma * gamma / 16
-        pair = {}
-        for b1 in (0, 1):
-            for b2 in (0, 1):
-                pair[(b1, b2)] = sum(
-                    meas[mx]
-                    * (p1 if (b1 == mx and b2 == mx) else p3 if (b1 != mx and b2 != mx) else p2)
-                    for mx in (0, 1)
-                )
-        tilt = [(1 - w) * proj[b] + w * tau for b in (0, 1)]
-        clone = sum(
-            sum(pair[(b1, b2)] for b2 in (0, 1)) * tilt[b1] for b1 in (0, 1)
-        )
-        joint = sum(
-            pair[(b1, b2)] * np.kron(tilt[b1], tilt[b2])
-            for b1 in (0, 1)
-            for b2 in (0, 1)
-        )
-        clones.append(clone)
-        joints.append(joint)
-
-    for rho, clone, joint in zip((rho1, rho2), clones, joints):
-        target = lam * rho + (1 - lam) * identity2 / 2
-        if np.abs(clone - target).max() > 1e-9:
-            raise VerificationError("clone is not a common shrink of the input pair")
-        if np.abs(joint - np.kron(clone, clone)).max() > 1e-9:
-            raise VerificationError("joint output is not a product")
-    return TwoMixedEfcResult(
-        lam, tuple(clones), tuple(joints), axis, s, gamma, w
-    )

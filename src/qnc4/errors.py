@@ -6,7 +6,8 @@ class QncError(Exception):
 
 
 class SchemaError(QncError):
-    """Raised when an input file does not match the expected JSON layout."""
+    """Raised when an input file or argument cannot be read or does not
+    match the expected layout."""
 
 
 class ValidationError(QncError):

@@ -1,173 +1,70 @@
 """Bundled example networks.
 
-Each builder returns a (Network, ClassicalProtocol) pair ready for
-validation, normalization and compilation.  `bundled(name)` resolves the
-names the command line accepts.
+Each bundled instance is one JSON file in `qnc4/data/`, in the general
+layout.  `read_json` is the one reader for bundled names and file paths
+alike; `bundled(name)` parses a bundled instance into a (Network,
+ClassicalProtocol) pair ready for validation, normalization and
+compilation.
 """
 
-from .netgraph import (
-    ClassicalProtocol,
-    GroupKind,
-    IDENTITY_MAP,
-    LetterMap,
-    Network,
-    constant_map,
-    make_network,
-    node_op,
-)
+import json
+from importlib import resources
 
-# group inverse x -> -x, and the shifted variant x -> 2 - x
-NEG_Z4 = LetterMap((0, 3, 2, 1))
-NEG2_Z4 = LetterMap((2, 1, 0, 3))
+from .errors import SchemaError
+from .netgraph import ClassicalProtocol, LetterMap, Network, instance_from_json
+
 HIGH_BIT = LetterMap((0, 0, 2, 2))
 LOW_BIT = LetterMap((0, 1, 0, 1))
 
+BUNDLED = ("butterfly", "butterfly-z4", "single-edge", "two-to-one-diamond")
 
-def butterfly(group: GroupKind = GroupKind.Z2xZ2) -> tuple[Network, ClassicalProtocol]:
-    """The classic two-source crossover network.
 
-    Sources s1, s2 feed opposite sinks directly and share the middle
-    relay s0 -> t0; each sink recovers its required letter by subtracting
-    the directly received one from the relayed sum.
+def read_json(name: str):
+    """The JSON document of a bundled instance name or of a file path.
+
+    Raises SchemaError when the file cannot be read or is not JSON.
     """
-    net = make_network(
-        nodes=[
-            ("s1", "source"),
-            ("s2", "source"),
-            ("s0", "internal"),
-            ("t0", "internal"),
-            ("t1", "sink"),
-            ("t2", "sink"),
-        ],
-        edges=[
-            ("s1", "s0"),  # 0: x
-            ("s1", "t2"),  # 1: x
-            ("s2", "s0"),  # 2: y
-            ("s2", "t1"),  # 3: y
-            ("s0", "t0"),  # 4: x + y
-            ("t0", "t1"),  # 5
-            ("t0", "t2"),  # 6
-        ],
-        requirements={"t1": "s1", "t2": "s2"},
-    )
-    neg = NEG_Z4 if group is GroupKind.Z4 else IDENTITY_MAP
-    proto = ClassicalProtocol(
-        group,
-        {
-            "s0": (node_op(0, [(0, IDENTITY_MAP), (1, IDENTITY_MAP)]),),
-            "t0": (node_op(0, [(0, IDENTITY_MAP)]), node_op(1, [(0, IDENTITY_MAP)])),
-            "t1": (node_op(0, [(0, neg), (1, IDENTITY_MAP)]),),
-            "t2": (node_op(0, [(0, neg), (1, IDENTITY_MAP)]),),
-        },
-    )
-    return net, proto
+    if name in BUNDLED:
+        text = resources.files("qnc4.data").joinpath(name + ".json").read_text()
+    else:
+        try:
+            with open(name) as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            known = ", ".join(BUNDLED)
+            raise SchemaError(
+                f"{name!r} is neither a file nor a bundled instance ({known})"
+            ) from None
+        except OSError as e:
+            raise SchemaError(f"{name}: cannot read ({e.strerror})") from None
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"{name}: not valid JSON ({e})") from None
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise SchemaError(f"{name}: not valid JSON ({e})") from None
+
+
+def bundled(name: str) -> tuple[Network, ClassicalProtocol]:
+    """The bundled instance `name`, parsed from its JSON file."""
+    return instance_from_json(read_json(name))
+
+
+def butterfly() -> tuple[Network, ClassicalProtocol]:
+    """Two sources crossing over through one shared relay."""
+    return bundled("butterfly")
 
 
 def butterfly_z4() -> tuple[Network, ClassicalProtocol]:
-    """Butterfly over the cyclic group with an extra constant relay.
-
-    The relay w turns whatever it receives into the letter 10, and sink t1
-    absorbs that known offset in its decode, so the instance exercises
-    constant maps and three-term decoding on top of the crossover.
-    """
-    net = make_network(
-        nodes=[
-            ("s1", "source"),
-            ("s2", "source"),
-            ("s0", "internal"),
-            ("t0", "internal"),
-            ("w", "internal"),
-            ("t1", "sink"),
-            ("t2", "sink"),
-        ],
-        edges=[
-            ("s1", "s0"),  # 0: x
-            ("s1", "t2"),  # 1: x
-            ("s2", "s0"),  # 2: y
-            ("s2", "t1"),  # 3: y
-            ("s0", "t0"),  # 4: x + y
-            ("t0", "t1"),  # 5
-            ("t0", "t2"),  # 6
-            ("t0", "w"),  # 7
-            ("w", "t1"),  # 8: constant 10
-        ],
-        requirements={"t1": "s1", "t2": "s2"},
-    )
-    proto = ClassicalProtocol(
-        GroupKind.Z4,
-        {
-            "s0": (node_op(0, [(0, IDENTITY_MAP), (1, IDENTITY_MAP)]),),
-            "t0": (
-                node_op(0, [(0, IDENTITY_MAP)]),
-                node_op(1, [(0, IDENTITY_MAP)]),
-                node_op(2, [(0, IDENTITY_MAP)]),
-            ),
-            "w": (node_op(0, [(0, constant_map(2))]),),
-            # (2 - y) + (x + y) + 2 == x (mod 4)
-            "t1": (
-                node_op(0, [(0, NEG2_Z4), (1, IDENTITY_MAP), (2, IDENTITY_MAP)]),
-            ),
-            "t2": (node_op(0, [(0, NEG_Z4), (1, IDENTITY_MAP)]),),
-        },
-    )
-    return net, proto
+    """The crossover over the cyclic group, with an extra constant relay."""
+    return bundled("butterfly-z4")
 
 
 def two_to_one_diamond() -> tuple[Network, ClassicalProtocol]:
-    """One source split into its two letter bits and reassembled.
-
-    The two middle nodes apply two-to-one maps keeping the high and the
-    low bit; the bitwise group recombines them into the original letter.
-    """
-    net = make_network(
-        nodes=[
-            ("s", "source"),
-            ("d", "internal"),
-            ("u1", "internal"),
-            ("u2", "internal"),
-            ("t", "sink"),
-        ],
-        edges=[
-            ("s", "d"),  # 0
-            ("d", "u1"),  # 1
-            ("d", "u2"),  # 2
-            ("u1", "t"),  # 3: high bit
-            ("u2", "t"),  # 4: low bit
-        ],
-        requirements={"t": "s"},
-    )
-    proto = ClassicalProtocol(
-        GroupKind.Z2xZ2,
-        {
-            "d": (node_op(0, [(0, IDENTITY_MAP)]), node_op(1, [(0, IDENTITY_MAP)])),
-            "u1": (node_op(0, [(0, HIGH_BIT)]),),
-            "u2": (node_op(0, [(0, LOW_BIT)]),),
-            "t": (node_op(0, [(0, IDENTITY_MAP), (1, IDENTITY_MAP)]),),
-        },
-    )
-    return net, proto
+    """One source split into its two letter bits and reassembled."""
+    return bundled("two-to-one-diamond")
 
 
 def single_edge() -> tuple[Network, ClassicalProtocol]:
     """One source wired straight into one sink."""
-    net = make_network(
-        nodes=[("s", "source"), ("t", "sink")],
-        edges=[("s", "t")],
-        requirements={"t": "s"},
-    )
-    return net, ClassicalProtocol(GroupKind.Z2xZ2, {})
-
-
-BUNDLED = {
-    "butterfly": butterfly,
-    "butterfly-z4": butterfly_z4,
-    "two-to-one-diamond": two_to_one_diamond,
-    "single-edge": single_edge,
-}
-
-
-def bundled(name: str) -> tuple[Network, ClassicalProtocol]:
-    if name not in BUNDLED:
-        known = ", ".join(sorted(BUNDLED))
-        raise KeyError(f"unknown instance {name!r} (bundled: {known})")
-    return BUNDLED[name]()
+    return bundled("single-edge")

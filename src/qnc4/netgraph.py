@@ -261,13 +261,18 @@ class ValidationReport:
         self.violations.append(msg)
 
 
-def validate_network(net: Network, proto: ClassicalProtocol) -> ValidationReport:
-    """Structural validation; every problem becomes one report entry."""
-    rep = ValidationReport()
+def _check_graph(net: Network, rep: ValidationReport) -> bool:
+    """Ids, kinds, edges, acyclicity, degrees by kind and the requirement.
+
+    Returns False, right after the id and edge checks, when a node id
+    repeats: every later check keys nodes by id and would misreport.
+    """
     seen = set()
+    repeated = False
     for n in net.nodes:
         if n.id in seen:
             rep.add(f"duplicate node id {n.id}")
+            repeated = True
         seen.add(n.id)
         if n.kind not in NODE_KINDS:
             rep.add(f"node {n.id} has unknown kind {n.kind!r}")
@@ -276,6 +281,8 @@ def validate_network(net: Network, proto: ClassicalProtocol) -> ValidationReport
             rep.add(f"edge {e} starts at unknown node {u}")
         if v not in seen:
             rep.add(f"edge {e} ends at unknown node {v}")
+    if repeated:
+        return False
     if len(net._kahn()) != len(net.nodes):
         rep.add("network contains a cycle")
 
@@ -307,7 +314,14 @@ def validate_network(net: Network, proto: ClassicalProtocol) -> ValidationReport
             rep.add(f"requirement names {t}, which is not a sink")
         if s not in sources:
             rep.add(f"requirement for sink {t} names {s}, which is not a source")
+    return True
 
+
+def validate_network(net: Network, proto: ClassicalProtocol) -> ValidationReport:
+    """Structural validation; every problem becomes one report entry."""
+    rep = ValidationReport()
+    if not _check_graph(net, rep):
+        return rep
     for v, ops in proto.ops.items():
         kind = net.kind_of.get(v)
         if kind is None:
@@ -414,10 +428,16 @@ class D3Network:
 
 
 def validate_d3(d3: D3Network) -> ValidationReport:
+    """Structural validation of a degree-3 network.
+
+    The roles fix every edge operation, so checking each role's kind and
+    degrees and each transform's map covers what `validate_network` checks
+    on the implied protocol, without building it from unchecked roles.
+    """
     rep = ValidationReport()
     net = d3.network
-    base = validate_network(net, d3.to_protocol())
-    rep.violations.extend(base.violations)
+    if not _check_graph(net, rep):
+        return rep
     for n in net.nodes:
         role = d3.roles.get(n.id)
         if role not in D3_ROLES:
@@ -676,6 +696,18 @@ def _map_from_json(data, where: str) -> LetterMap:
     return LetterMap(tuple(letter_from_str(s) for s in data))
 
 
+def _network_to_json(net: Network, group: GroupKind) -> dict:
+    """The part both layouts share: group, nodes, edges and requirements."""
+    return {
+        "group": group.value,
+        "nodes": [{"id": n.id, "kind": n.kind} for n in net.nodes],
+        "edges": [{"from": u, "to": v} for u, v in net.edges],
+        "requirements": [
+            {"sink": t, "source": s} for t, s in sorted(net.requirements.items())
+        ],
+    }
+
+
 def instance_to_json(net: Network, proto: ClassicalProtocol) -> dict:
     ops = {}
     for v, nops in proto.ops.items():
@@ -688,15 +720,9 @@ def instance_to_json(net: Network, proto: ClassicalProtocol) -> dict:
             }
             for op in nops
         ]
-    return {
-        "group": proto.group.value,
-        "nodes": [{"id": n.id, "kind": n.kind} for n in net.nodes],
-        "edges": [{"from": u, "to": v} for u, v in net.edges],
-        "requirements": [
-            {"sink": t, "source": s} for t, s in sorted(net.requirements.items())
-        ],
-        "ops": ops,
-    }
+    doc = _network_to_json(net, proto.group)
+    doc["ops"] = ops
+    return doc
 
 
 def _require(data, key, where, types):
@@ -709,7 +735,8 @@ def _require(data, key, where, types):
     return value
 
 
-def instance_from_json(data) -> tuple[Network, ClassicalProtocol]:
+def _network_from_json(data) -> tuple[Network, GroupKind]:
+    """Parse the part both layouts share: group, nodes, edges, requirements."""
     if not isinstance(data, dict):
         raise SchemaError("top level: expected an object")
     group = GroupKind.from_name(_require(data, "group", "top level", str))
@@ -731,9 +758,15 @@ def instance_from_json(data) -> tuple[Network, ClassicalProtocol]:
         )
     requirements = {}
     for k, rq in enumerate(_require(data, "requirements", "top level", list)):
-        requirements[_require(rq, "sink", f"requirements[{k}]", str)] = _require(
-            rq, "source", f"requirements[{k}]", str
-        )
+        sink = _require(rq, "sink", f"requirements[{k}]", str)
+        if sink in requirements:
+            raise SchemaError(f"requirements[{k}]: a second requirement for sink {sink}")
+        requirements[sink] = _require(rq, "source", f"requirements[{k}]", str)
+    return Network(nodes, edges, requirements), group
+
+
+def instance_from_json(data) -> tuple[Network, ClassicalProtocol]:
+    net, group = _network_from_json(data)
     ops = {}
     for v, nops in _require(data, "ops", "top level", dict).items():
         if not isinstance(nops, list):
@@ -754,50 +787,27 @@ def instance_from_json(data) -> tuple[Network, ClassicalProtocol]:
                 )
             parsed.append(NodeOp(out, tuple(terms)))
         ops[v] = tuple(parsed)
-    return Network(nodes, edges, requirements), ClassicalProtocol(group, ops)
+    return net, ClassicalProtocol(group, ops)
 
 
 def d3_to_json(d3: D3Network) -> dict:
-    net = d3.network
-    return {
-        "group": d3.group.value,
-        "nodes": [
-            {"id": n.id, "kind": n.kind, "role": d3.roles[n.id]} for n in net.nodes
-        ],
-        "edges": [{"from": u, "to": v} for u, v in net.edges],
-        "requirements": [
-            {"sink": t, "source": s} for t, s in sorted(net.requirements.items())
-        ],
-        "transforms": {v: _map_to_json(m) for v, m in sorted(d3.transforms.items())},
-    }
+    doc = _network_to_json(d3.network, d3.group)
+    for nd in doc["nodes"]:
+        nd["role"] = d3.roles[nd["id"]]
+    doc["transforms"] = {v: _map_to_json(m) for v, m in sorted(d3.transforms.items())}
+    return doc
 
 
 def d3_from_json(data) -> D3Network:
-    if not isinstance(data, dict):
-        raise SchemaError("top level: expected an object")
-    group = GroupKind.from_name(_require(data, "group", "top level", str))
-    nodes, roles = [], {}
-    for k, nd in enumerate(_require(data, "nodes", "top level", list)):
-        nid = _require(nd, "id", f"nodes[{k}]", str)
-        nodes.append(Node(nid, _require(nd, "kind", f"nodes[{k}]", str)))
-        roles[nid] = _require(nd, "role", f"nodes[{k}]", str)
-    edges = []
-    for k, ed in enumerate(_require(data, "edges", "top level", list)):
-        edges.append(
-            (
-                _require(ed, "from", f"edges[{k}]", str),
-                _require(ed, "to", f"edges[{k}]", str),
-            )
-        )
-    requirements = {}
-    for k, rq in enumerate(_require(data, "requirements", "top level", list)):
-        requirements[_require(rq, "sink", f"requirements[{k}]", str)] = _require(
-            rq, "source", f"requirements[{k}]", str
-        )
+    net, group = _network_from_json(data)
+    roles = {
+        n.id: _require(nd, "role", f"nodes[{k}]", str)
+        for k, (n, nd) in enumerate(zip(net.nodes, data["nodes"]))
+    }
     transforms = {}
     for v, m in _require(data, "transforms", "top level", dict).items():
         transforms[v] = _map_from_json(m, f"transforms.{v}")
-    return D3Network(Network(nodes, edges, requirements), roles, transforms, group)
+    return D3Network(net, roles, transforms, group)
 
 
 def is_d3_json(data) -> bool:

@@ -172,3 +172,78 @@ def random_network_instance(
     requirements = {t: rng.choice(sources) for t in sinks}
     net = make_network(nodes, edges, requirements)
     return net, ClassicalProtocol(group, ops)
+
+
+_WRONG_VALUES = (None, True, 7, -1, 2.5, "x", "", [], {}, ["00"], {"id": "s"})
+
+
+def _dicts(value, found):
+    """Every dict inside a JSON value, outermost first."""
+    if isinstance(value, dict):
+        found.append(value)
+        for v in value.values():
+            _dicts(v, found)
+    elif isinstance(value, list):
+        for v in value:
+            _dicts(v, found)
+    return found
+
+
+def _items(value, key, kind):
+    """The entries of the list value[key] that have type `kind`; none when
+    value[key] is missing or not a list."""
+    found = value.get(key) if isinstance(value, dict) else None
+    return [x for x in found if isinstance(x, kind)] if isinstance(found, list) else []
+
+
+def mutate_document(rng: random.Random, doc: dict) -> None:
+    """Apply one random structural mutation to an instance JSON document,
+    in the general or the normal-form layout, in place.
+
+    Drops keys, swaps in values of the wrong type, moves `in`/`out` indices
+    and edge ends out of range, repeats node ids, adds cycles, and changes
+    kinds, roles and letter maps.
+    """
+    nodes = [n for n in _items(doc, "nodes", dict) if isinstance(n.get("id"), str)]
+    edges = _items(doc, "edges", dict)
+    by_node = doc.get("ops") if isinstance(doc.get("ops"), dict) else {}
+    ops = [op for v in by_node for op in _items(by_node, v, dict)]
+    terms = [t for op in ops for t in _items(op, "terms", dict)]
+    maps = doc.get("transforms")
+    kind = rng.randrange(9)
+    if kind == 0:
+        d = rng.choice(_dicts(doc, []))
+        if d:
+            del d[rng.choice(list(d))]
+    elif kind == 1:
+        d = rng.choice(_dicts(doc, []))
+        if d:
+            d[rng.choice(list(d))] = rng.choice(_WRONG_VALUES)
+    elif kind == 2 and ops:
+        pool, key = (terms, "in") if terms and rng.random() < 0.6 else (ops, "out")
+        rng.choice(pool)[key] = rng.randint(-2, 5)
+    elif kind == 3 and len(nodes) > 1:
+        a, b = rng.sample(nodes, 2)
+        a["id"] = b["id"]
+    elif kind == 4 and edges:
+        e = rng.choice(edges)
+        doc["edges"].append({"from": e.get("to"), "to": e.get("from")})
+    elif kind == 5 and edges:
+        e = rng.choice(edges)
+        e[rng.choice(("from", "to"))] = rng.choice([n["id"] for n in nodes] + ["nowhere"])
+    elif kind == 6 and nodes:
+        n = rng.choice(nodes)
+        n["role" if "role" in n else "kind"] = rng.choice(
+            ("source", "sink", "internal", "fork", "join", "transform", "widget")
+        )
+    elif kind == 7:
+        table = [rng.choice(("00", "01", "10", "11")) for _ in range(4)]
+        if isinstance(maps, dict) and maps and rng.random() < 0.5:
+            maps[rng.choice(list(maps))] = table
+        elif terms:
+            rng.choice(terms)["map"] = table
+    elif kind == 8 and isinstance(maps, dict) and nodes:
+        if maps and rng.random() < 0.5:
+            del maps[rng.choice(list(maps))]
+        else:
+            maps[rng.choice(nodes)["id"]] = ["00", "01", "10", "11"]

@@ -14,22 +14,33 @@ from qnc4.netgraph import (
     ClassicalProtocol,
     GroupKind,
     IDENTITY_MAP,
+    LetterMap,
     make_network,
     node_op,
     normalize_to_d3,
 )
 
 
+def _butterfly(group):
+    """The bundled butterfly, or its variant over the cyclic group, where
+    each sink subtracts (x -> -x) the letter it receives directly."""
+    net, proto = instances.butterfly()
+    if group is GroupKind.Z4:
+        decode = (node_op(0, [(0, LetterMap((0, 3, 2, 1))), (1, IDENTITY_MAP)]),)
+        proto = ClassicalProtocol(group, {**proto.ops, "t1": decode, "t2": decode})
+    return net, proto
+
+
 @pytest.mark.parametrize("group", list(GroupKind))
 def test_butterfly_delivers_both_letters(group):
-    net, proto = instances.butterfly(group)
+    net, proto = _butterfly(group)
     for x, y in product(range(4), repeat=2):
         assert evaluate(net, proto, [x, y]) == (x, y)
     assert check_requirement(net, proto).ok
 
 
 def test_butterfly_edge_values():
-    net, proto = instances.butterfly(GroupKind.Z4)
+    net, proto = _butterfly(GroupKind.Z4)
     vals = edge_values(net, proto, [1, 2])
     assert vals[0] == 1 and vals[2] == 2
     assert vals[4] == 3  # relay carries the sum

@@ -1,9 +1,13 @@
+import copy
 import csv
 import io
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from _generators import mutate_document
 from qnc4 import cli, instances, netgraph
 from qnc4.cli import main
 from qnc4.instances import BUNDLED
@@ -68,6 +72,29 @@ def test_unreadable_json(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def _repeat_requirement(path):
+    doc = instances.read_json("butterfly")
+    doc["requirements"].append({"sink": "t1", "source": "s2"})
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "write, problem",
+    [
+        (lambda path: path.mkdir(), "cannot read"),
+        (lambda path: path.write_text("[" * 100_000 + "]" * 100_000), "not valid JSON"),
+        (lambda path: path.write_bytes(b"\xff\xfe{}"), "not valid JSON"),
+        (_repeat_requirement, "a second requirement for sink t1"),
+    ],
+    ids=["directory", "deep-nesting", "not-utf8", "repeated-requirement"],
+)
+def test_unreadable_inputs_exit_2(tmp_path, capsys, write, problem):
+    path = tmp_path / "input.json"
+    write(path)
+    assert main(["validate", str(path)]) == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_validate_reports_violations(tmp_path, capsys):
@@ -139,7 +166,107 @@ def test_eval_validates_first(tmp_path, capsys, mutate, problem):
     assert main(["eval", path]) in (2, 3)
     captured = capsys.readouterr()
     assert problem in captured.out + captured.err
+    assert "cycle" not in captured.out + captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def _normal_form(name):
+    return netgraph.d3_to_json(netgraph.normalize_to_d3(*instances.bundled(name))[0])
+
+
+def _drop_map(doc):
+    del doc["transforms"]["u1"]
+
+
+def _map_on_fork(doc):
+    doc["transforms"]["d"] = ["00", "01", "10", "11"]
+
+
+def _add_cycle(doc):
+    doc["edges"].append({"from": "t0", "to": "s0"})
+
+
+def _illegal_map(doc):
+    doc["transforms"]["u1"] = ["00", "01", "10", "10"]
+
+
+def _non_source_requirement(doc):
+    doc["requirements"][0]["source"] = "t0"
+
+
+@pytest.mark.parametrize(
+    "base, mutate, problem",
+    [
+        ("two-to-one-diamond", _drop_map, "transform u1 has no letter map"),
+        ("two-to-one-diamond", _map_on_fork, "letter map given for non-transform node d"),
+        ("butterfly", _duplicate_id, "duplicate node id s1"),
+        ("butterfly", _add_cycle, "network contains a cycle"),
+        ("two-to-one-diamond", _illegal_map, "transform u1 carries illegal map (0, 1, 2, 2)"),
+        (
+            "butterfly",
+            _non_source_requirement,
+            "requirement for sink t1 names t0, which is not a source",
+        ),
+    ],
+    ids=["missing-map", "map-on-fork", "duplicate-id", "cycle", "illegal-map",
+         "non-source-requirement"],
+)
+def test_invalid_file_gives_one_answer(tmp_path, capsys, base, mutate, problem):
+    # the diamond's cases edit its normal form, the butterfly's the general layout
+    doc = _normal_form(base) if base == "two-to-one-diamond" else instances.read_json(base)
+    mutate(doc)
+    path = _write_json(tmp_path, "invalid.json", doc)
+    answers = set()
+    for command in ("validate", "eval", "normalize", "compile", "simulate", "report"):
+        assert main([command, path]) == 3, command
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert all(line.startswith("violation: ") for line in lines), command
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        answers.add(tuple(lines))
+    assert len(answers) == 1
+    assert f"violation: {problem}" in answers.pop()
+
+
+def test_mutated_documents_end_in_documented_exits(tmp_path, capsys):
+    rng = random.Random(5150)
+    bases = [instances.read_json(n) for n in BUNDLED] + [_normal_form(n) for n in BUNDLED]
+    codes = Counter()
+    for k in range(50):
+        doc = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            mutate_document(rng, doc)
+        path = _write_json(tmp_path, f"mutated{k}.json", doc)
+        mode = rng.choice(("analytic", "oracle", "montecarlo"))
+        verdicts = set()
+        for args in (
+            ["validate", path],
+            ["eval", path],
+            ["normalize", path],
+            ["compile", path],
+            ["simulate", path, "--mode", mode, "--trials", "50"],
+            ["report", path, "--trials", "50"],
+        ):
+            code = main(args)
+            captured = capsys.readouterr()
+            assert code in ((0, 1, 2, 3, 4) if args[0] == "report" else (0, 2, 3, 4)), args
+            if code == 0:
+                assert captured.out, args
+            else:
+                # a failed report check or delivery prints its reason on stdout
+                assert "error:" in captured.err or code in (1, 3) and (
+                    "FAIL" in captured.out or "delivery requirement fails" in captured.out
+                ), (args, captured)
+            codes[code] += 1
+            verdicts.add(
+                "unreadable" if code == 2
+                else "invalid" if "violation: " in captured.out
+                else "valid"
+            )
+        # every subcommand reads and validates the document the same way
+        assert len(verdicts) == 1, (doc, verdicts)
+    # every outcome the mutations should reach is reached
+    assert codes[0] and codes[2] and codes[3], codes
 
 
 def test_eval_too_many_sources(tmp_path, capsys):
@@ -266,6 +393,34 @@ def test_report_butterfly(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 8  # two sinks, four checks each
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_report_fails_below_the_floor(swap_chain_path, capsys):
+    # the exact sweep agrees with the analytic mixture, but the sink holds
+    # the swapped letter
+    assert main(["report", swap_chain_path]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [
+        "PASS t: exact sweep matches the compiled mixture",
+        "FAIL t: fidelity 4/9 (floor 5/9)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["simulate", "single-edge", "--trials", "0"], "--trials"),
+        (["simulate", "single-edge", "--trials", "many"], "--trials"),
+        (["report", "single-edge", "--trials", "-1"], "--trials"),
+        (["simulate", "single-edge", "--seed", "-1"], "--seed"),
+        (["report", "single-edge", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_bad_counts_are_refused_by_name(capsys, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_report_skips_montecarlo_by_default(capsys):

@@ -14,9 +14,8 @@ from qnc4.efc import (
     efc_params,
     efc2_apply,
     efco2_apply,
-    two_mixed_state_efc,
 )
-from qnc4.errors import QncError, VerificationError
+from qnc4.errors import VerificationError
 from qnc4.qmath import ShrunkState, densify, identity2, tetra_matrix
 
 ALPHAS = [Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 5), Fraction(1, 81)]
@@ -189,54 +188,3 @@ def test_mirror_cloner_rejects_degenerate_angle():
         efc2_apply(-0.1, 0, 0.5)
     with pytest.raises(ValueError):
         efc2_apply(0.3, 2, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# generic mixed pairs (exploratory)
-
-
-def test_generic_cloner_requires_flag():
-    rho = densify(ShrunkState(0, Fraction(1, 2)))
-    with pytest.raises(QncError):
-        two_mixed_state_efc(rho, identity2 / 2)
-
-
-def test_generic_cloner_on_random_pairs():
-    rng = np.random.default_rng(2718)
-    done = 0
-    while done < 25:
-        v1, v2 = qmath.random_pure_state(rng), qmath.random_pure_state(rng)
-        w1, w2 = 0.3 + 0.7 * rng.random(), 0.3 + 0.7 * rng.random()
-        rho1 = w1 * np.outer(v1, v1.conj()) + (1 - w1) * identity2 / 2
-        rho2 = w2 * np.outer(v2, v2.conj()) + (1 - w2) * identity2 / 2
-        try:
-            res = two_mixed_state_efc(rho1, rho2, allow_non_normative=True)
-        except ValueError:
-            continue  # geometry without a separating axis; rejection is the contract
-        done += 1
-        assert 0 < res.shrink <= 1
-        for rho, clone, joint in zip((rho1, rho2), res.clones, res.joints):
-            target = res.shrink * rho + (1 - res.shrink) * identity2 / 2
-            assert np.abs(clone - target).max() < 1e-9
-            assert np.abs(joint - np.kron(clone, clone)).max() < 1e-9
-
-
-def test_generic_cloner_antipodal_pair():
-    v = np.array([1.0, 0.0])
-    proj = np.outer(v, v)
-    rho1 = 0.8 * proj + 0.2 * identity2 / 2
-    rho2 = 0.8 * (identity2 - proj) + 0.2 * identity2 / 2
-    res = two_mixed_state_efc(rho1, rho2, allow_non_normative=True)
-    # both Bloch vectors have length 0.8; the common shrink halves them
-    assert abs(res.shrink - 0.5) < 1e-12
-    assert abs(res.equalize_prob) < 1e-12
-    assert res.tilt_prob == 0.0
-
-
-def test_generic_cloner_rejects_nested_states():
-    v = np.array([1.0, 0.0])
-    proj = np.outer(v, v)
-    rho1 = 0.9 * proj + 0.1 * identity2 / 2
-    rho2 = 0.3 * proj + 0.7 * identity2 / 2  # same direction, shorter
-    with pytest.raises(ValueError):
-        two_mixed_state_efc(rho1, rho2, allow_non_normative=True)
