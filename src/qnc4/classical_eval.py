@@ -1,8 +1,8 @@
 """Run classical protocols on concrete letters and check delivery.
 
 Evaluation walks the network in topological order, so it needs a validated
-instance; callers are expected to run `validate_network` (or construct the
-instance through `normalize_to_d3`) first.
+instance: a D3Network is valid by construction, and a plain Network with
+its ClassicalProtocol should pass `validate_network` first.
 """
 
 import itertools
@@ -16,6 +16,7 @@ from .netgraph import (
     Letter,
     Network,
     Term,
+    as_letter,
 )
 
 # 4**8 = 65536 rows; beyond this, exhaustive checks are refused
@@ -52,7 +53,7 @@ def edge_values(instance, proto, inputs) -> list[Letter]:
     sources = net.source_ids
     if len(inputs) != len(sources):
         raise ValueError(f"expected {len(sources)} input letters, got {len(inputs)}")
-    by_source = dict(zip(sources, inputs))
+    by_source = dict(zip(sources, map(as_letter, inputs)))
     vals: list = [None] * len(net.edges)
     for v in net.topo_order:
         kind = net.kind_of[v]

@@ -5,8 +5,9 @@ instance argument is either a bundled name (see `qnc4 validate --list`) or
 a path to a JSON file, in the general or the normal-form layout.
 
 Exit codes: 0 success / all checks passed, 1 a simulation check failed,
-2 unreadable input or bad arguments, 3 invalid network, 4 exact mode too
-large.  Set QNC_LOG=debug (or info, ...) for progress logging.
+2 unreadable input or bad arguments, 3 invalid network, 4 too large for
+the exact sweep or past the digit limit of exact numbers.  Set
+QNC_LOG=debug (or info, ...) for progress logging.
 """
 
 import argparse
@@ -49,9 +50,6 @@ def load_instance(name: str):
         d3, corr = netgraph.normalize_to_d3(net, proto)
         return net, proto, d3, corr
     d3 = netgraph.d3_from_json(data)
-    report = netgraph.validate_d3(d3)
-    if not report.ok:
-        raise ValidationError(report)
     net, proto = d3.to_instance()
     return net, proto, d3, {n.id: [n.id] for n in net.nodes}
 
@@ -123,7 +121,7 @@ def cmd_compile(args) -> int:
             }
             for t, a in compiled.sink_alphas.items()
         },
-        "notes": list(compiled.notes),
+        "notes": [str(note) for note in compiled.notes],
         "sweep": {
             "peak_live": plan.peak_live,
             "peak_node": plan.peak_node,

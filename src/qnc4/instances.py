@@ -19,10 +19,21 @@ LOW_BIT = LetterMap((0, 1, 0, 1))
 BUNDLED = ("butterfly", "butterfly-z4", "single-edge", "two-to-one-diamond")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; json.loads alone keeps the last of repeated keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json(name: str):
     """The JSON document of a bundled instance name or of a file path.
 
-    Raises SchemaError when the file cannot be read or is not JSON.
+    Raises SchemaError when the file cannot be read, is not JSON or repeats
+    a key within one object.
     """
     if name in BUNDLED:
         text = resources.files("qnc4.data").joinpath(name + ".json").read_text()
@@ -40,9 +51,11 @@ def read_json(name: str):
         except UnicodeDecodeError as e:
             raise SchemaError(f"{name}: not valid JSON ({e})") from None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except (json.JSONDecodeError, RecursionError) as e:
         raise SchemaError(f"{name}: not valid JSON ({e})") from None
+    except SchemaError as e:
+        raise SchemaError(f"{name}: {e}") from None
 
 
 def bundled(name: str) -> tuple[Network, ClassicalProtocol]:
@@ -53,11 +66,6 @@ def bundled(name: str) -> tuple[Network, ClassicalProtocol]:
 def butterfly() -> tuple[Network, ClassicalProtocol]:
     """Two sources crossing over through one shared relay."""
     return bundled("butterfly")
-
-
-def butterfly_z4() -> tuple[Network, ClassicalProtocol]:
-    """The crossover over the cyclic group, with an extra constant relay."""
-    return bundled("butterfly-z4")
 
 
 def two_to_one_diamond() -> tuple[Network, ClassicalProtocol]:

@@ -17,6 +17,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 from .errors import QncError, SchemaError, ValidationError
 
@@ -25,6 +26,15 @@ Letter = int
 LETTERS: tuple[Letter, ...] = (0, 1, 2, 3)
 
 _LETTER_STRINGS = ("00", "01", "10", "11")
+
+
+def as_letter(x) -> Letter:
+    """x as an int letter: the one check of every entry point that takes
+    letters.  Accepts ints and numpy integers (both Integral) from 0 to 3,
+    never a bool (type(True) is bool); raises ValueError otherwise."""
+    if (type(x) is int or isinstance(x, Integral) and not isinstance(x, bool)) and 0 <= x < 4:
+        return int(x)
+    raise ValueError(f"not a letter: {x!r} (letters are the ints 0 to 3)")
 
 
 def letter_to_str(x: Letter) -> str:
@@ -393,17 +403,23 @@ _ROLE_DEGREES = {
 
 @dataclass
 class D3Network:
-    """A network in degree-3 form.
+    """A network in degree-3 form, valid by construction.
 
     Every node carries a role with a fixed degree signature; the implied
     protocol is: sources pass through, forks copy, joins add in `group`,
-    transforms apply their letter map, sinks receive.
+    transforms apply their letter map, sinks receive.  Construction runs
+    `validate_d3` and raises ValidationError with its report.
     """
 
     network: Network
     roles: dict[str, str]
     transforms: dict[str, LetterMap]
     group: GroupKind
+
+    def __post_init__(self):
+        report = validate_d3(self)
+        if not report.ok:
+            raise ValidationError(report)
 
     def to_protocol(self) -> ClassicalProtocol:
         """The implied edge operations, in ordinary protocol form."""
@@ -520,12 +536,6 @@ class _Normalizer:
             self.transforms,
             self.proto.group,
         )
-        rep = validate_d3(d3)
-        if not rep.ok:
-            raise QncError(
-                "normalization produced an invalid degree-3 network: "
-                + "; ".join(rep.violations)
-            )
         return d3, self.corr
 
     def _terms_by_out(self, v: str, n_out: int) -> list[list[tuple[int, LetterMap]]]:

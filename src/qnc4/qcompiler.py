@@ -41,7 +41,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count, product
 from math import gcd, prod
 
-from .errors import CompileError, VerificationError
+from .errors import CompileError, SizeError, VerificationError
 from .netgraph import (
     LETTERS,
     D3Network,
@@ -50,7 +50,6 @@ from .netgraph import (
     LetterMap,
     MapClass,
     letter_to_str,
-    validate_d3,
 )
 
 SOURCE_TTR = "SourceTTR"
@@ -60,6 +59,11 @@ TRANSFORM_ONE_TO_ONE = "TransformOneToOne"
 TRANSFORM_TWO_TO_ONE = "TransformTwoToOne"
 FORK_EFC = "ForkEFC"
 SINK_NOOP = "SinkNoop"
+
+# str() refuses ints of more than 4300 digits by default.  Every exact number
+# qnc4 prints is over a shrink's denominator (times at most 12) or a fork's
+# joint denominator; compile_protocol refuses these past this many digits.
+MAX_DIGITS = 4000
 
 
 def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dict:
@@ -154,12 +158,27 @@ class SweepPlan:
 
 
 @dataclass(frozen=True)
+class Note:
+    """A law compile_protocol verified: a fork's (map None) or a two-to-one
+    map's, at an exact incoming shrink, formatted only by str()."""
+
+    shrink: Fraction
+    map: LetterMap | None = None
+
+    def __str__(self) -> str:
+        if self.map is None:
+            return f"fork law verified at incoming shrink {self.shrink}"
+        table = ",".join(letter_to_str(z) for z in self.map.table)
+        return f"two-to-one law verified at incoming shrink {self.shrink} for map {table}"
+
+
+@dataclass(frozen=True)
 class CompiledProtocol:
     d3: D3Network
     ops: dict[str, QuantumOp]
     order: tuple[str, ...]  # listing order: by longest-path depth, then id
     depths: dict[str, int]
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[Note, ...] = field(default_factory=tuple)
 
     @cached_property
     def sweep_plan(self) -> SweepPlan:
@@ -304,15 +323,12 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
     """Assign a quantum op, an exact shrink factor and a verified transition
     kernel to every node.
 
-    Raises CompileError if the network is not in normal form, and
-    VerificationError if a kernel misses its target at an incoming shrink
-    occurring in this network.
+    A D3Network is valid by construction, so nothing is validated here.
+    Raises SizeError, before building the node's kernel, where a shrink's
+    denominator or a fork's joint denominator would pass MAX_DIGITS
+    digits, and VerificationError if a kernel misses its target at an
+    incoming shrink occurring in this network.
     """
-    report = validate_d3(d3)
-    if not report.ok:
-        raise CompileError(
-            "network is not a valid normal form: " + "; ".join(report.violations)
-        )
     net = d3.network
     depths: dict[str, int] = {}
     for v in net.topo_order:
@@ -321,7 +337,7 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
     order = tuple(sorted((n.id for n in net.nodes), key=lambda v: (depths[v], v)))
 
     ops: dict[str, QuantumOp] = {}
-    notes: list[str] = []
+    notes: list[Note] = []
     # verified kernels by (tag, map, incoming shrinks); the group is fixed
     # within one compile
     kernels: dict[tuple, Kernel] = {}
@@ -350,26 +366,28 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
                 )
             elif cls is MapClass.ONE_TO_ONE:
                 op = QuantumOp(v, TRANSFORM_ONE_TO_ONE, a / 3, input_alpha=a, map=m)
-            elif cls is MapClass.TWO_TO_ONE:
+            else:  # validation leaves two-to-one as the only other class
                 op = QuantumOp(
                     v, TRANSFORM_TWO_TO_ONE, a / (6 - a), input_alpha=a, map=m
                 )
-            else:
-                raise CompileError(f"node {v} carries an unusable letter map")
         if op.alpha <= 0:
             raise CompileError(f"nonpositive shrink factor at node {v}")
+        # a fork's two outputs have a joint law over up to 16 q^2
+        q = op.alpha.denominator
+        biggest = 16 * q * q if op.tag == FORK_EFC else q
+        digits = biggest.bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103
+        if digits > MAX_DIGITS:
+            raise SizeError(
+                f"exact numbers at node {v} would have {digits} digits, over the "
+                f"limit of {MAX_DIGITS}"
+            )
         key = (op.tag, None if m is None else m.table, a_in)
         if key not in kernels:
             op = replace(op, kernel=build_kernel(op, d3.group))
             check_kernel(op, a_in, d3.group)
             kernels[key] = op.kernel
-            if op.tag == FORK_EFC:
-                notes.append(f"fork law verified at incoming shrink {a}")
-            elif op.tag == TRANSFORM_TWO_TO_ONE:
-                notes.append(
-                    f"two-to-one law verified at incoming shrink {a} for map "
-                    + ",".join(letter_to_str(z) for z in m.table)
-                )
+            if op.tag in (FORK_EFC, TRANSFORM_TWO_TO_ONE):
+                notes.append(Note(a, m))
         ops[v] = replace(op, kernel=kernels[key])
     return CompiledProtocol(d3, ops, order, depths, tuple(notes))
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .netgraph import LETTERS, Letter
+from .netgraph import LETTERS, Letter, as_letter
 
 MATRIX_TOL = 1e-12
 RANK_TOL = 1e-9
@@ -126,8 +126,7 @@ class ShrunkState:
     alpha: Fraction
 
     def __post_init__(self):
-        if self.label not in LETTERS:
-            raise ValueError(f"not a letter: {self.label}")
+        as_letter(self.label)
         a = self.alpha
         if not isinstance(a, Fraction) or not 0 < a <= 1:
             raise ValueError(f"shrink factor must be a rational in (0, 1], got {a!r}")

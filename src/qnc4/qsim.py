@@ -39,7 +39,7 @@ from operator import truediv
 import numpy as np
 
 from .errors import SizeError
-from .netgraph import LETTERS, GroupKind, Letter
+from .netgraph import LETTERS, GroupKind, Letter, as_letter
 from .classical_eval import evaluate
 from .qcompiler import (
     FORK_EFC,
@@ -66,18 +66,13 @@ STATE_TOL = 1e-9  # allowed error in the norm of a source state
 
 
 def source_distribution(value) -> dict[Letter, object]:
-    """Letter distribution a source emits for one input.
+    """Letter distribution a source emits for one input, which it checks.
 
-    A plain letter means the conditioned process that prepares exactly that
-    tetra state; a ShrunkState yields its exact measurement statistics; a
-    normalized state vector or a density matrix yields float measurement
-    statistics.  Raises ValueError on an unnormalized vector or a matrix
-    that is not a density matrix.
+    A letter (`as_letter`) means the conditioned process that prepares
+    exactly that tetra state, a point mass; a ShrunkState yields exact
+    statistics over all four letters, a normalized state vector or a
+    density matrix float ones.  Raises ValueError on anything else.
     """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        if value not in LETTERS:
-            raise ValueError(f"not a letter: {value!r}")
-        return {int(value): Fraction(1)}
     if isinstance(value, np.ndarray):
         if value.ndim == 1:
             if value.shape != (2,):
@@ -91,7 +86,7 @@ def source_distribution(value) -> dict[Letter, object]:
     if isinstance(value, (ShrunkState, np.ndarray)):
         probs = qmath.ttr_probabilities(value)
         return {z: probs[z] for z in LETTERS}
-    raise TypeError(f"unsupported source input: {value!r}")
+    return {as_letter(value): Fraction(1)}
 
 
 def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
@@ -130,11 +125,12 @@ def fork_branch_law(op: QuantumOp, u: Letter) -> dict[tuple, Fraction]:
     return out
 
 
-def _resolve_inputs(compiled: CompiledProtocol, inputs) -> dict[str, object]:
+def _resolve_inputs(compiled: CompiledProtocol, inputs) -> dict[str, dict]:
+    """Each source's letter law, by source id; this checks every input."""
     sources = compiled.d3.network.source_ids
     if len(inputs) != len(sources):
         raise ValueError(f"expected {len(sources)} inputs, got {len(inputs)}")
-    return dict(zip(sources, inputs))
+    return {s: source_distribution(x) for s, x in zip(sources, inputs)}
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +148,12 @@ class OracleResult:
         return qmath.mixture_matrix(self.sink_mixtures[sink])
 
 
-def _source_kernel(value) -> Kernel:
+def _source_kernel(law: dict) -> Kernel:
     """A source's letter law over its own total.  Float probabilities
     (vector or density-matrix inputs) convert exactly, and dividing by
     their exact sum rather than 1 makes the law sum to exactly 1, so edges
     that do not depend on the source keep their exact values."""
-    law = [(z, Fraction(w)) for z, w in source_distribution(value).items() if w]
+    law = [(z, Fraction(w)) for z, w in law.items() if w]
     scale = lcm(*(w.denominator for _, w in law))
     row = tuple(((z,), w.numerator * (scale // w.denominator)) for z, w in law)
     return Kernel(sum(n for _, n in row), (row,))
@@ -210,16 +206,16 @@ def simulate_oracle(
     there.
     """
     plan = compiled.sweep_plan
-    by_source = _resolve_inputs(compiled, inputs)
-    source_kernels = {s: _source_kernel(x) for s, x in by_source.items()}
+    laws = _resolve_inputs(compiled, inputs)
+    source_kernels = {s: _source_kernel(law) for s, law in laws.items()}
     if plan.predicted_branches > max_branches:
         raise SizeError(
             f"oracle frontier at node {plan.peak_node} could reach "
             f"{plan.predicted_branches} branches, over the limit of {max_branches}; "
             "use Monte Carlo for this network"
         )
-    vectors = [i for i, v in enumerate(compiled.order)
-               if isinstance(by_source.get(v), np.ndarray)]
+    vectors = [compiled.order.index(s) for s, law in laws.items()
+               if any(isinstance(w, float) for w in law.values())]
     floats = set(compiled.order[min(vectors):]) if vectors else set()
 
     dist: dict[int, int] = {0: 1}
@@ -264,7 +260,7 @@ def enumerate_branches(
     cross-check of the live-edge sweep.
     """
     net = compiled.d3.network
-    by_source = _resolve_inputs(compiled, inputs)
+    laws = _resolve_inputs(compiled, inputs)
     group = compiled.d3.group
     seen: list[int] = []  # edge ids in creation order
     dist: dict[tuple, object] = {(): Fraction(1)}
@@ -277,7 +273,7 @@ def enumerate_branches(
         new_dist: dict[tuple, object] = {}
         for key, p in dist.items():
             if op.tag == SOURCE_TTR:
-                law = [((z,), w) for z, w in source_distribution(by_source[v]).items()]
+                law = [((z,), w) for z, w in laws[v].items()]
             elif op.tag == JOIN:
                 law = [
                     ((y,), w)
@@ -328,19 +324,20 @@ class AnalyticReport:
 def simulate_analytic(compiled: CompiledProtocol, inputs=None) -> AnalyticReport:
     """Sink mixtures and fidelities without enumeration.
 
-    Valid for networks that satisfy their delivery requirement; the letter
-    mixtures additionally need letter inputs.
+    Valid for networks that satisfy their delivery requirement.  Inputs
+    are checked as in every simulator; decoded letters, letter mixtures and
+    tetra-input fidelities need all of them to be letters, else are None.
     """
     net = compiled.d3.network
     alphas = compiled.sink_alphas
     floor = {t: Fraction(1, 2) + a / 6 for t, a in alphas.items()}
     decoded = mixtures = tetra = None
-    if inputs is not None and all(
-        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in inputs
-    ):
-        letters = evaluate(compiled.d3, None, [int(x) for x in inputs])
-        by_sink = dict(zip(net.sink_ids, letters))
-        by_source = dict(zip(net.source_ids, [int(x) for x in inputs]))
+    laws = {} if inputs is None else _resolve_inputs(compiled, inputs)
+    # a letter's law, and only a letter's, is a point mass
+    letters = [z for law in laws.values() if len(law) == 1 for z in law]
+    if laws and len(letters) == len(laws):
+        by_sink = dict(zip(net.sink_ids, evaluate(compiled.d3, None, letters)))
+        by_source = dict(zip(net.source_ids, letters))
         decoded, mixtures, tetra = {}, {}, {}
         for t in net.sink_ids:
             a = alphas[t]
@@ -422,7 +419,7 @@ def simulate_montecarlo(
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value <= 0:
             raise ValueError(f"{name} must be a positive int, got {value!r}")
     net = compiled.d3.network
-    by_source = _resolve_inputs(compiled, inputs)
+    laws = _resolve_inputs(compiled, inputs)
     tables: dict[Kernel, tuple] = {}  # nodes with equal laws share a kernel
     steps = []
     for v in compiled.order:
@@ -430,7 +427,7 @@ def simulate_montecarlo(
         if op.tag == SINK_NOOP:
             table = None
         else:
-            kernel = _source_kernel(by_source[v]) if op.tag == SOURCE_TTR else op.kernel
+            kernel = _source_kernel(laws[v]) if op.tag == SOURCE_TTR else op.kernel
             if kernel not in tables:
                 tables[kernel] = alias_table(kernel)
             table = tables[kernel]
@@ -471,25 +468,26 @@ def simulate_montecarlo(
 def guess_fidelities(target) -> np.ndarray:
     """Fidelity of each prepared tetra state against the delivery target.
 
-    The target is a letter (fidelity 1 on the matching state, 1/3 on the
-    others) or a pure state vector.
+    The target is a pure state vector (an array, list or tuple), or else a
+    letter (`as_letter`): fidelity 1 on the matching state, 1/3 on the
+    others.
     """
-    if isinstance(target, (int, np.integer)) and not isinstance(target, bool):
-        return np.array([1.0 if z == target else 1 / 3 for z in LETTERS])
-    vec = np.asarray(target, dtype=complex)
-    return np.array(
-        [qmath.fidelity(vec, qmath.tetra_matrix(z)) for z in LETTERS]
-    )
+    if isinstance(target, (np.ndarray, list, tuple)):
+        vec = np.asarray(target, dtype=complex)
+        return np.array([qmath.fidelity(vec, qmath.tetra_matrix(z)) for z in LETTERS])
+    target = as_letter(target)
+    return np.array([1.0 if z == target else 1 / 3 for z in LETTERS])
 
 
 def mixture_fidelity(mixture: dict, target) -> object:
     """Fidelity of a letter mixture against a delivery target; exact when
-    both the mixture and the target are exact."""
-    if isinstance(target, (int, np.integer)) and not isinstance(target, bool):
-        hit = {z: (Fraction(1) if z == target else Fraction(1, 3)) for z in LETTERS}
-        return sum(p * hit[z] for z, p in mixture.items())
-    f = guess_fidelities(target)
-    return float(sum(float(p) * f[z] for z, p in mixture.items()))
+    both the mixture and the target are exact.  Targets as in
+    `guess_fidelities`."""
+    if isinstance(target, (np.ndarray, list, tuple)):
+        f = guess_fidelities(target)
+        return float(sum(float(p) * f[z] for z, p in mixture.items()))
+    target = as_letter(target)
+    return sum(p * (1 if z == target else Fraction(1, 3)) for z, p in mixture.items())
 
 
 def estimate_fidelity(counts: np.ndarray, trials: int, target) -> tuple[float, float]:

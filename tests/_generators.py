@@ -2,6 +2,7 @@
 
 import random
 
+from qnc4.instances import HIGH_BIT, LOW_BIT
 from qnc4.netgraph import (
     ClassicalProtocol,
     D3Network,
@@ -11,7 +12,6 @@ from qnc4.netgraph import (
     constant_map,
     make_network,
     node_op,
-    validate_d3,
 )
 
 
@@ -50,13 +50,47 @@ def random_d3_instance(
     """A random structurally valid normal-form network.
 
     Grown source-to-sink by consuming open edges, so every draw satisfies
-    the degree discipline by construction; the delivery requirement is
-    random and usually not satisfied, which these instances do not need.
+    the degree discipline by construction (and D3Network checks it); the
+    delivery requirement is random and usually not satisfied, which these
+    instances do not need.
     """
     while True:
         d3 = _grow_d3(rng, max_nodes, max_sources)
-        if len(d3.network.nodes) <= max_nodes and validate_d3(d3).ok:
+        if len(d3.network.nodes) <= max_nodes:
             return d3
+
+
+def diamond_chain(d: int, fork: bool = False) -> D3Network:
+    """d two-to-one diamonds in series from one source, in normal form.
+
+    Each diamond forks the letter into its high bit and its low bit and
+    joins them again in Z2xZ2, so it delivers by construction, and it about
+    squares the shrink: the shrink's digits double per diamond.  The chain
+    ends in one sink, or with `fork` in a fork into two sinks, whose joint
+    law needs twice the digits of the fork's shrink.
+    """
+    nodes, edges = [("s", "source")], []
+    roles, maps = {"s": "source"}, {}
+    prev = "s"
+    for i in range(d):
+        f, h, lo, j = (f"{v}{i}" for v in ("d", "h", "l", "j"))
+        nodes += [(v, "internal") for v in (f, h, lo, j)]
+        edges += [(prev, f), (f, h), (f, lo), (h, j), (lo, j)]
+        roles.update({f: "fork", h: "transform", lo: "transform", j: "join"})
+        maps.update({h: HIGH_BIT, lo: LOW_BIT})
+        prev = j
+    if fork:
+        nodes.append(("x", "internal"))
+        edges.append((prev, "x"))
+        roles["x"] = "fork"
+        prev = "x"
+    sinks = ("t0", "t1") if fork else ("t",)
+    for t in sinks:
+        nodes.append((t, "sink"))
+        edges.append((prev, t))
+        roles[t] = "sink"
+    net = make_network(nodes, edges, {t: "s" for t in sinks})
+    return D3Network(net, roles, maps, GroupKind.Z2xZ2)
 
 
 def _grow_d3(rng: random.Random, max_nodes: int, max_sources: int) -> D3Network:

@@ -3,11 +3,12 @@ import csv
 import io
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from _generators import mutate_document
+from _generators import diamond_chain, mutate_document
 from qnc4 import cli, instances, netgraph
 from qnc4.cli import main
 from qnc4.instances import BUNDLED
@@ -80,6 +81,18 @@ def _repeat_requirement(path):
     path.write_text(json.dumps(doc))
 
 
+def _repeat_op(path):
+    # a second, wrong entry for node t1 ahead of the real one
+    text = json.dumps(instances.read_json("butterfly"))
+    extra = '"t1": [{"out": 0, "terms": []}], '
+    path.write_text(text.replace('"ops": {', '"ops": {' + extra, 1))
+
+
+def _repeat_group(path):
+    text = json.dumps(instances.read_json("butterfly"))
+    path.write_text('{"group": "Z4", ' + text[1:])
+
+
 @pytest.mark.parametrize(
     "write, problem",
     [
@@ -87,8 +100,11 @@ def _repeat_requirement(path):
         (lambda path: path.write_text("[" * 100_000 + "]" * 100_000), "not valid JSON"),
         (lambda path: path.write_bytes(b"\xff\xfe{}"), "not valid JSON"),
         (_repeat_requirement, "a second requirement for sink t1"),
+        (_repeat_op, "repeated key 't1'"),
+        (_repeat_group, "repeated key 'group'"),
     ],
-    ids=["directory", "deep-nesting", "not-utf8", "repeated-requirement"],
+    ids=["directory", "deep-nesting", "not-utf8", "repeated-requirement", "repeated-op",
+         "repeated-group"],
 )
 def test_unreadable_inputs_exit_2(tmp_path, capsys, write, problem):
     path = tmp_path / "input.json"
@@ -231,6 +247,7 @@ def test_invalid_file_gives_one_answer(tmp_path, capsys, base, mutate, problem):
 def test_mutated_documents_end_in_documented_exits(tmp_path, capsys):
     rng = random.Random(5150)
     bases = [instances.read_json(n) for n in BUNDLED] + [_normal_form(n) for n in BUNDLED]
+    bases.append(netgraph.d3_to_json(diamond_chain(10)))  # too deep to compile exactly
     codes = Counter()
     for k in range(50):
         doc = copy.deepcopy(rng.choice(bases))
@@ -267,6 +284,62 @@ def test_mutated_documents_end_in_documented_exits(tmp_path, capsys):
         assert len(verdicts) == 1, (doc, verdicts)
     # every outcome the mutations should reach is reached
     assert codes[0] and codes[2] and codes[3], codes
+
+
+_ALL_SIX = (["validate"], ["eval"], ["normalize"], ["compile"],
+            ["simulate", "--mode", "oracle"], ["report", "--trials", "100"])
+
+
+def test_nine_diamonds_pass_every_subcommand(tmp_path, capsys):
+    path = _write_json(tmp_path, "chain9.json", netgraph.d3_to_json(diamond_chain(9)))
+    for command in _ALL_SIX:
+        assert main([command[0], path, *command[1:]]) == 0, command
+        assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "d3, node",
+    [
+        (diamond_chain(10), "d9"),
+        (diamond_chain(9, fork=True), "x"),
+        (diamond_chain(14), "d9"),
+    ],
+    ids=["ten-diamonds", "nine-diamonds-then-fork", "fourteen-diamonds"],
+)
+def test_exact_numbers_past_the_digit_limit_exit_4(tmp_path, capsys, d3, node):
+    # past 4300 digits, str() of an int raises; each subcommand either
+    # prints no exact number or refuses before building one that large
+    path = _write_json(tmp_path, "deep.json", netgraph.d3_to_json(d3))
+    for command in _ALL_SIX:
+        code = main([command[0], path, *command[1:]])
+        captured = capsys.readouterr()
+        if command[0] in ("validate", "eval", "normalize"):
+            assert code == 0 and captured.out, command
+        else:
+            assert code == 4, command
+            assert f"exact numbers at node {node} would have " in captured.err
+            assert "digits, over the limit of 4000" in captured.err
+
+
+def test_compile_validates_each_normal_form_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    validate = netgraph.validate_d3
+
+    def counted(d3):
+        calls.append(d3)
+        return validate(d3)
+
+    # wherever a module bound the function, not only in netgraph
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qnc4") and getattr(module, "validate_d3", None) is validate:
+            monkeypatch.setattr(module, "validate_d3", counted)
+    out = tmp_path / "butterfly.d3.json"
+    assert main(["normalize", "butterfly", "--out", str(out)]) == 0
+    for source in ("butterfly", str(out)):
+        calls.clear()
+        assert main(["compile", source]) == 0
+        assert len(calls) == 1, source
+    capsys.readouterr()
 
 
 def test_eval_too_many_sources(tmp_path, capsys):
@@ -313,15 +386,24 @@ def test_compile_butterfly(capsys):
 
 
 def test_compile_rejects_bad_normal_form(tmp_path, capsys):
-    net = make_network(
-        nodes=[("s", "source"), ("f", "internal"), ("t", "sink")],
-        edges=[("s", "f"), ("f", "t")],
-        requirements={"t": "s"},
-    )
-    d3 = D3Network(net, {"s": "source", "f": "fork", "t": "sink"}, {}, GroupKind.Z2xZ2)
-    path = _write_json(tmp_path, "badfork.json", netgraph.d3_to_json(d3))
+    # a fork with one outgoing edge; no D3Network can hold it, so the file
+    # is written directly
+    doc = {
+        "group": "Z2xZ2",
+        "nodes": [
+            {"id": "s", "kind": "source", "role": "source"},
+            {"id": "f", "kind": "internal", "role": "fork"},
+            {"id": "t", "kind": "sink", "role": "sink"},
+        ],
+        "edges": [{"from": "s", "to": "f"}, {"from": "f", "to": "t"}],
+        "requirements": [{"sink": "t", "source": "s"}],
+        "transforms": {},
+    }
+    path = _write_json(tmp_path, "badfork.json", doc)
     assert main(["compile", path]) == 3
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "violation: fork f has degree (1, 1), expected (1, 2)" in captured.out
+    assert "error:" in captured.err
 
 
 def test_simulate_analytic_single_edge(capsys):

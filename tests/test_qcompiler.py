@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qnc4 import instances, netgraph, qcompiler, qmath
-from qnc4.errors import CompileError, VerificationError
+from qnc4.errors import ValidationError, VerificationError
 from qnc4.instances import HIGH_BIT, LOW_BIT
 from qnc4.netgraph import (
     LETTERS,
@@ -180,12 +180,12 @@ def test_diamond_two_to_one_compile(diamond_compiled):
     assert comp.ops["u1"].input_alpha == Fraction(1, 9)
     assert comp.ops["u1"].alpha == comp.ops["u2"].alpha == Fraction(1, 53)
     assert comp.sink_alphas["t"] == Fraction(1, 25281)
-    joined = "\n".join(comp.notes)
+    joined = "\n".join(map(str, comp.notes))
     assert "two-to-one law verified at incoming shrink 1/9" in joined
 
 
 def test_diamond_notes_name_their_maps(diamond_compiled):
-    notes = diamond_compiled.notes
+    notes = [str(note) for note in diamond_compiled.notes]
     assert len(set(notes)) == len(notes) == 3
     assert "two-to-one law verified at incoming shrink 1/9 for map 00,00,10,10" in notes
 
@@ -207,7 +207,7 @@ def test_order_is_by_depth_then_id(butterfly_compiled):
 
 
 def test_fork_notes_deduplicate(butterfly_compiled):
-    notes = butterfly_compiled.notes
+    notes = [str(note) for note in butterfly_compiled.notes]
     fork_notes = [n for n in notes if n.startswith("fork law verified")]
     # two distinct incoming shrinks (1 and 1/729), each verified once
     assert len(fork_notes) == 2
@@ -216,22 +216,20 @@ def test_fork_notes_deduplicate(butterfly_compiled):
 
 
 def test_compile_rejects_bad_degree():
+    # refused where the normal form is built, so it never reaches the compiler
     net = make_network(
         nodes=[("s", "source"), ("f", "internal"), ("t", "sink")],
         edges=[("s", "f"), ("f", "t")],
         requirements={"t": "s"},
     )
-    d3 = D3Network(
-        net, {"s": "source", "f": "fork", "t": "sink"}, {}, GroupKind.Z2xZ2
-    )
-    with pytest.raises(CompileError):
-        compile_protocol(d3)
+    with pytest.raises(ValidationError, match=r"fork f has degree \(1, 1\)"):
+        D3Network(net, {"s": "source", "f": "fork", "t": "sink"}, {}, GroupKind.Z2xZ2)
 
 
 def test_compile_rejects_unusable_map():
     bad = LetterMap((0, 1, 2, 2))  # image of size 3: neither class
-    with pytest.raises(CompileError):
-        compile_protocol(_chain([bad]))
+    with pytest.raises(ValidationError, match="transform h0 carries illegal map"):
+        _chain([bad])
 
 
 def test_protocol_json_shape(diamond_compiled):

@@ -8,7 +8,7 @@ import pytest
 
 from qnc4 import classical_eval, instances, netgraph, qcompiler, qmath, qsim
 from qnc4.errors import SizeError
-from qnc4.instances import HIGH_BIT, LOW_BIT
+from qnc4.instances import HIGH_BIT
 from qnc4.netgraph import GroupKind, LetterMap, constant_map, normalize_to_d3
 from qnc4.qcompiler import FORK_EFC, compile_protocol
 from qnc4.qmath import ShrunkState
@@ -28,7 +28,7 @@ from qnc4.qsim import (
     transform_branch_law,
 )
 
-from _generators import random_d3_instance
+from _generators import diamond_chain, random_d3_instance
 
 SWAP01 = LetterMap((1, 0, 2, 3))
 
@@ -69,12 +69,9 @@ def test_source_distribution_kinds():
     assert abs(vec[0] - (1 + 1 / np.sqrt(3)) / 4) < 1e-12
     mat = source_distribution(np.eye(2) / 2)
     assert all(abs(w - 0.25) < 1e-12 for w in mat.values())
-    with pytest.raises(ValueError):
-        source_distribution(7)
-    with pytest.raises(TypeError):
-        source_distribution("00")
-    with pytest.raises(TypeError):
-        source_distribution(True)
+    for bad in (7, "00", True):
+        with pytest.raises(ValueError, match="not a letter"):
+            source_distribution(bad)
 
 
 def test_transform_law_one_to_one():
@@ -458,7 +455,7 @@ def test_alias_tables_rebuild_kernels():
                 checked += 1
     assert checked > 80
     for value in (3, ShrunkState(1, Fraction(2, 7)), np.array([0.6, 0.8]), np.eye(2) / 2):
-        _assert_rebuilds_kernel(qsim._source_kernel(value))
+        _assert_rebuilds_kernel(qsim._source_kernel(source_distribution(value)))
 
 
 def _every_op_network(group: GroupKind) -> netgraph.D3Network:
@@ -498,23 +495,42 @@ def test_montecarlo_fits_every_op_kind(group):
 def test_montecarlo_on_huge_denominators():
     # seven two-to-one diamonds in series: the last kernels' denominators
     # pass 2^1024, so their float rows must come from integer true division
-    nodes, edges, roles = [("s", "source"), ("t", "sink")], [], {"s": "source", "t": "sink"}
-    maps, prev = {}, "s"
-    for c in range(7):
-        d, u1, u2, j = (f"c{c}.{v}" for v in ("d", "u1", "u2", "j"))
-        nodes += [(v, "internal") for v in (d, u1, u2, j)]
-        edges += [(prev, d), (d, u1), (d, u2), (u1, j), (u2, j)]
-        roles.update({d: "fork", u1: "transform", u2: "transform", j: "join"})
-        maps.update({u1: HIGH_BIT, u2: LOW_BIT})
-        prev = j
-    edges.append((prev, "t"))
-    net = netgraph.make_network(nodes, edges, {"t": "s"})
-    comp = compile_protocol(netgraph.D3Network(net, roles, maps, GroupKind.Z2xZ2))
+    comp = compile_protocol(diamond_chain(7))
     assert max(op.kernel.den for op in comp.ops.values() if op.kernel) > 2**1024
     for x in (0, 2):
         mc = simulate_montecarlo(comp, [x], trials=100_000, seed=17)
         exact = simulate_analytic(comp, [x]).sink_mixtures["t"]
         assert chi_square_statistic(mc.sink_counts["t"], exact) < 16.266
+
+
+# ---------------------------------------------------------------------------
+# one letter check
+
+
+_LETTER_ENTRY_POINTS = {
+    "simulate_analytic": lambda comp, x: simulate_analytic(comp, [x]),
+    "simulate_oracle": lambda comp, x: simulate_oracle(comp, [x]),
+    "simulate_montecarlo": lambda comp, x: simulate_montecarlo(comp, [x], trials=10),
+    "evaluate": lambda comp, x: classical_eval.evaluate(comp.d3, None, [x]),
+    "edge_values": lambda comp, x: classical_eval.edge_values(comp.d3, None, [x]),
+    "mixture_fidelity": lambda comp, x: mixture_fidelity({0: Fraction(1)}, x),
+    "guess_fidelities": lambda comp, x: guess_fidelities(x),
+    "ShrunkState": lambda comp, x: ShrunkState(x, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 7, True, None, "01"])
+@pytest.mark.parametrize("entry", sorted(_LETTER_ENTRY_POINTS))
+def test_every_entry_point_refuses_non_letters(diamond_compiled, entry, bad):
+    with pytest.raises(ValueError) as err:
+        _LETTER_ENTRY_POINTS[entry](diamond_compiled, bad)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"not a letter: {bad!r} (letters are the ints 0 to 3)"
+
+
+@pytest.mark.parametrize("entry", sorted(_LETTER_ENTRY_POINTS))
+def test_every_entry_point_takes_numpy_letters(diamond_compiled, entry):
+    _LETTER_ENTRY_POINTS[entry](diamond_compiled, np.int64(2))
 
 
 # ---------------------------------------------------------------------------
