@@ -1,7 +1,6 @@
 """Classical letter networks compiled into prepare-and-measure protocols."""
 
 from .errors import (
-    CompileError,
     QncError,
     SchemaError,
     SizeError,

@@ -140,7 +140,7 @@ def _compile_with_inputs(args):
     """The compiled instance, its source ids and the parsed input letters."""
     compiled = compile_protocol(load_instance(args.instance)[2])
     srcs = compiled.d3.network.source_ids
-    letters = _parse_inputs(args.inputs, len(srcs)) if args.inputs else [0] * len(srcs)
+    letters = [0] * len(srcs) if args.inputs is None else _parse_inputs(args.inputs, len(srcs))
     return compiled, srcs, letters
 
 

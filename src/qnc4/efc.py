@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .errors import VerificationError
-from .netgraph import LETTERS, Letter
+from .netgraph import LETTERS, Letter, as_letter
 from . import qmath
 from .qmath import ShrunkState, identity2
 
@@ -86,6 +86,7 @@ def efc_params(alpha) -> EfcParams:
 
 def efc_pair_distribution(alpha, measured: Letter) -> PairDist:
     """Distribution over prepared letter pairs given measured letter."""
+    measured = as_letter(measured)
     par = efc_params(alpha)
     dist = {}
     for z1, z2 in product(LETTERS, repeat=2):
@@ -148,7 +149,7 @@ def efco2_apply(x: int, p) -> Efco2Result:
     distribution factors as a product, which is checked before returning.
     Accepts a rational p for exact arithmetic (floats degrade gracefully).
     """
-    if x not in (0, 1):
+    if isinstance(x, bool) or x not in (0, 1):  # like a letter, never a bool
         raise ValueError(f"input must be the bit 0 or 1, got {x!r}")
     if isinstance(p, float):
         half, quart, sixteenth = 0.5, 0.25, 1 / 16
@@ -221,7 +222,7 @@ def efc2_apply(theta: float, x: int, p) -> Efc2Result:
     r = p / (2 + p sin 2t), q = r sin 2t is verified by substitution into
     the two defining equations and against the output matrix, both at 1e-12.
     """
-    if x not in (0, 1):
+    if isinstance(x, bool) or x not in (0, 1):  # like a letter, never a bool
         raise ValueError(f"input must be the bit 0 or 1, got {x!r}")
     if not 0 <= theta < math.pi / 4:
         raise ValueError(

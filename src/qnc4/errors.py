@@ -25,9 +25,5 @@ class SizeError(QncError):
     """Raised when an exhaustive computation would exceed its guard bound."""
 
 
-class CompileError(QncError):
-    """Raised when an instance cannot be compiled to a quantum protocol."""
-
-
 class VerificationError(QncError):
     """Raised when a closed-form self-check fails its residual bound."""

@@ -15,9 +15,12 @@ where a is the shrink factor of the incoming edge.
 
 Every join, fork and transform op also carries its transition kernel: the
 exact conditional law P(output letters | input letters), as integer
-numerators over one denominator per node.  Kernels come from integer closed
-forms in the incoming shrink a = p/q (the two-to-one emission law and the
-cloner's pair weights are the only ones that depend on it), and are
+numerators over one denominator per node.  Kernels are derived from the
+table above alone.  A state at shrink a is its letter mixed by
+W(a) = a I + (1 - a)/4 J, which is invertible, W(a)^-1 =
+(1/a)(I - (1 - a)/4 J), and composes as W(a) W(b) = W(ab); so each
+kernel is W(a_in)^-1 along each input applied to the target of the node's
+classical function at its output shrink (`build_kernel`).  Kernels are
 memoized within one compile.  The exact sweep in `qsim` runs on them.
 
 `check_kernel` verifies every kernel once, at every incoming shrink where
@@ -41,7 +44,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count, product
 from math import gcd, prod
 
-from .errors import CompileError, SizeError, VerificationError
+from .errors import SizeError, VerificationError
 from .netgraph import (
     LETTERS,
     D3Network,
@@ -49,6 +52,7 @@ from .netgraph import (
     Letter,
     LetterMap,
     MapClass,
+    as_letter,
     letter_to_str,
 )
 
@@ -73,6 +77,7 @@ def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dic
     letters outside the map's image with weight (3-param)/(2(6-param)); the
     unmapped image letter is never produced.  Exact in the parameter.
     """
+    letter = as_letter(letter)
     if not isinstance(param, Fraction):
         param = Fraction(param)
     if not 0 < param <= 1:
@@ -201,80 +206,25 @@ class CompiledProtocol:
 # transition kernels in integer arithmetic
 
 
-def _kernel(den: int, rows) -> Kernel:
-    """Kernel from per-input dicts {output letters: numerator}, with zero
-    entries dropped and the common factor of all numerators and den
-    cancelled."""
-    g = gcd(den, *(n for row in rows for n in row.values()))
+def _kernel(den: int, outs, rows) -> Kernel:
+    """Kernel from dense rows of numerators over den, entry k of each row
+    for the output letters outs[k], with zero entries dropped and the
+    common factor of all numerators and den cancelled."""
+    g = gcd(den, *(n for row in rows for n in row))
     return Kernel(
         den // g,
-        tuple(tuple((out, n // g) for out, n in row.items() if n) for row in rows),
+        tuple(tuple((out, n // g) for out, n in zip(outs, row) if n) for row in rows),
     )
 
 
-def _measured(emit) -> list[dict]:
-    """Rows, over 6 times emit's denominator, of a node that measures a
-    pure tetra state u (outcome u with weight 3/6, each other letter 1/6)
-    and on outcome x emits emit(x) = {output letters: numerator}."""
-    rows = []
-    for u in LETTERS:
-        row: dict = {}
-        for x in LETTERS:
-            t = 3 if x == u else 1
-            for out, n in emit(x).items():
-                row[out] = row.get(out, 0) + t * n
-        rows.append(row)
-    return rows
-
-
-def build_kernel(op: QuantumOp, group: GroupKind) -> Kernel:
-    """Transition kernel of a join, fork or transform op.
-
-    Denominators before cancelling, with incoming shrink a = p/q: 36 for a
-    join, 6 for a one-to-one map, 1 for a constant, 12(6q - p) for a
-    two-to-one map and 7776 q^2 for a fork.
-    """
+def _target(op: QuantumOp, zs: tuple[Letter, ...], group: GroupKind) -> tuple[Letter, ...]:
+    """The output letters of op's classical function on input letters zs:
+    a join's group sum, a fork's two copies, a transform's mapped letter."""
     if op.tag == JOIN:
-        rows = []
-        for u1, u2 in product(LETTERS, repeat=2):
-            row: dict = {}
-            for x1, x2 in product(LETTERS, repeat=2):
-                y = (group.add(x1, x2),)
-                row[y] = row.get(y, 0) + (3 if x1 == u1 else 1) * (3 if x2 == u2 else 1)
-            rows.append(row)
-        return _kernel(36, rows)
-    if op.tag == TRANSFORM_CONSTANT:
-        return _kernel(1, [{(op.letter,): 1}] * 4)
-    m = op.map
-    if op.tag == TRANSFORM_ONE_TO_ONE:
-        return _kernel(6, _measured(lambda x: {(m(x),): 1}))
-    p, q = op.input_alpha.numerator, op.input_alpha.denominator
-    if op.tag == TRANSFORM_TWO_TO_ONE:
-        # two_to_one_emission over 2(6q - p): the mapped letter 6q, each of
-        # the two letters outside the image 3q - p
-        off = [(z,) for z in LETTERS if z not in m.image()]
-        return _kernel(
-            12 * (6 * q - p),
-            _measured(lambda x: {(m(x),): 6 * q, off[0]: 3 * q - p, off[1]: 3 * q - p}),
-        )
+        return (group.add(*zs),)
     if op.tag == FORK_EFC:
-        # efc_params' pair weights p1..p4 over 1296 q^2
-        p1 = 3 * (81 * q * q + 6 * p * q + p * p)
-        p2 = (9 * q - p) * (15 * q + p)
-        p3 = (9 * q - p) * (3 * q + p)
-        p4 = 3 * (9 * q * q - 2 * p * q + p * p)
-
-        def emit(x):
-            return {
-                (z1, z2): p1 if z1 == z2 == x
-                else p2 if x in (z1, z2)
-                else p4 if z1 == z2
-                else p3
-                for z1, z2 in product(LETTERS, repeat=2)
-            }
-
-        return _kernel(7776 * q * q, _measured(emit))
-    raise CompileError(f"node {op.node}: no kernel for op {op.tag}")
+        return zs * 2
+    return (op.map(zs[0]),)
 
 
 def _shrunk_weights(a: Fraction) -> tuple[int, int, int]:
@@ -284,13 +234,63 @@ def _shrunk_weights(a: Fraction) -> tuple[int, int, int]:
     return q + 3 * p, q - p, 4 * q
 
 
+def _unmix(rows: list[list[int]], den: int, stride: int, a: Fraction) -> tuple[list, int]:
+    """Apply W(a)^-1 = (1/a)(I - (1-a)/4 J) along the input letter that
+    steps the row index by stride (4 for a join's first input, else 1):
+    with a = p/q, each row becomes 4q times itself less (q - p) times the
+    sum of its 4 rows along that letter, over 4p den."""
+    p, q = a.numerator, a.denominator
+    q4, r = 4 * q, q - p
+    out = list(rows)
+    for i in (0, 1, 2, 3) if stride == 4 else range(0, len(rows), 4):
+        axis = range(i, i + 4 * stride, stride)
+        sums = [r * sum(col) for col in zip(*(rows[j] for j in axis))]
+        for j in axis:
+            out[j] = [q4 * x - s for x, s in zip(rows[j], sums)]
+    return out, 4 * p * den
+
+
+def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> Kernel:
+    """Transition kernel of a join, fork or transform op at incoming
+    shrinks a_in, derived from the shrink table alone.
+
+    A state at shrink a mixes its letter by W(a) = a I + (1-a)/4 J, with
+    W(a)^-1 = (1/a)(I - (1-a)/4 J) and W(a) W(b) = W(ab).  The tetra
+    measurement mixes a pure state's letter by W(1/3), so the node reads
+    input z_i through W(a_i/3).  The target T(y | z) puts each output y_j
+    at shrink op.alpha around _target(op, z)_j; the emission law is
+    E = (W(a_1/3)^-1 x ...) T, and the kernel applies W(1/3) = W(3)^-1
+    along each input to E.  Raises VerificationError, naming the node, if
+    E has a negative entry: no node law reaches the claimed shrink.
+    """
+    width = 2 if op.tag == FORK_EFC else 1
+    outs = list(product(LETTERS, repeat=width))
+    own, other, scale = _shrunk_weights(op.alpha)
+    rows = []
+    for zs in product(LETTERS, repeat=len(a_in)):
+        want = _target(op, zs, group)
+        rows.append([prod(own if y == t else other for y, t in zip(out, want)) for out in outs])
+    den = scale**width
+    strides = (4, 1)[-len(a_in):]  # input index 4 * z1 + z2, or z
+    for stride, a in zip(strides, a_in):
+        rows, den = _unmix(rows, den, stride, a / 3)
+    if any(n < 0 for row in rows for n in row):
+        raise VerificationError(
+            f"{op.tag} node {op.node} cannot emit shrink {op.alpha} at incoming "
+            f"shrink {', '.join(map(str, a_in))}: its emission law would be negative"
+        )
+    for stride in strides:
+        rows, den = _unmix(rows, den, stride, Fraction(3))
+    return _kernel(den, outs, rows)
+
+
 def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:
     """Verify op.kernel at the incoming shrinks a_in, exactly.
 
     For every tuple z of incoming letters, the kernel mixed over
     tetra_weights(ShrunkState(z_i, a_in[i])) must equal the output letters
-    f(z) each at shrink op.alpha: one weight vector for a join or a
-    transform, the product of two for a fork.  Raises VerificationError.
+    _target(op, z) each at shrink op.alpha: one weight vector for a join or
+    a transform, the product of two for a fork.  Raises VerificationError.
     """
     if len(op.kernel.rows) != 4 ** len(a_in):
         raise VerificationError(f"{op.tag} kernel of node {op.node} has the wrong shape")
@@ -303,12 +303,7 @@ def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
             w = prod(o if u == z else f for z, u, (o, f, _) in zip(zs, us, ins))
             for out, n in row:
                 mixed[out] = mixed.get(out, 0) + w * n
-        if op.tag == JOIN:
-            want = (group.add(*zs),)
-        elif op.tag == FORK_EFC:
-            want = zs * 2
-        else:
-            want = (op.map(zs[0]),)
+        want = _target(op, zs, group)
         for out in product(LETTERS, repeat=len(want)):
             rhs = in_scale * prod(own if y == t else other for y, t in zip(out, want))
             if mixed.get(out, 0) * scale ** len(want) != rhs:
@@ -326,8 +321,9 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
     A D3Network is valid by construction, so nothing is validated here.
     Raises SizeError, before building the node's kernel, where a shrink's
     denominator or a fork's joint denominator would pass MAX_DIGITS
-    digits, and VerificationError if a kernel misses its target at an
-    incoming shrink occurring in this network.
+    digits, and VerificationError if a node's shrink is out of its law's
+    reach or a kernel misses its target at an incoming shrink occurring
+    in this network.
     """
     net = d3.network
     depths: dict[str, int] = {}
@@ -370,8 +366,6 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
                 op = QuantumOp(
                     v, TRANSFORM_TWO_TO_ONE, a / (6 - a), input_alpha=a, map=m
                 )
-        if op.alpha <= 0:
-            raise CompileError(f"nonpositive shrink factor at node {v}")
         # a fork's two outputs have a joint law over up to 16 q^2
         q = op.alpha.denominator
         biggest = 16 * q * q if op.tag == FORK_EFC else q
@@ -383,7 +377,7 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
             )
         key = (op.tag, None if m is None else m.table, a_in)
         if key not in kernels:
-            op = replace(op, kernel=build_kernel(op, d3.group))
+            op = replace(op, kernel=build_kernel(op, a_in, d3.group))
             check_kernel(op, a_in, d3.group)
             kernels[key] = op.kernel
             if op.tag in (FORK_EFC, TRANSFORM_TWO_TO_ONE):

@@ -66,15 +66,15 @@ _STATES = tuple(TetraState(z, _VECTORS[z], _MATRICES[z]) for z in LETTERS)
 
 
 def tetra(label: Letter) -> TetraState:
-    return _STATES[label]
+    return _STATES[as_letter(label)]
 
 
 def tetra_matrix(label: Letter) -> np.ndarray:
-    return _MATRICES[label]
+    return _MATRICES[as_letter(label)]
 
 
 def tetra_vector(label: Letter) -> np.ndarray:
-    return _VECTORS[label]
+    return _VECTORS[as_letter(label)]
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
@@ -170,6 +170,7 @@ def shrunk_from_weights(weights) -> ShrunkState | None:
 def ttr_outcome_weights(z: Letter) -> dict[Letter, Fraction]:
     """Tetra-measurement outcome law on a pure tetra state: the state's own
     letter with probability 1/2, each other letter with 1/6."""
+    z = as_letter(z)
     return {x: Fraction(1, 2) if x == z else Fraction(1, 6) for x in LETTERS}
 
 

@@ -244,46 +244,54 @@ def test_invalid_file_gives_one_answer(tmp_path, capsys, base, mutate, problem):
     assert f"violation: {problem}" in answers.pop()
 
 
+def _run_six(capsys, path, mode, codes):
+    """Run the six subcommands on one document: each ends in a documented
+    exit, and all read and validate it the same way."""
+    verdicts = set()
+    for args in (
+        ["validate", path],
+        ["eval", path],
+        ["normalize", path],
+        ["compile", path],
+        ["simulate", path, "--mode", mode, "--trials", "50"],
+        ["report", path, "--trials", "50"],
+    ):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code in ((0, 1, 2, 3, 4) if args[0] == "report" else (0, 2, 3, 4)), args
+        if code == 0:
+            assert captured.out, args
+        else:
+            # a failed report check or delivery prints its reason on stdout
+            assert "error:" in captured.err or code in (1, 3) and (
+                "FAIL" in captured.out or "delivery requirement fails" in captured.out
+            ), (args, captured)
+        codes[code] += 1
+        verdicts.add(
+            "unreadable" if code == 2
+            else "invalid" if "violation: " in captured.out
+            else "valid"
+        )
+    assert len(verdicts) == 1, (path, verdicts)
+
+
 def test_mutated_documents_end_in_documented_exits(tmp_path, capsys):
     rng = random.Random(5150)
     bases = [instances.read_json(n) for n in BUNDLED] + [_normal_form(n) for n in BUNDLED]
     bases.append(netgraph.d3_to_json(diamond_chain(10)))  # too deep to compile exactly
     codes = Counter()
+    # each base once as it is, so the digit-limit refusal (exit 4) is reached
+    for k, doc in enumerate(bases):
+        _run_six(capsys, _write_json(tmp_path, f"base{k}.json", doc), "oracle", codes)
     for k in range(50):
         doc = copy.deepcopy(rng.choice(bases))
         for _ in range(rng.randint(1, 3)):
             mutate_document(rng, doc)
         path = _write_json(tmp_path, f"mutated{k}.json", doc)
         mode = rng.choice(("analytic", "oracle", "montecarlo"))
-        verdicts = set()
-        for args in (
-            ["validate", path],
-            ["eval", path],
-            ["normalize", path],
-            ["compile", path],
-            ["simulate", path, "--mode", mode, "--trials", "50"],
-            ["report", path, "--trials", "50"],
-        ):
-            code = main(args)
-            captured = capsys.readouterr()
-            assert code in ((0, 1, 2, 3, 4) if args[0] == "report" else (0, 2, 3, 4)), args
-            if code == 0:
-                assert captured.out, args
-            else:
-                # a failed report check or delivery prints its reason on stdout
-                assert "error:" in captured.err or code in (1, 3) and (
-                    "FAIL" in captured.out or "delivery requirement fails" in captured.out
-                ), (args, captured)
-            codes[code] += 1
-            verdicts.add(
-                "unreadable" if code == 2
-                else "invalid" if "violation: " in captured.out
-                else "valid"
-            )
-        # every subcommand reads and validates the document the same way
-        assert len(verdicts) == 1, (doc, verdicts)
-    # every outcome the mutations should reach is reached
-    assert codes[0] and codes[2] and codes[3], codes
+        _run_six(capsys, path, mode, codes)
+    # every outcome the documents should reach is reached
+    assert codes[0] and codes[2] and codes[3] and codes[4], codes
 
 
 _ALL_SIX = (["validate"], ["eval"], ["normalize"], ["compile"],
@@ -468,6 +476,15 @@ def test_simulate_montecarlo(capsys):
 def test_simulate_bad_inputs(capsys):
     assert main(["simulate", "butterfly", "--inputs", "00"]) == 2
     assert "expected 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["report", "--trials", "0"]])
+def test_empty_inputs_are_refused(capsys, command):
+    # an empty --inputs names no letters; only a missing one means all 00
+    assert main([command[0], "butterfly", "--inputs", "", *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: expected 2 comma-separated letters, got 0\n"
+    assert captured.out == ""
 
 
 def test_report_butterfly(capsys):

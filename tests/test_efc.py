@@ -146,6 +146,14 @@ def test_basis_cloner_matches_brute_force():
             assert total == res.pair_dist[(b1, b2)]
 
 
+@pytest.mark.parametrize("bit", [True, False, 2, -1, 0.5, None])
+def test_cloners_refuse_non_bits(bit):
+    with pytest.raises(ValueError, match="input must be the bit 0 or 1"):
+        efco2_apply(bit, Fraction(1, 2))
+    with pytest.raises(ValueError, match="input must be the bit 0 or 1"):
+        efc2_apply(0.3, bit, 0.5)
+
+
 def test_basis_cloner_accepts_floats():
     res = efco2_apply(1, 0.37)
     assert isinstance(res.output_shrink, float)

@@ -333,11 +333,28 @@ def test_tampered_kernel_is_caught(butterfly_compiled, diamond_compiled):
 def test_compile_verifies_every_kernel(monkeypatch):
     build = qcompiler.build_kernel
 
-    def tamper_one_to_one(op, group):
-        kernel = build(op, group)
+    def tamper_one_to_one(op, a_in, group):
+        kernel = build(op, a_in, group)
         return _tampered(kernel, 2) if op.tag == TRANSFORM_ONE_TO_ONE else kernel
 
     monkeypatch.setattr(qcompiler, "build_kernel", tamper_one_to_one)
     compile_protocol(_chain([HIGH_BIT]))
     with pytest.raises(VerificationError, match="h1"):
         compile_protocol(_chain([HIGH_BIT, SWAP01]))
+
+
+@pytest.mark.parametrize(
+    "op, a_in",
+    [
+        # a one-to-one map claimed at a/2 and a join claimed at ab/8, both
+        # sharper than any measure-and-prepare law can emit
+        (qcompiler.QuantumOp("h", TRANSFORM_ONE_TO_ONE, Fraction(1, 18),
+                             input_alpha=Fraction(1, 9), map=SWAP01), (Fraction(1, 9),)),
+        (qcompiler.QuantumOp("j", JOIN, Fraction(1, 648)), (Fraction(1, 9), Fraction(1, 9))),
+    ],
+    ids=["one-to-one-at-a/2", "join-at-ab/8"],
+)
+def test_unreachable_shrink_is_refused(op, a_in):
+    for group in GroupKind:
+        with pytest.raises(VerificationError, match=f"node {op.node} cannot emit"):
+            qcompiler.build_kernel(op, a_in, group)

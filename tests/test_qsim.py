@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qnc4 import classical_eval, instances, netgraph, qcompiler, qmath, qsim
+from qnc4 import classical_eval, efc, instances, netgraph, qcompiler, qmath, qsim
 from qnc4.errors import SizeError
 from qnc4.instances import HIGH_BIT
 from qnc4.netgraph import GroupKind, LetterMap, constant_map, normalize_to_d3
@@ -516,6 +516,13 @@ _LETTER_ENTRY_POINTS = {
     "mixture_fidelity": lambda comp, x: mixture_fidelity({0: Fraction(1)}, x),
     "guess_fidelities": lambda comp, x: guess_fidelities(x),
     "ShrunkState": lambda comp, x: ShrunkState(x, Fraction(1, 2)),
+    "tetra": lambda comp, x: qmath.tetra(x),
+    "tetra_matrix": lambda comp, x: qmath.tetra_matrix(x),
+    "tetra_vector": lambda comp, x: qmath.tetra_vector(x),
+    "ttr_outcome_weights": lambda comp, x: qmath.ttr_outcome_weights(x),
+    "two_to_one_emission": lambda comp, x: qcompiler.two_to_one_emission(
+        x, HIGH_BIT, Fraction(1, 9)),
+    "efc_pair_distribution": lambda comp, x: efc.efc_pair_distribution(Fraction(1, 9), x),
 }
 
 
