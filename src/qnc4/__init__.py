@@ -55,7 +55,6 @@ from .efc import (
 )
 from .qcompiler import CompiledProtocol, QuantumOp, compile_protocol, two_to_one_emission
 from .qsim import (
-    enumerate_branches,
     estimate_fidelity,
     simulate_analytic,
     simulate_montecarlo,

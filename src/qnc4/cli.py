@@ -73,10 +73,14 @@ def _parse_inputs(raw: str, n: int) -> list:
 
 
 def cmd_validate(args) -> int:
+    if args.list and args.instance:
+        raise SchemaError(f"--list takes no instance, got {args.instance!r}")
     if args.list:
         for name in sorted(instances.BUNDLED):
             print(name)
         return 0
+    if not args.instance:
+        raise SchemaError("an instance is required (or use --list)")
     net, proto, _, _ = load_instance(args.instance)
     res = classical_eval.check_requirement(net, proto)
     if not res.ok:
@@ -312,9 +316,6 @@ def main(argv=None) -> int:
     if level:
         logging.basicConfig(level=getattr(logging, level, logging.INFO))
     args = build_parser().parse_args(argv)
-    if args.func is cmd_validate and not args.list and not args.instance:
-        print("error: an instance is required (or use --list)", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except SchemaError as e:

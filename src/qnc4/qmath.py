@@ -21,6 +21,7 @@ import numpy as np
 from .netgraph import LETTERS, Letter, as_letter
 
 MATRIX_TOL = 1e-12
+STATE_TOL = 1e-9  # allowed error in the norm or trace of an input state
 RANK_TOL = 1e-9
 
 pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -98,20 +99,20 @@ def random_pure_state(rng) -> np.ndarray:
     return state_from_bloch(math.acos(z), phi)
 
 
-def is_density_matrix(rho: np.ndarray, tol: float = MATRIX_TOL) -> bool:
+def is_density_matrix(rho: np.ndarray) -> bool:
     if rho.shape != (2, 2):
         return False
-    if not np.allclose(rho, rho.conj().T, atol=tol):
+    if not np.allclose(rho, rho.conj().T, rtol=0, atol=STATE_TOL):
         return False
-    if abs(np.trace(rho) - 1) > tol:
+    if abs(np.trace(rho) - 1) > STATE_TOL:
         return False
-    return bool(np.linalg.eigvalsh(rho).min() > -tol)
+    return bool(np.linalg.eigvalsh(rho).min() > -STATE_TOL)
 
 
 def fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
     """Overlap of a unit vector with a density matrix: <psi| rho |psi>."""
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > STATE_TOL:
         raise ValueError(f"state vector is not normalized (norm {norm})")
     value = np.vdot(psi, rho @ psi)
     return float(value.real)
@@ -203,11 +204,11 @@ def tetra_povm() -> list[np.ndarray]:
     return [tetra_matrix(z) / 2 for z in LETTERS]
 
 
-def check_povm(elements, tol: float = MATRIX_TOL) -> bool:
+def check_povm(elements) -> bool:
     total = sum(elements)
-    if not np.allclose(total, identity2, atol=tol):
+    if not np.allclose(total, identity2, rtol=0, atol=MATRIX_TOL):
         return False
-    return all(np.linalg.eigvalsh(e).min() > -tol for e in elements)
+    return all(np.linalg.eigvalsh(e).min() > -MATRIX_TOL for e in elements)
 
 
 def linear_independence_rank(states) -> int:

@@ -10,16 +10,14 @@ network once, along the order of `compiled.sweep_plan`, and keeping the
 joint distribution over the currently live edges only, merging histories
 that agree there.  It applies each node's compiled transition kernel
 (`QuantumOp.kernel`) in Python-int arithmetic: weights are integer
-numerators over one running denominator, and become `Fraction`s only when
-a marginal, fork joint or sink mixture is recorded (floats once a source is
-given a state vector or density matrix).  It makes no independence
-assumptions across edges, which is what lets its per-edge marginals serve
-as ground truth.
+numerators over one running denominator, and become `Fraction`s when a
+marginal, fork joint or sink mixture is recorded, or floats throughout when
+any source is given a state vector or density matrix.  It makes no
+independence assumptions across edges, which is what lets its per-edge
+marginals serve as ground truth.
 
 The per-node `Fraction` laws below (`transform_branch_law`,
-`join_branch_law`, `fork_branch_law`) are an independent reference for the
-kernels; `enumerate_branches` uses them to keep the full joint over all
-edges.  It is exponential and only for tiny networks.
+`join_branch_law`) are an independent reference for the kernels.
 `simulate_analytic` skips enumeration entirely and reads sink mixtures off
 the compiled shrink factors.  `simulate_montecarlo` samples trials in
 vectorized chunks with deterministic, chunk-indexed substreams, from the
@@ -43,7 +41,6 @@ from .netgraph import LETTERS, GroupKind, Letter, as_letter
 from .classical_eval import evaluate
 from .qcompiler import (
     FORK_EFC,
-    JOIN,
     SINK_NOOP,
     SOURCE_TTR,
     TRANSFORM_CONSTANT,
@@ -53,12 +50,11 @@ from .qcompiler import (
     QuantumOp,
     two_to_one_emission,
 )
-from . import efc, qmath
+from . import qmath
 from .qmath import ShrunkState
 
 MAX_ORACLE_BRANCHES = 4**10
-MAX_FULL_BRANCHES = 10**6
-STATE_TOL = 1e-9  # allowed error in the norm of a source state
+CHUNK_SIZE = 1 << 16  # Monte Carlo trials per substream
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +74,10 @@ def source_distribution(value) -> dict[Letter, object]:
             if value.shape != (2,):
                 raise ValueError(f"state vector must have 2 entries, got {value.shape}")
             norm = float(np.linalg.norm(value))
-            if not abs(norm - 1) <= STATE_TOL:  # also catches nan
+            if not abs(norm - 1) <= qmath.STATE_TOL:  # also catches nan
                 raise ValueError(f"state vector is not normalized (norm {norm})")
             value = np.outer(value, value.conj())
-        elif not qmath.is_density_matrix(value, tol=STATE_TOL):
+        elif not qmath.is_density_matrix(value):
             raise ValueError("source matrix is not a single-qubit density matrix")
     if isinstance(value, (ShrunkState, np.ndarray)):
         probs = qmath.ttr_probabilities(value)
@@ -112,16 +108,6 @@ def join_branch_law(group: GroupKind, u1: Letter, u2: Letter) -> dict[Letter, Fr
         for x2, t2 in qmath.ttr_outcome_weights(u2).items():
             y = group.add(x1, x2)
             out[y] = out.get(y, Fraction(0)) + t1 * t2
-    return out
-
-
-def fork_branch_law(op: QuantumOp, u: Letter) -> dict[tuple, Fraction]:
-    """Joint distribution of the two letters a fork emits, given the
-    incoming letter."""
-    out: dict[tuple, Fraction] = {}
-    for x, t in qmath.ttr_outcome_weights(u).items():
-        for pair, w in efc.efc_pair_distribution(op.input_alpha, x).items():
-            out[pair] = out.get(pair, Fraction(0)) + t * w
     return out
 
 
@@ -190,33 +176,31 @@ def _sweep_step(dist: dict, in_shifts: tuple, table) -> tuple[dict, list]:
     return new, mass
 
 
-def simulate_oracle(
-    compiled: CompiledProtocol, inputs, max_branches: int = MAX_ORACLE_BRANCHES
-) -> OracleResult:
+def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
     """Exact distribution sweep; ground truth for the other two modes.
 
     Tracks the joint distribution of letters on live edges (created, not
     yet consumed), so memory scales with 4^(frontier width), not network
     size.  Walks `compiled.sweep_plan`, which orders the nodes to keep that
     width small.  Weights are Python-int numerators over one running
-    denominator, multiplied by each node's kernel denominator.  Values are
-    floats at every node that follows a vector or density-matrix source in
-    `compiled.order`.  Raises SizeError, before sweeping, when the plan's
-    peak of 4^(live edges) exceeds max_branches; Monte Carlo still works
+    denominator, multiplied by each node's kernel denominator.  Every value
+    is a Fraction when every input is exact (a letter or a ShrunkState), and
+    a float when any source is given a state vector or density matrix.
+    Raises SizeError, before sweeping, when the plan's peak of
+    4^(live edges) exceeds MAX_ORACLE_BRANCHES; Monte Carlo still works
     there.
     """
     plan = compiled.sweep_plan
     laws = _resolve_inputs(compiled, inputs)
     source_kernels = {s: _source_kernel(law) for s, law in laws.items()}
-    if plan.predicted_branches > max_branches:
+    if plan.predicted_branches > MAX_ORACLE_BRANCHES:
         raise SizeError(
             f"oracle frontier at node {plan.peak_node} could reach "
-            f"{plan.predicted_branches} branches, over the limit of {max_branches}; "
+            f"{plan.predicted_branches} branches, over the limit of {MAX_ORACLE_BRANCHES}; "
             "use Monte Carlo for this network"
         )
-    vectors = [compiled.order.index(s) for s, law in laws.items()
-               if any(isinstance(w, float) for w in law.values())]
-    floats = set(compiled.order[min(vectors):]) if vectors else set()
+    floats = any(isinstance(w, float) for law in laws.values() for w in law.values())
+    as_value = truediv if floats else Fraction
 
     dist: dict[int, int] = {0: 1}
     den = 1
@@ -225,7 +209,6 @@ def simulate_oracle(
     sink_mixtures: dict[str, dict] = {}
     for step in plan.steps:
         op = step.op
-        as_value = truediv if op.node in floats else Fraction
         if op.tag == SOURCE_TTR:
             kernel = source_kernels[op.node]
             table = [[(z << step.in_shifts[0], n) for (z,), n in kernel.rows[0]]]
@@ -249,55 +232,6 @@ def simulate_oracle(
         if op.tag == FORK_EFC:
             fork_joints[op.node] = {pair: as_value(n, den) for pair, n in joint.items()}
     return OracleResult(compiled, marginals, fork_joints, sink_mixtures)
-
-
-def enumerate_branches(
-    compiled: CompiledProtocol, inputs, max_branches: int = MAX_FULL_BRANCHES
-) -> dict[tuple, object]:
-    """Full joint distribution over all edge letters, keyed by edge index.
-
-    Exponential in the edge count; use only on tiny networks, as a
-    cross-check of the live-edge sweep.
-    """
-    net = compiled.d3.network
-    laws = _resolve_inputs(compiled, inputs)
-    group = compiled.d3.group
-    seen: list[int] = []  # edge ids in creation order
-    dist: dict[tuple, object] = {(): Fraction(1)}
-    for v in compiled.order:
-        op = compiled.ops[v]
-        in_pos = [seen.index(e) for e in net.in_edges(v)]
-        out_edges = net.out_edges(v)
-        if len(dist) * 16 > max_branches:
-            raise SizeError(f"branch count would exceed {max_branches}")
-        new_dist: dict[tuple, object] = {}
-        for key, p in dist.items():
-            if op.tag == SOURCE_TTR:
-                law = [((z,), w) for z, w in laws[v].items()]
-            elif op.tag == JOIN:
-                law = [
-                    ((y,), w)
-                    for y, w in join_branch_law(
-                        group, key[in_pos[0]], key[in_pos[1]]
-                    ).items()
-                ]
-            elif op.tag == FORK_EFC:
-                law = list(fork_branch_law(op, key[in_pos[0]]).items())
-            elif op.tag == SINK_NOOP:
-                law = [((), Fraction(1))]
-            else:
-                law = [
-                    ((y,), w)
-                    for y, w in transform_branch_law(op, key[in_pos[0]]).items()
-                ]
-            for out_letters, w in law:
-                nk = key + out_letters
-                q = p * w
-                new_dist[nk] = new_dist.get(nk, Fraction(0)) + q
-        dist = new_dist
-        seen.extend(out_edges)
-    reorder = [seen.index(e) for e in range(len(net.edges))]
-    return {tuple(key[i] for i in reorder): p for key, p in dist.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +334,7 @@ def alias_table(kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def simulate_montecarlo(
-    compiled: CompiledProtocol,
-    inputs,
-    trials: int,
-    seed: int = 0,
-    chunk_size: int = 1 << 16,
+    compiled: CompiledProtocol, inputs, trials: int, seed: int = 0
 ) -> MonteCarloResult:
     """Sample full protocol runs and tally the letters reaching each sink.
 
@@ -412,12 +342,11 @@ def simulate_montecarlo(
     compiled kernel (a source from its input's law): one uniform picks the
     slot and decides between it and its alias.  Edge letters are uint8
     arrays, freed as soon as their consumer has read them.  Trials are
-    processed in chunks; chunk c uses the substream spawned from (seed, c),
-    so a given (seed, chunk_size) pair reproduces exactly.
+    processed in chunks of CHUNK_SIZE; chunk c uses the substream spawned
+    from (seed, c), so a seed reproduces its counts exactly.
     """
-    for name, value in (("trials", trials), ("chunk_size", chunk_size)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value <= 0:
-            raise ValueError(f"{name} must be a positive int, got {value!r}")
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials <= 0:
+        raise ValueError(f"trials must be a positive int, got {trials!r}")
     net = compiled.d3.network
     laws = _resolve_inputs(compiled, inputs)
     tables: dict[Kernel, tuple] = {}  # nodes with equal laws share a kernel
@@ -434,9 +363,9 @@ def simulate_montecarlo(
         steps.append((v, net.in_edges(v), net.out_edges(v), table))
 
     counts = {t: np.zeros(4, dtype=np.int64) for t in net.sink_ids}
-    n_chunks = (trials + chunk_size - 1) // chunk_size
+    n_chunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
     for c in range(n_chunks):
-        n = min(chunk_size, trials - c * chunk_size)
+        n = min(CHUNK_SIZE, trials - c * CHUNK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
         letters: dict[int, np.ndarray] = {}
         for v, in_edges, out_edges, table in steps:

@@ -63,6 +63,13 @@ def test_validate_needs_instance(capsys):
     assert "required" in capsys.readouterr().err
 
 
+def test_validate_list_refuses_an_instance(capsys):
+    assert main(["validate", "--list", "butterfly"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--list" in captured.err and "'butterfly'" in captured.err
+
+
 def test_unknown_instance(capsys):
     assert main(["validate", "no-such-instance"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -350,7 +357,8 @@ def test_compile_validates_each_normal_form_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_eval_too_many_sources(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["validate", "eval"])
+def test_eval_too_many_sources(tmp_path, capsys, command):
     n = 9
     nodes = [(f"s{i}", "source") for i in range(n)] + [("t", "sink")]
     edges = [(f"s{i}", "t") for i in range(n)]
@@ -360,8 +368,9 @@ def test_eval_too_many_sources(tmp_path, capsys):
     )
     net = make_network(nodes, edges, {"t": "s0"})
     path = _write_json(tmp_path, "wide.json", netgraph.instance_to_json(net, proto))
-    assert main(["eval", path]) == 4
-    assert "error:" in capsys.readouterr().err
+    assert main([command, path]) == 4
+    err = capsys.readouterr().err
+    assert "needs 4**9 rows; refusing beyond 8 sources" in err
 
 
 def test_normalize_butterfly(capsys):

@@ -31,9 +31,10 @@ from qnc4.qcompiler import (
     two_to_one_emission,
 )
 from qnc4.qmath import ShrunkState
-from qnc4.qsim import fork_branch_law, join_branch_law, transform_branch_law
+from qnc4.qsim import join_branch_law, transform_branch_law
 
 from _generators import random_d3_instance, random_two_to_one_map
+from _reference import fork_branch_law
 
 
 def _chain(maps, group=GroupKind.Z2xZ2) -> D3Network:

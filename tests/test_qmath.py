@@ -63,6 +63,14 @@ def test_tetra_states_sum_to_twice_identity():
     assert qmath.check_povm(tetra_povm())
 
 
+def test_matrix_checks_hold_their_absolute_tolerance():
+    # np.allclose's default relative tolerance of 1e-5 would let both pass
+    assert not qmath.check_povm([identity2 * (1 + 4e-6)])
+    skew = np.array([[0.6, 0.2], [0.2 + 2e-6, 0.4]])
+    assert not qmath.is_density_matrix(skew)
+    assert qmath.is_density_matrix((skew + skew.T) / 2)
+
+
 def test_measurement_statistics_on_own_states():
     for z in range(4):
         probs = ttr_probabilities(tetra_matrix(z))

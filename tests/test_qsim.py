@@ -15,9 +15,7 @@ from qnc4.qmath import ShrunkState
 from qnc4.qsim import (
     alias_table,
     chi_square_statistic,
-    enumerate_branches,
     estimate_fidelity,
-    fork_branch_law,
     guess_fidelities,
     join_branch_law,
     mixture_fidelity,
@@ -28,7 +26,9 @@ from qnc4.qsim import (
     transform_branch_law,
 )
 
+import _reference
 from _generators import diamond_chain, random_d3_instance
+from _reference import enumerate_branches, fork_branch_law
 
 SWAP01 = LetterMap((1, 0, 2, 3))
 
@@ -170,20 +170,23 @@ def test_oracle_accepts_shrunk_and_vector_inputs(single_compiled):
     assert qmath.is_density_matrix(rho)
 
 
+def _oracle_values(res) -> list:
+    groups = (res.edge_marginals, res.fork_joints, res.sink_mixtures)
+    return [p for group in groups for law in group.values() for p in law.values()]
+
+
 def test_oracle_result_types(butterfly_compiled):
-    # exact inputs give Fractions; a state-vector source turns every value
-    # recorded after it into a float
+    # exact inputs give Fractions; a state-vector source, wherever it sits,
+    # makes every value a float, edges it does not feed included
     res = simulate_oracle(butterfly_compiled, [ShrunkState(1, Fraction(1, 3)), 2])
-    values = [p for m in res.edge_marginals.values() for p in m.values()]
-    values += [p for m in res.sink_mixtures.values() for p in m.values()]
+    values = _oracle_values(res)
     assert values and all(type(p) is Fraction for p in values)
-    res = simulate_oracle(butterfly_compiled, [np.array([0.6, 0.8]), 2])
-    net = butterfly_compiled.d3.network
-    for e in net.out_edges("s1"):
-        assert all(type(p) is float for p in res.edge_marginals[e].values())
-    for mix in res.sink_mixtures.values():
-        assert all(type(p) is float for p in mix.values())
-        assert abs(sum(mix.values()) - 1) < 1e-12
+    for inputs in ([np.array([0.6, 0.8]), 2], [2, np.array([0.6, 0.8])]):
+        res = simulate_oracle(butterfly_compiled, inputs)
+        values = _oracle_values(res)
+        assert values and all(type(p) is float for p in values)
+        for mix in res.sink_mixtures.values():
+            assert abs(sum(mix.values()) - 1) < 1e-12
 
 
 def test_oracle_matches_analytic_on_butterfly(butterfly_compiled):
@@ -233,18 +236,22 @@ def test_float_sweep_is_order_independent(butterfly_compiled, monkeypatch):
             assert got[e] == {z: float(p) for z, p in exact[e].items()}
 
 
-def test_size_guards(diamond_compiled):
+def test_size_guards(diamond_compiled, monkeypatch):
+    monkeypatch.setattr(qsim, "MAX_ORACLE_BRANCHES", 10)
+    monkeypatch.setattr(_reference, "MAX_FULL_BRANCHES", 10)
     with pytest.raises(SizeError):
-        simulate_oracle(diamond_compiled, [0], max_branches=10)
+        simulate_oracle(diamond_compiled, [0])
     with pytest.raises(SizeError):
-        enumerate_branches(diamond_compiled, [0], max_branches=10)
+        enumerate_branches(diamond_compiled, [0])
 
 
-def test_size_error_names_node_and_branches(diamond_compiled):
+def test_size_error_names_node_and_branches(diamond_compiled, monkeypatch):
     # two edges are live after the fork d, so the sweep can hold 4^2 keys
+    monkeypatch.setattr(qsim, "MAX_ORACLE_BRANCHES", 15)
     with pytest.raises(SizeError, match=r"at node d could reach 16 branches"):
-        simulate_oracle(diamond_compiled, [0], max_branches=15)
-    simulate_oracle(diamond_compiled, [0], max_branches=16)
+        simulate_oracle(diamond_compiled, [0])
+    monkeypatch.setattr(qsim, "MAX_ORACLE_BRANCHES", 16)
+    simulate_oracle(diamond_compiled, [0])
 
 
 @pytest.mark.parametrize(
@@ -315,14 +322,15 @@ def test_plan_is_never_wider_than_listing_order():
     assert narrower
 
 
-def test_plan_sweeps_disjoint_diamonds_one_at_a_time(diamond_compiled):
+def test_plan_sweeps_disjoint_diamonds_one_at_a_time(diamond_compiled, monkeypatch):
+    monkeypatch.setattr(qsim, "MAX_ORACLE_BRANCHES", 16)
     d3 = _disjoint_copies(diamond_compiled.d3, 3)
     comp = compile_protocol(d3)
     net = d3.network
     assert _peak_live(net, comp.order) == 6
     assert comp.sweep_plan.peak_live == 2
     for inputs in ((0, 1, 2), (3, 3, 1)):
-        oracle = simulate_oracle(comp, list(inputs), max_branches=16)
+        oracle = simulate_oracle(comp, list(inputs))
         assert oracle.sink_mixtures == simulate_analytic(comp, inputs).sink_mixtures
         letters = classical_eval.edge_values(d3, None, list(inputs))
         for e in range(len(net.edges)):
@@ -386,6 +394,15 @@ def test_montecarlo_reproducible(diamond_compiled):
     assert abs(a.sink_probs("t").sum() - 1) < 1e-12
 
 
+def test_montecarlo_stream_is_pinned_across_chunks(diamond_compiled):
+    # 70,000 trials span two chunks; the counts pin both chunks' substreams
+    assert qsim.CHUNK_SIZE < 70_000 <= 2 * qsim.CHUNK_SIZE
+    mc = simulate_montecarlo(diamond_compiled, [2], trials=70_000, seed=5)
+    assert {t: c.tolist() for t, c in mc.sink_counts.items()} == {
+        "t": [17443, 17694, 17480, 17383]
+    }
+
+
 def test_montecarlo_tracks_oracle(diamond_compiled):
     trials = 200000
     mc = simulate_montecarlo(diamond_compiled, [1], trials=trials, seed=11)
@@ -410,8 +427,6 @@ def test_montecarlo_rejects_bad_trials(diamond_compiled):
     for bad in (True, 10.0, 0, -5):
         with pytest.raises(ValueError, match="trials must be a positive int"):
             simulate_montecarlo(diamond_compiled, [0], trials=bad)
-        with pytest.raises(ValueError, match="chunk_size must be a positive int"):
-            simulate_montecarlo(diamond_compiled, [0], trials=10, chunk_size=bad)
     assert simulate_montecarlo(diamond_compiled, [0], trials=np.int64(10)).trials == 10
 
 
