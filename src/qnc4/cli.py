@@ -185,6 +185,7 @@ def cmd_simulate(args) -> int:
             for v in compiled.order
             if v in res.fork_joints
         }
+        doc["largest_factor"] = res.largest_factor
     else:
         res = qsim.simulate_montecarlo(compiled, letters, args.trials, seed=args.seed)
         doc["trials"] = args.trials

@@ -31,17 +31,19 @@ such vectors.  A mismatch raises VerificationError, so a compiled protocol
 only exists if each of its node laws lands on the bookkeeping above.
 
 The exact sweep's plan (`CompiledProtocol.sweep_plan`, built by
-`plan_sweep` on first use, not by `compile_protocol`) fixes everything the
-sweep does that does not depend on the inputs: a node order that keeps few
-edges live (`sweep_order`), the bit field of each live edge, every node's
-kernel packed into those fields, and the live-edge count after each node.
+`plan_sweep` on first use, not by `compile_protocol`) holds what the sweep
+needs that does not depend on the inputs: a node order that keeps few
+edges live (`sweep_order`), each node's op with the edges it consumes and
+creates, and the peak live-edge count.  The sweep keeps its live edges'
+joint law as a product of factors, so 4^(peak live edges) only bounds the
+size of its largest factor from above.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import count, product
+from itertools import product
 from math import gcd, prod
 
 from .errors import SizeError, VerificationError
@@ -128,28 +130,17 @@ class QuantumOp:
 
 @dataclass(frozen=True)
 class SweepStep:
-    """One node of the exact sweep, with all of its work that does not
-    depend on the inputs.
-
-    The sweep keys its distribution over live edges by packing each live
-    edge's letter into a 2-bit field.  in_shifts are the fields the node
-    reads (for a source, its own still clear output field, read as input
-    index 0) and out_shifts the fields of its out_edges.  table[i] lists
-    (output field bits, numerator) for input index i, from op.kernel; it is
-    None for a source, whose law is its input.
-    """
+    """One node of the exact sweep: its op, the edges it consumes and the
+    edges it creates."""
 
     op: QuantumOp
-    in_shifts: tuple[int, ...]
+    in_edges: tuple[int, ...]
     out_edges: tuple[int, ...]
-    out_shifts: tuple[int, ...]
-    table: tuple | None
-    live: int  # live edges after this node
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """The exact sweep's steps in sweep order, and its width profile's
+    """The exact sweep's steps in sweep order, and its live-edge count's
     peak: the first node after which peak_live edges are live."""
 
     steps: tuple[SweepStep, ...]
@@ -158,7 +149,8 @@ class SweepPlan:
 
     @property
     def predicted_branches(self) -> int:
-        """Upper bound on the keys of the sweep's distribution: 4^peak_live."""
+        """Upper bound on the keys of any factor the sweep builds:
+        4^peak_live, since a factor holds live edges only."""
         return 4**self.peak_live
 
 
@@ -397,9 +389,9 @@ def sweep_order(compiled: CompiledProtocol) -> tuple[str, ...]:
     edges (out-degree minus in-degree), on ties one that consumes edges
     before a source, then the deeper node, then the lower id.  Falls back
     to compiled.order where that order has a lower sum of 4^(live edges),
-    the sweep's cost.  Choosing the order is the contraction-ordering
-    problem of tensor networks (Markov and Shi, SIAM J. Comput. 38(3),
-    2008); a greedy order is enough here.
+    a bound on the sweep's cost.  Choosing the order is the
+    contraction-ordering problem of tensor networks (Markov and Shi, SIAM
+    J. Comput. 38(3), 2008); a greedy order is enough here.
     """
     net = compiled.d3.network
 
@@ -430,35 +422,19 @@ def sweep_order(compiled: CompiledProtocol) -> tuple[str, ...]:
     return min((tuple(greedy), compiled.order), key=cost)
 
 
-# a sink passes its letter's mass into its mixture and emits nothing
-_SINK_TABLE = (((0, 1),),) * 4
-
-
 def plan_sweep(compiled: CompiledProtocol) -> SweepPlan:
-    """Lay out the exact sweep along sweep_order: give each live edge the
-    lowest free 2-bit field and pack every kernel into those fields."""
+    """The exact sweep's steps along sweep_order, and the peak of the
+    live-edge count."""
     net = compiled.d3.network
-    offset: dict[int, int] = {}  # live edge -> shift of its field
     steps = []
+    live, peak_live, peak_node = 0, -1, ""
     for v in sweep_order(compiled):
-        op = compiled.ops[v]
-        in_shifts = tuple(offset.pop(e) for e in net.in_edges(v))
-        taken = set(offset.values())
-        out_edges = tuple(net.out_edges(v))
-        offset.update(zip(out_edges, (b for b in count(0, 2) if b not in taken)))
-        out_shifts = tuple(offset[e] for e in out_edges)
-        if op.tag == SOURCE_TTR:
-            in_shifts, table = out_shifts, None
-        elif op.tag == SINK_NOOP:
-            table = _SINK_TABLE
-        else:
-            table = tuple(
-                tuple((sum(y << sh for y, sh in zip(out, out_shifts)), n) for out, n in row)
-                for row in op.kernel.rows
-            )
-        steps.append(SweepStep(op, in_shifts, out_edges, out_shifts, table, len(offset)))
-    peak = max(steps, key=lambda step: step.live)
-    return SweepPlan(tuple(steps), peak.op.node, peak.live)
+        ins, outs = tuple(net.in_edges(v)), tuple(net.out_edges(v))
+        steps.append(SweepStep(compiled.ops[v], ins, outs))
+        live += len(outs) - len(ins)
+        if live > peak_live:
+            peak_live, peak_node = live, v
+    return SweepPlan(tuple(steps), peak_node, peak_live)
 
 
 def protocol_to_json(compiled: CompiledProtocol) -> dict:

@@ -8,13 +8,16 @@ distribution over letter assignments to edges.
 `simulate_oracle` computes that distribution exactly by sweeping the
 network once, along the order of `compiled.sweep_plan`, and keeping the
 joint distribution over the currently live edges only, merging histories
-that agree there.  It applies each node's compiled transition kernel
-(`QuantumOp.kernel`) in Python-int arithmetic: weights are integer
-numerators over one running denominator, and become `Fraction`s when a
-marginal, fork joint or sink mixture is recorded, or floats throughout when
-any source is given a state vector or density matrix.  It makes no
-independence assumptions across edges, which is what lets its per-edge
-marginals serve as ground truth.
+that agree there.  It keeps that joint as a product of factors, each an
+integer table over some live edges and its total: a node merges the
+factors that hold its inputs and applies its compiled transition kernel
+(`QuantumOp.kernel`) in Python-int arithmetic, then splits off every edge
+that an exact integer test proves independent of the rest of its factor,
+and cancels each factor's gcd.  Values become `Fraction`s when a marginal,
+fork joint or sink mixture is recorded, or floats throughout when any
+source is given a state vector or density matrix.  It assumes nothing
+about independence across edges: every split is proven, which is what
+lets its per-edge marginals serve as ground truth.
 
 The per-node `Fraction` laws below (`transform_branch_law`,
 `join_branch_law`) are an independent reference for the kernels.
@@ -31,8 +34,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import truediv
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,15 +124,20 @@ def _resolve_inputs(compiled: CompiledProtocol, inputs) -> dict[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# exact sweep over the live-edge joint distribution
+# exact sweep over a product of factors of the live-edge joint distribution
 
 
 @dataclass
 class OracleResult:
+    """Every edge's letter marginal, every fork's joint over its two
+    outputs and every sink's letter mixture; largest_factor is the most
+    live edges any factor of the sweep held, counted before splitting."""
+
     compiled: CompiledProtocol
     edge_marginals: dict[int, dict[Letter, object]]
     fork_joints: dict[str, dict[tuple, object]]
     sink_mixtures: dict[str, dict[Letter, object]]
+    largest_factor: int
 
     def sink_state(self, sink: str) -> np.ndarray:
         return qmath.mixture_matrix(self.sink_mixtures[sink])
@@ -145,93 +154,166 @@ def _source_kernel(law: dict) -> Kernel:
     return Kernel(sum(n for _, n in row), (row,))
 
 
-def _sweep_step(dist: dict, in_shifts: tuple, table) -> tuple[dict, list]:
-    """Apply one node to the live-edge distribution.
+class _Factor(NamedTuple):
+    """The joint law of some live edges: integer numerators keyed by the
+    edges' letters, in the order of `edges`, over their sum `total`."""
 
-    Keys pack the letter of each live edge into its 2-bit field; table[i]
-    lists (output field bits, numerator) for input index i.  Returns the new
-    distribution, with the node's input fields cleared, and the mass that
-    entered each input index.
+    edges: tuple[int, ...]
+    table: dict[tuple, int]
+    total: int
+
+
+def _cancelled(edges: tuple, table: dict, total: int) -> _Factor:
+    """A factor with the gcd of its numerators and its total cancelled."""
+    g = gcd(total, *table.values())
+    if g > 1:
+        table = {key: n // g for key, n in table.items()}
+    return _Factor(edges, table, total // g)
+
+
+def _split(edges: tuple, table: dict, total: int) -> list[_Factor]:
+    """The factor over edges, with every edge that is proven independent of
+    the others split off into a factor of its own.
+
+    Edge j splits off when its marginal P(e) and the others' marginal
+    P(rest) have supports whose sizes multiply to the table's, and
+    P(e, rest) * total == P(e) * P(rest) on every key: the table is then
+    exactly their product.  An edge that fails stays dependent on the
+    others whatever splits off after it, so one pass finds them all.
     """
-    new: dict = defaultdict(int)
-    mass = [0] * len(table)
-    if len(in_shifts) == 1:
-        sh = in_shifts[0]
-        keep = ~(3 << sh)
-        for key, p in dist.items():
-            i = key >> sh & 3
-            mass[i] += p
-            base = key & keep
-            for bits, n in table[i]:
-                new[base | bits] += p * n
-    else:
-        sh1, sh2 = in_shifts
-        keep = ~(3 << sh1 | 3 << sh2)
-        for key, p in dist.items():
-            i = (key >> sh1 & 3) << 2 | key >> sh2 & 3
-            mass[i] += p
-            base = key & keep
-            for bits, n in table[i]:
-                new[base | bits] += p * n
-    return new, mass
+    factors = []
+    j = 0
+    while len(edges) > 1 and j < len(edges):
+        own: dict = defaultdict(int)
+        rest: dict = defaultdict(int)
+        for key, n in table.items():
+            own[key[j]] += n
+            rest[key[:j] + key[j + 1:]] += n
+        if len(own) * len(rest) == len(table) and all(
+            n * total == own[key[j]] * rest[key[:j] + key[j + 1:]]
+            for key, n in table.items()
+        ):
+            factors.append(_cancelled((edges[j],), {(z,): n for z, n in own.items()}, total))
+            edges, table = edges[:j] + edges[j + 1:], dict(rest)
+        else:
+            j += 1
+    factors.append(_cancelled(edges, table, total))
+    return factors
+
+
+def _input_mass(held: list[_Factor], ins: tuple, rest: tuple) -> tuple[dict, int]:
+    """The merged law of the factors that hold a node's input edges, as the
+    mass of each input index (the letter u, or 4 * u1 + u2 for a join; 0
+    for a source, which holds nothing) by the letters of the rest edges,
+    and its total."""
+    if all(len(f.edges) == 1 for f in held):  # each holds one input only
+        mass, total = [1], 1
+        for f in held:
+            mass = [m * f.table.get((z,), 0) for m in mass for z in LETTERS]
+            total *= f.total
+        return {(): mass}, total
+    edges, table, total = (), {(): 1}, 1
+    for f in held:
+        edges += f.edges
+        table = {ka + kb: pa * pb for ka, pa in table.items() for kb, pb in f.table.items()}
+        total *= f.total
+    pos = [edges.index(e) for e in ins]
+    keep = [edges.index(e) for e in rest]
+    parts: dict = defaultdict(lambda: [0] * 4 ** len(ins))
+    for key, p in table.items():
+        i = key[pos[0]] if len(pos) == 1 else key[pos[0]] << 2 | key[pos[1]]
+        parts[tuple(key[j] for j in keep)][i] += p
+    return parts, total
 
 
 def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
     """Exact distribution sweep; ground truth for the other two modes.
 
-    Tracks the joint distribution of letters on live edges (created, not
-    yet consumed), so memory scales with 4^(frontier width), not network
-    size.  Walks `compiled.sweep_plan`, which orders the nodes to keep that
-    width small.  Weights are Python-int numerators over one running
-    denominator, multiplied by each node's kernel denominator.  Every value
-    is a Fraction when every input is exact (a letter or a ShrunkState), and
-    a float when any source is given a state vector or density matrix.
-    Raises SizeError, before sweeping, when the plan's peak of
-    4^(live edges) exceeds MAX_ORACLE_BRANCHES; Monte Carlo still works
-    there.
+    Walks `compiled.sweep_plan` and keeps the joint law of the letters on
+    the live edges (created, not yet consumed) as a product of factors,
+    each an integer table over a few live edges and its total.  A node
+    merges the factors that hold its inputs and applies its kernel; the
+    new factor then splits wherever `_split` proves an edge independent of
+    the rest, and every factor's gcd is cancelled.  Nothing about
+    independence is assumed: with letter inputs every factor splits down
+    to single edges after each node, while a vector source can keep
+    factors merged.  Cost follows the largest factor, not the number of
+    live edges.
+
+    Every value is a Fraction when every input is exact (a letter or a
+    ShrunkState), and a float when any source is given a state vector or
+    density matrix.  Raises SizeError, naming the node, when a factor
+    about to be built could pass MAX_ORACLE_BRANCHES keys (4^(its edges));
+    Monte Carlo still works there.
     """
-    plan = compiled.sweep_plan
     laws = _resolve_inputs(compiled, inputs)
-    source_kernels = {s: _source_kernel(law) for s, law in laws.items()}
-    if plan.predicted_branches > MAX_ORACLE_BRANCHES:
-        raise SizeError(
-            f"oracle frontier at node {plan.peak_node} could reach "
-            f"{plan.predicted_branches} branches, over the limit of {MAX_ORACLE_BRANCHES}; "
-            "use Monte Carlo for this network"
-        )
     floats = any(isinstance(w, float) for law in laws.values() for w in law.values())
     as_value = truediv if floats else Fraction
 
-    dist: dict[int, int] = {0: 1}
-    den = 1
+    holder: dict[int, _Factor] = {}  # live edge -> the factor holding it
+    largest = 0
     marginals: dict[int, dict] = {}
     fork_joints: dict[str, dict] = {}
     sink_mixtures: dict[str, dict] = {}
-    for step in plan.steps:
-        op = step.op
-        if op.tag == SOURCE_TTR:
-            kernel = source_kernels[op.node]
-            table = [[(z << step.in_shifts[0], n) for (z,), n in kernel.rows[0]]]
-        else:
-            kernel, table = op.kernel, step.table
-        dist, mass = _sweep_step(dist, step.in_shifts, table)
+    for step in compiled.sweep_plan.steps:
+        op, ins, outs = step.op, step.in_edges, step.out_edges
+        held: list[_Factor] = []
+        for e in ins:
+            f = holder.pop(e)
+            if not any(f is g for g in held):
+                held.append(f)
+        rest = tuple(e for f in held for e in f.edges if e not in ins)
+        width = len(rest) + max(len(ins), len(outs))
+        if 4**width > MAX_ORACLE_BRANCHES:
+            raise SizeError(
+                f"oracle frontier at node {op.node} could reach {4**width} branches, "
+                f"over the limit of {MAX_ORACLE_BRANCHES}; use Monte Carlo for this network"
+            )
+        largest = max(largest, width)
+        parts, total = _input_mass(held, ins, rest)
         if op.tag == SINK_NOOP:
-            sink_mixtures[op.node] = {u: as_value(m, den) for u, m in enumerate(mass) if m}
-            continue
-        den *= kernel.den
-        joint: dict = defaultdict(int)
-        for m, row in zip(mass, kernel.rows):
-            if m:
-                for out, n in row:
-                    joint[out] += m * n
-        for j, e in enumerate(step.out_edges):
-            marg: dict = defaultdict(int)
-            for out, n in joint.items():
-                marg[out[j]] += n
-            marginals[e] = {z: as_value(n, den) for z, n in marg.items()}
-        if op.tag == FORK_EFC:
-            fork_joints[op.node] = {pair: as_value(n, den) for pair, n in joint.items()}
-    return OracleResult(compiled, marginals, fork_joints, sink_mixtures)
+            mass = [sum(col) for col in zip(*parts.values())]
+            sink_mixtures[op.node] = {u: as_value(m, total) for u, m in enumerate(mass) if m}
+            if not rest:
+                continue
+            factors = _split(rest, {r: sum(ms) for r, ms in parts.items()}, total)
+        else:
+            kernel = _source_kernel(laws[op.node]) if op.tag == SOURCE_TTR else op.kernel
+            den = total * kernel.den
+            table: dict = defaultdict(int)
+            for r, ms in parts.items():
+                for m, row in zip(ms, kernel.rows):
+                    if m:
+                        for out, n in row:
+                            table[r + out] += m * n
+            joint = table  # the law of the node's outputs
+            if rest:
+                joint = defaultdict(int)
+                for key, n in table.items():
+                    joint[key[len(rest):]] += n
+            margs = []
+            for j, e in enumerate(outs):
+                marg: dict = defaultdict(int)
+                for out, n in joint.items():
+                    marg[out[j]] += n
+                marginals[e] = {z: as_value(n, den) for z, n in marg.items()}
+                margs.append(marg)
+            if op.tag == FORK_EFC:
+                fork_joints[op.node] = {pair: as_value(n, den) for pair, n in joint.items()}
+            # a fork alone in its factor: _split's test on the marginals just made
+            if not rest and len(outs) == 2 and len(margs[0]) * len(margs[1]) == len(joint) and all(
+                n * den == margs[0][a] * margs[1][b] for (a, b), n in joint.items()
+            ):
+                factors = [
+                    _cancelled((e,), {(z,): n for z, n in marg.items()}, den)
+                    for e, marg in zip(outs, margs)
+                ]
+            else:
+                factors = _split(rest + outs, table, den)
+        for f in factors:
+            for e in f.edges:
+                holder[e] = f
+    return OracleResult(compiled, marginals, fork_joints, sink_mixtures, largest)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,44 @@ def diamond_chain(d: int, fork: bool = False) -> D3Network:
     return D3Network(net, roles, maps, GroupKind.Z2xZ2)
 
 
+def grown_d3(rng: random.Random, sources: int, steps: int) -> D3Network:
+    """A wide random normal-form network: `steps` nodes grown on `sources`
+    sources, about 40% forks, 40% joins and 20% transforms, each on random
+    open edges, then one sink per open edge.
+
+    Forks and joins in equal measure keep many edges open at once, so the
+    sweep plan's peak live-edge count is high.  The delivery requirement is
+    random and usually not satisfied, which these instances do not need.
+    """
+    group = rng.choice([GroupKind.Z4, GroupKind.Z2xZ2])
+    nodes = [(f"s{i}", "source") for i in range(sources)]
+    roles = {f"s{i}": "source" for i in range(sources)}
+    transforms: dict[str, LetterMap] = {}
+    edges: list[tuple[str, str]] = []
+    open_producers = [f"s{i}" for i in range(sources)]
+    for k in range(steps):
+        vid = f"v{k}"
+        r = rng.random()
+        if r < 0.4:
+            role = "fork"
+        else:
+            role = "join" if r < 0.8 and len(open_producers) > 1 else "transform"
+        for _ in range(2 if role == "join" else 1):
+            edges.append((open_producers.pop(rng.randrange(len(open_producers))), vid))
+        nodes.append((vid, "internal"))
+        roles[vid] = role
+        if role == "transform":
+            transforms[vid] = random_letter_map(rng, allow_identity=True)
+        open_producers += [vid] * (2 if role == "fork" else 1)
+    requirements = {}
+    for i, u in enumerate(open_producers):
+        nodes.append((f"t{i}", "sink"))
+        roles[f"t{i}"] = "sink"
+        edges.append((u, f"t{i}"))
+        requirements[f"t{i}"] = f"s{rng.randrange(sources)}"
+    return D3Network(make_network(nodes, edges, requirements), roles, transforms, group)
+
+
 def _grow_d3(rng: random.Random, max_nodes: int, max_sources: int) -> D3Network:
     n_src = rng.randint(1, max_sources)
     group = rng.choice([GroupKind.Z4, GroupKind.Z2xZ2])

@@ -448,6 +448,15 @@ def test_simulate_oracle_diamond(capsys):
     )
 
 
+def test_simulate_oracle_prints_largest_factor(capsys):
+    # the plan's bound is 4 live edges; with letter inputs no factor of the
+    # sweep holds more than a fork's or a join's 2
+    assert main(["compile", "butterfly"]) == 0
+    assert json.loads(capsys.readouterr().out)["sweep"]["peak_live"] == 4
+    assert main(["simulate", "butterfly", "--mode", "oracle", "--inputs", "01,10"]) == 0
+    assert json.loads(capsys.readouterr().out)["largest_factor"] == 2
+
+
 def test_simulate_oracle_lists_forks_in_listing_order(tmp_path, capsys):
     # the sweep takes fork f0, behind transform x0, before fork f1; the
     # output lists forks by (depth, id) all the same

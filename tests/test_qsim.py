@@ -27,7 +27,7 @@ from qnc4.qsim import (
 )
 
 import _reference
-from _generators import diamond_chain, random_d3_instance
+from _generators import diamond_chain, grown_d3, random_d3_instance
 from _reference import enumerate_branches, fork_branch_law
 
 SWAP01 = LetterMap((1, 0, 2, 3))
@@ -114,6 +114,15 @@ def test_fork_law_marginals(butterfly_compiled):
 # exact modes against each other
 
 
+def _full_marginal(full: dict, edges) -> dict:
+    """The law of the letters on edges, from the full joint over all edges."""
+    out: dict = {}
+    for key, p in full.items():
+        sub = tuple(key[e] for e in edges)
+        out[sub] = out.get(sub, 0) + p
+    return out
+
+
 def _assert_sweep_matches_enumeration(compiled, inputs) -> None:
     """The integer sweep against the Fraction full joint over all edges:
     every edge marginal, fork pair joint and sink mixture, exactly."""
@@ -122,23 +131,16 @@ def _assert_sweep_matches_enumeration(compiled, inputs) -> None:
     full = enumerate_branches(compiled, inputs)
     assert sum(full.values()) == 1
 
-    def marginal(edges) -> dict:
-        out: dict = {}
-        for key, p in full.items():
-            sub = tuple(key[e] for e in edges)
-            out[sub] = out.get(sub, Fraction(0)) + p
-        return out
-
     for e in range(len(net.edges)):
-        marg = {z: p for (z,), p in marginal([e]).items()}
+        marg = {z: p for (z,), p in _full_marginal(full, [e]).items()}
         assert marg == oracle.edge_marginals[e]
     for v in net.sink_ids:
         (e,) = net.in_edges(v)
-        assert {z: p for (z,), p in marginal([e]).items()} == oracle.sink_mixtures[v]
+        assert {z: p for (z,), p in _full_marginal(full, [e]).items()} == oracle.sink_mixtures[v]
     forks = [v for v, op in compiled.ops.items() if op.tag == FORK_EFC]
     assert set(forks) == set(oracle.fork_joints)
     for v in forks:
-        assert marginal(net.out_edges(v)) == oracle.fork_joints[v]
+        assert _full_marginal(full, net.out_edges(v)) == oracle.fork_joints[v]
 
 
 def test_oracle_matches_full_enumeration(diamond_compiled):
@@ -158,6 +160,46 @@ def test_oracle_matches_full_enumeration(diamond_compiled):
         _assert_sweep_matches_enumeration(
             comp, [ShrunkState(x, Fraction(1, 2 + x)) for x in inputs]
         )
+
+
+def _fork_rejoined_compiled():
+    # s0's fork feeds the join j, together with s1, and the join k
+    net = netgraph.make_network(
+        nodes=[("s0", "source"), ("s1", "source"), ("f", "internal"),
+               ("j", "internal"), ("k", "internal"), ("t", "sink")],
+        edges=[("s0", "f"), ("f", "j"), ("s1", "j"), ("j", "k"), ("f", "k"), ("k", "t")],
+        requirements={"t": "s1"},
+    )
+    roles = {"s0": "source", "s1": "source", "f": "fork", "j": "join", "k": "join",
+             "t": "sink"}
+    return compile_protocol(netgraph.D3Network(net, roles, {}, GroupKind.Z4))
+
+
+def test_vector_source_merges_factors(butterfly_compiled):
+    # a fork alone holds 2 edges; fed a vector, a fork's outputs are not a
+    # product, so the join behind one of them merges 3 edges or more
+    vec = np.array([0.6, 0.8])
+    assert simulate_oracle(butterfly_compiled, [2, 1]).largest_factor <= 2
+    for inputs in ([2, vec], [vec, 2]):
+        assert simulate_oracle(butterfly_compiled, inputs).largest_factor >= 3
+    # on a network small enough to enumerate, the merged factors' values
+    # match the full joint over all edges
+    comp = _fork_rejoined_compiled()
+    net = comp.d3.network
+    assert simulate_oracle(comp, [2, 1]).largest_factor <= 2
+    for inputs in ([vec, 1], [vec, vec]):
+        oracle = simulate_oracle(comp, inputs)
+        assert oracle.largest_factor >= 3
+        full = enumerate_branches(comp, inputs)
+        laws = [(oracle.edge_marginals[e], [e]) for e in range(len(net.edges))]
+        laws.append((oracle.fork_joints["f"], net.out_edges("f")))
+        laws.append((oracle.sink_mixtures["t"], net.in_edges("t")))
+        for got, edges in laws:
+            want = _full_marginal(full, edges)
+            if len(edges) == 1:
+                want = {z: p for (z,), p in want.items()}
+            assert set(got) == set(want)
+            assert all(abs(got[k] - want[k]) <= 1e-12 for k in want)
 
 
 def test_oracle_accepts_shrunk_and_vector_inputs(single_compiled):
@@ -254,6 +296,26 @@ def test_size_error_names_node_and_branches(diamond_compiled, monkeypatch):
     simulate_oracle(diamond_compiled, [0])
 
 
+def test_size_error_names_the_node_where_a_factor_would_grow(butterfly_compiled, monkeypatch):
+    # the plan bounds butterfly by 4^4 keys, but letter inputs keep every
+    # factor within 2 edges; a vector into s2 keeps its fork's outputs
+    # together, and the join s0 would merge them with s1's edge
+    monkeypatch.setattr(qsim, "MAX_ORACLE_BRANCHES", 16)
+    assert butterfly_compiled.sweep_plan.predicted_branches == 256
+    simulate_oracle(butterfly_compiled, [2, 1])
+    with pytest.raises(SizeError, match=r"at node s0 could reach 64 branches"):
+        simulate_oracle(butterfly_compiled, [2, np.array([0.6, 0.8])])
+
+
+def test_inputs_are_checked_before_the_size_guard(butterfly_compiled, monkeypatch):
+    monkeypatch.setattr(qsim, "MAX_ORACLE_BRANCHES", 1)
+    with pytest.raises(SizeError):
+        simulate_oracle(butterfly_compiled, [2, 1])
+    for bad in ([2, np.array([3.0, 0.0])], [2, 7], [2]):
+        with pytest.raises(ValueError):
+            simulate_oracle(butterfly_compiled, bad)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -336,6 +398,34 @@ def test_plan_sweeps_disjoint_diamonds_one_at_a_time(diamond_compiled, monkeypat
         for e in range(len(net.edges)):
             want = qmath.tetra_weights(ShrunkState(letters[e], comp.edge_alpha(e)))
             assert {z: oracle.edge_marginals[e].get(z, 0) for z in range(4)} == want
+
+
+def test_sweep_is_exact_where_the_plan_is_too_wide():
+    # grown networks whose plan peaks past 10 live edges, which a sweep over
+    # the whole live-edge joint refuses; with letter inputs every factor
+    # splits down to single edges after each node
+    swept = 0
+    for seed in range(7):
+        rng = random.Random(seed)
+        d3 = grown_d3(rng, rng.randint(8, 16), rng.randint(30, 70))
+        comp = compile_protocol(d3)
+        if comp.sweep_plan.peak_live <= 10:
+            continue
+        assert comp.sweep_plan.predicted_branches > qsim.MAX_ORACLE_BRANCHES
+        net = d3.network
+        for _ in range(2):
+            inputs = [rng.randrange(4) for _ in net.source_ids]
+            oracle = simulate_oracle(comp, inputs)
+            assert oracle.largest_factor <= 2
+            analytic = simulate_analytic(comp, inputs).sink_mixtures
+            for t in net.sink_ids:
+                assert {z: oracle.sink_mixtures[t].get(z, 0) for z in range(4)} == analytic[t]
+            letters = classical_eval.edge_values(d3, None, inputs)
+            for e in range(len(net.edges)):
+                want = qmath.tetra_weights(ShrunkState(letters[e], comp.edge_alpha(e)))
+                assert {z: oracle.edge_marginals[e].get(z, 0) for z in range(4)} == want
+        swept += 1
+    assert swept >= 6
 
 
 def test_plan_is_built_once_on_first_sweep():
