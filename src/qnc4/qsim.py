@@ -201,28 +201,24 @@ def _split(edges: tuple, table: dict, total: int) -> list[_Factor]:
     return factors
 
 
-def _input_mass(held: list[_Factor], ins: tuple, rest: tuple) -> tuple[dict, int]:
+def _input_mass(held: list[_Factor], ins: tuple) -> tuple[dict, int]:
     """The merged law of the factors that hold a node's input edges, as the
     mass of each input index (the letter u, or 4 * u1 + u2 for a join; 0
-    for a source, which holds nothing) by the letters of the rest edges,
-    and its total."""
-    if all(len(f.edges) == 1 for f in held):  # each holds one input only
-        mass, total = [1], 1
-        for f in held:
-            mass = [m * f.table.get((z,), 0) for m in mass for z in LETTERS]
-            total *= f.total
-        return {(): mass}, total
-    edges, table, total = (), {(): 1}, 1
-    for f in held:
-        edges += f.edges
-        table = {ka + kb: pa * pb for ka, pa in table.items() for kb, pb in f.table.items()}
+    for a source, which holds nothing) by the letters of the rest edges, in
+    the factors' order, and its total."""
+    parts, total = {(): [1]}, 1
+    for f in held:  # in the order of ins, so u1 comes out above u2
+        pos = [f.edges.index(e) for e in ins if e in f.edges]
+        keep = [j for j, e in enumerate(f.edges) if e not in ins]
+        own: dict = defaultdict(lambda: [0] * 4 ** len(pos))
+        for key, n in f.table.items():
+            i = 0
+            for j in pos:
+                i = i << 2 | key[j]
+            own[tuple([key[j] for j in keep])][i] += n
+        parts = {ra + rb: [a * b for a in ma for b in mb]
+                 for ra, ma in parts.items() for rb, mb in own.items()}
         total *= f.total
-    pos = [edges.index(e) for e in ins]
-    keep = [edges.index(e) for e in rest]
-    parts: dict = defaultdict(lambda: [0] * 4 ** len(ins))
-    for key, p in table.items():
-        i = key[pos[0]] if len(pos) == 1 else key[pos[0]] << 2 | key[pos[1]]
-        parts[tuple(key[j] for j in keep)][i] += p
     return parts, total
 
 
@@ -234,7 +230,8 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
     each an integer table over a few live edges and its total.  A node
     merges the factors that hold its inputs and applies its kernel; the
     new factor then splits wherever `_split` proves an edge independent of
-    the rest, and every factor's gcd is cancelled.  Nothing about
+    the rest, every factor's gcd is cancelled, and each output edge's
+    marginal is read off the factor that holds it.  Nothing about
     independence is assumed: with letter inputs every factor splits down
     to single edges after each node, while a vector source can keep
     factors merged.  Cost follows the largest factor, not the number of
@@ -270,7 +267,7 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
                 f"over the limit of {MAX_ORACLE_BRANCHES}; use Monte Carlo for this network"
             )
         largest = max(largest, width)
-        parts, total = _input_mass(held, ins, rest)
+        parts, total = _input_mass(held, ins)
         if op.tag == SINK_NOOP:
             mass = [sum(col) for col in zip(*parts.values())]
             sink_mixtures[op.node] = {u: as_value(m, total) for u, m in enumerate(mass) if m}
@@ -286,33 +283,22 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
                     if m:
                         for out, n in row:
                             table[r + out] += m * n
-            joint = table  # the law of the node's outputs
-            if rest:
-                joint = defaultdict(int)
+            if op.tag == FORK_EFC:
+                joint: dict = defaultdict(int)
                 for key, n in table.items():
                     joint[key[len(rest):]] += n
-            margs = []
-            for j, e in enumerate(outs):
-                marg: dict = defaultdict(int)
-                for out, n in joint.items():
-                    marg[out[j]] += n
-                marginals[e] = {z: as_value(n, den) for z, n in marg.items()}
-                margs.append(marg)
-            if op.tag == FORK_EFC:
                 fork_joints[op.node] = {pair: as_value(n, den) for pair, n in joint.items()}
-            # a fork alone in its factor: _split's test on the marginals just made
-            if not rest and len(outs) == 2 and len(margs[0]) * len(margs[1]) == len(joint) and all(
-                n * den == margs[0][a] * margs[1][b] for (a, b), n in joint.items()
-            ):
-                factors = [
-                    _cancelled((e,), {(z,): n for z, n in marg.items()}, den)
-                    for e, marg in zip(outs, margs)
-                ]
-            else:
-                factors = _split(rest + outs, table, den)
+            factors = _split(rest + outs, table, den)
         for f in factors:
             for e in f.edges:
                 holder[e] = f
+        for e in outs:
+            f = holder[e]
+            j = f.edges.index(e)
+            marg: dict = defaultdict(int)
+            for key, n in f.table.items():
+                marg[key[j]] += n
+            marginals[e] = {z: as_value(n, f.total) for z, n in marg.items()}
     return OracleResult(compiled, marginals, fork_joints, sink_mixtures, largest)
 
 
