@@ -243,7 +243,14 @@ def cmd_report(args) -> int:
             )
             # chi-square, 3 degrees of freedom, significance 0.001
             line(stat < 16.266, f"{t}: sampled letters fit the mixture (chi2 {stat:.2f})")
-            est, se = qsim.estimate_fidelity(mc.sink_counts[t], mc.trials, want)
+            est, _ = qsim.estimate_fidelity(mc.sink_counts[t], mc.trials, want)
+            # The standard error under the exact mixture on test, not the
+            # sample's own: that one is 0 whenever every sampled letter has
+            # the same fidelity, which fails a correct program at few trials.
+            # A trial scores 1/3 + 2/3 [letter == want], so its variance is
+            # (2/3)^2 hit (1 - hit).
+            hit = exact[want]
+            se = 2 / 3 * (float(hit * (1 - hit)) / mc.trials) ** 0.5
             target = float(analytic.fidelity_tetra[t])
             line(
                 abs(est - target) <= max(3 * se, 1e-9),

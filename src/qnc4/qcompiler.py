@@ -311,11 +311,12 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
     kernel to every node.
 
     A D3Network is valid by construction, so nothing is validated here.
-    Raises SizeError, before building the node's kernel, where a shrink's
-    denominator or a fork's joint denominator would pass MAX_DIGITS
-    digits, and VerificationError if a node's shrink is out of its law's
-    reach or a kernel misses its target at an incoming shrink occurring
-    in this network.
+    Every shrink is computed first, in listing order, and SizeError is
+    raised at the first node where a shrink's denominator or a fork's
+    joint denominator would pass MAX_DIGITS digits, before any kernel is
+    built or verified.  Then raises VerificationError if a node's shrink
+    is out of its law's reach or a kernel misses its target at an
+    incoming shrink occurring in this network.
     """
     net = d3.network
     depths: dict[str, int] = {}
@@ -325,10 +326,6 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
     order = tuple(sorted((n.id for n in net.nodes), key=lambda v: (depths[v], v)))
 
     ops: dict[str, QuantumOp] = {}
-    notes: list[Note] = []
-    # verified kernels by (tag, map, incoming shrinks); the group is fixed
-    # within one compile
-    kernels: dict[tuple, Kernel] = {}
     for v in order:
         role = d3.roles[v]
         if role == "source":
@@ -336,7 +333,6 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
             continue
         a_in = tuple(ops[net.edges[e][0]].alpha for e in net.in_edges(v))
         a = a_in[0]
-        m = None
         if role == "sink":
             ops[v] = QuantumOp(v, SINK_NOOP, a, input_alpha=a)
             continue
@@ -367,13 +363,24 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
                 f"exact numbers at node {v} would have {digits} digits, over the "
                 f"limit of {MAX_DIGITS}"
             )
-        key = (op.tag, None if m is None else m.table, a_in)
+        ops[v] = op
+
+    notes: list[Note] = []
+    # verified kernels by (tag, map, incoming shrinks); the group is fixed
+    # within one compile
+    kernels: dict[tuple, Kernel] = {}
+    for v in order:
+        op = ops[v]
+        if op.tag in (SOURCE_TTR, SINK_NOOP):
+            continue
+        a_in = tuple(ops[net.edges[e][0]].alpha for e in net.in_edges(v))
+        key = (op.tag, None if op.map is None else op.map.table, a_in)
         if key not in kernels:
             op = replace(op, kernel=build_kernel(op, a_in, d3.group))
             check_kernel(op, a_in, d3.group)
             kernels[key] = op.kernel
             if op.tag in (FORK_EFC, TRANSFORM_TWO_TO_ONE):
-                notes.append(Note(a, m))
+                notes.append(Note(a_in[0], op.map))
         ops[v] = replace(op, kernel=kernels[key])
     return CompiledProtocol(d3, ops, order, depths, tuple(notes))
 

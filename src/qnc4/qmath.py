@@ -5,20 +5,27 @@ Bloch sphere, one per letter.  Halving them gives a four-outcome POVM (the
 tetra measurement); measuring and re-preparing the reported state shrinks
 any input toward the maximally mixed state by a factor of 3.
 
-Shrink bookkeeping is exact: a `ShrunkState` pairs a letter with a rational
-shrink factor, and converts losslessly to and from a rational mixture over
-the four tetra states.  Matrices are complex floats and appear only where
-sqrt(3) does.
+Shrink bookkeeping is exact and lives in `qnc4.shrink`, which imports no
+numpy; this module re-exports its names (`ShrunkState`, `tetra_weights`,
+`shrunk_from_weights`, `ttr_outcome_weights`, `shrunk_probabilities`),
+and `ttr_probabilities` hands a ShrunkState to it.  Matrices are complex floats and appear only
+where sqrt(3) does; they are why importing this module imports numpy.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .netgraph import LETTERS, Letter, as_letter
+from .shrink import (
+    ShrunkState,
+    shrunk_from_weights,
+    shrunk_probabilities,
+    tetra_weights,
+    ttr_outcome_weights,
+)
 
 MATRIX_TOL = 1e-12
 STATE_TOL = 1e-9  # allowed error in the norm or trace of an input state
@@ -118,31 +125,9 @@ def fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
     return float(value.real)
 
 
-@dataclass(frozen=True)
-class ShrunkState:
-    """A tetra state shrunk toward the maximally mixed state:
-    alpha * chi(label) + (1 - alpha) * I/2, with rational alpha in (0, 1]."""
-
-    label: Letter
-    alpha: Fraction
-
-    def __post_init__(self):
-        as_letter(self.label)
-        a = self.alpha
-        if not isinstance(a, Fraction) or not 0 < a <= 1:
-            raise ValueError(f"shrink factor must be a rational in (0, 1], got {a!r}")
-
-
 def densify(state: ShrunkState) -> np.ndarray:
     a = float(state.alpha)
     return a * tetra_matrix(state.label) + (1 - a) * identity2 / 2
-
-
-def tetra_weights(state: ShrunkState) -> dict[Letter, Fraction]:
-    """The unique rational mixture over the four tetra states equal to the
-    shrunk state (I/2 is the average of the four)."""
-    off = (1 - state.alpha) / 4
-    return {z: state.alpha + off if z == state.label else off for z in LETTERS}
 
 
 def mixture_matrix(weights) -> np.ndarray:
@@ -152,29 +137,6 @@ def mixture_matrix(weights) -> np.ndarray:
     return rho
 
 
-def shrunk_from_weights(weights) -> ShrunkState | None:
-    """Recover a ShrunkState from exact tetra-mixture weights, or None when
-    the weights are not of that one-peak, three-equal form."""
-    w = {z: Fraction(weights.get(z, 0)) for z in LETTERS}
-    if sum(w.values()) != 1:
-        return None
-    top = max(w, key=lambda z: w[z])
-    rest = [w[z] for z in LETTERS if z != top]
-    if rest[0] != rest[1] or rest[0] != rest[2]:
-        return None
-    alpha = w[top] - rest[0]
-    if not 0 < alpha <= 1:
-        return None
-    return ShrunkState(top, alpha)
-
-
-def ttr_outcome_weights(z: Letter) -> dict[Letter, Fraction]:
-    """Tetra-measurement outcome law on a pure tetra state: the state's own
-    letter with probability 1/2, each other letter with 1/6."""
-    z = as_letter(z)
-    return {x: Fraction(1, 2) if x == z else Fraction(1, 6) for x in LETTERS}
-
-
 def ttr_probabilities(rho):
     """Outcome probabilities of the tetra measurement, indexed by letter.
 
@@ -182,11 +144,7 @@ def ttr_probabilities(rho):
     ShrunkState (exact rationals).
     """
     if isinstance(rho, ShrunkState):
-        a = rho.alpha
-        return tuple(
-            Fraction(1, 4) + a / 4 if z == rho.label else Fraction(1, 4) - a / 12
-            for z in LETTERS
-        )
+        return shrunk_probabilities(rho)
     return tuple(float(np.trace(rho @ tetra_matrix(z)).real / 2) for z in LETTERS)
 
 

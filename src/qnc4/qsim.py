@@ -28,17 +28,28 @@ same verified kernels the sweep runs on: each node, sources included, makes
 one draw per trial from Vose alias tables built off its kernel's rows
 (`alias_table`), and each edge's letter array is freed once its consumer
 has read it.
+
+Only the float code imports numpy, inside the functions that handle
+arrays: Monte Carlo with `alias_table`, `guess_fidelities` and the
+estimates built on it, a fidelity against a state vector, a source given
+a state vector or density matrix, and `OracleResult.sink_state`.  Asking
+whether a value is an array never imports numpy: no array can exist
+before it is imported.  The exact sweep and the analytic report run
+on the `Fraction` shrink bookkeeping of `qnc4.shrink`, so the `qnc4`
+subcommands that print only exact numbers never load numpy.
 """
 
+from __future__ import annotations
+
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from numbers import Integral
 from operator import truediv
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeError
 from .netgraph import LETTERS, GroupKind, Letter, as_letter
@@ -54,8 +65,10 @@ from .qcompiler import (
     QuantumOp,
     two_to_one_emission,
 )
-from . import qmath
-from .qmath import ShrunkState
+from .shrink import ShrunkState, shrunk_probabilities, tetra_weights, ttr_outcome_weights
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ORACLE_BRANCHES = 4**10
 CHUNK_SIZE = 1 << 16  # Monte Carlo trials per substream
@@ -63,6 +76,13 @@ CHUNK_SIZE = 1 << 16  # Monte Carlo trials per substream
 
 # ---------------------------------------------------------------------------
 # per-node sampling laws, conditioned on the letters of the incoming states
+
+
+def _is_array(value) -> bool:
+    """Whether value is a numpy array.  None can exist before numpy is
+    imported, so the exact path never needs to import it to ask."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
 
 
 def source_distribution(value) -> dict[Letter, object]:
@@ -73,7 +93,11 @@ def source_distribution(value) -> dict[Letter, object]:
     statistics over all four letters, a normalized state vector or a
     density matrix float ones.  Raises ValueError on anything else.
     """
-    if isinstance(value, np.ndarray):
+    if _is_array(value):
+        import numpy as np
+
+        from . import qmath
+
         if value.ndim == 1:
             if value.shape != (2,):
                 raise ValueError(f"state vector must have 2 entries, got {value.shape}")
@@ -83,10 +107,12 @@ def source_distribution(value) -> dict[Letter, object]:
             value = np.outer(value, value.conj())
         elif not qmath.is_density_matrix(value):
             raise ValueError("source matrix is not a single-qubit density matrix")
-    if isinstance(value, (ShrunkState, np.ndarray)):
         probs = qmath.ttr_probabilities(value)
-        return {z: probs[z] for z in LETTERS}
-    return {as_letter(value): Fraction(1)}
+    elif isinstance(value, ShrunkState):
+        probs = shrunk_probabilities(value)
+    else:
+        return {as_letter(value): Fraction(1)}
+    return {z: probs[z] for z in LETTERS}
 
 
 def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
@@ -94,7 +120,7 @@ def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
     if op.tag == TRANSFORM_CONSTANT:
         return {op.letter: Fraction(1)}
     out: dict[Letter, Fraction] = {}
-    for x, t in qmath.ttr_outcome_weights(u).items():
+    for x, t in ttr_outcome_weights(u).items():
         if op.tag == TRANSFORM_ONE_TO_ONE:
             y = op.map(x)
             out[y] = out.get(y, Fraction(0)) + t
@@ -108,8 +134,8 @@ def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
 def join_branch_law(group: GroupKind, u1: Letter, u2: Letter) -> dict[Letter, Fraction]:
     """Output letter distribution of a join given the two incoming letters."""
     out: dict[Letter, Fraction] = {}
-    for x1, t1 in qmath.ttr_outcome_weights(u1).items():
-        for x2, t2 in qmath.ttr_outcome_weights(u2).items():
+    for x1, t1 in ttr_outcome_weights(u1).items():
+        for x2, t2 in ttr_outcome_weights(u2).items():
             y = group.add(x1, x2)
             out[y] = out.get(y, Fraction(0)) + t1 * t2
     return out
@@ -140,6 +166,8 @@ class OracleResult:
     largest_factor: int
 
     def sink_state(self, sink: str) -> np.ndarray:
+        from . import qmath
+
         return qmath.mixture_matrix(self.sink_mixtures[sink])
 
 
@@ -344,7 +372,7 @@ def simulate_analytic(compiled: CompiledProtocol, inputs=None) -> AnalyticReport
         for t in net.sink_ids:
             a = alphas[t]
             decoded[t] = by_sink[t]
-            mixtures[t] = qmath.tetra_weights(ShrunkState(by_sink[t], a))
+            mixtures[t] = tetra_weights(ShrunkState(by_sink[t], a))
             want = by_source[net.requirements[t]]
             hit = Fraction(1) if by_sink[t] == want else Fraction(1, 3)
             tetra[t] = a * hit + (1 - a) / 2
@@ -377,6 +405,8 @@ def alias_table(kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:
     so the only rounding is one true division per slot (Vose, IEEE TSE
     17(9), 1991).  Returns (log2 K, prob, outcomes).
     """
+    import numpy as np
+
     width = len(kernel.rows[0][0][0])
     size, den = 4**width, kernel.den
     slot = {out: k for k, out in enumerate(product(LETTERS, repeat=width))}
@@ -413,7 +443,9 @@ def simulate_montecarlo(
     processed in chunks of CHUNK_SIZE; chunk c uses the substream spawned
     from (seed, c), so a seed reproduces its counts exactly.
     """
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials <= 0:
+    import numpy as np
+
+    if not isinstance(trials, Integral) or isinstance(trials, bool) or trials <= 0:
         raise ValueError(f"trials must be a positive int, got {trials!r}")
     net = compiled.d3.network
     laws = _resolve_inputs(compiled, inputs)
@@ -469,6 +501,10 @@ def guess_fidelities(target) -> np.ndarray:
     letter (`as_letter`): fidelity 1 on the matching state, 1/3 on the
     others.
     """
+    import numpy as np
+
+    from . import qmath
+
     if isinstance(target, (np.ndarray, list, tuple)):
         vec = np.asarray(target, dtype=complex)
         return np.array([qmath.fidelity(vec, qmath.tetra_matrix(z)) for z in LETTERS])
@@ -480,7 +516,7 @@ def mixture_fidelity(mixture: dict, target) -> object:
     """Fidelity of a letter mixture against a delivery target; exact when
     both the mixture and the target are exact.  Targets as in
     `guess_fidelities`."""
-    if isinstance(target, (np.ndarray, list, tuple)):
+    if _is_array(target) or isinstance(target, (list, tuple)):
         f = guess_fidelities(target)
         return float(sum(float(p) * f[z] for z, p in mixture.items()))
     target = as_letter(target)

@@ -1,0 +1,69 @@
+"""Exact shrink bookkeeping, in `Fraction` arithmetic only.
+
+A `ShrunkState` pairs a letter with a rational shrink factor alpha: the
+state alpha * chi(label) + (1 - alpha) * I/2, where chi is the letter's
+tetra state.  It converts losslessly to and from a rational mixture over
+the four tetra states, and its tetra-measurement outcome law is rational
+too.  Nothing here needs the states' complex matrices, so this module
+imports no numpy; `qmath` re-exports every name in it.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .netgraph import LETTERS, Letter, as_letter
+
+
+@dataclass(frozen=True)
+class ShrunkState:
+    """A tetra state shrunk toward the maximally mixed state:
+    alpha * chi(label) + (1 - alpha) * I/2, with rational alpha in (0, 1]."""
+
+    label: Letter
+    alpha: Fraction
+
+    def __post_init__(self):
+        as_letter(self.label)
+        a = self.alpha
+        if not isinstance(a, Fraction) or not 0 < a <= 1:
+            raise ValueError(f"shrink factor must be a rational in (0, 1], got {a!r}")
+
+
+def tetra_weights(state: ShrunkState) -> dict[Letter, Fraction]:
+    """The unique rational mixture over the four tetra states equal to the
+    shrunk state (I/2 is the average of the four)."""
+    off = (1 - state.alpha) / 4
+    return {z: state.alpha + off if z == state.label else off for z in LETTERS}
+
+
+def shrunk_from_weights(weights) -> ShrunkState | None:
+    """Recover a ShrunkState from exact tetra-mixture weights, or None when
+    the weights are not of that one-peak, three-equal form."""
+    w = {z: Fraction(weights.get(z, 0)) for z in LETTERS}
+    if sum(w.values()) != 1:
+        return None
+    top = max(w, key=lambda z: w[z])
+    rest = [w[z] for z in LETTERS if z != top]
+    if rest[0] != rest[1] or rest[0] != rest[2]:
+        return None
+    alpha = w[top] - rest[0]
+    if not 0 < alpha <= 1:
+        return None
+    return ShrunkState(top, alpha)
+
+
+def ttr_outcome_weights(z: Letter) -> dict[Letter, Fraction]:
+    """Tetra-measurement outcome law on a pure tetra state: the state's own
+    letter with probability 1/2, each other letter with 1/6."""
+    z = as_letter(z)
+    return {x: Fraction(1, 2) if x == z else Fraction(1, 6) for x in LETTERS}
+
+
+def shrunk_probabilities(state: ShrunkState) -> tuple[Fraction, ...]:
+    """Tetra-measurement outcome probabilities of a shrunk state, indexed
+    by letter: 1/4 + alpha/4 on its own letter, 1/4 - alpha/12 elsewhere."""
+    a = state.alpha
+    return tuple(
+        Fraction(1, 4) + a / 4 if z == state.label else Fraction(1, 4) - a / 12
+        for z in LETTERS
+    )

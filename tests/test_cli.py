@@ -512,6 +512,22 @@ def test_report_butterfly(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_report_passes_a_correct_program_at_few_trials(capsys):
+    # the 3-standard-error gate takes its error from the exact mixture: a
+    # sample's own error is 0 when every sampled letter has the same
+    # fidelity, which failed every seed at 1 trial and 31 of 60 at 5
+    failed = []
+    for trials in (1, 2, 5, 10):
+        for seed in range(60):
+            args = ["report", "butterfly", "--inputs", "01,10",
+                    "--trials", str(trials), "--seed", str(seed)]
+            if main(args) != 0:
+                failed.append((trials, seed))
+    out = capsys.readouterr().out.splitlines()
+    assert failed == []
+    assert len(out) == 4 * 60 * 8 and all(line.startswith("PASS ") for line in out)
+
+
 def test_report_fails_below_the_floor(swap_chain_path, capsys):
     # the exact sweep agrees with the analytic mixture, but the sink holds
     # the swapped letter

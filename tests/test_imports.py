@@ -1,0 +1,102 @@
+"""The exact path runs without numpy, and `qnc4` keeps every public name.
+
+Both checks run in a fresh interpreter, because this one has long since
+imported numpy and every submodule.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import qnc4
+from qnc4.cli import main
+from qnc4.instances import BUNDLED
+
+_SRC = str(Path(qnc4.__file__).resolve().parents[1])
+
+# every subcommand that prints only exact numbers
+_EXACT = (
+    ["validate"], ["eval"], ["normalize"], ["compile"],
+    ["simulate", "--mode", "analytic"], ["simulate", "--mode", "oracle"], ["report"],
+)
+
+# the public names of `qnc4`, submodules included, before its numpy-backed
+# names became lazy
+_PUBLIC = (
+    "ClassicalProtocol", "CompiledProtocol", "D3Network", "GroupKind", "IDENTITY_MAP",
+    "LETTERS", "LetterMap", "MapClass", "Network", "NodeOp", "QncError", "QuantumOp",
+    "SchemaError", "ShrunkState", "SizeError", "Term", "ValidationError",
+    "VerificationError", "check_requirement", "classical_eval", "compile_protocol",
+    "constant_map", "d3_from_json", "d3_to_json", "densify", "efc", "efc2_apply",
+    "efc_apply", "efc_joint_distribution", "efc_pair_distribution", "efc_params",
+    "efco2_apply", "errors", "estimate_fidelity", "evaluate", "fidelity",
+    "instance_from_json", "instance_to_json", "instances", "is_d3_json",
+    "linear_independence_rank", "make_network", "netgraph", "node_op",
+    "normalize_to_d3", "qcompiler", "qmath", "qsim", "simulate_analytic",
+    "simulate_montecarlo", "simulate_oracle", "tetra", "tetra_matrix", "tetra_povm",
+    "tetra_vector", "tetra_weights", "truth_table", "ttr_channel",
+    "ttr_outcome_weights", "ttr_probabilities", "two_to_one_emission", "validate_d3",
+    "validate_network",
+)
+
+
+def _child(code: str, *args: str) -> str:
+    """Run code in a fresh interpreter that imports qnc4 from this tree;
+    its stdout."""
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from qnc4.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_exact_subcommands_run_without_numpy():
+    runs = [[c[0], name, *c[1:]] for name in BUNDLED for c in _EXACT]
+    blocked = json.loads(_child(_RUN_WITHOUT_NUMPY, json.dumps(runs)))
+    assert len(blocked) == len(runs)
+    for argv, (code, out) in zip(runs, blocked):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == code == 0, argv
+        assert buf.getvalue() == out, argv
+
+
+_IMPORT_EACH = """
+import sys
+import qnc4
+print("numpy" in sys.modules)
+for name in sys.argv[1:]:
+    ns = {}
+    exec(f"from qnc4 import {name}", ns)
+    assert ns[name] is getattr(qnc4, name), name
+    assert name in dir(qnc4), name
+print("numpy" in sys.modules)
+"""
+
+
+def test_public_names_still_import():
+    # numpy is loaded only once a numpy-backed name is asked for
+    assert _child(_IMPORT_EACH, *_PUBLIC).split() == ["False", "True"]
+    assert qnc4.ShrunkState is qnc4.qmath.ShrunkState
+    assert qnc4.ttr_probabilities is qnc4.qmath.ttr_probabilities
+    assert qnc4.efc_apply is qnc4.efc.efc_apply

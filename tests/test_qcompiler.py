@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qnc4 import instances, netgraph, qcompiler, qmath
-from qnc4.errors import ValidationError, VerificationError
+from qnc4.errors import SizeError, ValidationError, VerificationError
 from qnc4.instances import HIGH_BIT, LOW_BIT
 from qnc4.netgraph import (
     LETTERS,
@@ -33,7 +33,7 @@ from qnc4.qcompiler import (
 from qnc4.qmath import ShrunkState
 from qnc4.qsim import join_branch_law, transform_branch_law
 
-from _generators import random_d3_instance, random_two_to_one_map
+from _generators import diamond_chain, random_d3_instance, random_two_to_one_map
 from _reference import fork_branch_law
 
 
@@ -342,6 +342,24 @@ def test_compile_verifies_every_kernel(monkeypatch):
     compile_protocol(_chain([HIGH_BIT]))
     with pytest.raises(VerificationError, match="h1"):
         compile_protocol(_chain([HIGH_BIT, SWAP01]))
+
+
+def test_digit_limit_refuses_before_any_kernel(monkeypatch):
+    # every shrink is computed, and the limit checked, before the first
+    # kernel is built, so a deep chain is refused without verifying one
+    built = []
+    build = qcompiler.build_kernel
+
+    def counting(op, a_in, group):
+        built.append(op.node)
+        return build(op, a_in, group)
+
+    monkeypatch.setattr(qcompiler, "build_kernel", counting)
+    with pytest.raises(SizeError, match="at node d9 would have"):
+        compile_protocol(diamond_chain(14))
+    assert built == []
+    compile_protocol(diamond_chain(2))
+    assert built
 
 
 @pytest.mark.parametrize(

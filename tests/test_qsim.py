@@ -114,33 +114,21 @@ def test_fork_law_marginals(butterfly_compiled):
 # exact modes against each other
 
 
-def _full_marginal(full: dict, edges) -> dict:
-    """The law of the letters on edges, from the full joint over all edges."""
-    out: dict = {}
-    for key, p in full.items():
-        sub = tuple(key[e] for e in edges)
-        out[sub] = out.get(sub, 0) + p
-    return out
-
-
 def _assert_sweep_matches_enumeration(compiled, inputs) -> None:
-    """The integer sweep against the Fraction full joint over all edges:
+    """The integer sweep against the Fraction joint over the live edges:
     every edge marginal, fork pair joint and sink mixture, exactly."""
     net = compiled.d3.network
     oracle = simulate_oracle(compiled, inputs)
-    full = enumerate_branches(compiled, inputs)
-    assert sum(full.values()) == 1
+    ref = enumerate_branches(compiled, inputs)
+    assert all(sum(law.values()) == 1 for law in ref.edge_marginals.values())
 
-    for e in range(len(net.edges)):
-        marg = {z: p for (z,), p in _full_marginal(full, [e]).items()}
-        assert marg == oracle.edge_marginals[e]
-    for v in net.sink_ids:
-        (e,) = net.in_edges(v)
-        assert {z: p for (z,), p in _full_marginal(full, [e]).items()} == oracle.sink_mixtures[v]
+    assert set(ref.edge_marginals) == set(range(len(net.edges)))
+    assert ref.edge_marginals == oracle.edge_marginals
+    assert set(ref.sink_mixtures) == set(net.sink_ids)
+    assert ref.sink_mixtures == oracle.sink_mixtures
     forks = [v for v, op in compiled.ops.items() if op.tag == FORK_EFC]
-    assert set(forks) == set(oracle.fork_joints)
-    for v in forks:
-        assert _full_marginal(full, net.out_edges(v)) == oracle.fork_joints[v]
+    assert set(forks) == set(ref.fork_joints)
+    assert ref.fork_joints == oracle.fork_joints
 
 
 def test_oracle_matches_full_enumeration(diamond_compiled):
@@ -182,24 +170,26 @@ def test_vector_source_merges_factors(butterfly_compiled):
     assert simulate_oracle(butterfly_compiled, [2, 1]).largest_factor <= 2
     for inputs in ([2, vec], [vec, 2]):
         assert simulate_oracle(butterfly_compiled, inputs).largest_factor >= 3
-    # on a network small enough to enumerate, the merged factors' values
-    # match the full joint over all edges
     comp = _fork_rejoined_compiled()
-    net = comp.d3.network
     assert simulate_oracle(comp, [2, 1]).largest_factor <= 2
     for inputs in ([vec, 1], [vec, vec]):
-        oracle = simulate_oracle(comp, inputs)
-        assert oracle.largest_factor >= 3
-        full = enumerate_branches(comp, inputs)
-        laws = [(oracle.edge_marginals[e], [e]) for e in range(len(net.edges))]
-        laws.append((oracle.fork_joints["f"], net.out_edges("f")))
-        laws.append((oracle.sink_mixtures["t"], net.in_edges("t")))
-        for got, edges in laws:
-            want = _full_marginal(full, edges)
-            if len(edges) == 1:
-                want = {z: p for (z,), p in want.items()}
+        assert simulate_oracle(comp, inputs).largest_factor >= 3
+    # the merged factors' values match the joint over the live edges, there
+    # and on both butterflies with the vector at each source in turn
+    z4 = compile_protocol(normalize_to_d3(*instances.bundled("butterfly-z4"))[0])
+    cases = [(comp, [vec, 1]), (comp, [vec, vec])]
+    cases += [(c, inputs) for c in (butterfly_compiled, z4)
+              for inputs in ([vec, 2], [1, vec])]
+    for c, inputs in cases:
+        oracle = simulate_oracle(c, inputs)
+        ref = enumerate_branches(c, inputs)
+        for got, want in ((oracle.edge_marginals, ref.edge_marginals),
+                          (oracle.fork_joints, ref.fork_joints),
+                          (oracle.sink_mixtures, ref.sink_mixtures)):
             assert set(got) == set(want)
-            assert all(abs(got[k] - want[k]) <= 1e-12 for k in want)
+            for k, law in want.items():
+                assert set(got[k]) == set(law)
+                assert all(abs(got[k][z] - p) <= 1e-12 for z, p in law.items())
 
 
 def test_oracle_accepts_shrunk_and_vector_inputs(single_compiled):
