@@ -113,7 +113,6 @@ def cmd_normalize(args) -> int:
 
 def cmd_compile(args) -> int:
     compiled = compile_protocol(load_instance(args.instance)[2])
-    plan = compiled.sweep_plan
     doc = {
         "group": compiled.d3.group.value,
         "ops": protocol_to_json(compiled),
@@ -126,11 +125,6 @@ def cmd_compile(args) -> int:
             for t, a in compiled.sink_alphas.items()
         },
         "notes": [str(note) for note in compiled.notes],
-        "sweep": {
-            "peak_live": plan.peak_live,
-            "peak_node": plan.peak_node,
-            "predicted_branches": plan.predicted_branches,
-        },
     }
     _write(args, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -138,6 +132,16 @@ def cmd_compile(args) -> int:
 
 def _mixture_doc(mix) -> dict:
     return {letter_to_str(z): _num(p) for z, p in sorted(mix.items())}
+
+
+def _sampled_stderr(mixture: dict, want, trials: int) -> float:
+    """Standard error of a sampled tetra-input fidelity under the exact
+    mixture on test, not the sample's own: that one is 0 whenever every
+    sampled letter has the same fidelity, which is common at few trials.
+    A trial scores 1/3 + 2/3 [letter == want], so its variance is
+    (2/3)^2 hit (1 - hit)."""
+    hit = mixture[want]
+    return 2 / 3 * (float(hit * (1 - hit)) / trials) ** 0.5
 
 
 def _compile_with_inputs(args):
@@ -187,19 +191,20 @@ def cmd_simulate(args) -> int:
         }
         doc["largest_factor"] = res.largest_factor
     else:
+        exact = qsim.simulate_analytic(compiled, letters).sink_mixtures
         res = qsim.simulate_montecarlo(compiled, letters, args.trials, seed=args.seed)
         doc["trials"] = args.trials
         doc["seed"] = args.seed
         doc["sinks"] = {}
         for t in net.sink_ids:
             want = letters[srcs.index(net.requirements[t])]
-            est, se = qsim.estimate_fidelity(res.sink_counts[t], res.trials, want)
+            est, _ = qsim.estimate_fidelity(res.sink_counts[t], res.trials, want)
             doc["sinks"][t] = {
                 "counts": {
                     letter_to_str(z): int(res.sink_counts[t][z]) for z in range(4)
                 },
                 "fidelity_tetra_input": _num(est),
-                "stderr": _num(se),
+                "stderr": _num(_sampled_stderr(exact[t], want, res.trials)),
             }
     _write(args, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -244,13 +249,7 @@ def cmd_report(args) -> int:
             # chi-square, 3 degrees of freedom, significance 0.001
             line(stat < 16.266, f"{t}: sampled letters fit the mixture (chi2 {stat:.2f})")
             est, _ = qsim.estimate_fidelity(mc.sink_counts[t], mc.trials, want)
-            # The standard error under the exact mixture on test, not the
-            # sample's own: that one is 0 whenever every sampled letter has
-            # the same fidelity, which fails a correct program at few trials.
-            # A trial scores 1/3 + 2/3 [letter == want], so its variance is
-            # (2/3)^2 hit (1 - hit).
-            hit = exact[want]
-            se = 2 / 3 * (float(hit * (1 - hit)) / mc.trials) ** 0.5
+            se = _sampled_stderr(exact, want, mc.trials)
             target = float(analytic.fidelity_tetra[t])
             line(
                 abs(est - target) <= max(3 * se, 1e-9),

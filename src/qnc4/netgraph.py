@@ -544,23 +544,23 @@ class _Normalizer:
             by_out[op.out_pos] = [(t.in_pos, t.map) for t in op.terms]
         return by_out
 
+    def _copies(self, producer: str, n: int, base: str, orig: str) -> list[str]:
+        """The producer of each of n copies of producer's value: a chain of
+        forks {base}0 .. {base}(n-2), fork k feeding copy k and the next
+        fork, the last fork both final copies.  One copy needs no fork."""
+        chain = [producer]
+        for k in range(n - 1):
+            f = self.fresh(f"{base}{k}")
+            self.add_node(f, "fork", orig)
+            self.add_edge(chain[-1], f)
+            chain.append(f)
+        return [chain[min(k + 1, n - 1)] for k in range(n)]
+
     def _emit_source(self, v: str):
         outs = self.net.out_edges(v)
         self.add_node(v, "source", v)
-        if len(outs) == 1:
-            self.prod[outs[0]] = v
-            return
-        # copy chain: fork k feeds original out k and the next fork
-        prev = v
-        forks = []
-        for k in range(len(outs) - 1):
-            f = self.fresh(f"{v}.f{k}")
-            self.add_node(f, "fork", v)
-            self.add_edge(prev, f)
-            forks.append(f)
-            prev = f
-        for k, e in enumerate(outs):
-            self.prod[e] = forks[min(k, len(forks) - 1)]
+        for e, p in zip(outs, self._copies(v, len(outs), f"{v}.f", v)):
+            self.prod[e] = p
 
     def _emit_internal(self, v: str):
         ins = self.net.in_edges(v)
@@ -635,21 +635,8 @@ class _Normalizer:
 
         leaf = {}  # (j, t) -> producing node for that copy of the value
         for i, cons in consumers.items():
-            if not cons:
-                continue
-            if len(cons) == 1:
-                leaf[cons[0]] = self.prod[ins[i]]
-                continue
-            prev = self.prod[ins[i]]
-            forks = []
-            for k in range(len(cons) - 1):
-                f = self.fresh(f"{v}.f{i}.{k}")
-                self.add_node(f, "fork", v)
-                self.add_edge(prev, f)
-                forks.append(f)
-                prev = f
-            for t, c in enumerate(cons):
-                leaf[c] = forks[min(t, len(forks) - 1)]
+            copies = self._copies(self.prod[ins[i]], len(cons), f"{v}.f{i}.", v)
+            leaf.update(zip(cons, copies))
 
         producers = []
         for j, terms in enumerate(by_out):

@@ -29,14 +29,6 @@ tetra_weights(ShrunkState(z, a_in)) of each input, it must give exactly
 tetra_weights(ShrunkState(f(z), a_out)), and for a fork the product of two
 such vectors.  A mismatch raises VerificationError, so a compiled protocol
 only exists if each of its node laws lands on the bookkeeping above.
-
-The exact sweep's plan (`CompiledProtocol.sweep_plan`, built by
-`plan_sweep` on first use, not by `compile_protocol`) holds what the sweep
-needs that does not depend on the inputs: a node order that keeps few
-edges live (`sweep_order`), each node's op with the edges it consumes and
-creates, and the peak live-edge count.  The sweep keeps its live edges'
-joint law as a product of factors, so 4^(peak live edges) only bounds the
-size of its largest factor from above.
 """
 
 from dataclasses import dataclass, field, replace
@@ -129,32 +121,6 @@ class QuantumOp:
 
 
 @dataclass(frozen=True)
-class SweepStep:
-    """One node of the exact sweep: its op, the edges it consumes and the
-    edges it creates."""
-
-    op: QuantumOp
-    in_edges: tuple[int, ...]
-    out_edges: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """The exact sweep's steps in sweep order, and its live-edge count's
-    peak: the first node after which peak_live edges are live."""
-
-    steps: tuple[SweepStep, ...]
-    peak_node: str
-    peak_live: int
-
-    @property
-    def predicted_branches(self) -> int:
-        """Upper bound on the keys of any factor the sweep builds:
-        4^peak_live, since a factor holds live edges only."""
-        return 4**self.peak_live
-
-
-@dataclass(frozen=True)
 class Note:
     """A law compile_protocol verified: a fork's (map None) or a two-to-one
     map's, at an exact incoming shrink, formatted only by str()."""
@@ -178,9 +144,9 @@ class CompiledProtocol:
     notes: tuple[Note, ...] = field(default_factory=tuple)
 
     @cached_property
-    def sweep_plan(self) -> SweepPlan:
-        """The exact sweep's plan, built on first use and kept."""
-        return plan_sweep(self)
+    def sweep_order(self) -> tuple[str, ...]:
+        """The exact sweep's node order, built on first use and kept."""
+        return sweep_order(self)
 
     def edge_alpha(self, e: int) -> Fraction:
         """Shrink factor carried by the state on edge index e."""
@@ -386,7 +352,7 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
 
 
 # ---------------------------------------------------------------------------
-# the exact sweep's plan
+# the exact sweep's node order
 
 
 def sweep_order(compiled: CompiledProtocol) -> tuple[str, ...]:
@@ -394,9 +360,9 @@ def sweep_order(compiled: CompiledProtocol) -> tuple[str, ...]:
 
     Greedy: among the ready nodes, take the one that leaves the fewest live
     edges (out-degree minus in-degree), on ties one that consumes edges
-    before a source, then the deeper node, then the lower id.  Falls back
-    to compiled.order where that order has a lower sum of 4^(live edges),
-    a bound on the sweep's cost.  Choosing the order is the
+    before a source, then the deeper node, then the lower id.  With letter
+    inputs the order does not change the sweep's work; it matters once a
+    vector source keeps factors merged.  Choosing the order is the
     contraction-ordering problem of tensor networks (Markov and Shi, SIAM
     J. Comput. 38(3), 2008); a greedy order is enough here.
     """
@@ -409,39 +375,16 @@ def sweep_order(compiled: CompiledProtocol) -> tuple[str, ...]:
     waiting = {v: len(net.in_edges(v)) for v in compiled.order}
     ready = [key(v) for v, k in waiting.items() if not k]
     heapify(ready)
-    greedy = []
+    order = []
     while ready:
         v = heappop(ready)[-1]
-        greedy.append(v)
+        order.append(v)
         for e in net.out_edges(v):
             w = net.edges[e][1]
             waiting[w] -= 1
             if not waiting[w]:
                 heappush(ready, key(w))
-
-    def cost(order):
-        live = total = 0
-        for v in order:
-            live += len(net.out_edges(v)) - len(net.in_edges(v))
-            total += 4**live
-        return total
-
-    return min((tuple(greedy), compiled.order), key=cost)
-
-
-def plan_sweep(compiled: CompiledProtocol) -> SweepPlan:
-    """The exact sweep's steps along sweep_order, and the peak of the
-    live-edge count."""
-    net = compiled.d3.network
-    steps = []
-    live, peak_live, peak_node = 0, -1, ""
-    for v in sweep_order(compiled):
-        ins, outs = tuple(net.in_edges(v)), tuple(net.out_edges(v))
-        steps.append(SweepStep(compiled.ops[v], ins, outs))
-        live += len(outs) - len(ins)
-        if live > peak_live:
-            peak_live, peak_node = live, v
-    return SweepPlan(tuple(steps), peak_node, peak_live)
+    return tuple(order)
 
 
 def protocol_to_json(compiled: CompiledProtocol) -> dict:

@@ -6,9 +6,9 @@ states according to its transition law, so a protocol run is a
 distribution over letter assignments to edges.
 
 `simulate_oracle` computes that distribution exactly by sweeping the
-network once, along the order of `compiled.sweep_plan`, and keeping the
-joint distribution over the currently live edges only, merging histories
-that agree there.  It keeps that joint as a product of factors, each an
+network once, along `compiled.sweep_order`, and keeping the joint
+distribution over the currently live edges only, merging histories that
+agree there.  It keeps that joint as a product of factors, each an
 integer table over some live edges and its total: a node merges the
 factors that hold its inputs and applies its compiled transition kernel
 (`QuantumOp.kernel`) in Python-int arithmetic, then splits off every edge
@@ -253,7 +253,7 @@ def _input_mass(held: list[_Factor], ins: tuple) -> tuple[dict, int]:
 def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
     """Exact distribution sweep; ground truth for the other two modes.
 
-    Walks `compiled.sweep_plan` and keeps the joint law of the letters on
+    Walks `compiled.sweep_order` and keeps the joint law of the letters on
     the live edges (created, not yet consumed) as a product of factors,
     each an integer table over a few live edges and its total.  A node
     merges the factors that hold its inputs and applies its kernel; the
@@ -263,7 +263,7 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
     independence is assumed: with letter inputs every factor splits down
     to single edges after each node, while a vector source can keep
     factors merged.  Cost follows the largest factor, not the number of
-    live edges.
+    live edges; `largest_factor` reports its measured size.
 
     Every value is a Fraction when every input is exact (a letter or a
     ShrunkState), and a float when any source is given a state vector or
@@ -280,8 +280,9 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
     marginals: dict[int, dict] = {}
     fork_joints: dict[str, dict] = {}
     sink_mixtures: dict[str, dict] = {}
-    for step in compiled.sweep_plan.steps:
-        op, ins, outs = step.op, step.in_edges, step.out_edges
+    net = compiled.d3.network
+    for v in compiled.sweep_order:
+        op, ins, outs = compiled.ops[v], net.in_edges(v), tuple(net.out_edges(v))
         held: list[_Factor] = []
         for e in ins:
             f = holder.pop(e)

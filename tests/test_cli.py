@@ -399,7 +399,7 @@ def test_compile_butterfly(capsys):
     assert sink["fidelity_floor"] == "797162/1594323"
     assert doc["ops"]["s1.f0"]["op"] == "ForkEFC"
     assert any("fork law" in n for n in doc["notes"])
-    assert doc["sweep"] == {"peak_live": 4, "peak_node": "s2.f0", "predicted_branches": 256}
+    assert "sweep" not in doc
 
 
 def test_compile_rejects_bad_normal_form(tmp_path, capsys):
@@ -449,10 +449,8 @@ def test_simulate_oracle_diamond(capsys):
 
 
 def test_simulate_oracle_prints_largest_factor(capsys):
-    # the plan's bound is 4 live edges; with letter inputs no factor of the
-    # sweep holds more than a fork's or a join's 2
-    assert main(["compile", "butterfly"]) == 0
-    assert json.loads(capsys.readouterr().out)["sweep"]["peak_live"] == 4
+    # 4 edges are live at once in sweep order (test_qsim), but with letter
+    # inputs no factor of the sweep holds more than a fork's or a join's 2
     assert main(["simulate", "butterfly", "--mode", "oracle", "--inputs", "01,10"]) == 0
     assert json.loads(capsys.readouterr().out)["largest_factor"] == 2
 
@@ -472,7 +470,7 @@ def test_simulate_oracle_lists_forks_in_listing_order(tmp_path, capsys):
              "f1": "fork", **{f"t{i}": "sink" for i in range(4)}}
     d3 = D3Network(net, roles, {"x0": IDENTITY_MAP}, GroupKind.Z4)
     compiled = compile_protocol(d3)
-    swept = [s.op.node for s in compiled.sweep_plan.steps if s.op.node in ("f0", "f1")]
+    swept = [v for v in compiled.sweep_order if v in ("f0", "f1")]
     assert swept == ["f0", "f1"]
     path = _write_json(tmp_path, "forks.json", netgraph.d3_to_json(d3))
     assert main(["simulate", path, "--mode", "oracle", "--inputs", "01,10"]) == 0
@@ -489,6 +487,17 @@ def test_simulate_montecarlo(capsys):
     counts = doc["sinks"]["t"]["counts"]
     assert sum(counts.values()) == 2000
     assert doc["trials"] == 2000 and doc["seed"] == 1
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "3"])
+def test_simulate_montecarlo_stderr_is_the_exact_mixtures(capsys, seed):
+    # at these seeds both trials at some sink land on letters of one
+    # fidelity, so the sample's own standard error would read 0 there
+    args = ["simulate", "butterfly", "--mode", "montecarlo", "--inputs", "01,10",
+            "--trials", "2", "--seed", seed]
+    assert main(args) == 0
+    sinks = json.loads(capsys.readouterr().out)["sinks"]
+    assert all(float(sink["stderr"]) > 0 for sink in sinks.values())
 
 
 def test_simulate_bad_inputs(capsys):

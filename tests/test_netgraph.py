@@ -174,6 +174,34 @@ def test_normalize_butterfly_shape():
     assert corr["t1"] == ["t1.j0.0", "t1"]
 
 
+def test_normalize_names_fork_chains_longer_than_one():
+    # three copies of a value take a chain of two forks: fork k feeds copy k
+    # and the next fork, the last fork the final two copies.  Source s has
+    # three out-edges; internal node v reads its one input in three terms,
+    # one per output.
+    net = make_network(
+        [("s", "source"), ("v", "internal")] + [(f"t{k}", "sink") for k in range(5)],
+        [("s", "t0"), ("s", "t1"), ("s", "v"), ("v", "t2"), ("v", "t3"), ("v", "t4")],
+        {f"t{k}": "s" for k in range(5)},
+    )
+    proto = ClassicalProtocol(
+        GroupKind.Z4, {"v": tuple(node_op(j, [(0, IDENTITY_MAP)]) for j in range(3))}
+    )
+    d3, corr = normalize_to_d3(net, proto)
+    assert corr["s"] == ["s", "s.f0", "s.f1"]
+    assert corr["v"] == ["v.f0.0", "v.f0.1"]
+    assert all(d3.roles[f] == "fork" for f in corr["s"][1:] + corr["v"])
+    fed = {}
+    for u, w in d3.network.edges:
+        fed.setdefault(u, set()).add(w)
+    assert fed["s"] == {"s.f0"}
+    assert fed["s.f0"] == {"t0.rx", "s.f1"}
+    assert fed["s.f1"] == {"t1.rx", "v.f0.0"}
+    assert fed["v.f0.0"] == {"t2.rx", "v.f0.1"}
+    assert fed["v.f0.1"] == {"t3.rx", "t4.rx"}
+    assert truth_table(d3).rows == truth_table(net, proto).rows
+
+
 def test_normalize_is_fixpoint_on_normal_form():
     for name in instances.BUNDLED:
         net, proto = instances.bundled(name)

@@ -250,11 +250,11 @@ def test_float_sweep_is_order_independent(butterfly_compiled, monkeypatch):
     # letter source reads the all-letter sweep's exact value, in either order
     d3 = butterfly_compiled.d3
     net = d3.network
-    planned = butterfly_compiled.sweep_plan.steps  # built before the patch
+    planned = butterfly_compiled.sweep_order  # built before the patch
     monkeypatch.setattr(qcompiler, "sweep_order", lambda comp: comp.order)
     listed = compile_protocol(d3)
-    assert [step.op.node for step in listed.sweep_plan.steps] == list(listed.order)
-    assert [step.op.node for step in planned] != list(listed.order)
+    assert listed.sweep_order == listed.order
+    assert planned != listed.order
     fed_by: dict = {}
     for v in butterfly_compiled.order:
         ins = net.in_edges(v)
@@ -287,11 +287,12 @@ def test_size_error_names_node_and_branches(diamond_compiled, monkeypatch):
 
 
 def test_size_error_names_the_node_where_a_factor_would_grow(butterfly_compiled, monkeypatch):
-    # the plan bounds butterfly by 4^4 keys, but letter inputs keep every
+    # 4 edges are live at once in sweep order, but letter inputs keep every
     # factor within 2 edges; a vector into s2 keeps its fork's outputs
     # together, and the join s0 would merge them with s1's edge
     monkeypatch.setattr(qsim, "MAX_ORACLE_BRANCHES", 16)
-    assert butterfly_compiled.sweep_plan.predicted_branches == 256
+    net = butterfly_compiled.d3.network
+    assert 4 ** _peak_live(net, butterfly_compiled.sweep_order) == 256
     simulate_oracle(butterfly_compiled, [2, 1])
     with pytest.raises(SizeError, match=r"at node s0 could reach 64 branches"):
         simulate_oracle(butterfly_compiled, [2, np.array([0.6, 0.8])])
@@ -327,7 +328,7 @@ def test_unnormalized_inputs_rejected(single_compiled, bad):
 
 
 # ---------------------------------------------------------------------------
-# sweep plan
+# sweep order
 
 
 def _peak_live(net, order) -> int:
@@ -360,17 +361,15 @@ def test_plan_is_never_wider_than_listing_order():
     for _ in range(100):
         comp = compile_protocol(random_d3_instance(rng, max_nodes=40, max_sources=6))
         net = comp.d3.network
-        plan = comp.sweep_plan
-        order = [step.op.node for step in plan.steps]
+        order = comp.sweep_order
         assert sorted(order) == sorted(comp.order)
         done: set = set()
         for v in order:
             assert all(net.edges[e][0] in done for e in net.in_edges(v))
             done.add(v)
-        assert plan.peak_live == _peak_live(net, order)
-        old = _peak_live(net, comp.order)
-        assert plan.peak_live <= old
-        narrower += plan.peak_live < old
+        peak, old = _peak_live(net, order), _peak_live(net, comp.order)
+        assert peak <= old
+        narrower += peak < old
     assert narrower
 
 
@@ -380,7 +379,7 @@ def test_plan_sweeps_disjoint_diamonds_one_at_a_time(diamond_compiled, monkeypat
     comp = compile_protocol(d3)
     net = d3.network
     assert _peak_live(net, comp.order) == 6
-    assert comp.sweep_plan.peak_live == 2
+    assert _peak_live(net, comp.sweep_order) == 2
     for inputs in ((0, 1, 2), (3, 3, 1)):
         oracle = simulate_oracle(comp, list(inputs))
         assert oracle.sink_mixtures == simulate_analytic(comp, inputs).sink_mixtures
@@ -391,18 +390,19 @@ def test_plan_sweeps_disjoint_diamonds_one_at_a_time(diamond_compiled, monkeypat
 
 
 def test_sweep_is_exact_where_the_plan_is_too_wide():
-    # grown networks whose plan peaks past 10 live edges, which a sweep over
-    # the whole live-edge joint refuses; with letter inputs every factor
-    # splits down to single edges after each node
+    # grown networks whose sweep order peaks past 10 live edges, which a
+    # sweep over the whole live-edge joint refuses; with letter inputs every
+    # factor splits down to single edges after each node
     swept = 0
     for seed in range(7):
         rng = random.Random(seed)
         d3 = grown_d3(rng, rng.randint(8, 16), rng.randint(30, 70))
         comp = compile_protocol(d3)
-        if comp.sweep_plan.peak_live <= 10:
-            continue
-        assert comp.sweep_plan.predicted_branches > qsim.MAX_ORACLE_BRANCHES
         net = d3.network
+        peak = _peak_live(net, comp.sweep_order)
+        if peak <= 10:
+            continue
+        assert 4**peak > qsim.MAX_ORACLE_BRANCHES
         for _ in range(2):
             inputs = [rng.randrange(4) for _ in net.source_ids]
             oracle = simulate_oracle(comp, inputs)
@@ -418,14 +418,14 @@ def test_sweep_is_exact_where_the_plan_is_too_wide():
     assert swept >= 6
 
 
-def test_plan_is_built_once_on_first_sweep():
+def test_sweep_order_is_built_once_on_first_sweep():
     net, proto = instances.butterfly()
     comp = compile_protocol(normalize_to_d3(net, proto)[0])
-    assert "sweep_plan" not in vars(comp)
+    assert "sweep_order" not in vars(comp)
     simulate_oracle(comp, [0, 1])
-    plan = comp.sweep_plan
+    order = comp.sweep_order
     simulate_oracle(comp, [2, 3])
-    assert comp.sweep_plan is plan
+    assert comp.sweep_order is order
 
 
 # ---------------------------------------------------------------------------
