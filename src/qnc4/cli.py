@@ -6,8 +6,9 @@ a path to a JSON file, in the general or the normal-form layout.
 
 Exit codes: 0 success / all checks passed, 1 a simulation check failed,
 2 unreadable input or bad arguments, 3 invalid network, 4 too large for
-the exact sweep or past the digit limit of exact numbers.  Set
-QNC_LOG=debug (or info, ...) for progress logging.
+the exact sweep or past the digit limit of exact numbers.  Set QNC_LOG
+to a log level (debug, info, warning, error or critical, in any case) for
+progress logging; any other value exits 2.
 """
 
 import argparse
@@ -25,6 +26,8 @@ from .netgraph import letter_from_str, letter_to_str
 from .qcompiler import compile_protocol, protocol_to_json
 
 log = logging.getLogger("qnc4")
+
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _num(x) -> str:
@@ -319,9 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("QNC_LOG", "").upper()
+    level = os.environ.get("QNC_LOG", "")
     if level:
-        logging.basicConfig(level=getattr(logging, level, logging.INFO))
+        # isascii: str.upper maps some other letters onto ASCII ones
+        if not (level.isascii() and level.upper() in _LOG_LEVELS):
+            print(
+                f"error: QNC_LOG={level!r} is not a log level "
+                f"(expected one of {', '.join(_LOG_LEVELS)}, in any case)",
+                file=sys.stderr,
+            )
+            return 2
+        logging.basicConfig(level=getattr(logging, level.upper()))
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

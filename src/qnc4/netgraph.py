@@ -10,6 +10,11 @@ Any such network can be rewritten into an equivalent degree-3 form whose
 nodes are sources (0 in, 1 out), sinks (1 in, 0 out), forks (1 in, 2 out,
 pure copy), joins (2 in, 1 out, group addition) and transforms (1 in, 1 out,
 one letter map).  The rewrite is `normalize_to_d3`.
+
+Every topological order comes from one Kahn walk, `Network.kahn`.  The
+table `_ROLES` gives each role its node kind and degree; the general layout
+checks degrees by kind and the normal form by role, so a wrong degree is
+reported once.
 """
 
 import enum
@@ -204,9 +209,11 @@ class Network:
     def sink_ids(self) -> list[str]:
         return sorted(n.id for n in self.nodes if n.kind == "sink")
 
-    def _kahn(self) -> list[str]:
-        """Topological order over well-formed edges, smallest id first among
-        ready nodes.  Shorter than the node list iff there is a cycle."""
+    def kahn(self, key=str) -> list[str]:
+        """Kahn's topological walk (CACM 5(11), 1962) over well-formed edges:
+        among the ready nodes, the one with the smallest key(id) goes first,
+        the id itself by default.  Shorter than the node list iff there is a
+        cycle."""
         ids = {n.id for n in self.nodes}
         indeg = {i: 0 for i in ids}
         children = {i: [] for i in ids}
@@ -214,21 +221,21 @@ class Network:
             if u in ids and v in ids:
                 indeg[v] += 1
                 children[u].append(v)
-        ready = sorted(i for i in ids if indeg[i] == 0)
+        ready = [(key(i), i) for i in ids if indeg[i] == 0]
         heapq.heapify(ready)
         order = []
         while ready:
-            u = heapq.heappop(ready)
+            u = heapq.heappop(ready)[1]
             order.append(u)
             for w in children[u]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    heapq.heappush(ready, w)
+                    heapq.heappush(ready, (key(w), w))
         return order
 
     @cached_property
     def topo_order(self) -> list[str]:
-        order = self._kahn()
+        order = self.kahn()
         if len(order) != len(self.nodes):
             raise QncError("network contains a cycle")
         return order
@@ -272,7 +279,7 @@ class ValidationReport:
 
 
 def _check_graph(net: Network, rep: ValidationReport) -> bool:
-    """Ids, kinds, edges, acyclicity, degrees by kind and the requirement.
+    """Ids, kinds, edges and acyclicity.
 
     Returns False, right after the id and edge checks, when a node id
     repeats: every later check keys nodes by id and would misreport.
@@ -293,9 +300,14 @@ def _check_graph(net: Network, rep: ValidationReport) -> bool:
             rep.add(f"edge {e} ends at unknown node {v}")
     if repeated:
         return False
-    if len(net._kahn()) != len(net.nodes):
+    if len(net.kahn()) != len(net.nodes):
         rep.add("network contains a cycle")
+    return True
 
+
+def _check_kind_degrees(net: Network, rep: ValidationReport) -> None:
+    """Degrees by node kind, for the general layout; the normal form checks
+    them by role instead."""
     for n in net.nodes:
         indeg = len(net.in_edges(n.id))
         outdeg = len(net.out_edges(n.id))
@@ -315,6 +327,8 @@ def _check_graph(net: Network, rep: ValidationReport) -> bool:
             if not outdeg:
                 rep.add(f"internal node {n.id} has outdegree 0")
 
+
+def _check_requirements(net: Network, rep: ValidationReport) -> None:
     sources = set(net.source_ids)
     for t in net.sink_ids:
         if t not in net.requirements:
@@ -324,7 +338,6 @@ def _check_graph(net: Network, rep: ValidationReport) -> bool:
             rep.add(f"requirement names {t}, which is not a sink")
         if s not in sources:
             rep.add(f"requirement for sink {t} names {s}, which is not a source")
-    return True
 
 
 def validate_network(net: Network, proto: ClassicalProtocol) -> ValidationReport:
@@ -332,6 +345,8 @@ def validate_network(net: Network, proto: ClassicalProtocol) -> ValidationReport
     rep = ValidationReport()
     if not _check_graph(net, rep):
         return rep
+    _check_kind_degrees(net, rep)
+    _check_requirements(net, rep)
     for v, ops in proto.ops.items():
         kind = net.kind_of.get(v)
         if kind is None:
@@ -390,14 +405,13 @@ def validate_network(net: Network, proto: ClassicalProtocol) -> ValidationReport
 # degree-3 form
 
 
-D3_ROLES = ("source", "sink", "fork", "join", "transform")
-
-_ROLE_DEGREES = {
-    "source": (0, 1),
-    "sink": (1, 0),
-    "fork": (1, 2),
-    "join": (2, 1),
-    "transform": (1, 1),
+# each degree-3 role's node kind and degree (indegree, outdegree)
+_ROLES = {
+    "source": ("source", (0, 1)),
+    "sink": ("sink", (1, 0)),
+    "fork": ("internal", (1, 2)),
+    "join": ("internal", (2, 1)),
+    "transform": ("internal", (1, 1)),
 }
 
 
@@ -449,25 +463,24 @@ def validate_d3(d3: D3Network) -> ValidationReport:
     The roles fix every edge operation, so checking each role's kind and
     degrees and each transform's map covers what `validate_network` checks
     on the implied protocol, without building it from unchecked roles.
+    Degrees are checked by role only, so a wrong degree is one violation.
     """
     rep = ValidationReport()
     net = d3.network
     if not _check_graph(net, rep):
         return rep
+    _check_requirements(net, rep)
     for n in net.nodes:
         role = d3.roles.get(n.id)
-        if role not in D3_ROLES:
+        if role not in _ROLES:
             rep.add(f"node {n.id} has unknown role {role!r}")
             continue
-        want_kind = role if role in ("source", "sink") else "internal"
-        if n.kind != want_kind:
+        kind, want = _ROLES[role]
+        if n.kind != kind:
             rep.add(f"node {n.id} has role {role} but kind {n.kind}")
-        indeg, outdeg = len(net.in_edges(n.id)), len(net.out_edges(n.id))
-        w_in, w_out = _ROLE_DEGREES[role]
-        if (indeg, outdeg) != (w_in, w_out):
-            rep.add(
-                f"{role} {n.id} has degree ({indeg}, {outdeg}), expected ({w_in}, {w_out})"
-            )
+        degree = (len(net.in_edges(n.id)), len(net.out_edges(n.id)))
+        if degree != want:
+            rep.add(f"{role} {n.id} has degree {degree}, expected {want}")
         if role == "transform":
             m = d3.transforms.get(n.id)
             if m is None:
@@ -511,8 +524,7 @@ class _Normalizer:
         return nid
 
     def add_node(self, nid: str, role: str, orig: str, map_: LetterMap | None = None):
-        kind = role if role in ("source", "sink") else "internal"
-        self.nodes.append(Node(nid, kind))
+        self.nodes.append(Node(nid, _ROLES[role][0]))
         self.roles[nid] = role
         if map_ is not None:
             self.transforms[nid] = map_

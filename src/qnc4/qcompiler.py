@@ -34,7 +34,6 @@ only exists if each of its node laws lands on the bookkeeping above.
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, prod
 
@@ -358,11 +357,12 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
 def sweep_order(compiled: CompiledProtocol) -> tuple[str, ...]:
     """A topological order that keeps few edges live, for the exact sweep.
 
-    Greedy: among the ready nodes, take the one that leaves the fewest live
-    edges (out-degree minus in-degree), on ties one that consumes edges
-    before a source, then the deeper node, then the lower id.  With letter
-    inputs the order does not change the sweep's work; it matters once a
-    vector source keeps factors merged.  Choosing the order is the
+    The network's one Kahn walk (`Network.kahn`) with a greedy key: among
+    the ready nodes, take the one that leaves the fewest live edges
+    (out-degree minus in-degree), on ties one that consumes edges before a
+    source, then the deeper node, then the lower id.  With letter inputs
+    the order does not change the sweep's work; it matters once a vector
+    source keeps factors merged.  Choosing the order is the
     contraction-ordering problem of tensor networks (Markov and Shi, SIAM
     J. Comput. 38(3), 2008); a greedy order is enough here.
     """
@@ -370,21 +370,9 @@ def sweep_order(compiled: CompiledProtocol) -> tuple[str, ...]:
 
     def key(v):
         ins = len(net.in_edges(v))
-        return (len(net.out_edges(v)) - ins, not ins, -compiled.depths[v], v)
+        return (len(net.out_edges(v)) - ins, not ins, -compiled.depths[v])
 
-    waiting = {v: len(net.in_edges(v)) for v in compiled.order}
-    ready = [key(v) for v, k in waiting.items() if not k]
-    heapify(ready)
-    order = []
-    while ready:
-        v = heappop(ready)[-1]
-        order.append(v)
-        for e in net.out_edges(v):
-            w = net.edges[e][1]
-            waiting[w] -= 1
-            if not waiting[w]:
-                heappush(ready, key(w))
-    return tuple(order)
+    return tuple(net.kahn(key))
 
 
 def protocol_to_json(compiled: CompiledProtocol) -> dict:

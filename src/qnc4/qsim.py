@@ -13,11 +13,12 @@ integer table over some live edges and its total: a node merges the
 factors that hold its inputs and applies its compiled transition kernel
 (`QuantumOp.kernel`) in Python-int arithmetic, then splits off every edge
 that an exact integer test proves independent of the rest of its factor,
-and cancels each factor's gcd.  Values become `Fraction`s when a marginal,
-fork joint or sink mixture is recorded, or floats throughout when any
-source is given a state vector or density matrix.  It assumes nothing
-about independence across edges: every split is proven, which is what
-lets its per-edge marginals serve as ground truth.
+and cancels each factor's gcd.  Values become `Fraction`s when a marginal
+or fork joint is recorded, or floats throughout when any source is given
+a state vector or density matrix; a sink's mixture is a copy of its input
+edge's marginal.  It assumes nothing about independence across edges:
+every split is proven, which is what lets its per-edge marginals serve as
+ground truth.
 
 The per-node `Fraction` laws below (`transform_branch_law`,
 `join_branch_law`) are an independent reference for the kernels.
@@ -298,8 +299,7 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
         largest = max(largest, width)
         parts, total = _input_mass(held, ins)
         if op.tag == SINK_NOOP:
-            mass = [sum(col) for col in zip(*parts.values())]
-            sink_mixtures[op.node] = {u: as_value(m, total) for u, m in enumerate(mass) if m}
+            sink_mixtures[op.node] = dict(sorted(marginals[ins[0]].items()))
             if not rest:
                 continue
             factors = _split(rest, {r: sum(ms) for r, ms in parts.items()}, total)
@@ -371,12 +371,9 @@ def simulate_analytic(compiled: CompiledProtocol, inputs=None) -> AnalyticReport
         by_source = dict(zip(net.source_ids, letters))
         decoded, mixtures, tetra = {}, {}, {}
         for t in net.sink_ids:
-            a = alphas[t]
             decoded[t] = by_sink[t]
-            mixtures[t] = tetra_weights(ShrunkState(by_sink[t], a))
-            want = by_source[net.requirements[t]]
-            hit = Fraction(1) if by_sink[t] == want else Fraction(1, 3)
-            tetra[t] = a * hit + (1 - a) / 2
+            mixtures[t] = tetra_weights(ShrunkState(by_sink[t], alphas[t]))
+            tetra[t] = mixture_fidelity(mixtures[t], by_source[net.requirements[t]])
     return AnalyticReport(alphas, floor, decoded, mixtures, tetra)
 
 

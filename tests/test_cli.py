@@ -172,6 +172,30 @@ def _duplicate_id(doc):
     doc["nodes"][2]["id"] = "s1"
 
 
+def _ops_for_ghost(doc):
+    doc["ops"]["ghost"] = []
+
+
+def _two_ops_one_edge(doc):
+    doc["ops"]["t0"][1]["out"] = 0
+
+
+def _term_twice(doc):
+    doc["ops"]["s0"][0]["terms"][1]["in"] = 0
+
+
+def _short_map(doc):
+    doc["ops"]["s0"][0]["terms"][0]["map"] = ["00", "01", "10"]
+
+
+def _ops_not_array(doc):
+    doc["ops"]["t0"] = {}
+
+
+def _unknown_group(doc):
+    doc["group"] = "Z8"
+
+
 @pytest.mark.parametrize(
     "mutate, problem",
     [
@@ -179,12 +203,21 @@ def _duplicate_id(doc):
         (_edge_to_nowhere, "edge 0 ends at unknown node nowhere"),
         (_term_out_of_range, "references missing incoming edge 7"),
         (_duplicate_id, "duplicate node id s1"),
+        (_ops_for_ghost, "operations given for unknown node ghost"),
+        (_two_ops_one_edge, "node t0 has two operations for outgoing edge 0"),
+        (_term_twice, "operation on node s0 (out 0) references incoming edge 0 twice"),
+        (_short_map, "ops.s0[0].terms[0]: map must be an array of 4 letters"),
+        (lambda doc: [doc], "top level: expected an object"),
+        (_ops_not_array, "ops.t0: expected an array of operations"),
+        (_unknown_group, "unknown group 'Z8'"),
     ],
-    ids=["missing-op", "unknown-node", "term-out-of-range", "duplicate-id"],
+    ids=["missing-op", "unknown-node", "term-out-of-range", "duplicate-id",
+         "ops-for-unknown-node", "two-ops-one-edge", "term-twice", "short-map",
+         "not-an-object", "ops-not-an-array", "unknown-group"],
 )
 def test_eval_validates_first(tmp_path, capsys, mutate, problem):
     doc = netgraph.instance_to_json(*instances.butterfly())
-    mutate(doc)
+    doc = mutate(doc) or doc  # a mutation edits doc in place or replaces it
     path = _write_json(tmp_path, "mutated.json", doc)
     assert main(["eval", path]) in (2, 3)
     captured = capsys.readouterr()
@@ -249,6 +282,40 @@ def test_invalid_file_gives_one_answer(tmp_path, capsys, base, mutate, problem):
         answers.add(tuple(lines))
     assert len(answers) == 1
     assert f"violation: {problem}" in answers.pop()
+
+
+def test_wrong_degree_in_normal_form_is_one_violation(tmp_path, capsys):
+    # without edge s1 -> s1.f0, two nodes have a wrong degree: the normal
+    # form checks degrees by role only, so each is reported once
+    doc = _normal_form("butterfly")
+    doc["edges"].remove({"from": "s1", "to": "s1.f0"})
+    path = _write_json(tmp_path, "cut.json", doc)
+    for command in ("validate", "eval", "normalize", "compile", "simulate", "report"):
+        assert main([command, path]) == 3, command
+        assert capsys.readouterr().out.splitlines() == [
+            "violation: source s1 has degree (0, 0), expected (0, 1)",
+            "violation: fork s1.f0 has degree (0, 2), expected (1, 2)",
+        ], command
+
+
+@pytest.mark.parametrize("value", ["debug", "Info", "WARNING", "error", "cRiTiCaL"])
+def test_qnc_log_takes_a_level_name_in_any_case(monkeypatch, capsys, value):
+    levels = []
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda level: levels.append(level))
+    monkeypatch.setenv("QNC_LOG", value)
+    assert main(["validate", "single-edge"]) == 0
+    assert levels == [getattr(cli.logging, value.upper())]
+
+
+@pytest.mark.parametrize("value", ["basic_format", "bogus", "warn", "10", "ınfo"])
+def test_qnc_log_refuses_other_values(monkeypatch, capsys, value):
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: pytest.fail("configured"))
+    monkeypatch.setenv("QNC_LOG", value)
+    assert main(["validate", "single-edge"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "QNC_LOG" in captured.err and repr(value) in captured.err
+    assert "Traceback" not in captured.err
 
 
 def _run_six(capsys, path, mode, codes):

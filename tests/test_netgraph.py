@@ -202,6 +202,27 @@ def test_normalize_names_fork_chains_longer_than_one():
     assert truth_table(d3).rows == truth_table(net, proto).rows
 
 
+def test_normalize_renames_a_fork_whose_id_is_taken():
+    # source s needs a fork, which would be named s.f0, but the instance
+    # already has a node of that name: the new fork takes the next free id
+    shift = LetterMap((1, 2, 3, 0))
+    net = make_network(
+        [("s", "source"), ("s.f0", "internal"), ("t1", "sink"), ("t2", "sink")],
+        [("s", "s.f0"), ("s", "t2"), ("s.f0", "t1")],
+        {"t1": "s", "t2": "s"},
+    )
+    proto = ClassicalProtocol(GroupKind.Z4, {"s.f0": (node_op(0, [(0, shift)]),)})
+    d3, corr = normalize_to_d3(net, proto)
+    assert corr["s"] == ["s", "s.f0_"]
+    assert corr["s.f0"] == ["s.f0"]
+    assert d3.roles["s.f0_"] == "fork"
+    assert d3.roles["s.f0"] == "transform" and d3.transforms["s.f0"] == shift
+    assert sorted(d3.network.edges) == [
+        ("s", "s.f0_"), ("s.f0", "t1"), ("s.f0_", "s.f0"), ("s.f0_", "t2.rx"), ("t2.rx", "t2")
+    ]
+    assert truth_table(d3).rows == truth_table(net, proto).rows
+
+
 def test_normalize_is_fixpoint_on_normal_form():
     for name in instances.BUNDLED:
         net, proto = instances.bundled(name)

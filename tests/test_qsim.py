@@ -221,6 +221,19 @@ def test_oracle_result_types(butterfly_compiled):
             assert abs(sum(mix.values()) - 1) < 1e-12
 
 
+def test_sink_mixture_is_a_copy_of_its_input_marginal(butterfly_compiled):
+    net = butterfly_compiled.d3.network
+    for inputs in ([1, 2], [np.array([0.6, 0.8]), 2]):
+        res = simulate_oracle(butterfly_compiled, inputs)
+        for t in net.sink_ids:
+            (e,) = net.in_edges(t)
+            kept = dict(res.edge_marginals[e])
+            assert res.sink_mixtures[t] == kept
+            assert list(res.sink_mixtures[t]) == sorted(kept)
+            res.sink_mixtures[t].clear()
+            assert res.edge_marginals[e] == kept
+
+
 def test_oracle_matches_analytic_on_butterfly(butterfly_compiled):
     for x, y in ((0, 0), (1, 3), (2, 1)):
         oracle = simulate_oracle(butterfly_compiled, [x, y])
