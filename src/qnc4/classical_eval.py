@@ -9,15 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SizeError
-from .netgraph import (
-    ClassicalProtocol,
-    D3Network,
-    IDENTITY_MAP,
-    Letter,
-    Network,
-    Term,
-    as_letter,
-)
+from .netgraph import D3Network, Letter, as_letter
 
 # 4**8 = 65536 rows; beyond this, exhaustive checks are refused
 MAX_EXHAUSTIVE_SOURCES = 8
@@ -25,7 +17,7 @@ MAX_EXHAUSTIVE_SOURCES = 8
 
 def _resolve(instance, proto):
     if isinstance(instance, D3Network):
-        return instance.network, instance.to_protocol()
+        return instance.network, instance.protocol
     if proto is None:
         raise TypeError("a plain Network needs its ClassicalProtocol")
     return instance, proto
@@ -36,12 +28,6 @@ def _combine(group, vals, ins, terms) -> Letter:
     for t in terms:
         acc = group.add(acc, t.map(vals[ins[t.in_pos]]))
     return acc
-
-
-def _sink_terms(net: Network, proto: ClassicalProtocol, t: str):
-    for op in proto.ops.get(t, ()):
-        return op.terms
-    return (Term(0, IDENTITY_MAP),)
 
 
 def edge_values(instance, proto, inputs) -> list[Letter]:
@@ -74,7 +60,7 @@ def evaluate(instance, proto, inputs) -> tuple[Letter, ...]:
     vals = edge_values(net, proto, inputs)
     out = []
     for t in net.sink_ids:
-        out.append(_combine(proto.group, vals, net.in_edges(t), _sink_terms(net, proto, t)))
+        out.append(_combine(proto.group, vals, net.in_edges(t), proto.decode_terms(t)))
     return tuple(out)
 
 

@@ -53,8 +53,7 @@ def load_instance(name: str):
         d3, corr = netgraph.normalize_to_d3(net, proto)
         return net, proto, d3, corr
     d3 = netgraph.d3_from_json(data)
-    net, proto = d3.to_instance()
-    return net, proto, d3, {n.id: [n.id] for n in net.nodes}
+    return d3.network, d3.protocol, d3, {n.id: [n.id] for n in d3.network.nodes}
 
 
 def _write(args, text: str) -> None:
@@ -116,13 +115,14 @@ def cmd_normalize(args) -> int:
 
 def cmd_compile(args) -> int:
     compiled = compile_protocol(load_instance(args.instance)[2])
+    floor = qsim.simulate_analytic(compiled).fidelity_floor
     doc = {
         "group": compiled.d3.group.value,
         "ops": protocol_to_json(compiled),
         "sinks": {
             t: {
                 "alpha": _num(a),
-                "fidelity_floor": _num(Fraction(1, 2) + a / 6),
+                "fidelity_floor": _num(floor[t]),
                 "fidelity_tetra_input": _num(Fraction(1, 2) + a / 2),
             }
             for t, a in compiled.sink_alphas.items()

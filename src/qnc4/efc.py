@@ -23,17 +23,9 @@ import numpy as np
 from .errors import VerificationError
 from .netgraph import LETTERS, Letter, as_letter
 from . import qmath
-from .qmath import ShrunkState, identity2
+from .qmath import ShrunkState, as_shrink, identity2
 
 PairDist = dict[tuple[Letter, Letter], Fraction]
-
-
-def _check_alpha(alpha) -> Fraction:
-    if not isinstance(alpha, Fraction):
-        alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise ValueError(f"shrink factor must lie in (0, 1], got {alpha}")
-    return alpha
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,7 @@ def efc_params(alpha) -> EfcParams:
     the tetra-measurement outcome is averaged out; the identities relating
     them to the p values are rational and are re-checked on every call.
     """
-    a = _check_alpha(alpha)
+    a = Fraction(as_shrink(alpha))
     p1 = (81 + 6 * a + a * a) / 432
     p2 = (9 - a) * (15 + a) / 1296
     p3 = (9 - a) * (3 + a) / 1296
@@ -151,13 +143,11 @@ def efco2_apply(x: int, p) -> Efco2Result:
     """
     if isinstance(x, bool) or x not in (0, 1):  # like a letter, never a bool
         raise ValueError(f"input must be the bit 0 or 1, got {x!r}")
+    p = as_shrink(p)
     if isinstance(p, float):
         half, quart, sixteenth = 0.5, 0.25, 1 / 16
     else:
-        p = _check_alpha(p)
         half, quart, sixteenth = Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)
-    if not 0 < p <= 1:
-        raise ValueError(f"shrink factor must lie in (0, 1], got {p}")
     p1 = half + p * p * sixteenth
     p2 = quart - p * p * sixteenth
     p3 = p * p * sixteenth
@@ -228,9 +218,7 @@ def efc2_apply(theta: float, x: int, p) -> Efc2Result:
         raise ValueError(
             f"theta must lie in [0, pi/4) so the two states stay distinct, got {theta}"
         )
-    p = float(_check_alpha(p) if not isinstance(p, float) else p)
-    if not 0 < p <= 1:
-        raise ValueError(f"shrink factor must lie in (0, 1], got {p}")
+    p = float(as_shrink(p))
     c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
     p_mid = p * c2
     r = p / (2 + p * s2)

@@ -14,7 +14,10 @@ one letter map).  The rewrite is `normalize_to_d3`.
 Every topological order comes from one Kahn walk, `Network.kahn`.  The
 table `_ROLES` gives each role its node kind and degree; the general layout
 checks degrees by kind and the normal form by role, so a wrong degree is
-reported once.
+reported once.  An unknown kind is reported once too: no check that needs
+a node's kind runs on it.  A sink without an operation decodes by the
+identity (`ClassicalProtocol.decode_terms`), and a `D3Network` builds its
+implied protocol once (`D3Network.protocol`).
 """
 
 import enum
@@ -180,26 +183,21 @@ class Network:
         return {n.id: n.kind for n in self.nodes}
 
     @cached_property
-    def _in_map(self) -> dict[str, list[int]]:
-        m = {n.id: [] for n in self.nodes}
-        for e, (_, v) in enumerate(self.edges):
+    def _incident(self) -> dict[str, tuple[list[int], list[int]]]:
+        """Each node's incoming and outgoing edge ids, in one pass."""
+        m = {n.id: ([], []) for n in self.nodes}
+        for e, (u, v) in enumerate(self.edges):
             if v in m:
-                m[v].append(e)
-        return m
-
-    @cached_property
-    def _out_map(self) -> dict[str, list[int]]:
-        m = {n.id: [] for n in self.nodes}
-        for e, (u, _) in enumerate(self.edges):
+                m[v][0].append(e)
             if u in m:
-                m[u].append(e)
+                m[u][1].append(e)
         return m
 
     def in_edges(self, v: str) -> list[int]:
-        return self._in_map[v]
+        return self._incident[v][0]
 
     def out_edges(self, v: str) -> list[int]:
-        return self._out_map[v]
+        return self._incident[v][1]
 
     @cached_property
     def source_ids(self) -> list[str]:
@@ -265,6 +263,14 @@ class ClassicalProtocol:
     group: GroupKind
     ops: dict[str, tuple[NodeOp, ...]]
 
+    def decode_terms(self, t: str) -> tuple[Term, ...]:
+        """The terms sink t decodes its letter from: its operation's, or the
+        identity on its lone input when it has none.  An explicit decode
+        with no terms means the constant 00."""
+        for op in self.ops.get(t, ()):
+            return op.terms
+        return (Term(0, IDENTITY_MAP),)
+
 
 @dataclass
 class ValidationReport:
@@ -321,7 +327,7 @@ def _check_kind_degrees(net: Network, rep: ValidationReport) -> None:
                 rep.add(f"sink {n.id} has outdegree {outdeg} (must be 0)")
             if not indeg:
                 rep.add(f"sink {n.id} has indegree 0 (receives nothing)")
-        else:
+        elif n.kind == "internal":
             if not indeg:
                 rep.add(f"internal node {n.id} has indegree 0")
             if not outdeg:
@@ -329,14 +335,14 @@ def _check_kind_degrees(net: Network, rep: ValidationReport) -> None:
 
 
 def _check_requirements(net: Network, rep: ValidationReport) -> None:
-    sources = set(net.source_ids)
     for t in net.sink_ids:
         if t not in net.requirements:
             rep.add(f"missing requirement for sink {t}")
     for t, s in net.requirements.items():
-        if net.kind_of.get(t) != "sink":
+        # a missing node or a known kind; _check_graph reports unknown kinds
+        if net.kind_of.get(t) in (None, "source", "internal"):
             rep.add(f"requirement names {t}, which is not a sink")
-        if s not in sources:
+        if net.kind_of.get(s) in (None, "sink", "internal"):
             rep.add(f"requirement for sink {t} names {s}, which is not a source")
 
 
@@ -356,11 +362,11 @@ def validate_network(net: Network, proto: ClassicalProtocol) -> ValidationReport
             rep.add(f"source {v} carries operations (sources pass their letter through)")
             continue
         indeg = len(net.in_edges(v))
-        outdeg = len(net.out_edges(v))
-        n_out = 1 if kind == "sink" else outdeg
+        n_out = 1 if kind == "sink" else len(net.out_edges(v))
         seen_out = set()
         for op in ops:
-            if not 0 <= op.out_pos < n_out:
+            # an unknown kind has no outgoing positions to check against
+            if kind in NODE_KINDS and not 0 <= op.out_pos < n_out:
                 rep.add(f"node {v} has an operation for missing outgoing edge {op.out_pos}")
                 continue
             if op.out_pos in seen_out:
@@ -435,8 +441,11 @@ class D3Network:
         if not report.ok:
             raise ValidationError(report)
 
-    def to_protocol(self) -> ClassicalProtocol:
-        """The implied edge operations, in ordinary protocol form."""
+    @cached_property
+    def protocol(self) -> ClassicalProtocol:
+        """The implied edge operations, in ordinary protocol form, built on
+        first use and kept.  Sinks carry none: each decodes by the default
+        of `ClassicalProtocol.decode_terms`, the identity."""
         ops = {}
         for n in self.network.nodes:
             role = self.roles[n.id]
@@ -449,12 +458,7 @@ class D3Network:
                 ops[n.id] = (node_op(0, [(0, IDENTITY_MAP), (1, IDENTITY_MAP)]),)
             elif role == "transform":
                 ops[n.id] = (node_op(0, [(0, self.transforms[n.id])]),)
-            elif role == "sink":
-                ops[n.id] = (node_op(0, [(0, IDENTITY_MAP)]),)
         return ClassicalProtocol(self.group, ops)
-
-    def to_instance(self) -> tuple[Network, ClassicalProtocol]:
-        return self.network, self.to_protocol()
 
 
 def validate_d3(d3: D3Network) -> ValidationReport:
@@ -463,7 +467,8 @@ def validate_d3(d3: D3Network) -> ValidationReport:
     The roles fix every edge operation, so checking each role's kind and
     degrees and each transform's map covers what `validate_network` checks
     on the implied protocol, without building it from unchecked roles.
-    Degrees are checked by role only, so a wrong degree is one violation.
+    Degrees are checked by role only, so a wrong degree is one violation,
+    and a role's kind only against a known kind, so an unknown kind is one.
     """
     rep = ValidationReport()
     net = d3.network
@@ -476,7 +481,7 @@ def validate_d3(d3: D3Network) -> ValidationReport:
             rep.add(f"node {n.id} has unknown role {role!r}")
             continue
         kind, want = _ROLES[role]
-        if n.kind != kind:
+        if n.kind != kind and n.kind in NODE_KINDS:
             rep.add(f"node {n.id} has role {role} but kind {n.kind}")
         degree = (len(net.in_edges(n.id)), len(net.out_edges(n.id)))
         if degree != want:
@@ -607,14 +612,7 @@ class _Normalizer:
 
     def _emit_sink(self, v: str):
         ins = self.net.in_edges(v)
-        ops = self.proto.ops.get(v, ())
-        if ops:
-            # an explicit decode with no terms means the constant 00, which
-            # is not the same as the implicit identity of an omitted decode
-            terms = [(t.in_pos, t.map) for t in ops[0].terms]
-        else:
-            terms = [(0, IDENTITY_MAP)]
-
+        terms = [(t.in_pos, t.map) for t in self.proto.decode_terms(v)]
         if len(ins) == 1 and terms == [(0, IDENTITY_MAP)]:
             p = self.prod[ins[0]]
         else:

@@ -48,6 +48,7 @@ from .netgraph import (
     as_letter,
     letter_to_str,
 )
+from .shrink import as_shrink
 
 SOURCE_TTR = "SourceTTR"
 JOIN = "Join"
@@ -71,10 +72,7 @@ def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dic
     unmapped image letter is never produced.  Exact in the parameter.
     """
     letter = as_letter(letter)
-    if not isinstance(param, Fraction):
-        param = Fraction(param)
-    if not 0 < param <= 1:
-        raise ValueError(f"parameter must lie in (0, 1], got {param}")
+    param = Fraction(as_shrink(param))
     image = map_.image()
     if len(image) != 2:
         raise ValueError("emission law only applies to two-to-one maps")

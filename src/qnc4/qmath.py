@@ -6,10 +6,12 @@ tetra measurement); measuring and re-preparing the reported state shrinks
 any input toward the maximally mixed state by a factor of 3.
 
 Shrink bookkeeping is exact and lives in `qnc4.shrink`, which imports no
-numpy; this module re-exports its names (`ShrunkState`, `tetra_weights`,
-`shrunk_from_weights`, `ttr_outcome_weights`, `shrunk_probabilities`),
-and `ttr_probabilities` hands a ShrunkState to it.  Matrices are complex floats and appear only
-where sqrt(3) does; they are why importing this module imports numpy.
+numpy; this module re-exports its names (`ShrunkState`, `as_shrink`,
+`tetra_weights`, `shrunk_from_weights`, `ttr_outcome_weights`,
+`shrunk_probabilities`), and `ttr_probabilities` hands a ShrunkState to
+it.  Matrices are complex floats and appear only where sqrt(3) does; they
+are why importing this module imports numpy.  `as_state_vector` is the
+one check of a state vector, wherever one enters.
 """
 
 import cmath
@@ -21,6 +23,7 @@ import numpy as np
 from .netgraph import LETTERS, Letter, as_letter
 from .shrink import (
     ShrunkState,
+    as_shrink,
     shrunk_from_weights,
     shrunk_probabilities,
     tetra_weights,
@@ -116,13 +119,23 @@ def is_density_matrix(rho: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(rho).min() > -STATE_TOL)
 
 
-def fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
-    """Overlap of a unit vector with a density matrix: <psi| rho |psi>."""
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > STATE_TOL:
+def as_state_vector(psi) -> np.ndarray:
+    """psi as a complex array of shape (2,) and norm 1 within STATE_TOL: the
+    one check of every entry point that takes a state vector.  Raises
+    ValueError otherwise, NaN included."""
+    vec = np.asarray(psi, dtype=complex)
+    if vec.shape != (2,):
+        raise ValueError(f"state vector must have 2 entries, got shape {vec.shape}")
+    norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1) <= STATE_TOL:  # NaN fails it, so it is refused
         raise ValueError(f"state vector is not normalized (norm {norm})")
-    value = np.vdot(psi, rho @ psi)
-    return float(value.real)
+    return vec
+
+
+def fidelity(psi, rho: np.ndarray) -> float:
+    """Overlap of a unit vector with a density matrix: <psi| rho |psi>."""
+    psi = as_state_vector(psi)
+    return float(np.vdot(psi, rho @ psi).real)
 
 
 def densify(state: ShrunkState) -> np.ndarray:

@@ -100,11 +100,7 @@ def source_distribution(value) -> dict[Letter, object]:
         from . import qmath
 
         if value.ndim == 1:
-            if value.shape != (2,):
-                raise ValueError(f"state vector must have 2 entries, got {value.shape}")
-            norm = float(np.linalg.norm(value))
-            if not abs(norm - 1) <= qmath.STATE_TOL:  # also catches nan
-                raise ValueError(f"state vector is not normalized (norm {norm})")
+            value = qmath.as_state_vector(value)
             value = np.outer(value, value.conj())
         elif not qmath.is_density_matrix(value):
             raise ValueError("source matrix is not a single-qubit density matrix")
@@ -495,16 +491,16 @@ def simulate_montecarlo(
 def guess_fidelities(target) -> np.ndarray:
     """Fidelity of each prepared tetra state against the delivery target.
 
-    The target is a pure state vector (an array, list or tuple), or else a
-    letter (`as_letter`): fidelity 1 on the matching state, 1/3 on the
-    others.
+    The target is a pure state vector (an array, list or tuple, checked by
+    `qmath.as_state_vector`), or else a letter (`as_letter`): fidelity 1
+    on the matching state, 1/3 on the others.
     """
     import numpy as np
 
     from . import qmath
 
     if isinstance(target, (np.ndarray, list, tuple)):
-        vec = np.asarray(target, dtype=complex)
+        vec = qmath.as_state_vector(target)
         return np.array([qmath.fidelity(vec, qmath.tetra_matrix(z)) for z in LETTERS])
     target = as_letter(target)
     return np.array([1.0 if z == target else 1 / 3 for z in LETTERS])

@@ -6,12 +6,26 @@ tetra state.  It converts losslessly to and from a rational mixture over
 the four tetra states, and its tetra-measurement outcome law is rational
 too.  Nothing here needs the states' complex matrices, so this module
 imports no numpy; `qmath` re-exports every name in it.
+
+`as_shrink` is the one range check of a shrink factor: `ShrunkState`, the
+cloners in `efc` and `qcompiler.two_to_one_emission` all call it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .netgraph import LETTERS, Letter, as_letter
+
+
+def as_shrink(a):
+    """a as a shrink factor: the one check of every entry point that takes
+    one.  A float stays a float; anything else becomes an exact Fraction.
+    Raises ValueError unless it lies in (0, 1], NaN included."""
+    if not isinstance(a, float):
+        a = Fraction(a)
+    if not 0 < a <= 1:  # NaN fails every comparison, so it is refused
+        raise ValueError(f"shrink factor must lie in (0, 1], got {a}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -24,9 +38,9 @@ class ShrunkState:
 
     def __post_init__(self):
         as_letter(self.label)
-        a = self.alpha
-        if not isinstance(a, Fraction) or not 0 < a <= 1:
-            raise ValueError(f"shrink factor must be a rational in (0, 1], got {a!r}")
+        if not isinstance(self.alpha, Fraction):
+            raise ValueError(f"shrink factor must be a Fraction, got {self.alpha!r}")
+        as_shrink(self.alpha)
 
 
 def tetra_weights(state: ShrunkState) -> dict[Letter, Fraction]:

@@ -99,5 +99,15 @@ def test_exhaustive_guard():
 def test_evaluate_accepts_d3_directly():
     net, proto = instances.butterfly()
     d3, _ = normalize_to_d3(net, proto)
+    implied = d3.protocol
     for x, y in product(range(4), repeat=2):
         assert evaluate(d3, None, [x, y]) == (x, y)
+    assert d3.protocol is implied  # built once, not once per call
+
+
+@pytest.mark.parametrize("entry", [evaluate, edge_values, truth_table, check_requirement])
+def test_plain_network_needs_its_protocol(entry):
+    net, _ = instances.butterfly()
+    args = [[0, 0]] if entry in (evaluate, edge_values) else []
+    with pytest.raises(TypeError, match="a plain Network needs its ClassicalProtocol"):
+        entry(net, None, *args)

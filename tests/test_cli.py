@@ -156,6 +156,16 @@ def test_eval_out_file(tmp_path):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("where", ["a-directory", "a-missing-directory"])
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    out = tmp_path if where == "a-directory" else tmp_path / "missing" / "table.csv"
+    assert main(["eval", "single-edge", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}: cannot write (")
+    assert "Traceback" not in captured.err
+
+
 def _drop_op(doc):
     del doc["ops"]["t0"]
 
@@ -295,6 +305,30 @@ def test_wrong_degree_in_normal_form_is_one_violation(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines() == [
             "violation: source s1 has degree (0, 0), expected (0, 1)",
             "violation: fork s1.f0 has degree (0, 2), expected (1, 2)",
+        ], command
+
+
+def _set_kind(doc, node, kind):
+    next(n for n in doc["nodes"] if n["id"] == node)["kind"] = kind
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, node, kind",
+    [
+        (lambda: instances.read_json("butterfly"), "t1", "widget"),
+        (lambda: _normal_form("butterfly"), "s1.f0", "weird"),
+    ],
+    ids=["general-layout", "normal-form"],
+)
+def test_unknown_kind_is_one_violation(tmp_path, capsys, doc, node, kind):
+    # no check that depends on a node's kind runs on a node of unknown kind:
+    # degrees, requirement ends, operation positions and the role's kind
+    path = _write_json(tmp_path, "kind.json", _set_kind(doc(), node, kind))
+    for command in ("validate", "eval", "normalize", "compile", "simulate", "report"):
+        assert main([command, path]) == 3, command
+        assert capsys.readouterr().out.splitlines() == [
+            f"violation: node {node} has unknown kind {kind!r}",
         ], command
 
 

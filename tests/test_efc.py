@@ -16,7 +16,9 @@ from qnc4.efc import (
     efco2_apply,
 )
 from qnc4.errors import VerificationError
-from qnc4.qmath import ShrunkState, densify, identity2, tetra_matrix
+from qnc4.instances import HIGH_BIT
+from qnc4.qcompiler import two_to_one_emission
+from qnc4.qmath import ShrunkState, as_shrink, densify, identity2, tetra_matrix
 
 ALPHAS = [Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 5), Fraction(1, 81)]
 
@@ -60,6 +62,34 @@ def test_params_domain():
         efc_params(0)
     with pytest.raises(ValueError):
         efc_params(Fraction(7, 5))
+
+
+_SHRINK_ENTRY_POINTS = {
+    "as_shrink": as_shrink,
+    "efc_params": efc_params,
+    "efco2_apply": lambda p: efco2_apply(0, p),
+    "efc2_apply": lambda p: efc2_apply(0.3, 0, p),
+    "two_to_one_emission": lambda p: two_to_one_emission(0, HIGH_BIT, p),
+}
+
+
+@pytest.mark.parametrize("bad", [0, Fraction(3, 2), -1, float("nan"), 0.0, 1.5])
+@pytest.mark.parametrize("entry", sorted(_SHRINK_ENTRY_POINTS))
+def test_every_entry_point_refuses_shrinks_outside_the_unit_interval(entry, bad):
+    # one check, as_shrink, so one message; NaN fails every comparison
+    with pytest.raises(ValueError) as err:
+        _SHRINK_ENTRY_POINTS[entry](bad)
+    assert str(err.value) == f"shrink factor must lie in (0, 1], got {bad}"
+
+
+def test_shrink_check_keeps_floats_and_makes_the_rest_exact():
+    assert type(as_shrink(0.25)) is float
+    for exact in (1, Fraction(1, 3), "2/7"):
+        assert type(as_shrink(exact)) is Fraction and as_shrink(exact) == Fraction(exact)
+    # the exact laws stay exact when handed a float
+    assert efc_params(0.5) == efc_params(Fraction(1, 2))
+    assert two_to_one_emission(0, HIGH_BIT, 0.5) == two_to_one_emission(
+        0, HIGH_BIT, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

@@ -11,6 +11,7 @@ from qnc4.netgraph import (
     IDENTITY_MAP,
     LetterMap,
     MapClass,
+    Term,
     constant_map,
     d3_from_json,
     d3_to_json,
@@ -104,6 +105,22 @@ def test_validation_violations(mutate, needle):
     report = validate_network(net, proto)
     assert not report.ok
     assert any(needle in v for v in report.violations), report.violations
+
+
+def test_unknown_kind_skips_only_the_checks_that_need_a_kind():
+    # no degree or requirement line for the widget, and no position check
+    # for its operation, but its illegal map is still reported
+    net, proto = _tiny(
+        nodes=[("s", "widget"), ("v", "widget"), ("t", "sink")],
+        edges=[("s", "v"), ("v", "t")],
+        ops={"v": (node_op(3, [(0, LetterMap((0, 1, 2, 2)))]),)},
+    )
+    assert validate_network(net, proto).violations == [
+        "node s has unknown kind 'widget'",
+        "node v has unknown kind 'widget'",
+        "operation map (0, 1, 2, 2) on node v (out 3) is neither constant, "
+        "one-to-one nor two-to-one",
+    ]
 
 
 def test_validation_rejects_illegal_map():
@@ -227,7 +244,7 @@ def test_normalize_is_fixpoint_on_normal_form():
     for name in instances.BUNDLED:
         net, proto = instances.bundled(name)
         d3, _ = normalize_to_d3(net, proto)
-        again, corr = normalize_to_d3(*d3.to_instance())
+        again, corr = normalize_to_d3(d3.network, d3.protocol)
         assert sorted(n.id for n in again.network.nodes) == sorted(
             n.id for n in d3.network.nodes
         )
@@ -314,6 +331,12 @@ def test_normalize_absorbs_unused_inputs():
     table = truth_table(d3)
     for (x, y), (out,) in table.rows.items():
         assert out == x
+
+
+def test_sink_decode_defaults_to_identity_and_empty_means_constant():
+    proto = ClassicalProtocol(GroupKind.Z4, {"t": (node_op(0, []),)})
+    assert proto.decode_terms("t") == ()
+    assert proto.decode_terms("u") == (Term(0, IDENTITY_MAP),)
 
 
 def test_normalize_keeps_empty_sink_decode_constant():

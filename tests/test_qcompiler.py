@@ -331,6 +331,15 @@ def test_tampered_kernel_is_caught(butterfly_compiled, diamond_compiled):
     }
 
 
+def test_kernel_with_the_wrong_row_count_is_caught(butterfly_compiled):
+    # a join's kernel has a row per pair of input letters; a fork's one per letter
+    join = next(op for op in _kernel_ops(butterfly_compiled) if op.tag == JOIN)
+    fork = next(op for op in _kernel_ops(butterfly_compiled) if op.tag == FORK_EFC)
+    bad = replace(join, kernel=fork.kernel)
+    with pytest.raises(VerificationError, match=f"node {join.node} has the wrong shape"):
+        check_kernel(bad, _incoming(butterfly_compiled, join.node), GroupKind.Z2xZ2)
+
+
 def test_compile_verifies_every_kernel(monkeypatch):
     build = qcompiler.build_kernel
 

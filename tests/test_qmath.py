@@ -118,6 +118,20 @@ def test_densify_weights_round_trip():
     assert shrunk_from_weights({0: Fraction(1, 2), 1: Fraction(1, 2)}) is None
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {0: Fraction(1, 2), 1: Fraction(1, 4)},  # sums to 3/4
+        {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 8), 3: Fraction(1, 8)},
+        {z: Fraction(1, 4) for z in range(4)},  # no peak: alpha 0
+        {0: Fraction(7, 4), 1: Fraction(-1, 4), 2: Fraction(-1, 4), 3: Fraction(-1, 4)},
+    ],
+    ids=["not-normalized", "two-levels-below-the-peak", "flat", "alpha-above-1"],
+)
+def test_weights_of_no_shrunk_state_give_none(weights):
+    assert shrunk_from_weights(weights) is None
+
+
 def test_fidelity_basics():
     rng = np.random.default_rng(11)
     for _ in range(20):

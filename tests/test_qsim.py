@@ -325,6 +325,7 @@ def test_inputs_are_checked_before_the_size_guard(butterfly_compiled, monkeypatc
     [
         np.array([3.0, 0.0]),
         np.array([0.6, 0.6]),
+        np.array([math.nan, 0.0]),
         np.array([1.0, 0.0, 0.0]),
         np.eye(2),
         np.array([[0.5, 0.5], [0.0, 0.5]]),
@@ -650,6 +651,32 @@ def test_every_entry_point_takes_numpy_letters(diamond_compiled, entry):
 
 # ---------------------------------------------------------------------------
 # figures of merit
+
+
+_STATE_VECTOR_ENTRY_POINTS = {
+    "source_distribution": source_distribution,
+    "fidelity": lambda psi: qmath.fidelity(psi, qmath.identity2 / 2),
+    "guess_fidelities": guess_fidelities,
+    "mixture_fidelity": lambda psi: mixture_fidelity({0: Fraction(1)}, psi),
+    "estimate_fidelity": lambda psi: estimate_fidelity(np.array([1, 0, 0, 0]), 1, psi),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # abs(nan - 1) > tol is false, so a NaN must fail a positive test
+        (np.array([math.nan, 0.0]), "state vector is not normalized (norm nan)"),
+        (np.array([1.0, 1.0]), "state vector is not normalized (norm 1.414"),
+        (np.array([1.0, 0.0, 0.0]), "state vector must have 2 entries, got shape (3,)"),
+    ],
+    ids=["nan", "norm-sqrt2", "three-entries"],
+)
+@pytest.mark.parametrize("entry", sorted(_STATE_VECTOR_ENTRY_POINTS))
+def test_every_entry_point_refuses_bad_state_vectors(entry, bad, message):
+    with pytest.raises(ValueError) as err:
+        _STATE_VECTOR_ENTRY_POINTS[entry](bad)
+    assert str(err.value).startswith(message)
 
 
 def test_guess_fidelities():
