@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SizeError
-from .netgraph import D3Network, Letter, as_letter
+from .netgraph import LETTERS, D3Network, Letter, as_letter
 
 # 4**8 = 65536 rows; beyond this, exhaustive checks are refused
 MAX_EXHAUSTIVE_SOURCES = 8
@@ -71,23 +71,23 @@ class TruthTable:
     rows: dict[tuple[Letter, ...], tuple[Letter, ...]]
 
 
-def _guard_sources(n: int, what: str):
+def _rows(net, proto, what: str):
+    """Every input tuple, in lexicographic order, with the sink letters it
+    yields.  Raises SizeError, naming `what`, past MAX_EXHAUSTIVE_SOURCES."""
+    n = len(net.source_ids)
     if n > MAX_EXHAUSTIVE_SOURCES:
         raise SizeError(
             f"{what} over {n} sources needs 4**{n} rows; "
             f"refusing beyond {MAX_EXHAUSTIVE_SOURCES} sources"
         )
+    return ((xs, evaluate(net, proto, xs)) for xs in itertools.product(LETTERS, repeat=n))
 
 
 def truth_table(instance, proto=None) -> TruthTable:
     """Outputs for every input tuple (guarded at 4**8 rows)."""
     net, proto = _resolve(instance, proto)
-    sources = tuple(net.source_ids)
-    _guard_sources(len(sources), "truth table")
-    rows = {}
-    for xs in itertools.product((0, 1, 2, 3), repeat=len(sources)):
-        rows[xs] = evaluate(net, proto, xs)
-    return TruthTable(sources, tuple(net.sink_ids), rows)
+    rows = dict(_rows(net, proto, "truth table"))
+    return TruthTable(tuple(net.source_ids), tuple(net.sink_ids), rows)
 
 
 @dataclass
@@ -102,12 +102,9 @@ def check_requirement(instance, proto=None) -> RequirementResult:
     Exhaustive over all input tuples; the first failing tuple is returned.
     """
     net, proto = _resolve(instance, proto)
-    sources = net.source_ids
-    _guard_sources(len(sources), "requirement check")
-    src_index = {s: i for i, s in enumerate(sources)}
+    src_index = {s: i for i, s in enumerate(net.source_ids)}
     want = [src_index[net.requirements[t]] for t in net.sink_ids]
-    for xs in itertools.product((0, 1, 2, 3), repeat=len(sources)):
-        ys = evaluate(net, proto, xs)
+    for xs, ys in _rows(net, proto, "requirement check"):
         if any(y != xs[w] for y, w in zip(ys, want)):
             return RequirementResult(False, xs)
     return RequirementResult(True, None)

@@ -31,11 +31,8 @@ _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _num(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+    """An exact number as its fraction, a float with every digit it needs."""
+    return str(x) if isinstance(x, Fraction) else format(x, ".17g")
 
 
 def load_instance(name: str):

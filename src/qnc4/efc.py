@@ -144,10 +144,8 @@ def efco2_apply(x: int, p) -> Efco2Result:
     if isinstance(x, bool) or x not in (0, 1):  # like a letter, never a bool
         raise ValueError(f"input must be the bit 0 or 1, got {x!r}")
     p = as_shrink(p)
-    if isinstance(p, float):
-        half, quart, sixteenth = 0.5, 0.25, 1 / 16
-    else:
-        half, quart, sixteenth = Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)
+    # exact constants: with a float p every sum and product below is a float
+    half, quart, sixteenth = Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)
     p1 = half + p * p * sixteenth
     p2 = quart - p * p * sixteenth
     p3 = p * p * sixteenth
@@ -167,13 +165,9 @@ def efco2_apply(x: int, p) -> Efco2Result:
         (1 - x, x): m_own * m_other,
         (1 - x, 1 - x): m_other * m_other,
     }
+    tol = 0 if isinstance(p, Fraction) else 1e-12
     for pair in dist:
-        bad = (
-            dist[pair] != expected[pair]
-            if isinstance(p, Fraction)
-            else abs(dist[pair] - expected[pair]) > 1e-12
-        )
-        if bad:
+        if abs(dist[pair] - expected[pair]) > tol:
             raise VerificationError(f"pair distribution at p={p} is not a product")
     return Efco2Result(p, (p1, p2, p3), dist, (m_own, m_other), p / 2)
 

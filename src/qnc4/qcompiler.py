@@ -1,22 +1,13 @@
 """Compile a normal-form classical network into a quantum protocol.
 
 Each node becomes one prepare-and-measure op, and every edge carries a
-tetra state shrunk by a factor that the compiler tracks exactly:
-
-    source            1
-    join              a1 * a2 / 9
-    constant map      1
-    one-to-one map    a / 3
-    two-to-one map    a / (6 - a)
-    fork              a / 9
-    sink              a (unchanged)
-
-where a is the shrink factor of the incoming edge.
+tetra state shrunk by a factor that the compiler tracks exactly.  One
+table, `_RULES`, gives each node's op tag and the shrink it emits.
 
 Every join, fork and transform op also carries its transition kernel: the
 exact conditional law P(output letters | input letters), as integer
 numerators over one denominator per node.  Kernels are derived from the
-table above alone.  A state at shrink a is its letter mixed by
+shrink table alone.  A state at shrink a is its letter mixed by
 W(a) = a I + (1 - a)/4 J, which is invertible, W(a)^-1 =
 (1/a)(I - (1 - a)/4 J), and composes as W(a) W(b) = W(ab); so each
 kernel is W(a_in)^-1 along each input applied to the target of the node's
@@ -57,6 +48,19 @@ TRANSFORM_ONE_TO_ONE = "TransformOneToOne"
 TRANSFORM_TWO_TO_ONE = "TransformTwoToOne"
 FORK_EFC = "ForkEFC"
 SINK_NOOP = "SinkNoop"
+
+# The shrink table: each role's op tag and the shrink factor it emits, as a
+# function of the shrink factors of its incoming edges.  A transform's row
+# is keyed by its map's class.
+_RULES = {
+    "source": (SOURCE_TTR, lambda: Fraction(1)),
+    "join": (JOIN, lambda a, b: a * b / 9),
+    MapClass.CONSTANT: (TRANSFORM_CONSTANT, lambda a: Fraction(1)),
+    MapClass.ONE_TO_ONE: (TRANSFORM_ONE_TO_ONE, lambda a: a / 3),
+    MapClass.TWO_TO_ONE: (TRANSFORM_TWO_TO_ONE, lambda a: a / (6 - a)),
+    "fork": (FORK_EFC, lambda a: a / 9),
+    "sink": (SINK_NOOP, lambda a: a),
+}
 
 # str() refuses ints of more than 4300 digits by default.  Every exact number
 # qnc4 prints is over a shrink's denominator (times at most 12) or a fork's
@@ -290,33 +294,15 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
 
     ops: dict[str, QuantumOp] = {}
     for v in order:
-        role = d3.roles[v]
-        if role == "source":
-            ops[v] = QuantumOp(v, SOURCE_TTR, Fraction(1))
-            continue
         a_in = tuple(ops[net.edges[e][0]].alpha for e in net.in_edges(v))
-        a = a_in[0]
-        if role == "sink":
-            ops[v] = QuantumOp(v, SINK_NOOP, a, input_alpha=a)
-            continue
-        if role == "join":
-            op = QuantumOp(v, JOIN, a * a_in[1] / 9)
-        elif role == "fork":
-            op = QuantumOp(v, FORK_EFC, a / 9, input_alpha=a)
-        else:
-            m = d3.transforms[v]
-            cls = m.try_classify()
-            if cls is MapClass.CONSTANT:
-                op = QuantumOp(
-                    v, TRANSFORM_CONSTANT, Fraction(1), input_alpha=a, map=m,
-                    letter=m(0),
-                )
-            elif cls is MapClass.ONE_TO_ONE:
-                op = QuantumOp(v, TRANSFORM_ONE_TO_ONE, a / 3, input_alpha=a, map=m)
-            else:  # validation leaves two-to-one as the only other class
-                op = QuantumOp(
-                    v, TRANSFORM_TWO_TO_ONE, a / (6 - a), input_alpha=a, map=m
-                )
+        m = d3.transforms.get(v)
+        tag, shrink = _RULES[d3.roles[v] if m is None else m.try_classify()]
+        op = QuantumOp(
+            v, tag, shrink(*a_in),
+            input_alpha=a_in[0] if len(a_in) == 1 else None,
+            map=m,
+            letter=m(0) if tag == TRANSFORM_CONSTANT else None,
+        )
         # a fork's two outputs have a joint law over up to 16 q^2
         q = op.alpha.denominator
         biggest = 16 * q * q if op.tag == FORK_EFC else q

@@ -3,9 +3,13 @@
 A `ShrunkState` pairs a letter with a rational shrink factor alpha: the
 state alpha * chi(label) + (1 - alpha) * I/2, where chi is the letter's
 tetra state.  It converts losslessly to and from a rational mixture over
-the four tetra states, and its tetra-measurement outcome law is rational
-too.  Nothing here needs the states' complex matrices, so this module
-imports no numpy; `qmath` re-exports every name in it.
+the four tetra states, `tetra_weights`, which mixes its letter by
+W(alpha) = alpha I + (1 - alpha)/4 J.  The tetra measurement mixes a
+letter by W(1/3), and W(a) W(b) = W(ab), so the outcome laws are
+`tetra_weights` too: at 1/3 on a pure state (`ttr_outcome_weights`) and
+at alpha / 3 on a shrunk one (`shrunk_probabilities`).  Nothing here
+needs the states' complex matrices, so this module imports no numpy;
+`qmath` re-exports every name in it.
 
 `as_shrink` is the one range check of a shrink factor: `ShrunkState`, the
 cloners in `efc` and `qcompiler.two_to_one_emission` all call it.
@@ -67,17 +71,12 @@ def shrunk_from_weights(weights) -> ShrunkState | None:
 
 
 def ttr_outcome_weights(z: Letter) -> dict[Letter, Fraction]:
-    """Tetra-measurement outcome law on a pure tetra state: the state's own
-    letter with probability 1/2, each other letter with 1/6."""
-    z = as_letter(z)
-    return {x: Fraction(1, 2) if x == z else Fraction(1, 6) for x in LETTERS}
+    """Tetra-measurement outcome law on a pure tetra state: the measurement
+    mixes the state's letter by W(1/3)."""
+    return tetra_weights(ShrunkState(z, Fraction(1, 3)))
 
 
 def shrunk_probabilities(state: ShrunkState) -> tuple[Fraction, ...]:
     """Tetra-measurement outcome probabilities of a shrunk state, indexed
-    by letter: 1/4 + alpha/4 on its own letter, 1/4 - alpha/12 elsewhere."""
-    a = state.alpha
-    return tuple(
-        Fraction(1, 4) + a / 4 if z == state.label else Fraction(1, 4) - a / 12
-        for z in LETTERS
-    )
+    by letter: the law of its letter at shrink alpha / 3."""
+    return tuple(tetra_weights(ShrunkState(state.label, state.alpha / 3)).values())

@@ -11,6 +11,7 @@ import pytest
 from _generators import diamond_chain, mutate_document
 from qnc4 import cli, instances, netgraph
 from qnc4.cli import main
+from qnc4.errors import VerificationError
 from qnc4.instances import BUNDLED
 from qnc4.netgraph import (
     D3Network,
@@ -330,6 +331,30 @@ def test_unknown_kind_is_one_violation(tmp_path, capsys, doc, node, kind):
         assert capsys.readouterr().out.splitlines() == [
             f"violation: node {node} has unknown kind {kind!r}",
         ], command
+
+
+def test_wrong_role_is_one_violation(tmp_path, capsys):
+    # a transform cast as a sink: its degree and its letter map are not
+    # checked against a role that contradicts its kind
+    doc = _normal_form("two-to-one-diamond")
+    next(n for n in doc["nodes"] if n["id"] == "u1")["role"] = "sink"
+    path = _write_json(tmp_path, "role.json", doc)
+    for command in ("validate", "eval", "normalize", "compile", "simulate", "report"):
+        assert main([command, path]) == 3, command
+        assert capsys.readouterr().out.splitlines() == [
+            "violation: node u1 has role sink but kind internal",
+        ], command
+
+
+def test_failed_verification_exits_3_without_traceback(monkeypatch, capsys):
+    def refuse(d3):
+        raise VerificationError("Join kernel of node j misses its target")
+
+    monkeypatch.setattr(cli, "compile_protocol", refuse)
+    assert main(["compile", "butterfly"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Join kernel of node j misses its target\n"
 
 
 @pytest.mark.parametrize("value", ["debug", "Info", "WARNING", "error", "cRiTiCaL"])

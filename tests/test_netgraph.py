@@ -98,6 +98,12 @@ def _tiny(ops=None, edges=None, requirements=None, nodes=None):
         (dict(requirements={"t": "t"}), "requirement"),
         (dict(ops={"s": (node_op(0, []),)}), "source"),
         (dict(ops={"t": (node_op(1, []),)}), "missing outgoing"),
+        (
+            dict(nodes=[("s", "source"), ("h", "internal"), ("t", "sink")],
+                 edges=[("s", "h"), ("s", "t")]),
+            "internal node h has outdegree 0",
+        ),
+        (dict(requirements={"t": "s", "s": "s"}), "requirement names s, which is not a sink"),
     ],
 )
 def test_validation_violations(mutate, needle):

@@ -105,6 +105,8 @@ def test_shrunk_state_domain():
         ShrunkState(0, Fraction(3, 2))
     with pytest.raises(ValueError):
         ShrunkState(7, Fraction(1, 2))
+    with pytest.raises(ValueError, match="must be a Fraction"):
+        ShrunkState(0, 0.5)
 
 
 def test_densify_weights_round_trip():

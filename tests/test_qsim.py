@@ -72,6 +72,8 @@ def test_source_distribution_kinds():
     for bad in (7, "00", True):
         with pytest.raises(ValueError, match="not a letter"):
             source_distribution(bad)
+    with pytest.raises(ValueError, match="not a single-qubit density matrix"):
+        source_distribution(np.eye(3) / 3)
 
 
 def test_transform_law_one_to_one():
