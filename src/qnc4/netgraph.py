@@ -469,25 +469,26 @@ def validate_d3(d3: D3Network) -> ValidationReport:
     on the implied protocol, without building it from unchecked roles.
     Degrees are checked by role only, so a wrong degree is one violation,
     and a role's kind only against a known kind, so an unknown kind is one.
-    A node whose known kind contradicts its role is reported for that
-    alone: its degree and letter map are not checked against a role that
-    is in doubt.
+    A node whose role is unknown, or whose known kind contradicts its
+    role, is reported for that alone: its degree and letter map are not
+    checked against a role that is in doubt.
     """
     rep = ValidationReport()
     net = d3.network
     if not _check_graph(net, rep):
         return rep
     _check_requirements(net, rep)
-    miscast = set()  # nodes whose known kind contradicts their role
+    doubted = set()  # nodes whose role is unknown or contradicts a known kind
     for n in net.nodes:
         role = d3.roles.get(n.id)
         if role not in _ROLES:
             rep.add(f"node {n.id} has unknown role {role!r}")
+            doubted.add(n.id)
             continue
         kind, want = _ROLES[role]
         if n.kind != kind and n.kind in NODE_KINDS:
             rep.add(f"node {n.id} has role {role} but kind {n.kind}")
-            miscast.add(n.id)
+            doubted.add(n.id)
             continue
         degree = (len(net.in_edges(n.id)), len(net.out_edges(n.id)))
         if degree != want:
@@ -499,7 +500,7 @@ def validate_d3(d3: D3Network) -> ValidationReport:
             elif m.try_classify() is None:
                 rep.add(f"transform {n.id} carries illegal map {m.table}")
     for v in d3.transforms:
-        if d3.roles.get(v) != "transform" and v not in miscast:
+        if d3.roles.get(v) != "transform" and v not in doubted:
             rep.add(f"letter map given for non-transform node {v}")
     return rep
 

@@ -39,7 +39,7 @@ from .netgraph import (
     as_letter,
     letter_to_str,
 )
-from .shrink import as_shrink
+from .shrink import as_shrink, shrunk_weights
 
 SOURCE_TTR = "SourceTTR"
 JOIN = "Join"
@@ -94,13 +94,14 @@ def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dic
 class Kernel:
     """Exact transition law of one node: P(output letters | input letters).
 
-    rows[i] lists the (output letters, numerator) pairs with a nonzero
-    numerator, for input index i: the incoming letter u, or 4 * u1 + u2 for
-    a join.  Every probability is numerator / den.
+    rows[i] is the row for input index i, the incoming letter u or
+    4 * u1 + u2 for a join: a tuple of 4^w numerators, w the number of
+    output letters, where entry k packs the output letters two bits each,
+    first letter highest.  Every probability is numerator / den.
     """
 
     den: int
-    rows: tuple[tuple[tuple[tuple[Letter, ...], int], ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -165,17 +166,6 @@ class CompiledProtocol:
 # transition kernels in integer arithmetic
 
 
-def _kernel(den: int, outs, rows) -> Kernel:
-    """Kernel from dense rows of numerators over den, entry k of each row
-    for the output letters outs[k], with zero entries dropped and the
-    common factor of all numerators and den cancelled."""
-    g = gcd(den, *(n for row in rows for n in row))
-    return Kernel(
-        den // g,
-        tuple(tuple((out, n // g) for out, n in zip(outs, row) if n) for row in rows),
-    )
-
-
 def _target(op: QuantumOp, zs: tuple[Letter, ...], group: GroupKind) -> tuple[Letter, ...]:
     """The output letters of op's classical function on input letters zs:
     a join's group sum, a fork's two copies, a transform's mapped letter."""
@@ -184,13 +174,6 @@ def _target(op: QuantumOp, zs: tuple[Letter, ...], group: GroupKind) -> tuple[Le
     if op.tag == FORK_EFC:
         return zs * 2
     return (op.map(zs[0]),)
-
-
-def _shrunk_weights(a: Fraction) -> tuple[int, int, int]:
-    """tetra_weights(ShrunkState(z, a)) as integers: the weight of z, of
-    each other letter, and their common denominator 4q."""
-    p, q = a.numerator, a.denominator
-    return q + 3 * p, q - p, 4 * q
 
 
 def _unmix(rows: list[list[int]], den: int, stride: int, a: Fraction) -> tuple[list, int]:
@@ -224,7 +207,7 @@ def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     """
     width = 2 if op.tag == FORK_EFC else 1
     outs = list(product(LETTERS, repeat=width))
-    own, other, scale = _shrunk_weights(op.alpha)
+    own, other, scale = shrunk_weights(op.alpha)
     rows = []
     for zs in product(LETTERS, repeat=len(a_in)):
         want = _target(op, zs, group)
@@ -240,7 +223,8 @@ def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
         )
     for stride in strides:
         rows, den = _unmix(rows, den, stride, Fraction(3))
-    return _kernel(den, outs, rows)
+    g = gcd(den, *(n for row in rows for n in row))
+    return Kernel(den // g, tuple(tuple(n // g for n in row) for row in rows))
 
 
 def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:
@@ -251,21 +235,22 @@ def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     _target(op, z) each at shrink op.alpha: one weight vector for a join or
     a transform, the product of two for a fork.  Raises VerificationError.
     """
-    if len(op.kernel.rows) != 4 ** len(a_in):
+    width = 2 if op.tag == FORK_EFC else 1
+    rows = op.kernel.rows
+    if len(rows) != 4 ** len(a_in) or any(len(row) != 4**width for row in rows):
         raise VerificationError(f"{op.tag} kernel of node {op.node} has the wrong shape")
-    ins = [_shrunk_weights(a) for a in a_in]
-    own, other, scale = _shrunk_weights(op.alpha)
+    ins = [shrunk_weights(a) for a in a_in]
+    own, other, scale = shrunk_weights(op.alpha)
     in_scale = op.kernel.den * prod(w[2] for w in ins)
     for zs in product(LETTERS, repeat=len(a_in)):
-        mixed: dict = {}
-        for row, us in zip(op.kernel.rows, product(LETTERS, repeat=len(a_in))):
+        mixed = [0] * 4**width
+        for row, us in zip(rows, product(LETTERS, repeat=len(a_in))):
             w = prod(o if u == z else f for z, u, (o, f, _) in zip(zs, us, ins))
-            for out, n in row:
-                mixed[out] = mixed.get(out, 0) + w * n
+            mixed = [m + w * n for m, n in zip(mixed, row)]
         want = _target(op, zs, group)
-        for out in product(LETTERS, repeat=len(want)):
+        for m, out in zip(mixed, product(LETTERS, repeat=width)):
             rhs = in_scale * prod(own if y == t else other for y, t in zip(out, want))
-            if mixed.get(out, 0) * scale ** len(want) != rhs:
+            if m * scale**width != rhs:
                 shrinks = ", ".join(map(str, a_in))
                 raise VerificationError(
                     f"{op.tag} kernel of node {op.node} at incoming shrink "

@@ -8,15 +8,15 @@ distribution over letter assignments to edges.
 `simulate_oracle` computes that distribution exactly by sweeping the
 network once, along `compiled.sweep_order`, and keeping the joint
 distribution over the currently live edges only, merging histories that
-agree there.  It keeps that joint as a product of factors, each an
-integer table over some live edges and its total: a node merges the
-factors that hold its inputs and applies its compiled transition kernel
-(`QuantumOp.kernel`) in Python-int arithmetic, then splits off every edge
-that an exact integer test proves independent of the rest of its factor,
-and cancels each factor's gcd.  Values become `Fraction`s when a marginal
-or fork joint is recorded, or floats throughout when any source is given
-a state vector or density matrix; a sink's mixture is a copy of its input
-edge's marginal.  It assumes nothing about independence across edges:
+agree there.  It keeps that joint as a product of factors, each a flat
+list of integers over some live edges, laid out like a kernel row, and
+its total: a node merges the factors that hold its inputs and applies its
+compiled transition kernel (`QuantumOp.kernel`) in Python-int arithmetic,
+then splits off every edge that an exact integer test proves independent
+of the rest of its factor, and cancels each factor's gcd.  Values become
+`Fraction`s when a marginal or fork joint is recorded, or floats
+throughout when any source is given a state vector or density matrix; a
+sink's mixture is a copy of its input edge's marginal.  It assumes nothing about independence across edges:
 every split is proven, which is what lets its per-edge marginals serve as
 ground truth.
 
@@ -43,13 +43,13 @@ subcommands that print only exact numbers never load numpy.
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 from numbers import Integral
-from operator import truediv
+from operator import mul, truediv
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeError
@@ -173,78 +173,83 @@ def _source_kernel(law: dict) -> Kernel:
     (vector or density-matrix inputs) convert exactly, and dividing by
     their exact sum rather than 1 makes the law sum to exactly 1, so edges
     that do not depend on the source keep their exact values."""
-    law = [(z, Fraction(w)) for z, w in law.items() if w]
-    scale = lcm(*(w.denominator for _, w in law))
-    row = tuple(((z,), w.numerator * (scale // w.denominator)) for z, w in law)
-    return Kernel(sum(n for _, n in row), (row,))
+    law = [Fraction(law[z]) if z in law else 0 for z in LETTERS]
+    scale = lcm(*(w.denominator for w in law))
+    row = tuple(w.numerator * (scale // w.denominator) for w in law)
+    return Kernel(sum(row), (row,))
 
 
 class _Factor(NamedTuple):
-    """The joint law of some live edges: integer numerators keyed by the
-    edges' letters, in the order of `edges`, over their sum `total`."""
+    """The joint law of some live edges: integer numerators over their sum
+    `total`, entry i for the edges' letters packed as in a `Kernel` row."""
 
     edges: tuple[int, ...]
-    table: dict[tuple, int]
+    table: list[int]
     total: int
 
 
-def _cancelled(edges: tuple, table: dict, total: int) -> _Factor:
+def _cancelled(edges: tuple, table: list, total: int) -> _Factor:
     """A factor with the gcd of its numerators and its total cancelled."""
-    g = gcd(total, *table.values())
+    g = gcd(total, *table)
     if g > 1:
-        table = {key: n // g for key, n in table.items()}
+        table = [n // g for n in table]
     return _Factor(edges, table, total // g)
 
 
-def _split(edges: tuple, table: dict, total: int) -> list[_Factor]:
+def _runs(table: list, k: int, j: int) -> list[list]:
+    """A table over k edges cut into runs over the edges after edge j: run
+    m is where edge j has letter m % 4 and the edges before it m // 4."""
+    s = 4 ** (k - 1 - j)
+    return [table[m:m + s] for m in range(0, len(table), s)]
+
+
+def _split(edges: tuple, table: list, total: int) -> list[_Factor]:
     """The factor over edges, with every edge that is proven independent of
     the others split off into a factor of its own.
 
-    Edge j splits off when its marginal P(e) and the others' marginal
-    P(rest) have supports whose sizes multiply to the table's, and
-    P(e, rest) * total == P(e) * P(rest) on every key: the table is then
-    exactly their product.  An edge that fails stays dependent on the
-    others whatever splits off after it, so one pass finds them all.
+    Edge j splits off when P(e, rest) * total == P(e) * P(rest) on every
+    entry of the table, zeros included: the table is then exactly the
+    product of edge j's marginal P(e) and the others' marginal P(rest).
+    An edge that fails stays dependent on the others whatever splits off
+    after it, so one pass finds them all.
     """
     factors = []
     j = 0
     while len(edges) > 1 and j < len(edges):
-        own: dict = defaultdict(int)
-        rest: dict = defaultdict(int)
-        for key, n in table.items():
-            own[key[j]] += n
-            rest[key[:j] + key[j + 1:]] += n
-        if len(own) * len(rest) == len(table) and all(
-            n * total == own[key[j]] * rest[key[:j] + key[j + 1:]]
-            for key, n in table.items()
-        ):
-            factors.append(_cancelled((edges[j],), {(z,): n for z, n in own.items()}, total))
-            edges, table = edges[:j] + edges[j + 1:], dict(rest)
+        runs = _runs(table, len(edges), j)
+        own = [sum(map(sum, runs[z::4])) for z in LETTERS]
+        rests = [[sum(col) for col in zip(*runs[m:m + 4])] for m in range(0, len(runs), 4)]
+        if all(n * total == own[m & 3] * r
+               for m, run in enumerate(runs) for n, r in zip(run, rests[m >> 2])):
+            factors.append(_cancelled((edges[j],), own, total))
+            edges, table = edges[:j] + edges[j + 1:], [r for rest in rests for r in rest]
         else:
             j += 1
     factors.append(_cancelled(edges, table, total))
     return factors
 
 
-def _input_mass(held: list[_Factor], ins: tuple) -> tuple[dict, int]:
-    """The merged law of the factors that hold a node's input edges, as the
+def _input_mass(held: list[_Factor], ins: tuple) -> tuple[list[list], int]:
+    """The merged law of the factors that hold a node's input edges, as a
+    list over the letters of the rest edges, in the factors' order, of the
     mass of each input index (the letter u, or 4 * u1 + u2 for a join; 0
-    for a source, which holds nothing) by the letters of the rest edges, in
-    the factors' order, and its total."""
-    parts, total = {(): [1]}, 1
+    for a source, which holds nothing), and its total."""
+    masses, total = None, 1
     for f in held:  # in the order of ins, so u1 comes out above u2
-        pos = [f.edges.index(e) for e in ins if e in f.edges]
-        keep = [j for j, e in enumerate(f.edges) if e not in ins]
-        own: dict = defaultdict(lambda: [0] * 4 ** len(pos))
-        for key, n in f.table.items():
-            i = 0
-            for j in pos:
-                i = i << 2 | key[j]
-            own[tuple([key[j] for j in keep])][i] += n
-        parts = {ra + rb: [a * b for a in ma for b in mb]
-                 for ra, ma in parts.items() for rb, mb in own.items()}
+        k, rows = len(f.edges), [f.table]
+        if k > 1:
+            pos = [f.edges.index(e) for e in ins if e in f.edges]
+            order = [j for j, e in enumerate(f.edges) if e not in ins] + pos
+            table, size = f.table, 4 ** len(pos)
+            if order != list(range(k)):  # move the input letters lowest
+                shifts = [2 * (k - 1 - j) for j in order]
+                table = [table[sum(z << s for z, s in zip(zs, shifts))]
+                         for zs in product(LETTERS, repeat=k)]
+            rows = [table[r:r + size] for r in range(0, len(table), size)]
+        masses = rows if masses is None else [
+            [a * b for a in m for b in row] for m in masses for row in rows]
         total *= f.total
-    return parts, total
+    return masses or [[1]], total
 
 
 def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
@@ -252,25 +257,26 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
 
     Walks `compiled.sweep_order` and keeps the joint law of the letters on
     the live edges (created, not yet consumed) as a product of factors,
-    each an integer table over a few live edges and its total.  A node
-    merges the factors that hold its inputs and applies its kernel; the
-    new factor then splits wherever `_split` proves an edge independent of
-    the rest, every factor's gcd is cancelled, and each output edge's
-    marginal is read off the factor that holds it.  Nothing about
-    independence is assumed: with letter inputs every factor splits down
-    to single edges after each node, while a vector source can keep
+    each a dense integer table over a few live edges and its total.  A
+    node merges the factors that hold its inputs and applies its kernel;
+    the new factor then splits wherever `_split` proves an edge
+    independent of the rest, every factor's gcd is cancelled, and each
+    output edge's marginal is read off the factor that holds it.  Nothing
+    about independence is assumed: with letter inputs every factor splits
+    down to single edges after each node, while a vector source can keep
     factors merged.  Cost follows the largest factor, not the number of
     live edges; `largest_factor` reports its measured size.
 
     Every value is a Fraction when every input is exact (a letter or a
     ShrunkState), and a float when any source is given a state vector or
-    density matrix.  Raises SizeError, naming the node, when a factor
-    about to be built could pass MAX_ORACLE_BRANCHES keys (4^(its edges));
-    Monte Carlo still works there.
+    density matrix; equal values share one object.  Only nonzero values
+    are reported, keyed in letter order.  Raises SizeError, naming the
+    node, when a factor about to be built could pass MAX_ORACLE_BRANCHES
+    entries (4^(its edges)); Monte Carlo still works there.
     """
     laws = _resolve_inputs(compiled, inputs)
     floats = any(isinstance(w, float) for law in laws.values() for w in law.values())
-    as_value = truediv if floats else Fraction
+    value = cache(truediv if floats else Fraction)  # one object per distinct value
 
     holder: dict[int, _Factor] = {}  # live edge -> the factor holding it
     largest = 0
@@ -293,37 +299,31 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
                 f"over the limit of {MAX_ORACLE_BRANCHES}; use Monte Carlo for this network"
             )
         largest = max(largest, width)
-        parts, total = _input_mass(held, ins)
+        masses, total = _input_mass(held, ins)
         if op.tag == SINK_NOOP:
-            sink_mixtures[op.node] = dict(sorted(marginals[ins[0]].items()))
+            sink_mixtures[op.node] = dict(marginals[ins[0]])
             if not rest:
                 continue
-            factors = _split(rest, {r: sum(ms) for r, ms in parts.items()}, total)
+            factors = _split(rest, [sum(m) for m in masses], total)
         else:
             kernel = _source_kernel(laws[op.node]) if op.tag == SOURCE_TTR else op.kernel
+            cols = list(zip(*kernel.rows))
             den = total * kernel.den
-            table: dict = defaultdict(int)
-            for r, ms in parts.items():
-                for m, row in zip(ms, kernel.rows):
-                    if m:
-                        for out, n in row:
-                            table[r + out] += m * n
-            if op.tag == FORK_EFC:
-                joint: dict = defaultdict(int)
-                for key, n in table.items():
-                    joint[key[len(rest):]] += n
-                fork_joints[op.node] = {pair: as_value(n, den) for pair, n in joint.items()}
+            table = [sum(map(mul, m, col)) for m in masses for col in cols]
+            if op.tag == FORK_EFC:  # the outputs' 16 entries repeat over the rest's letters
+                joint = enumerate(table if not rest else [sum(table[k::16]) for k in range(16)])
+                fork_joints[op.node] = {(k >> 2, k & 3): value(n, den) for k, n in joint if n}
             factors = _split(rest + outs, table, den)
         for f in factors:
             for e in f.edges:
                 holder[e] = f
         for e in outs:
             f = holder[e]
-            j = f.edges.index(e)
-            marg: dict = defaultdict(int)
-            for key, n in f.table.items():
-                marg[key[j]] += n
-            marginals[e] = {z: as_value(n, f.total) for z, n in marg.items()}
+            marg = f.table
+            if len(f.edges) > 1:
+                runs = _runs(marg, len(f.edges), f.edges.index(e))
+                marg = [sum(map(sum, runs[z::4])) for z in LETTERS]
+            marginals[e] = {z: value(n, f.total) for z, n in enumerate(marg) if n}
     return OracleResult(compiled, marginals, fork_joints, sink_mixtures, largest)
 
 
@@ -401,16 +401,12 @@ def alias_table(kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    width = len(kernel.rows[0][0][0])
-    size, den = 4**width, kernel.den
-    slot = {out: k for k, out in enumerate(product(LETTERS, repeat=width))}
+    size, den = len(kernel.rows[0]), kernel.den
     prob: list[float] = []
     alias: list[int] = []
     for row in kernel.rows:
         # slot weights scaled by K, so each slot holds exactly den on average
-        w = [0] * size
-        for out, n in row:
-            w[slot[out]] = n * size
+        w = [n * size for n in row]
         p, a = [1.0] * size, list(range(size))
         small = [k for k in range(size) if w[k] < den]
         large = [k for k in range(size) if w[k] >= den]
@@ -422,7 +418,7 @@ def alias_table(kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:
         prob += p
         alias += a
     outcomes = np.column_stack((np.arange(len(alias)) % size, alias)).astype(np.uint8)
-    return 2 * width, np.array(prob), outcomes
+    return size.bit_length() - 1, np.array(prob), outcomes
 
 
 def simulate_montecarlo(

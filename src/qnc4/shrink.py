@@ -25,9 +25,10 @@ def as_shrink(a):
     """a as a shrink factor: the one check of every entry point that takes
     one.  A float stays a float; anything else becomes an exact Fraction.
     Raises ValueError unless it lies in (0, 1], NaN included."""
-    if not isinstance(a, float):
+    if not isinstance(a, (float, Fraction)):
         a = Fraction(a)
-    if not 0 < a <= 1:  # NaN fails every comparison, so it is refused
+    # NaN fails every comparison, so it is refused; a denominator is positive
+    if not (0 < a <= 1 if isinstance(a, float) else 0 < a.numerator <= a.denominator):
         raise ValueError(f"shrink factor must lie in (0, 1], got {a}")
     return a
 
@@ -47,11 +48,20 @@ class ShrunkState:
         as_shrink(self.alpha)
 
 
+def shrunk_weights(a: Fraction) -> tuple[int, int, int]:
+    """tetra_weights at shrink a as integers: with a = p/q, the weight
+    q + 3p of the label, q - p of each other letter, and their common
+    denominator 4q."""
+    p, q = a.numerator, a.denominator
+    return q + 3 * p, q - p, 4 * q
+
+
 def tetra_weights(state: ShrunkState) -> dict[Letter, Fraction]:
     """The unique rational mixture over the four tetra states equal to the
     shrunk state (I/2 is the average of the four)."""
-    off = (1 - state.alpha) / 4
-    return {z: state.alpha + off if z == state.label else off for z in LETTERS}
+    own, off, den = shrunk_weights(state.alpha)
+    own, off = Fraction(own, den), Fraction(off, den)
+    return {z: own if z == state.label else off for z in LETTERS}
 
 
 def shrunk_from_weights(weights) -> ShrunkState | None:

@@ -346,6 +346,19 @@ def test_wrong_role_is_one_violation(tmp_path, capsys):
         ], command
 
 
+def test_unknown_role_is_one_violation(tmp_path, capsys):
+    # a transform with an unknown role: its letter map is not checked
+    # against a role that is in doubt
+    doc = _normal_form("two-to-one-diamond")
+    next(n for n in doc["nodes"] if n["id"] == "u1")["role"] = "widget"
+    path = _write_json(tmp_path, "role.json", doc)
+    for command in ("validate", "eval", "normalize", "compile", "simulate", "report"):
+        assert main([command, path]) == 3, command
+        assert capsys.readouterr().out.splitlines() == [
+            "violation: node u1 has unknown role 'widget'",
+        ], command
+
+
 def test_failed_verification_exits_3_without_traceback(monkeypatch, capsys):
     def refuse(d3):
         raise VerificationError("Join kernel of node j misses its target")

@@ -86,6 +86,8 @@ def test_shrink_check_keeps_floats_and_makes_the_rest_exact():
     assert type(as_shrink(0.25)) is float
     for exact in (1, Fraction(1, 3), "2/7"):
         assert type(as_shrink(exact)) is Fraction and as_shrink(exact) == Fraction(exact)
+    third = Fraction(1, 3)
+    assert as_shrink(third) is third  # a Fraction is checked, not rebuilt
     # the exact laws stay exact when handed a float
     assert efc_params(0.5) == efc_params(Fraction(1, 2))
     assert two_to_one_emission(0, HIGH_BIT, 0.5) == two_to_one_emission(

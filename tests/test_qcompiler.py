@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -287,9 +288,12 @@ def test_kernels_equal_reference_laws():
                 assert op.kernel is None
                 continue
             assert len(op.kernel.rows) == (16 if op.tag == JOIN else 4)
+            width = 2 if op.tag == FORK_EFC else 1
+            outs = list(product(range(4), repeat=width))
             for i, row in enumerate(op.kernel.rows):
-                got = {out: Fraction(n, op.kernel.den) for out, n in row}
-                assert len(got) == len(row) and all(n > 0 for _, n in row)
+                # entry k of a row is for the output letters outs[k]
+                assert len(row) == 4**width and all(n >= 0 for n in row)
+                got = {out: Fraction(n, op.kernel.den) for out, n in zip(outs, row) if n}
                 assert got == _reference_law(op, d3.group, i), (v, i)
             tags.add(op.tag)
     assert tags == {
@@ -298,15 +302,17 @@ def test_kernels_equal_reference_laws():
 
 
 def _tampered(kernel: Kernel, i: int) -> Kernel:
-    # move one unit of numerator between two outputs of row i, so the row
-    # still sums to the denominator; a one-entry row moves to another letter
+    # move one unit of numerator between two nonzero outputs of row i, so
+    # the row still sums to the denominator; a row with one nonzero entry
+    # moves it to another letter
     row = list(kernel.rows[i])
-    if len(row) == 1:
-        ((y,), n) = row[0]
-        row[0] = ((y ^ 1,), n)
+    nonzero = [k for k, n in enumerate(row) if n]
+    if len(nonzero) == 1:
+        (k,) = nonzero
+        row[k], row[k ^ 1] = 0, row[k]
     else:
-        (a, n), (b, m) = row[0], row[1]
-        row[0], row[1] = (a, n + 1), (b, m - 1)
+        row[nonzero[0]] += 1
+        row[nonzero[1]] -= 1
     rows = list(kernel.rows)
     rows[i] = tuple(row)
     return Kernel(kernel.den, tuple(rows))
@@ -338,6 +344,12 @@ def test_kernel_with_the_wrong_row_count_is_caught(butterfly_compiled):
     bad = replace(join, kernel=fork.kernel)
     with pytest.raises(VerificationError, match=f"node {join.node} has the wrong shape"):
         check_kernel(bad, _incoming(butterfly_compiled, join.node), GroupKind.Z2xZ2)
+    # and each row one entry per outcome: a short row would leave the last
+    # outcome unchecked
+    short = Kernel(join.kernel.den, tuple(row[:3] for row in join.kernel.rows))
+    with pytest.raises(VerificationError, match=f"node {join.node} has the wrong shape"):
+        check_kernel(replace(join, kernel=short), _incoming(butterfly_compiled, join.node),
+                     GroupKind.Z2xZ2)
 
 
 def test_compile_verifies_every_kernel(monkeypatch):
