@@ -15,10 +15,11 @@ classical function at its output shrink (`build_kernel`).  Kernels are
 memoized within one compile.  The exact sweep in `qsim` runs on them.
 
 `check_kernel` verifies every kernel once, at every incoming shrink where
-it occurs: mixed over the latent letter mixture
-tetra_weights(ShrunkState(z, a_in)) of each input, it must give exactly
-tetra_weights(ShrunkState(f(z), a_out)), and for a fork the product of two
-such vectors.  A mismatch raises VerificationError, so a compiled protocol
+it occurs: mixed forward by W(a_in) along each input, it must give exactly
+tetra_weights(ShrunkState(f(z), a_out)) on every tuple z of input letters
+(for a fork, the product of two such vectors).  Build and check both mix
+one input axis at a time (`_mix`, from `_target_rows`): O(in 4^in 4^w)
+operations.  A mismatch raises VerificationError, so a compiled protocol
 only exists if each of its node laws lands on the bookkeeping above.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, prod
+from math import gcd
 
 from .errors import SizeError, VerificationError
 from .netgraph import (
@@ -166,30 +167,39 @@ class CompiledProtocol:
 # transition kernels in integer arithmetic
 
 
-def _target(op: QuantumOp, zs: tuple[Letter, ...], group: GroupKind) -> tuple[Letter, ...]:
-    """The output letters of op's classical function on input letters zs:
-    a join's group sum, a fork's two copies, a transform's mapped letter."""
-    if op.tag == JOIN:
-        return (group.add(*zs),)
-    if op.tag == FORK_EFC:
-        return zs * 2
-    return (op.map(zs[0]),)
+def _target_rows(op: QuantumOp, n_in: int, group: GroupKind) -> tuple[list[list[int]], int]:
+    """T(y | z), one integer row per input index over the returned
+    denominator: the shrunk weights at op.alpha peaked at the letter of a
+    join's group sum or a transform's map, or for a fork their outer
+    product, peaked at its two copies of the input letter."""
+    own, other, scale = shrunk_weights(op.alpha)
+    fork = op.tag == FORK_EFC
+    rows = []
+    for zs in product(LETTERS, repeat=n_in):
+        row = [other] * 4
+        row[group.add(*zs) if op.tag == JOIN else zs[0] if fork else op.map(zs[0])] = own
+        rows.append([x * y for x in row for y in row] if fork else row)
+    return rows, scale ** (2 if fork else 1)
 
 
-def _unmix(rows: list[list[int]], den: int, stride: int, a: Fraction) -> tuple[list, int]:
-    """Apply W(a)^-1 = (1/a)(I - (1-a)/4 J) along the input letter that
-    steps the row index by stride (4 for a join's first input, else 1):
-    with a = p/q, each row becomes 4q times itself less (q - p) times the
-    sum of its 4 rows along that letter, over 4p den."""
-    p, q = a.numerator, a.denominator
-    q4, r = 4 * q, q - p
+def _mix(rows: list, stride: int, own: int, rest: int) -> list[list[int]]:
+    """Replace each row x_z along the input letter that steps the row index
+    by stride (4 for a join's first input, else 1) with
+    own * x_z + rest * (the sum of the 4 rows x_u along that letter)."""
     out = list(rows)
     for i in (0, 1, 2, 3) if stride == 4 else range(0, len(rows), 4):
         axis = range(i, i + 4 * stride, stride)
-        sums = [r * sum(col) for col in zip(*(rows[j] for j in axis))]
+        sums = [rest * sum(col) for col in zip(*(rows[j] for j in axis))]
         for j in axis:
-            out[j] = [q4 * x - s for x, s in zip(rows[j], sums)]
-    return out, 4 * p * den
+            out[j] = [own * x + s for x, s in zip(rows[j], sums)]
+    return out
+
+
+def _unmix(rows: list, den: int, stride: int, a: Fraction) -> tuple[list, int]:
+    """Apply W(a)^-1 = (1/a)(I - (1-a)/4 J) along one input letter: with
+    a = p/q, 4q I + (p - q) J over 4p den."""
+    p, q = a.numerator, a.denominator
+    return _mix(rows, stride, 4 * q, p - q), 4 * p * den
 
 
 def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> Kernel:
@@ -199,20 +209,13 @@ def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     A state at shrink a mixes its letter by W(a) = a I + (1-a)/4 J, with
     W(a)^-1 = (1/a)(I - (1-a)/4 J) and W(a) W(b) = W(ab).  The tetra
     measurement mixes a pure state's letter by W(1/3), so the node reads
-    input z_i through W(a_i/3).  The target T(y | z) puts each output y_j
-    at shrink op.alpha around _target(op, z)_j; the emission law is
-    E = (W(a_1/3)^-1 x ...) T, and the kernel applies W(1/3) = W(3)^-1
-    along each input to E.  Raises VerificationError, naming the node, if
-    E has a negative entry: no node law reaches the claimed shrink.
+    input z_i through W(a_i/3).  The emission law is E = (W(a_1/3)^-1 x
+    ...) T, T from `_target_rows`, and the kernel applies W(1/3) = W(3)^-1
+    along each input to E, each factor one `_mix` along one input axis.
+    Raises VerificationError, naming the node, if E has a negative entry:
+    no node law reaches the claimed shrink.
     """
-    width = 2 if op.tag == FORK_EFC else 1
-    outs = list(product(LETTERS, repeat=width))
-    own, other, scale = shrunk_weights(op.alpha)
-    rows = []
-    for zs in product(LETTERS, repeat=len(a_in)):
-        want = _target(op, zs, group)
-        rows.append([prod(own if y == t else other for y, t in zip(out, want)) for out in outs])
-    den = scale**width
+    rows, den = _target_rows(op, len(a_in), group)
     strides = (4, 1)[-len(a_in):]  # input index 4 * z1 + z2, or z
     for stride, a in zip(strides, a_in):
         rows, den = _unmix(rows, den, stride, a / 3)
@@ -230,32 +233,28 @@ def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
 def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:
     """Verify op.kernel at the incoming shrinks a_in, exactly.
 
-    For every tuple z of incoming letters, the kernel mixed over
-    tetra_weights(ShrunkState(z_i, a_in[i])) must equal the output letters
-    _target(op, z) each at shrink op.alpha: one weight vector for a join or
-    a transform, the product of two for a fork.  Raises VerificationError.
+    The kernel mixed forward over its inputs' latent letters, by `_mix`
+    with W(a) = (4p I + (q - p) J)/4q, a = p/q, along each input axis,
+    must give for every tuple z of incoming letters the target row T(y | z)
+    of `_target_rows`, on every entry.  O(in 4^in 4^w) integer operations.
+    Raises VerificationError naming the first failing z in letter order.
     """
-    width = 2 if op.tag == FORK_EFC else 1
     rows = op.kernel.rows
-    if len(rows) != 4 ** len(a_in) or any(len(row) != 4**width for row in rows):
+    target, scale = _target_rows(op, len(a_in), group)
+    if len(rows) != len(target) or any(len(row) != len(target[0]) for row in rows):
         raise VerificationError(f"{op.tag} kernel of node {op.node} has the wrong shape")
-    ins = [shrunk_weights(a) for a in a_in]
-    own, other, scale = shrunk_weights(op.alpha)
-    in_scale = op.kernel.den * prod(w[2] for w in ins)
-    for zs in product(LETTERS, repeat=len(a_in)):
-        mixed = [0] * 4**width
-        for row, us in zip(rows, product(LETTERS, repeat=len(a_in))):
-            w = prod(o if u == z else f for z, u, (o, f, _) in zip(zs, us, ins))
-            mixed = [m + w * n for m, n in zip(mixed, row)]
-        want = _target(op, zs, group)
-        for m, out in zip(mixed, product(LETTERS, repeat=width)):
-            rhs = in_scale * prod(own if y == t else other for y, t in zip(out, want))
-            if m * scale**width != rhs:
-                shrinks = ", ".join(map(str, a_in))
-                raise VerificationError(
-                    f"{op.tag} kernel of node {op.node} at incoming shrink "
-                    f"{shrinks} misses its target on input letters {zs}"
-                )
+    in_scale = op.kernel.den
+    for stride, a in zip((4, 1)[-len(a_in):], a_in):
+        p, q = a.numerator, a.denominator
+        rows = _mix(rows, stride, 4 * p, q - p)
+        in_scale *= 4 * q
+    for zs, mixed, want in zip(product(LETTERS, repeat=len(a_in)), rows, target):
+        if any(m * scale != in_scale * t for m, t in zip(mixed, want)):
+            shrinks = ", ".join(map(str, a_in))
+            raise VerificationError(
+                f"{op.tag} kernel of node {op.node} at incoming shrink "
+                f"{shrinks} misses its target on input letters {zs}"
+            )
 
 
 def compile_protocol(d3: D3Network) -> CompiledProtocol:

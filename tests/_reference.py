@@ -1,7 +1,9 @@
 """Reference laws and an enumeration that the exact sweep is checked against.
 
 `fork_branch_law` is the fork's `Fraction` branch law, built from `efc`'s
-pair law, independently of the compiled kernels.  `enumerate_branches`
+pair law, independently of the compiled kernels.  `check_kernel_by_tuples`
+is the kernel check one input tuple at a time, which `check_kernel`'s
+axis-wise mix must agree with, message for message.  `enumerate_branches`
 walks the nodes in listing order with the `Fraction` laws and keeps the
 full joint over the live edges, as one table that assumes no product
 structure; it is exponential in the live-edge count and only for small
@@ -9,12 +11,15 @@ networks.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from qnc4 import efc, qmath
-from qnc4.errors import SizeError
-from qnc4.netgraph import Letter
+from qnc4.errors import SizeError, VerificationError
+from qnc4.netgraph import LETTERS, GroupKind, Letter
 from qnc4.qcompiler import FORK_EFC, JOIN, SINK_NOOP, SOURCE_TTR, CompiledProtocol, QuantumOp
+from qnc4.shrink import shrunk_weights
 from qnc4.qsim import _resolve_inputs, join_branch_law, transform_branch_law
 
 MAX_FULL_BRANCHES = 10**6
@@ -28,6 +33,42 @@ def fork_branch_law(op: QuantumOp, u: Letter) -> dict[tuple, Fraction]:
         for pair, w in efc.efc_pair_distribution(op.input_alpha, x).items():
             out[pair] = out.get(pair, Fraction(0)) + t * w
     return out
+
+
+def check_kernel_by_tuples(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:
+    """Verify op.kernel at the incoming shrinks a_in like
+    `qcompiler.check_kernel`, one tuple z of incoming letters at a time: all
+    4^in rows weighted by the product of the letter mixtures
+    tetra_weights(ShrunkState(z_i, a_in[i])) must give the output letters
+    of op's classical function on z each at shrink op.alpha, one weight
+    vector for a join or a transform, the product of two for a fork.
+    O(16^in 4^w) integer operations.  Raises VerificationError."""
+    width = 2 if op.tag == FORK_EFC else 1
+    rows = op.kernel.rows
+    if len(rows) != 4 ** len(a_in) or any(len(row) != 4**width for row in rows):
+        raise VerificationError(f"{op.tag} kernel of node {op.node} has the wrong shape")
+    ins = [shrunk_weights(a) for a in a_in]
+    own, other, scale = shrunk_weights(op.alpha)
+    in_scale = op.kernel.den * prod(w[2] for w in ins)
+    for zs in product(LETTERS, repeat=len(a_in)):
+        mixed = [0] * 4**width
+        for row, us in zip(rows, product(LETTERS, repeat=len(a_in))):
+            w = prod(o if u == z else f for z, u, (o, f, _) in zip(zs, us, ins))
+            mixed = [m + w * n for m, n in zip(mixed, row)]
+        if op.tag == JOIN:
+            want = (group.add(*zs),)
+        elif op.tag == FORK_EFC:
+            want = zs * 2
+        else:
+            want = (op.map(zs[0]),)
+        for m, out in zip(mixed, product(LETTERS, repeat=width)):
+            rhs = in_scale * prod(own if y == t else other for y, t in zip(out, want))
+            if m * scale**width != rhs:
+                shrinks = ", ".join(map(str, a_in))
+                raise VerificationError(
+                    f"{op.tag} kernel of node {op.node} at incoming shrink "
+                    f"{shrinks} misses its target on input letters {zs}"
+                )
 
 
 class Enumeration(NamedTuple):
@@ -50,15 +91,22 @@ def _marginal(dist: dict, pos: list[int]) -> dict:
 def enumerate_branches(compiled: CompiledProtocol, inputs) -> Enumeration:
     """Every edge's marginal, every fork's joint and every sink's mixture,
     read off the joint over all live edges, which each node extends by its
-    outputs and from which it drops each input edge once read.
+    outputs and from which it drops each input edge once read.  Typed like
+    the sweep: all `Fraction`s for exact inputs, all floats once any source
+    is given a vector or a density matrix.
 
     Raises SizeError when the branch count could pass MAX_FULL_BRANCHES.
     """
     net = compiled.d3.network
     laws = _resolve_inputs(compiled, inputs)
+    # the sweep's typing rule: every value is a float once any source's is
+    one = Fraction(1)
+    if any(isinstance(w, float) for law in laws.values() for w in law.values()):
+        laws = {s: {z: float(w) for z, w in law.items()} for s, law in laws.items()}
+        one = 1.0
     group = compiled.d3.group
     live: list[int] = []  # edge ids, in the order of dist's keys
-    dist: dict[tuple, object] = {(): Fraction(1)}
+    dist: dict[tuple, object] = {(): one}
     marginals: dict[int, dict] = {}
     fork_joints: dict[str, dict] = {}
     sink_mixtures: dict[str, dict] = {}

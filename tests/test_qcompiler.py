@@ -35,7 +35,7 @@ from qnc4.qmath import ShrunkState
 from qnc4.qsim import join_branch_law, transform_branch_law
 
 from _generators import diamond_chain, random_d3_instance, random_two_to_one_map
-from _reference import fork_branch_law
+from _reference import check_kernel_by_tuples, fork_branch_law
 
 
 def _chain(maps, group=GroupKind.Z2xZ2) -> D3Network:
@@ -335,6 +335,68 @@ def test_tampered_kernel_is_caught(butterfly_compiled, diamond_compiled):
     assert checked == {
         JOIN, FORK_EFC, TRANSFORM_CONSTANT, TRANSFORM_ONE_TO_ONE, TRANSFORM_TWO_TO_ONE
     }
+
+
+def _message(check, op, a_in, group) -> str | None:
+    """The VerificationError message of one check, or None if it passes."""
+    try:
+        check(op, a_in, group)
+    except VerificationError as e:
+        return str(e)
+    return None
+
+
+def test_axis_check_agrees_with_the_per_tuple_check():
+    """check_kernel against the reference check_kernel_by_tuples, on every
+    distinct kernel of the bundled instances, diamond_chain(9) and 25
+    seeded draws: each passes both, and a unit moved between two entries
+    of a row is refused by both with the same message.  All moves of every
+    row (about 37,000) take over 10 s, so each row gets 4 moves drawn with
+    a fixed seed."""
+    kernels = {}
+    for d3 in [*_compiled_samples(), diamond_chain(9)]:
+        comp = compile_protocol(d3)
+        for op in _kernel_ops(comp):
+            a_in = _incoming(comp, op.node)
+            key = (op.tag, op.map and op.map.table, a_in, d3.group)
+            kernels.setdefault(key, (op, a_in, d3.group))
+    rng = random.Random(16)
+    moves = 0
+    for op, a_in, group in kernels.values():
+        assert _message(check_kernel, op, a_in, group) is None
+        assert _message(check_kernel_by_tuples, op, a_in, group) is None
+        for i, row in enumerate(op.kernel.rows):
+            for _ in range(4):
+                up, down = rng.sample(range(len(row)), 2)
+                moved = list(row)
+                moved[up] += 1
+                moved[down] -= 1
+                rows = list(op.kernel.rows)
+                rows[i] = tuple(moved)
+                bad = replace(op, kernel=Kernel(op.kernel.den, tuple(rows)))
+                got = _message(check_kernel, bad, a_in, group)
+                assert got is not None and got == _message(check_kernel_by_tuples, bad, a_in, group)
+                moves += 1
+    assert len(kernels) > 100 and moves > 3000
+
+
+def test_kernel_checked_at_the_wrong_incoming_shrink_is_refused():
+    # each kernel keeps its output shrink but is checked at a third of its
+    # incoming shrinks, so the forward mix must read them; only a constant
+    # transform, whose output does not read its input, still passes
+    tags = []
+    for name in sorted(instances.BUNDLED):
+        net, proto = instances.bundled(name)
+        comp = compile_protocol(netgraph.normalize_to_d3(net, proto)[0])
+        for op in _kernel_ops(comp):
+            wrong = tuple(a / 3 for a in _incoming(comp, op.node))
+            if op.tag == TRANSFORM_CONSTANT:
+                check_kernel(op, wrong, comp.d3.group)
+            else:
+                with pytest.raises(VerificationError, match=f"node {op.node} at incoming"):
+                    check_kernel(op, wrong, comp.d3.group)
+            tags.append(op.tag)
+    assert len(tags) == 21 and TRANSFORM_CONSTANT in tags
 
 
 def test_kernel_with_the_wrong_row_count_is_caught(butterfly_compiled):

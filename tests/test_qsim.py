@@ -133,10 +133,9 @@ def _width_bounds(compiled) -> tuple[int, int]:
 def _assert_sweep_matches_enumeration(compiled, inputs, tol=None) -> None:
     """The integer sweep against the Fraction joint over the live edges:
     every edge marginal, fork pair joint and sink mixture, exactly, or
-    within tol when a source is given a vector.  The sweep's values are
-    all Fractions, or all floats once a vector enters; the reference mixes
-    the two there.  With letter inputs every factor splits down to one
-    node's edges."""
+    within tol when a source is given a vector.  Both give every value the
+    same type: all Fractions, or all floats once a vector enters.  With
+    letter inputs every factor splits down to one node's edges."""
     net = compiled.d3.network
     oracle = simulate_oracle(compiled, inputs)
     ref = enumerate_branches(compiled, inputs)
@@ -156,8 +155,7 @@ def _assert_sweep_matches_enumeration(compiled, inputs, tol=None) -> None:
         for k, law in laws.items():
             assert set(law) == set(got[k])
             for key, p in law.items():
-                assert type(got[k][key]) is kind
-                assert tol or type(p) is Fraction
+                assert type(got[k][key]) is type(p) is kind
                 assert abs(p - got[k][key]) <= (tol or 0), (k, key)
     low, high = _width_bounds(compiled)
     if all(isinstance(x, int) for x in inputs):
