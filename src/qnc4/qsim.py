@@ -431,12 +431,19 @@ def simulate_montecarlo(
     slot and decides between it and its alias.  Edge letters are uint8
     arrays, freed as soon as their consumer has read them.  Trials are
     processed in chunks of CHUNK_SIZE; chunk c uses the substream spawned
-    from (seed, c), so a seed reproduces its counts exactly.
+    from (seed, c), so a seed, a non-negative int, reproduces its counts
+    exactly.  A chunk's uniforms, slot probabilities and intp indices live
+    in three work arrays allocated once per call and reused by every node
+    and chunk.  Fresh chunk-sized arrays, and the intp copy numpy makes of
+    a uint8 index array for `take` and `bincount`, would each come from
+    new pages that the kernel zero-fills, about a quarter of the run.
     """
     import numpy as np
 
     if not isinstance(trials, Integral) or isinstance(trials, bool) or trials <= 0:
         raise ValueError(f"trials must be a positive int, got {trials!r}")
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     net = compiled.d3.network
     laws = _resolve_inputs(compiled, inputs)
     tables: dict[Kernel, tuple] = {}  # nodes with equal laws share a kernel
@@ -453,25 +460,34 @@ def simulate_montecarlo(
         steps.append((v, net.in_edges(v), net.out_edges(v), table))
 
     counts = {t: np.zeros(4, dtype=np.int64) for t in net.sink_ids}
+    size = min(trials, CHUNK_SIZE)
+    work_u, work_p = np.empty(size), np.empty(size)
+    work_i = np.empty(size, dtype=np.intp)
     n_chunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
     for c in range(n_chunks):
         n = min(CHUNK_SIZE, trials - c * CHUNK_SIZE)
+        u, p, i = work_u[:n], work_p[:n], work_i[:n]
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
         letters: dict[int, np.ndarray] = {}
         for v, in_edges, out_edges, table in steps:
             ins = [letters.pop(e) for e in in_edges]
             if table is None:
-                counts[v] += np.bincount(ins[0], minlength=4)
+                np.copyto(i, ins[0])
+                counts[v] += np.bincount(i, minlength=4)
                 continue
             shift, prob, outcomes = table
-            u = rng.random(n)
+            rng.random(out=u)
             u *= 1 << shift  # exact: a power of two
             j = u.astype(np.uint8)
             u -= j
             if ins:
                 row = ins[0] if len(ins) == 1 else ins[0] << 2 | ins[1]
                 j |= row << shift
-            out = outcomes.take(j << 1 | (u >= prob.take(j)))
+            np.copyto(i, j)
+            prob.take(i, out=p)
+            i <<= 1
+            i |= u >= p
+            out = outcomes.take(i)
             if len(out_edges) == 1:
                 letters[out_edges[0]] = out
             else:

@@ -597,6 +597,16 @@ def test_montecarlo_rejects_bad_trials(diamond_compiled):
     assert simulate_montecarlo(diamond_compiled, [0], trials=np.int64(10)).trials == 10
 
 
+def test_montecarlo_rejects_bad_seed(diamond_compiled):
+    # True would run as seed 1, and None would draw unreproducible OS entropy
+    for bad in (True, None, 1.5, "3", -1):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            simulate_montecarlo(diamond_compiled, [0], trials=10, seed=bad)
+    a = simulate_montecarlo(diamond_compiled, [2], trials=100, seed=np.int64(3))
+    b = simulate_montecarlo(diamond_compiled, [2], trials=100, seed=3)
+    assert a.seed == 3 and a.sink_counts["t"].tolist() == b.sink_counts["t"].tolist()
+
+
 def _assert_rebuilds_kernel(kernel) -> None:
     """Every outcome's mass in the alias tables, (prob[k] + sum of
     1 - prob[j] over the slots j aliased to k) / K, taken exactly from the
@@ -670,6 +680,34 @@ def test_montecarlo_fits_every_op_kind(group):
         for t, counts in mc.sink_counts.items():
             assert counts.sum() == 200_000
             assert chi_square_statistic(counts, exact[t]) < 16.266
+
+
+@pytest.mark.parametrize("trials, expected", [
+    # a full chunk and a partial one
+    (qsim.CHUNK_SIZE + 4_465, {
+        "t0": [17602, 17460, 17400, 17539], "t1": [0, 0, 0, 70001],
+        "t2": [17450, 17584, 17592, 17375], "t3": [17541, 17578, 17439, 17443],
+        "t4": [17487, 17568, 17387, 17559],
+    }),
+    # one chunk shorter than CHUNK_SIZE
+    (20_000, {
+        "t0": [4949, 5050, 5016, 4985], "t1": [0, 0, 0, 20000],
+        "t2": [5028, 5075, 4997, 4900], "t3": [5002, 4965, 4960, 5073],
+        "t4": [4965, 4985, 5071, 4979],
+    }),
+])
+def test_montecarlo_stream_is_pinned_on_every_op_kind(trials, expected):
+    comp = compile_protocol(_every_op_network(GroupKind.Z4))
+    mc = simulate_montecarlo(comp, [1, 2], trials=trials, seed=5)
+    assert {t: c.tolist() for t, c in mc.sink_counts.items()} == expected
+
+
+def test_montecarlo_stream_is_pinned_on_a_vector_source(single_compiled):
+    # a float source kernel, over two chunks
+    mc = simulate_montecarlo(single_compiled, [np.array([0.6, 0.8])], trials=70_000, seed=5)
+    assert {t: c.tolist() for t, c in mc.sink_counts.items()} == {
+        "t": [24457, 4950, 29992, 10601]
+    }
 
 
 def test_montecarlo_on_huge_denominators():
