@@ -12,12 +12,13 @@ pure copy), joins (2 in, 1 out, group addition) and transforms (1 in, 1 out,
 one letter map).  The rewrite is `normalize_to_d3`.
 
 Every topological order comes from one Kahn walk, `Network.kahn`.  The
-table `_ROLES` gives each role its node kind and degree; the general layout
-checks degrees by kind and the normal form by role, so a wrong degree is
-reported once.  An unknown kind is reported once too: no check that needs
-a node's kind runs on it.  A sink without an operation decodes by the
-identity (`ClassicalProtocol.decode_terms`), and a `D3Network` builds its
-implied protocol once (`D3Network.protocol`).
+table `_ROLES` gives each role its node kind and degree, one to one; the
+general layout checks degrees by kind, and the normal form reads each
+node's role from its kind and degree, so a wrong degree is reported once.
+An unknown kind is reported once too: no check that needs a node's kind
+runs on it.  A sink without an operation decodes by the identity
+(`ClassicalProtocol.decode_terms`), and a `D3Network` builds its implied
+protocol once (`D3Network.protocol`).
 """
 
 import enum
@@ -199,6 +200,11 @@ class Network:
     def out_edges(self, v: str) -> list[int]:
         return self._incident[v][1]
 
+    def degree(self, v: str) -> tuple[int, int]:
+        """(indegree, outdegree)"""
+        ins, outs = self._incident[v]
+        return len(ins), len(outs)
+
     @cached_property
     def source_ids(self) -> list[str]:
         return sorted(n.id for n in self.nodes if n.kind == "source")
@@ -312,11 +318,10 @@ def _check_graph(net: Network, rep: ValidationReport) -> bool:
 
 
 def _check_kind_degrees(net: Network, rep: ValidationReport) -> None:
-    """Degrees by node kind, for the general layout; the normal form checks
-    them by role instead."""
+    """Degrees by node kind, for the general layout; the normal form reads
+    each node's role from its kind and degree instead."""
     for n in net.nodes:
-        indeg = len(net.in_edges(n.id))
-        outdeg = len(net.out_edges(n.id))
+        indeg, outdeg = net.degree(n.id)
         if n.kind == "source":
             if indeg:
                 rep.add(f"source {n.id} has indegree {indeg} (must be 0)")
@@ -420,19 +425,21 @@ _ROLES = {
     "transform": ("internal", (1, 1)),
 }
 
+# the inverse: the role of each (kind, degree) that has one
+_ROLE_OF = {shape: role for role, shape in _ROLES.items()}
+
 
 @dataclass
 class D3Network:
     """A network in degree-3 form, valid by construction.
 
-    Every node carries a role with a fixed degree signature; the implied
-    protocol is: sources pass through, forks copy, joins add in `group`,
-    transforms apply their letter map, sinks receive.  Construction runs
-    `validate_d3` and raises ValidationError with its report.
+    Each node's role follows from its kind and degree (`roles`); the
+    implied protocol is: sources pass through, forks copy, joins add in
+    `group`, transforms apply their letter map, sinks receive.  Construction
+    runs `validate_d3` and raises ValidationError with its report.
     """
 
     network: Network
-    roles: dict[str, str]
     transforms: dict[str, LetterMap]
     group: GroupKind
 
@@ -442,65 +449,59 @@ class D3Network:
             raise ValidationError(report)
 
     @cached_property
+    def roles(self) -> dict[str, str | None]:
+        """Each node's role, read from its kind and degree; None where they
+        belong to no role, which only `validate_d3` sees."""
+        net = self.network
+        return {n.id: _ROLE_OF.get((n.kind, net.degree(n.id))) for n in net.nodes}
+
+    @cached_property
     def protocol(self) -> ClassicalProtocol:
         """The implied edge operations, in ordinary protocol form, built on
         first use and kept.  Sinks carry none: each decodes by the default
         of `ClassicalProtocol.decode_terms`, the identity."""
         ops = {}
-        for n in self.network.nodes:
-            role = self.roles[n.id]
+        for v, role in self.roles.items():
             if role == "fork":
-                ops[n.id] = (
-                    node_op(0, [(0, IDENTITY_MAP)]),
-                    node_op(1, [(0, IDENTITY_MAP)]),
-                )
+                ops[v] = (node_op(0, [(0, IDENTITY_MAP)]), node_op(1, [(0, IDENTITY_MAP)]))
             elif role == "join":
-                ops[n.id] = (node_op(0, [(0, IDENTITY_MAP), (1, IDENTITY_MAP)]),)
+                ops[v] = (node_op(0, [(0, IDENTITY_MAP), (1, IDENTITY_MAP)]),)
             elif role == "transform":
-                ops[n.id] = (node_op(0, [(0, self.transforms[n.id])]),)
+                ops[v] = (node_op(0, [(0, self.transforms[v])]),)
         return ClassicalProtocol(self.group, ops)
 
 
 def validate_d3(d3: D3Network) -> ValidationReport:
     """Structural validation of a degree-3 network.
 
-    The roles fix every edge operation, so checking each role's kind and
-    degrees and each transform's map covers what `validate_network` checks
-    on the implied protocol, without building it from unchecked roles.
-    Degrees are checked by role only, so a wrong degree is one violation,
-    and a role's kind only against a known kind, so an unknown kind is one.
-    A node whose role is unknown, or whose known kind contradicts its
-    role, is reported for that alone: its degree and letter map are not
-    checked against a role that is in doubt.
+    Each node's role, read from its kind and degree, fixes its edge
+    operations, so checking that every node of known kind has a role and
+    every transform a legal map covers what `validate_network` checks on
+    the implied protocol.  A node of known kind whose degree belongs to no
+    role is one violation, and an unknown kind is reported by the graph
+    check alone.  A node with no role gets no letter map check either.
     """
     rep = ValidationReport()
     net = d3.network
     if not _check_graph(net, rep):
         return rep
     _check_requirements(net, rep)
-    doubted = set()  # nodes whose role is unknown or contradicts a known kind
+    roles = d3.roles
     for n in net.nodes:
-        role = d3.roles.get(n.id)
-        if role not in _ROLES:
-            rep.add(f"node {n.id} has unknown role {role!r}")
-            doubted.add(n.id)
-            continue
-        kind, want = _ROLES[role]
-        if n.kind != kind and n.kind in NODE_KINDS:
-            rep.add(f"node {n.id} has role {role} but kind {n.kind}")
-            doubted.add(n.id)
-            continue
-        degree = (len(net.in_edges(n.id)), len(net.out_edges(n.id)))
-        if degree != want:
-            rep.add(f"{role} {n.id} has degree {degree}, expected {want}")
-        if role == "transform":
+        role = roles[n.id]
+        if role is None and n.kind in NODE_KINDS:
+            *rest, last = [str(d) for k, d in _ROLES.values() if k == n.kind]
+            expected = f"{', '.join(rest)} or {last}" if rest else last
+            rep.add(f"{n.kind} {n.id} has degree {net.degree(n.id)}, expected {expected}")
+        elif role == "transform":
             m = d3.transforms.get(n.id)
             if m is None:
                 rep.add(f"transform {n.id} has no letter map")
             elif m.try_classify() is None:
                 rep.add(f"transform {n.id} carries illegal map {m.table}")
     for v in d3.transforms:
-        if d3.roles.get(v) != "transform" and v not in doubted:
+        # a node without a role already has its violation
+        if v not in roles or roles[v] not in (None, "transform"):
             rep.add(f"letter map given for non-transform node {v}")
     return rep
 
@@ -520,9 +521,8 @@ class _Normalizer:
         self.net = net
         self.proto = proto
         self.used = {n.id for n in net.nodes}
-        self.original = set(self.used)
         self.nodes: list[Node] = []
-        self.roles: dict[str, str] = {}
+        self.copy_forks: set[str] = set()  # the forks `_copies` makes, all under fresh ids
         self.transforms: dict[str, LetterMap] = {}
         self.edges: list[tuple[str, str]] = []
         self.corr: dict[str, list[str]] = {n.id: [] for n in net.nodes}
@@ -537,7 +537,6 @@ class _Normalizer:
 
     def add_node(self, nid: str, role: str, orig: str, map_: LetterMap | None = None):
         self.nodes.append(Node(nid, _ROLES[role][0]))
-        self.roles[nid] = role
         if map_ is not None:
             self.transforms[nid] = map_
         self.corr[orig].append(nid)
@@ -556,7 +555,6 @@ class _Normalizer:
                 self._emit_internal(v)
         d3 = D3Network(
             Network(self.nodes, self.edges, dict(self.net.requirements)),
-            self.roles,
             self.transforms,
             self.proto.group,
         )
@@ -576,6 +574,7 @@ class _Normalizer:
         for k in range(n - 1):
             f = self.fresh(f"{base}{k}")
             self.add_node(f, "fork", orig)
+            self.copy_forks.add(f)
             self.add_edge(chain[-1], f)
             chain.append(f)
         return [chain[min(k + 1, n - 1)] for k in range(n)]
@@ -625,7 +624,7 @@ class _Normalizer:
         else:
             p = self._build_chains(v, ins, [terms])[0]
         # a value copied just before delivery still needs a carrier operation
-        if self.roles.get(p) == "fork" and p not in self.original:
+        if p in self.copy_forks:
             rx = self.fresh(f"{v}.rx")
             self.add_node(rx, "transform", v, IDENTITY_MAP)
             self.add_edge(p, rx)
@@ -806,23 +805,22 @@ def instance_from_json(data) -> tuple[Network, ClassicalProtocol]:
 
 def d3_to_json(d3: D3Network) -> dict:
     doc = _network_to_json(d3.network, d3.group)
-    for nd in doc["nodes"]:
-        nd["role"] = d3.roles[nd["id"]]
     doc["transforms"] = {v: _map_to_json(m) for v, m in sorted(d3.transforms.items())}
     return doc
 
 
 def d3_from_json(data) -> D3Network:
+    # a node's "role", which older files carry, is ignored like node_correspondence
     net, group = _network_from_json(data)
-    roles = {
-        n.id: _require(nd, "role", f"nodes[{k}]", str)
-        for k, (n, nd) in enumerate(zip(net.nodes, data["nodes"]))
-    }
     transforms = {}
     for v, m in _require(data, "transforms", "top level", dict).items():
         transforms[v] = _map_from_json(m, f"transforms.{v}")
-    return D3Network(net, roles, transforms, group)
+    return D3Network(net, transforms, group)
 
 
 def is_d3_json(data) -> bool:
+    """Whether data is in the normal-form layout (it has `transforms`), not
+    the general one (`ops`); SchemaError when it has both."""
+    if isinstance(data, dict) and "ops" in data and "transforms" in data:
+        raise SchemaError("top level: both 'ops' and 'transforms' given; a file has one layout")
     return isinstance(data, dict) and "transforms" in data

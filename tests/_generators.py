@@ -70,27 +70,24 @@ def diamond_chain(d: int, fork: bool = False) -> D3Network:
     law needs twice the digits of the fork's shrink.
     """
     nodes, edges = [("s", "source")], []
-    roles, maps = {"s": "source"}, {}
+    maps = {}
     prev = "s"
     for i in range(d):
         f, h, lo, j = (f"{v}{i}" for v in ("d", "h", "l", "j"))
         nodes += [(v, "internal") for v in (f, h, lo, j)]
         edges += [(prev, f), (f, h), (f, lo), (h, j), (lo, j)]
-        roles.update({f: "fork", h: "transform", lo: "transform", j: "join"})
         maps.update({h: HIGH_BIT, lo: LOW_BIT})
         prev = j
     if fork:
         nodes.append(("x", "internal"))
         edges.append((prev, "x"))
-        roles["x"] = "fork"
         prev = "x"
     sinks = ("t0", "t1") if fork else ("t",)
     for t in sinks:
         nodes.append((t, "sink"))
         edges.append((prev, t))
-        roles[t] = "sink"
     net = make_network(nodes, edges, {t: "s" for t in sinks})
-    return D3Network(net, roles, maps, GroupKind.Z2xZ2)
+    return D3Network(net, maps, GroupKind.Z2xZ2)
 
 
 def grown_d3(rng: random.Random, sources: int, steps: int) -> D3Network:
@@ -104,7 +101,6 @@ def grown_d3(rng: random.Random, sources: int, steps: int) -> D3Network:
     """
     group = rng.choice([GroupKind.Z4, GroupKind.Z2xZ2])
     nodes = [(f"s{i}", "source") for i in range(sources)]
-    roles = {f"s{i}": "source" for i in range(sources)}
     transforms: dict[str, LetterMap] = {}
     edges: list[tuple[str, str]] = []
     open_producers = [f"s{i}" for i in range(sources)]
@@ -118,24 +114,21 @@ def grown_d3(rng: random.Random, sources: int, steps: int) -> D3Network:
         for _ in range(2 if role == "join" else 1):
             edges.append((open_producers.pop(rng.randrange(len(open_producers))), vid))
         nodes.append((vid, "internal"))
-        roles[vid] = role
         if role == "transform":
             transforms[vid] = random_letter_map(rng, allow_identity=True)
         open_producers += [vid] * (2 if role == "fork" else 1)
     requirements = {}
     for i, u in enumerate(open_producers):
         nodes.append((f"t{i}", "sink"))
-        roles[f"t{i}"] = "sink"
         edges.append((u, f"t{i}"))
         requirements[f"t{i}"] = f"s{rng.randrange(sources)}"
-    return D3Network(make_network(nodes, edges, requirements), roles, transforms, group)
+    return D3Network(make_network(nodes, edges, requirements), transforms, group)
 
 
 def _grow_d3(rng: random.Random, max_nodes: int, max_sources: int) -> D3Network:
     n_src = rng.randint(1, max_sources)
     group = rng.choice([GroupKind.Z4, GroupKind.Z2xZ2])
     nodes = [(f"s{i}", "source") for i in range(n_src)]
-    roles = {f"s{i}": "source" for i in range(n_src)}
     transforms: dict[str, LetterMap] = {}
     edges: list[tuple[str, str]] = []
     open_producers = [f"s{i}" for i in range(n_src)]
@@ -154,20 +147,17 @@ def _grow_d3(rng: random.Random, max_nodes: int, max_sources: int) -> D3Network:
         if act == "transform":
             u = open_producers.pop(rng.randrange(len(open_producers)))
             edges.append((u, vid))
-            roles[vid] = "transform"
             transforms[vid] = random_letter_map(rng, allow_identity=True)
             open_producers.append(vid)
         elif act == "fork":
             u = open_producers.pop(rng.randrange(len(open_producers)))
             edges.append((u, vid))
-            roles[vid] = "fork"
             open_producers += [vid, vid]
         else:
             u1 = open_producers.pop(rng.randrange(len(open_producers)))
             u2 = open_producers.pop(rng.randrange(len(open_producers)))
             edges.append((u1, vid))
             edges.append((u2, vid))
-            roles[vid] = "join"
             open_producers.append(vid)
         nodes.append((vid, "internal"))
         k += 1
@@ -175,11 +165,10 @@ def _grow_d3(rng: random.Random, max_nodes: int, max_sources: int) -> D3Network:
     for i, u in enumerate(open_producers):
         tid = f"t{i}"
         nodes.append((tid, "sink"))
-        roles[tid] = "sink"
         edges.append((u, tid))
         requirements[tid] = f"s{rng.randrange(n_src)}"
     net = make_network(nodes, edges, requirements)
-    return D3Network(net, roles, transforms, group)
+    return D3Network(net, transforms, group)
 
 
 def random_network_instance(
@@ -274,7 +263,7 @@ def mutate_document(rng: random.Random, doc: dict) -> None:
 
     Drops keys, swaps in values of the wrong type, moves `in`/`out` indices
     and edge ends out of range, repeats node ids, adds cycles, and changes
-    kinds, roles and letter maps.
+    kinds and letter maps.
     """
     nodes = [n for n in _items(doc, "nodes", dict) if isinstance(n.get("id"), str)]
     edges = _items(doc, "edges", dict)
@@ -305,7 +294,7 @@ def mutate_document(rng: random.Random, doc: dict) -> None:
         e[rng.choice(("from", "to"))] = rng.choice([n["id"] for n in nodes] + ["nowhere"])
     elif kind == 6 and nodes:
         n = rng.choice(nodes)
-        n["role" if "role" in n else "kind"] = rng.choice(
+        n["kind"] = rng.choice(
             ("source", "sink", "internal", "fork", "join", "transform", "widget")
         )
     elif kind == 7:

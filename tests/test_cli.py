@@ -38,12 +38,7 @@ def swap_chain_path(tmp_path):
         edges=[("s", "h"), ("h", "t")],
         requirements={"t": "s"},
     )
-    d3 = D3Network(
-        net,
-        {"s": "source", "h": "transform", "t": "sink"},
-        {"h": LetterMap((1, 0, 2, 3))},
-        GroupKind.Z2xZ2,
-    )
+    d3 = D3Network(net, {"h": LetterMap((1, 0, 2, 3))}, GroupKind.Z2xZ2)
     return _write_json(tmp_path, "swap.json", netgraph.d3_to_json(d3))
 
 
@@ -296,8 +291,8 @@ def test_invalid_file_gives_one_answer(tmp_path, capsys, base, mutate, problem):
 
 
 def test_wrong_degree_in_normal_form_is_one_violation(tmp_path, capsys):
-    # without edge s1 -> s1.f0, two nodes have a wrong degree: the normal
-    # form checks degrees by role only, so each is reported once
+    # without edge s1 -> s1.f0, two nodes have a kind and degree that belong
+    # to no role: each is reported once, with the degrees its kind allows
     doc = _normal_form("butterfly")
     doc["edges"].remove({"from": "s1", "to": "s1.f0"})
     path = _write_json(tmp_path, "cut.json", doc)
@@ -305,7 +300,7 @@ def test_wrong_degree_in_normal_form_is_one_violation(tmp_path, capsys):
         assert main([command, path]) == 3, command
         assert capsys.readouterr().out.splitlines() == [
             "violation: source s1 has degree (0, 0), expected (0, 1)",
-            "violation: fork s1.f0 has degree (0, 2), expected (1, 2)",
+            "violation: internal s1.f0 has degree (0, 2), expected (1, 2), (2, 1) or (1, 1)",
         ], command
 
 
@@ -324,7 +319,7 @@ def _set_kind(doc, node, kind):
 )
 def test_unknown_kind_is_one_violation(tmp_path, capsys, doc, node, kind):
     # no check that depends on a node's kind runs on a node of unknown kind:
-    # degrees, requirement ends, operation positions and the role's kind
+    # degrees, requirement ends, operation positions and the role
     path = _write_json(tmp_path, "kind.json", _set_kind(doc(), node, kind))
     for command in ("validate", "eval", "normalize", "compile", "simulate", "report"):
         assert main([command, path]) == 3, command
@@ -333,30 +328,42 @@ def test_unknown_kind_is_one_violation(tmp_path, capsys, doc, node, kind):
         ], command
 
 
-def test_wrong_role_is_one_violation(tmp_path, capsys):
-    # a transform cast as a sink: its degree and its letter map are not
-    # checked against a role that contradicts its kind
-    doc = _normal_form("two-to-one-diamond")
-    next(n for n in doc["nodes"] if n["id"] == "u1")["role"] = "sink"
-    path = _write_json(tmp_path, "role.json", doc)
-    for command in ("validate", "eval", "normalize", "compile", "simulate", "report"):
-        assert main([command, path]) == 3, command
-        assert capsys.readouterr().out.splitlines() == [
-            "violation: node u1 has role sink but kind internal",
-        ], command
+@pytest.mark.parametrize("u1_role", [None, "sink", "widget"],
+                         ids=["as-written", "wrong-role", "unknown-role"])
+def test_role_keys_are_ignored(tmp_path, capsys, u1_role):
+    # older normal-form files give every node a role; a role follows from
+    # the node's kind and degree, so the key is ignored, right or wrong
+    path = tmp_path / "d3.json"
+    assert main(["normalize", "two-to-one-diamond", "--out", str(path)]) == 0
+    want = [_run_one(capsys, command, str(path)) for command in _ALL_SIX]
+    doc = json.loads(path.read_text())
+    roles = netgraph.d3_from_json(doc).roles
+    for n in doc["nodes"]:
+        n["role"] = roles[n["id"]]
+    if u1_role:
+        next(n for n in doc["nodes"] if n["id"] == "u1")["role"] = u1_role
+    path.write_text(json.dumps(doc))
+    assert [_run_one(capsys, command, str(path)) for command in _ALL_SIX] == want
 
 
-def test_unknown_role_is_one_violation(tmp_path, capsys):
-    # a transform with an unknown role: its letter map is not checked
-    # against a role that is in doubt
-    doc = _normal_form("two-to-one-diamond")
-    next(n for n in doc["nodes"] if n["id"] == "u1")["role"] = "widget"
-    path = _write_json(tmp_path, "role.json", doc)
-    for command in ("validate", "eval", "normalize", "compile", "simulate", "report"):
-        assert main([command, path]) == 3, command
-        assert capsys.readouterr().out.splitlines() == [
-            "violation: node u1 has unknown role 'widget'",
-        ], command
+def test_ops_and_transforms_together_exit_2(tmp_path, capsys):
+    # a general file whose ops swap 00 and 01, with the identity as a
+    # normal-form transform beside them: which layout it is is in doubt
+    net = make_network(
+        nodes=[("s", "source"), ("h", "internal"), ("t", "sink")],
+        edges=[("s", "h"), ("h", "t")],
+        requirements={"t": "s"},
+    )
+    proto = netgraph.ClassicalProtocol(
+        GroupKind.Z2xZ2, {"h": (node_op(0, [(0, LetterMap((1, 0, 2, 3)))]),)}
+    )
+    doc = netgraph.instance_to_json(net, proto)
+    doc["transforms"] = {"h": ["00", "01", "10", "11"]}
+    path = _write_json(tmp_path, "both.json", doc)
+    for command in _ALL_SIX:
+        assert _run_one(capsys, command, path) == (
+            2, "", "error: top level: both 'ops' and 'transforms' given; a file has one layout\n"
+        ), command
 
 
 def test_failed_verification_exits_3_without_traceback(monkeypatch, capsys):
@@ -442,6 +449,13 @@ def test_mutated_documents_end_in_documented_exits(tmp_path, capsys):
 
 _ALL_SIX = (["validate"], ["eval"], ["normalize"], ["compile"],
             ["simulate", "--mode", "oracle"], ["report", "--trials", "100"])
+
+
+def _run_one(capsys, command, path):
+    """One of `_ALL_SIX` on path: its exit code, stdout and stderr."""
+    code = main([command[0], path, *command[1:]])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_nine_diamonds_pass_every_subcommand(tmp_path, capsys):
@@ -542,23 +556,24 @@ def test_compile_butterfly(capsys):
 
 
 def test_compile_rejects_bad_normal_form(tmp_path, capsys):
-    # a fork with one outgoing edge; no D3Network can hold it, so the file
-    # is written directly
+    # an internal node feeding three sinks has no role; no D3Network can
+    # hold it, so the file is written directly
+    sinks = ("t1", "t2", "t3")
     doc = {
         "group": "Z2xZ2",
-        "nodes": [
-            {"id": "s", "kind": "source", "role": "source"},
-            {"id": "f", "kind": "internal", "role": "fork"},
-            {"id": "t", "kind": "sink", "role": "sink"},
-        ],
-        "edges": [{"from": "s", "to": "f"}, {"from": "f", "to": "t"}],
-        "requirements": [{"sink": "t", "source": "s"}],
+        "nodes": [{"id": "s", "kind": "source"}, {"id": "f", "kind": "internal"}]
+        + [{"id": t, "kind": "sink"} for t in sinks],
+        "edges": [{"from": "s", "to": "f"}] + [{"from": "f", "to": t} for t in sinks],
+        "requirements": [{"sink": t, "source": "s"} for t in sinks],
         "transforms": {},
     }
     path = _write_json(tmp_path, "badfork.json", doc)
     assert main(["compile", path]) == 3
     captured = capsys.readouterr()
-    assert "violation: fork f has degree (1, 1), expected (1, 2)" in captured.out
+    assert (
+        "violation: internal f has degree (1, 3), expected (1, 2), (2, 1) or (1, 1)"
+        in captured.out
+    )
     assert "error:" in captured.err
 
 
@@ -605,9 +620,7 @@ def test_simulate_oracle_lists_forks_in_listing_order(tmp_path, capsys):
                ("s1", "f1"), ("f1", "t2"), ("f1", "t3")],
         requirements={"t0": "s0", "t1": "s0", "t2": "s1", "t3": "s1"},
     )
-    roles = {"s0": "source", "s1": "source", "x0": "transform", "f0": "fork",
-             "f1": "fork", **{f"t{i}": "sink" for i in range(4)}}
-    d3 = D3Network(net, roles, {"x0": IDENTITY_MAP}, GroupKind.Z4)
+    d3 = D3Network(net, {"x0": IDENTITY_MAP}, GroupKind.Z4)
     compiled = compile_protocol(d3)
     swept = [v for v in compiled.sweep_order if v in ("f0", "f1")]
     assert swept == ["f0", "f1"]

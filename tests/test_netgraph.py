@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qnc4 import instances
+from qnc4 import instances, netgraph
 from qnc4.errors import QncError, SchemaError, ValidationError
 from qnc4.netgraph import (
     ClassicalProtocol,
@@ -396,12 +396,18 @@ def test_d3_json_round_trip():
     d3, _ = normalize_to_d3(net, proto)
     doc = json.loads(json.dumps(d3_to_json(d3)))
     assert is_d3_json(doc)
+    assert all("role" not in nd for nd in doc["nodes"])
     assert not is_d3_json(instance_to_json(net, proto))
     d3b = d3_from_json(doc)
     assert d3b.roles == d3.roles
     assert d3b.transforms == d3.transforms
     assert d3b.network.edges == d3.network.edges
     assert d3b.group == d3.group
+
+
+def test_roles_are_one_to_one_on_kind_and_degree():
+    # D3Network.roles reads each node's role back from its kind and degree
+    assert len(set(netgraph._ROLES.values())) == len(netgraph._ROLES)
 
 
 @pytest.mark.parametrize(

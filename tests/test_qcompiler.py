@@ -47,8 +47,7 @@ def _chain(maps, group=GroupKind.Z2xZ2) -> D3Network:
         edges=list(zip(ids[:-1], ids[1:])),
         requirements={"t": "s"},
     )
-    roles = {"s": "source", "t": "sink", **{h: "transform" for h in mids}}
-    return D3Network(net, roles, dict(zip(mids, maps)), group)
+    return D3Network(net, dict(zip(mids, maps)), group)
 
 
 def test_emission_at_one_fifth():
@@ -135,12 +134,7 @@ def test_shrink_fork_and_join():
         edges=[("s", "f"), ("f", "t1"), ("f", "t2")],
         requirements={"t1": "s", "t2": "s"},
     )
-    d3 = D3Network(
-        net,
-        {"s": "source", "f": "fork", "t1": "sink", "t2": "sink"},
-        {},
-        GroupKind.Z2xZ2,
-    )
+    d3 = D3Network(net, {}, GroupKind.Z2xZ2)
     comp = compile_protocol(d3)
     assert comp.ops["f"].tag == FORK_EFC
     assert comp.ops["f"].alpha == Fraction(1, 9)
@@ -151,12 +145,7 @@ def test_shrink_fork_and_join():
         edges=[("s1", "j"), ("s2", "j"), ("j", "t")],
         requirements={"t": "s1"},
     )
-    d3 = D3Network(
-        net,
-        {"s1": "source", "s2": "source", "j": "join", "t": "sink"},
-        {},
-        GroupKind.Z2xZ2,
-    )
+    d3 = D3Network(net, {}, GroupKind.Z2xZ2)
     comp = compile_protocol(d3)
     assert comp.ops["j"].tag == JOIN
     assert comp.ops["j"].alpha == Fraction(1, 9)
@@ -218,14 +207,19 @@ def test_fork_notes_deduplicate(butterfly_compiled):
 
 
 def test_compile_rejects_bad_degree():
-    # refused where the normal form is built, so it never reaches the compiler
+    # an internal node feeding three sinks has no role; refused where the
+    # normal form is built, so it never reaches the compiler
+    sinks = ("t1", "t2", "t3")
     net = make_network(
-        nodes=[("s", "source"), ("f", "internal"), ("t", "sink")],
-        edges=[("s", "f"), ("f", "t")],
-        requirements={"t": "s"},
+        nodes=[("s", "source"), ("f", "internal")] + [(t, "sink") for t in sinks],
+        edges=[("s", "f")] + [("f", t) for t in sinks],
+        requirements={t: "s" for t in sinks},
     )
-    with pytest.raises(ValidationError, match=r"fork f has degree \(1, 1\)"):
-        D3Network(net, {"s": "source", "f": "fork", "t": "sink"}, {}, GroupKind.Z2xZ2)
+    with pytest.raises(
+        ValidationError,
+        match=r"internal f has degree \(1, 3\), expected \(1, 2\), \(2, 1\) or \(1, 1\)",
+    ):
+        D3Network(net, {}, GroupKind.Z2xZ2)
 
 
 def test_compile_rejects_unusable_map():

@@ -46,12 +46,7 @@ def _swap_chain_compiled():
         edges=[("s", "h"), ("h", "t")],
         requirements={"t": "s"},
     )
-    d3 = netgraph.D3Network(
-        net,
-        {"s": "source", "h": "transform", "t": "sink"},
-        {"h": SWAP01},
-        GroupKind.Z2xZ2,
-    )
+    d3 = netgraph.D3Network(net, {"h": SWAP01}, GroupKind.Z2xZ2)
     return compile_protocol(d3)
 
 
@@ -231,9 +226,7 @@ def _fork_rejoined_compiled():
         edges=[("s0", "f"), ("f", "j"), ("s1", "j"), ("j", "k"), ("f", "k"), ("k", "t")],
         requirements={"t": "s1"},
     )
-    roles = {"s0": "source", "s1": "source", "f": "fork", "j": "join", "k": "join",
-             "t": "sink"}
-    return compile_protocol(netgraph.D3Network(net, roles, {}, GroupKind.Z4))
+    return compile_protocol(netgraph.D3Network(net, {}, GroupKind.Z4))
 
 
 def test_vector_source_merges_factors(butterfly_compiled):
@@ -436,7 +429,6 @@ def _disjoint_copies(d3, k: int) -> netgraph.D3Network:
             edges=[(c + u, c + v) for c in tags for u, v in net.edges],
             requirements={c + t: c + s for c in tags for t, s in net.requirements.items()},
         ),
-        {c + v: r for c in tags for v, r in d3.roles.items()},
         {c + v: m for c in tags for v, m in d3.transforms.items()},
         d3.group,
     )
@@ -659,12 +651,8 @@ def _every_op_network(group: GroupKind) -> netgraph.D3Network:
                ("f2", "f3"), ("f2", "t2"), ("f3", "t3"), ("f3", "t4")],
         requirements={f"t{i}": "s0" for i in range(5)},
     )
-    roles = {"s0": "source", "s1": "source", "j": "join",
-             **{f"f{i}": "fork" for i in range(4)},
-             **{f"x{i}": "transform" for i in range(3)},
-             **{f"t{i}": "sink" for i in range(5)}}
     maps = {"x0": SWAP01, "x1": HIGH_BIT, "x2": constant_map(3)}
-    return netgraph.D3Network(net, roles, maps, group)
+    return netgraph.D3Network(net, maps, group)
 
 
 @pytest.mark.parametrize("group", [GroupKind.Z2xZ2, GroupKind.Z4])
