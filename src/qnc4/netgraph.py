@@ -500,8 +500,9 @@ def validate_d3(d3: D3Network) -> ValidationReport:
             elif m.try_classify() is None:
                 rep.add(f"transform {n.id} carries illegal map {m.table}")
     for v in d3.transforms:
-        # a node without a role already has its violation
-        if v not in roles or roles[v] not in (None, "transform"):
+        if v not in roles:
+            rep.add(f"letter map given for unknown node {v}")
+        elif roles[v] not in (None, "transform"):  # a node without a role has its violation
             rep.add(f"letter map given for non-transform node {v}")
     return rep
 

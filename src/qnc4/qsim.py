@@ -28,7 +28,8 @@ vectorized chunks with deterministic, chunk-indexed substreams, from the
 same verified kernels the sweep runs on: each node, sources included, makes
 one draw per trial from Vose alias tables built off its kernel's rows
 (`alias_table`), and each edge's letter array is freed once its consumer
-has read it.
+has read it.  Chunks run on min(usable CPUs, chunks, MAX_WORKERS)
+threads, with the same counts on any number of threads.
 
 Only the float code imports numpy, inside the functions that handle
 arrays: Monte Carlo with `alias_table`, `guess_fidelities` and the
@@ -42,6 +43,7 @@ subcommands that print only exact numbers never load numpy.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +75,10 @@ if TYPE_CHECKING:
 
 MAX_ORACLE_BRANCHES = 4**10
 CHUNK_SIZE = 1 << 16  # Monte Carlo trials per substream
+# Monte Carlo threads per call, at most: each one beyond the first adds
+# about 2.5 MB of peak memory, its work arrays and chunk temporaries, which
+# is 6% of a sampling process; a third would make it 12%
+MAX_WORKERS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +427,14 @@ def alias_table(kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:
     return size.bit_length() - 1, np.array(prob), outcomes
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def simulate_montecarlo(
     compiled: CompiledProtocol, inputs, trials: int, seed: int = 0
 ) -> MonteCarloResult:
@@ -433,11 +447,25 @@ def simulate_montecarlo(
     processed in chunks of CHUNK_SIZE; chunk c uses the substream spawned
     from (seed, c), so a seed, a non-negative int, reproduces its counts
     exactly.  A chunk's uniforms, slot probabilities and intp indices live
-    in three work arrays allocated once per call and reused by every node
+    in three work arrays allocated once per worker and reused by every node
     and chunk.  Fresh chunk-sized arrays, and the intp copy numpy makes of
     a uint8 index array for `take` and `bincount`, would each come from
     new pages that the kernel zero-fills, about a quarter of the run.
+
+    Chunks run on W = min(usable CPUs, chunks, MAX_WORKERS) threads, the
+    calling thread among them: worker k runs chunks k, k + W, k + 2W, ...
+    and keeps its own sink counts, which the caller adds up.  Counts are
+    integers and each chunk's stream is its own, so they are the same on
+    any number of threads.  Each extra thread costs about 2.5 MB of peak
+    memory; a call of one chunk, or on one usable CPU, starts none.  When
+    any worker fails, the others stop at their next chunk, and its
+    exception is raised once every thread has been joined, so a caller
+    never gets partial counts.
     """
+    # threading is loaded with numpy; concurrent.futures would add about
+    # 0.7 MB of modules to a process that samples
+    import threading
+
     import numpy as np
 
     if not isinstance(trials, Integral) or isinstance(trials, bool) or trials <= 0:
@@ -459,40 +487,82 @@ def simulate_montecarlo(
             table = tables[kernel]
         steps.append((v, net.in_edges(v), net.out_edges(v), table))
 
-    counts = {t: np.zeros(4, dtype=np.int64) for t in net.sink_ids}
     size = min(trials, CHUNK_SIZE)
-    work_u, work_p = np.empty(size), np.empty(size)
-    work_i = np.empty(size, dtype=np.intp)
     n_chunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
-    for c in range(n_chunks):
-        n = min(CHUNK_SIZE, trials - c * CHUNK_SIZE)
-        u, p, i = work_u[:n], work_p[:n], work_i[:n]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        letters: dict[int, np.ndarray] = {}
-        for v, in_edges, out_edges, table in steps:
-            ins = [letters.pop(e) for e in in_edges]
-            if table is None:
-                np.copyto(i, ins[0])
-                counts[v] += np.bincount(i, minlength=4)
-                continue
-            shift, prob, outcomes = table
-            rng.random(out=u)
-            u *= 1 << shift  # exact: a power of two
-            j = u.astype(np.uint8)
-            u -= j
-            if ins:
-                row = ins[0] if len(ins) == 1 else ins[0] << 2 | ins[1]
-                j |= row << shift
-            np.copyto(i, j)
-            prob.take(i, out=p)
-            i <<= 1
-            i |= u >= p
-            out = outcomes.take(i)
-            if len(out_edges) == 1:
-                letters[out_edges[0]] = out
-            else:
-                letters[out_edges[0]] = out >> 2
-                letters[out_edges[1]] = out & 3
+    workers = min(_usable_cpus(), n_chunks, MAX_WORKERS)
+    # each worker's work arrays and sink counts, allocated before any chunk runs
+    work = [(np.empty(size), np.empty(size), np.empty(size, dtype=np.intp))
+            for _ in range(workers)]
+    tallies = [{t: np.zeros(4, dtype=np.int64) for t in net.sink_ids} for _ in range(workers)]
+
+    # set when any worker fails, the calling one included (Ctrl-C), so that
+    # the others stop at their next chunk
+    stop = threading.Event()
+
+    def run(k: int) -> None:
+        """Worker k's chunks: k, k + workers, k + 2 * workers, ..."""
+        work_u, work_p, work_i = work[k]
+        counts = tallies[k]
+        for c in range(k, n_chunks, workers):
+            if stop.is_set():
+                return
+            n = min(CHUNK_SIZE, trials - c * CHUNK_SIZE)
+            u, p, i = work_u[:n], work_p[:n], work_i[:n]
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
+            letters: dict[int, np.ndarray] = {}
+            for v, in_edges, out_edges, table in steps:
+                ins = [letters.pop(e) for e in in_edges]
+                if table is None:
+                    np.copyto(i, ins[0])
+                    counts[v] += np.bincount(i, minlength=4)
+                    continue
+                shift, prob, outcomes = table
+                rng.random(out=u)
+                u *= 1 << shift  # exact: a power of two
+                j = u.astype(np.uint8)
+                u -= j
+                if ins:
+                    row = ins[0] if len(ins) == 1 else ins[0] << 2 | ins[1]
+                    j |= row << shift
+                np.copyto(i, j)
+                prob.take(i, out=p)
+                i <<= 1
+                i |= u >= p
+                out = outcomes.take(i)
+                if len(out_edges) == 1:
+                    letters[out_edges[0]] = out
+                else:
+                    letters[out_edges[0]] = out >> 2
+                    letters[out_edges[1]] = out & 3
+
+    errors: list[BaseException] = []
+
+    def guarded(k: int) -> None:
+        try:
+            run(k)
+        except BaseException as e:  # raised by the caller, below
+            errors.append(e)
+            stop.set()
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            t = threading.Thread(target=guarded, args=(k,))
+            t.start()
+            threads.append(t)
+        run(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    counts = tallies[0]
+    for more in tallies[1:]:
+        for t, c in more.items():
+            counts[t] += c
     return MonteCarloResult(compiled, trials, seed, counts)
 
 

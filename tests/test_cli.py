@@ -244,6 +244,10 @@ def _map_on_fork(doc):
     doc["transforms"]["d"] = ["00", "01", "10", "11"]
 
 
+def _map_for_nowhere(doc):
+    doc["transforms"]["nowhere"] = ["00", "01", "10", "11"]
+
+
 def _add_cycle(doc):
     doc["edges"].append({"from": "t0", "to": "s0"})
 
@@ -261,6 +265,8 @@ def _non_source_requirement(doc):
     [
         ("two-to-one-diamond", _drop_map, "transform u1 has no letter map"),
         ("two-to-one-diamond", _map_on_fork, "letter map given for non-transform node d"),
+        ("two-to-one-diamond", _map_for_nowhere, "letter map given for unknown node nowhere"),
+        ("butterfly", _ops_for_ghost, "operations given for unknown node ghost"),
         ("butterfly", _duplicate_id, "duplicate node id s1"),
         ("butterfly", _add_cycle, "network contains a cycle"),
         ("two-to-one-diamond", _illegal_map, "transform u1 carries illegal map (0, 1, 2, 2)"),
@@ -270,8 +276,8 @@ def _non_source_requirement(doc):
             "requirement for sink t1 names t0, which is not a source",
         ),
     ],
-    ids=["missing-map", "map-on-fork", "duplicate-id", "cycle", "illegal-map",
-         "non-source-requirement"],
+    ids=["missing-map", "map-on-fork", "map-for-unknown-node", "ops-for-unknown-node",
+         "duplicate-id", "cycle", "illegal-map", "non-source-requirement"],
 )
 def test_invalid_file_gives_one_answer(tmp_path, capsys, base, mutate, problem):
     # the diamond's cases edit its normal form, the butterfly's the general layout

@@ -1,4 +1,5 @@
-"""The exact path runs without numpy, and `qnc4` keeps every public name.
+"""The exact path runs without numpy or a thread pool, and `qnc4` keeps
+every public name.
 
 Both checks run in a fresh interpreter, because this one has long since
 imported numpy and every submodule.
@@ -65,7 +66,9 @@ for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    results.append([code, out.getvalue()])
+    # nor a thread pool module, which would slow the start of every subcommand
+    loaded = [m for m in ("numpy", "concurrent.futures") if sys.modules.get(m) is not None]
+    results.append([code, out.getvalue(), loaded])
 print(json.dumps(results))
 """
 
@@ -74,11 +77,12 @@ def test_exact_subcommands_run_without_numpy():
     runs = [[c[0], name, *c[1:]] for name in BUNDLED for c in _EXACT]
     blocked = json.loads(_child(_RUN_WITHOUT_NUMPY, json.dumps(runs)))
     assert len(blocked) == len(runs)
-    for argv, (code, out) in zip(runs, blocked):
+    for argv, (code, out, loaded) in zip(runs, blocked):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert main(argv) == code == 0, argv
         assert buf.getvalue() == out, argv
+        assert loaded == [], argv
 
 
 _IMPORT_EACH = """

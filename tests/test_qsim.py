@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -688,6 +691,92 @@ def test_montecarlo_stream_is_pinned_on_every_op_kind(trials, expected):
     comp = compile_protocol(_every_op_network(GroupKind.Z4))
     mc = simulate_montecarlo(comp, [1, 2], trials=trials, seed=5)
     assert {t: c.tolist() for t, c in mc.sink_counts.items()} == expected
+
+
+@pytest.mark.parametrize("cpus", [None, 0, 1, 4])
+def test_montecarlo_counts_do_not_depend_on_threads(monkeypatch, cpus):
+    # six chunks, the last one short: more chunks than workers, and, with
+    # the cap lifted to four, workers with unequal shares; one usable CPU
+    # starts no thread, and 0 stands for a platform without CPU affinity.
+    # A short switch interval makes the threads interleave as often as they
+    # can.
+    monkeypatch.setattr(qsim, "MAX_WORKERS", 4)
+    if cpus == 0:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    elif cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    comp = compile_protocol(_every_op_network(GroupKind.Z4))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        mc = simulate_montecarlo(comp, [1, 2], trials=5 * qsim.CHUNK_SIZE + 123, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert {t: c.tolist() for t, c in mc.sink_counts.items()} == {
+        "t0": [82195, 81829, 82347, 81432], "t1": [0, 0, 0, 327803],
+        "t2": [81747, 82216, 82188, 81652], "t3": [82218, 81998, 82023, 81564],
+        "t4": [82065, 81756, 82014, 81968],
+    }
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_montecarlo_raises_a_workers_error(monkeypatch, cpus):
+    # with two workers, chunk 3 is the second chunk of the thread's worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    default_rng = np.random.default_rng
+
+    def failing_rng(seq):
+        if seq.spawn_key == (3,):
+            raise RuntimeError("chunk 3 failed")
+        return default_rng(seq)
+
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    comp = compile_protocol(_every_op_network(GroupKind.Z4))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 3 failed"):
+        simulate_montecarlo(comp, [1, 2], trials=5 * qsim.CHUNK_SIZE + 123, seed=5)
+    assert threading.active_count() == threads
+
+
+def test_montecarlo_stops_every_worker_when_one_fails(monkeypatch):
+    # chunk 0 fails on the calling thread while the thread's worker runs
+    # chunk 1; that worker must stop there rather than run chunks 3 and 5
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    default_rng = np.random.default_rng
+    drawn, failed = [], threading.Event()
+
+    def failing_rng(seq):
+        drawn.append(seq.spawn_key)
+        if seq.spawn_key == (0,):
+            failed.set()
+            raise RuntimeError("chunk 0 failed")
+        failed.wait(10)
+        return default_rng(seq)
+
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    comp = compile_protocol(_every_op_network(GroupKind.Z4))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 0 failed"):
+        simulate_montecarlo(comp, [1, 2], trials=5 * qsim.CHUNK_SIZE + 123, seed=5)
+    assert sorted(drawn) == [(0,), (1,)]
+    assert threading.active_count() == threads
+
+
+def test_montecarlo_starts_one_thread_on_many_cpus(monkeypatch):
+    # each worker beyond the first adds about 2.5 MB of peak memory, so
+    # eight usable CPUs and six chunks still start a single thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    comp = compile_protocol(_every_op_network(GroupKind.Z4))
+    simulate_montecarlo(comp, [1, 2], trials=5 * qsim.CHUNK_SIZE + 123, seed=5)
+    assert len(started) == 1
 
 
 def test_montecarlo_stream_is_pinned_on_a_vector_source(single_compiled):
