@@ -28,8 +28,9 @@ vectorized chunks with deterministic, chunk-indexed substreams, from the
 same verified kernels the sweep runs on: each node, sources included, makes
 one draw per trial from Vose alias tables built off its kernel's rows
 (`alias_table`), and each edge's letter array is freed once its consumer
-has read it.  Chunks run on min(usable CPUs, chunks, MAX_WORKERS)
-threads, with the same counts on any number of threads.
+has read it.  Up to MAX_WORKERS threads each sample a contiguous range of
+at least a quarter chunk of trials, jumping each chunk's stream ahead to
+the trials they own, with the same counts on any number of threads.
 
 Only the float code imports numpy, inside the functions that handle
 arrays: Monte Carlo with `alias_table`, `guess_fidelities` and the
@@ -75,9 +76,10 @@ if TYPE_CHECKING:
 
 MAX_ORACLE_BRANCHES = 4**10
 CHUNK_SIZE = 1 << 16  # Monte Carlo trials per substream
-# Monte Carlo threads per call, at most: each one beyond the first adds
-# about 2.5 MB of peak memory, its work arrays and chunk temporaries, which
-# is 6% of a sampling process; a third would make it 12%
+# Monte Carlo threads per call, at most: on a call of several chunks each
+# one beyond the first adds about 2.5 MB of peak memory, its work arrays and
+# chunk temporaries, which is 6% of a sampling process; a third would make
+# it 12%
 MAX_WORKERS = 2
 
 
@@ -446,21 +448,29 @@ def simulate_montecarlo(
     arrays, freed as soon as their consumer has read them.  Trials are
     processed in chunks of CHUNK_SIZE; chunk c uses the substream spawned
     from (seed, c), so a seed, a non-negative int, reproduces its counts
-    exactly.  A chunk's uniforms, slot probabilities and intp indices live
-    in three work arrays allocated once per worker and reused by every node
-    and chunk.  Fresh chunk-sized arrays, and the intp copy numpy makes of
-    a uint8 index array for `take` and `bincount`, would each come from
-    new pages that the kernel zero-fills, about a quarter of the run.
+    exactly.  A worker's uniforms, slot probabilities and intp indices live
+    in three work arrays, each min(ceil(trials / W), CHUNK_SIZE) long,
+    allocated once per worker and reused by every node and chunk.  Fresh
+    arrays, and the intp copy numpy makes of a uint8 index array for `take`
+    and `bincount`, would each come from new pages that the kernel
+    zero-fills, about a quarter of the run.
 
-    Chunks run on W = min(usable CPUs, chunks, MAX_WORKERS) threads, the
-    calling thread among them: worker k runs chunks k, k + W, k + 2W, ...
-    and keeps its own sink counts, which the caller adds up.  Counts are
-    integers and each chunk's stream is its own, so they are the same on
-    any number of threads.  Each extra thread costs about 2.5 MB of peak
-    memory; a call of one chunk, or on one usable CPU, starts none.  When
-    any worker fails, the others stop at their next chunk, and its
-    exception is raised once every thread has been joined, so a caller
-    never gets partial counts.
+    The trials are split among W = max(1, min(usable CPUs,
+    trials // (CHUNK_SIZE // 4), MAX_WORKERS)) workers, the calling thread
+    among them: worker k samples trials k * trials // W up to
+    (k + 1) * trials // W and keeps its own sink counts, which the caller
+    adds up.  A worker walks its range one piece of a chunk at a time; a
+    piece of m trials from offset lo of chunk c (n trials) advances chunk
+    c's PCG64 stream by lo, and at each node draws m uniforms and advances
+    by n - m.  Every float64 takes one 64-bit output, so each trial gets
+    the uniforms that drawing its chunk whole would give it, and the counts
+    are the same on any number of threads.  A worker gets at least a
+    quarter chunk, below which handing the interpreter lock back and forth
+    on short numpy operations costs more than a second CPU gains; so a call
+    of fewer than CHUNK_SIZE // 2 trials, or on one usable CPU, starts no
+    thread.  When any worker fails, the others stop at their next piece,
+    and its exception is raised once every thread has been joined, so a
+    caller never gets partial counts.
     """
     # threading is loaded with numpy; concurrent.futures would add about
     # 0.7 MB of modules to a process that samples
@@ -472,6 +482,7 @@ def simulate_montecarlo(
         raise ValueError(f"trials must be a positive int, got {trials!r}")
     if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    trials, seed = int(trials), int(seed)  # PCG64.advance takes no numpy int
     net = compiled.d3.network
     laws = _resolve_inputs(compiled, inputs)
     tables: dict[Kernel, tuple] = {}  # nodes with equal laws share a kernel
@@ -487,28 +498,34 @@ def simulate_montecarlo(
             table = tables[kernel]
         steps.append((v, net.in_edges(v), net.out_edges(v), table))
 
-    size = min(trials, CHUNK_SIZE)
-    n_chunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
-    workers = min(_usable_cpus(), n_chunks, MAX_WORKERS)
-    # each worker's work arrays and sink counts, allocated before any chunk runs
+    workers = max(1, min(_usable_cpus(), trials // (CHUNK_SIZE // 4), MAX_WORKERS))
+    bounds = [k * trials // workers for k in range(workers + 1)]
+    size = min(-(-trials // workers), CHUNK_SIZE)
+    # each worker's work arrays and sink counts, allocated before any trial runs
     work = [(np.empty(size), np.empty(size), np.empty(size, dtype=np.intp))
             for _ in range(workers)]
     tallies = [{t: np.zeros(4, dtype=np.int64) for t in net.sink_ids} for _ in range(workers)]
 
     # set when any worker fails, the calling one included (Ctrl-C), so that
-    # the others stop at their next chunk
+    # the others stop at their next piece
     stop = threading.Event()
 
     def run(k: int) -> None:
-        """Worker k's chunks: k, k + workers, k + 2 * workers, ..."""
+        """Worker k's trials, bounds[k] up to bounds[k + 1], a piece of one
+        chunk at a time."""
         work_u, work_p, work_i = work[k]
         counts = tallies[k]
-        for c in range(k, n_chunks, workers):
-            if stop.is_set():
-                return
+        start, end = bounds[k], bounds[k + 1]
+        while start < end and not stop.is_set():
+            c, lo = divmod(start, CHUNK_SIZE)
             n = min(CHUNK_SIZE, trials - c * CHUNK_SIZE)
-            u, p, i = work_u[:n], work_p[:n], work_i[:n]
+            m = min(n - lo, end - start)
+            start += m
+            u, p, i = work_u[:m], work_p[:m], work_i[:m]
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
+            # every float64 takes one 64-bit output, so node by node the
+            # piece draws the uniforms that the whole chunk would at lo..lo+m
+            rng.bit_generator.advance(lo)
             letters: dict[int, np.ndarray] = {}
             for v, in_edges, out_edges, table in steps:
                 ins = [letters.pop(e) for e in in_edges]
@@ -518,6 +535,7 @@ def simulate_montecarlo(
                     continue
                 shift, prob, outcomes = table
                 rng.random(out=u)
+                rng.bit_generator.advance(n - m)
                 u *= 1 << shift  # exact: a power of two
                 j = u.astype(np.uint8)
                 u -= j

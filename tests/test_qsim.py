@@ -695,9 +695,9 @@ def test_montecarlo_stream_is_pinned_on_every_op_kind(trials, expected):
 
 @pytest.mark.parametrize("cpus", [None, 0, 1, 4])
 def test_montecarlo_counts_do_not_depend_on_threads(monkeypatch, cpus):
-    # six chunks, the last one short: more chunks than workers, and, with
-    # the cap lifted to four, workers with unequal shares; one usable CPU
-    # starts no thread, and 0 stands for a platform without CPU affinity.
+    # six chunks, the last one short: with the cap lifted to four, workers
+    # whose trial ranges start and end mid-chunk; one usable CPU starts no
+    # thread, and 0 stands for a platform without CPU affinity.
     # A short switch interval makes the threads interleave as often as they
     # can.
     monkeypatch.setattr(qsim, "MAX_WORKERS", 4)
@@ -721,7 +721,8 @@ def test_montecarlo_counts_do_not_depend_on_threads(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_montecarlo_raises_a_workers_error(monkeypatch, cpus):
-    # with two workers, chunk 3 is the second chunk of the thread's worker
+    # with two workers, the thread's worker starts mid-chunk 2, so chunk 3
+    # is the second chunk it draws from
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     default_rng = np.random.default_rng
 
@@ -739,8 +740,9 @@ def test_montecarlo_raises_a_workers_error(monkeypatch, cpus):
 
 
 def test_montecarlo_stops_every_worker_when_one_fails(monkeypatch):
-    # chunk 0 fails on the calling thread while the thread's worker runs
-    # chunk 1; that worker must stop there rather than run chunks 3 and 5
+    # chunk 0 fails on the calling thread while the thread's worker runs its
+    # first piece, from the middle of chunk 2; that worker must stop there
+    # rather than run chunks 3, 4 and 5
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     default_rng = np.random.default_rng
     drawn, failed = [], threading.Event()
@@ -758,14 +760,30 @@ def test_montecarlo_stops_every_worker_when_one_fails(monkeypatch):
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk 0 failed"):
         simulate_montecarlo(comp, [1, 2], trials=5 * qsim.CHUNK_SIZE + 123, seed=5)
-    assert sorted(drawn) == [(0,), (1,)]
+    assert sorted(drawn) == [(0,), (2,)]
     assert threading.active_count() == threads
 
 
-def test_montecarlo_starts_one_thread_on_many_cpus(monkeypatch):
-    # each worker beyond the first adds about 2.5 MB of peak memory, so
-    # eight usable CPUs and six chunks still start a single thread
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_montecarlo_splits_one_chunk_without_changing_counts(monkeypatch, cpus):
+    # 60,000 trials are one chunk, cut mid-chunk among one, two or three
+    # workers (each gets at least a quarter chunk); counts printed at a
+    # commit that ran every chunk whole on one thread
+    monkeypatch.setattr(qsim, "MAX_WORKERS", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    comp = compile_protocol(_every_op_network(GroupKind.Z4))
+    mc = simulate_montecarlo(comp, [1, 2], trials=60_000, seed=5)
+    assert {t: c.tolist() for t, c in mc.sink_counts.items()} == {
+        "t0": [15028, 14841, 15011, 15120], "t1": [0, 0, 0, 60000],
+        "t2": [14926, 14948, 15125, 15001], "t3": [14991, 15211, 14825, 14973],
+        "t4": [14977, 15081, 15110, 14832],
+    }
+
+
+def _threads_started(monkeypatch, cpus: int, trials: int) -> int:
+    """How many threads a Monte Carlo call of trials starts on cpus usable
+    CPUs; it checks that every trial reached the sinks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     started = []
 
     class CountedThread(threading.Thread):
@@ -775,8 +793,47 @@ def test_montecarlo_starts_one_thread_on_many_cpus(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", CountedThread)
     comp = compile_protocol(_every_op_network(GroupKind.Z4))
-    simulate_montecarlo(comp, [1, 2], trials=5 * qsim.CHUNK_SIZE + 123, seed=5)
-    assert len(started) == 1
+    mc = simulate_montecarlo(comp, [1, 2], trials=trials, seed=5)
+    assert mc.sink_counts["t1"].tolist() == [0, 0, 0, trials]
+    return len(started)
+
+
+@pytest.mark.parametrize("trials, threads", [
+    (2 * (qsim.CHUNK_SIZE // 4) - 1, 0),
+    (2 * (qsim.CHUNK_SIZE // 4), 1),
+])
+def test_montecarlo_starts_a_thread_from_two_quarter_chunks(monkeypatch, trials, threads):
+    # below a quarter chunk per worker, a thread costs more than it saves
+    assert _threads_started(monkeypatch, 4, trials) == threads
+
+
+def test_montecarlo_result_holds_python_ints(diamond_compiled):
+    mc = simulate_montecarlo(diamond_compiled, [2], trials=np.int64(40_000), seed=np.int64(3))
+    assert type(mc.trials) is int and type(mc.seed) is int
+    assert (mc.trials, mc.seed) == (40_000, 3)
+
+
+def test_pcg64_skips_reproduce_one_long_draw():
+    # Monte Carlo's trial ranges rest on this: every float64 that
+    # Generator.random draws takes one 64-bit output of PCG64, so drawing
+    # m uniforms and advancing n - m lands where n uniforms would
+    seq = np.random.SeedSequence(entropy=2**40 + 7, spawn_key=(3,))
+    n = 1000
+    whole = np.random.default_rng(seq).random(3 * n)
+    for lo, m in ((0, n), (0, 1), (1, n - 1), (617, 383), (999, 1), (250, 500)):
+        rng = np.random.default_rng(seq)
+        rng.bit_generator.advance(lo)
+        u = np.empty(m)
+        for b in range(3):
+            rng.random(out=u)
+            rng.bit_generator.advance(n - m)
+            assert np.array_equal(u, whole[b * n + lo:b * n + lo + m])
+
+
+def test_montecarlo_starts_one_thread_on_many_cpus(monkeypatch):
+    # each worker beyond the first adds about 2.5 MB of peak memory, so
+    # eight usable CPUs and six chunks still start a single thread
+    assert _threads_started(monkeypatch, 8, 5 * qsim.CHUNK_SIZE + 123) == 1
 
 
 def test_montecarlo_stream_is_pinned_on_a_vector_source(single_compiled):
