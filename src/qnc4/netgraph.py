@@ -23,7 +23,6 @@ protocol once (`D3Network.protocol`).
 
 import enum
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -104,12 +103,12 @@ class LetterMap:
         A map of image size 3, or of image size 2 with a 3/1 preimage split,
         is illegal and is reported by validation, never repaired.
         """
-        counts = Counter(self.table)
-        if len(counts) == 1:
+        size = len(set(self.table))
+        if size == 1:
             return MapClass.CONSTANT
-        if len(counts) == 4:
+        if size == 4:
             return MapClass.ONE_TO_ONE
-        if len(counts) == 2 and set(counts.values()) == {2}:
+        if size == 2 and self.table.count(self.table[0]) == 2:
             return MapClass.TWO_TO_ONE
         return None
 

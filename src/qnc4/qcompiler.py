@@ -11,23 +11,28 @@ shrink table alone.  A state at shrink a is its letter mixed by
 W(a) = a I + (1 - a)/4 J, which is invertible, W(a)^-1 =
 (1/a)(I - (1 - a)/4 J), and composes as W(a) W(b) = W(ab); so each
 kernel is W(a_in)^-1 along each input applied to the target of the node's
-classical function at its output shrink (`build_kernel`).  Kernels are
+classical function at its output shrink (`build_kernel`), one mix per
+input.  The node reads each input through the tetra measurement, W(1/3),
+so its emission law is W(3) along each input applied to the kernel; a
+shrink whose emission law would be negative is refused.  Kernels are
 memoized within one compile.  The exact sweep in `qsim` runs on them.
 
 `check_kernel` verifies every kernel once, at every incoming shrink where
 it occurs: mixed forward by W(a_in) along each input, it must give exactly
 tetra_weights(ShrunkState(f(z), a_out)) on every tuple z of input letters
-(for a fork, the product of two such vectors).  Build and check both mix
-one input axis at a time (`_mix`, from `_target_rows`): O(in 4^in 4^w)
-operations.  A mismatch raises VerificationError, so a compiled protocol
-only exists if each of its node laws lands on the bookkeeping above.
+(for a fork, the product of two such vectors), row by row.  Build and
+check both mix one input axis at a time (`_mix`, from `_target_rows`):
+O(in 4^in 4^w) operations.  A mismatch raises VerificationError, so a
+compiled protocol only exists if each of its node laws lands on the
+bookkeeping above.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 from math import gcd
+from operator import add, floordiv, gt, mul
 
 from .errors import SizeError, VerificationError
 from .netgraph import (
@@ -188,10 +193,9 @@ def _mix(rows: list, stride: int, own: int, rest: int) -> list[list[int]]:
     own * x_z + rest * (the sum of the 4 rows x_u along that letter)."""
     out = list(rows)
     for i in (0, 1, 2, 3) if stride == 4 else range(0, len(rows), 4):
-        axis = range(i, i + 4 * stride, stride)
-        sums = [rest * sum(col) for col in zip(*(rows[j] for j in axis))]
-        for j in axis:
-            out[j] = [own * x + s for x, s in zip(rows[j], sums)]
+        axis = slice(i, i + 4 * stride, stride)
+        sums = [rest * sum(col) for col in zip(*rows[axis])]
+        out[axis] = [list(map(add, map(mul, row, repeat(own)), sums)) for row in rows[axis]]
     return out
 
 
@@ -207,27 +211,39 @@ def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     shrinks a_in, derived from the shrink table alone.
 
     A state at shrink a mixes its letter by W(a) = a I + (1-a)/4 J, with
-    W(a)^-1 = (1/a)(I - (1-a)/4 J) and W(a) W(b) = W(ab).  The tetra
-    measurement mixes a pure state's letter by W(1/3), so the node reads
-    input z_i through W(a_i/3).  The emission law is E = (W(a_1/3)^-1 x
-    ...) T, T from `_target_rows`, and the kernel applies W(1/3) = W(3)^-1
-    along each input to E, each factor one `_mix` along one input axis.
-    Raises VerificationError, naming the node, if E has a negative entry:
-    no node law reaches the claimed shrink.
+    W(a)^-1 = (1/a)(I - (1-a)/4 J) and W(a) W(b) = W(ab).  The kernel K is
+    W(a_i)^-1 along each input i applied to T, the target rows of
+    `_target_rows`: one `_mix` per input axis.  The node reads input z_i
+    through W(a_i/3), the incoming shrink and then the tetra measurement's
+    W(1/3), so its emission law is W(a_i/3)^-1 = W(3) W(a_i)^-1 along each
+    input applied to T: W(3) along each input applied to K, where
+    2 W(3) = 6I - J.  Its sign is read off K in lowest terms, whose
+    numbers can be far smaller than before the gcd cancels: a join's
+    kernel at its row ab/9 has denominator 9 at any incoming shrinks.
+    Raises VerificationError, naming the node, if that law has a negative
+    entry: no node law reaches the claimed shrink.
     """
     rows, den = _target_rows(op, len(a_in), group)
     strides = (4, 1)[-len(a_in):]  # input index 4 * z1 + z2, or z
     for stride, a in zip(strides, a_in):
-        rows, den = _unmix(rows, den, stride, a / 3)
-    if any(n < 0 for row in rows for n in row):
+        rows, den = _unmix(rows, den, stride, a)
+    g = gcd(den, *chain.from_iterable(rows))
+    rows = [list(map(floordiv, row, repeat(g))) for row in rows]
+    if len(a_in) == 1:
+        # 2 W(3) K = 6 K - (the column sums of K), entry by entry
+        sums = [sum(col) for col in zip(*rows)]
+        negative = any(map(gt, sums * len(rows), map(mul, chain.from_iterable(rows), repeat(6))))
+    else:
+        law = rows
+        for stride in strides:
+            law = _mix(law, stride, 6, -1)
+        negative = min(map(min, law)) < 0
+    if negative:
         raise VerificationError(
             f"{op.tag} node {op.node} cannot emit shrink {op.alpha} at incoming "
             f"shrink {', '.join(map(str, a_in))}: its emission law would be negative"
         )
-    for stride in strides:
-        rows, den = _unmix(rows, den, stride, Fraction(3))
-    g = gcd(den, *(n for row in rows for n in row))
-    return Kernel(den // g, tuple(tuple(n // g for n in row) for row in rows))
+    return Kernel(den // g, tuple(map(tuple, rows)))
 
 
 def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:
@@ -236,7 +252,7 @@ def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     The kernel mixed forward over its inputs' latent letters, by `_mix`
     with W(a) = (4p I + (q - p) J)/4q, a = p/q, along each input axis,
     must give for every tuple z of incoming letters the target row T(y | z)
-    of `_target_rows`, on every entry.  O(in 4^in 4^w) integer operations.
+    of `_target_rows`, as a whole row.  O(in 4^in 4^w) integer operations.
     Raises VerificationError naming the first failing z in letter order.
     """
     rows = op.kernel.rows
@@ -248,8 +264,11 @@ def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
         p, q = a.numerator, a.denominator
         rows = _mix(rows, stride, 4 * p, q - p)
         in_scale *= 4 * q
+    # mixed / in_scale == want / scale, with the common factor of the scales out
+    g = gcd(scale, in_scale)
+    scale, in_scale = scale // g, in_scale // g
     for zs, mixed, want in zip(product(LETTERS, repeat=len(a_in)), rows, target):
-        if any(m * scale != in_scale * t for m, t in zip(mixed, want)):
+        if list(map(mul, mixed, repeat(scale))) != list(map(mul, want, repeat(in_scale))):
             shrinks = ", ".join(map(str, a_in))
             raise VerificationError(
                 f"{op.tag} kernel of node {op.node} at incoming shrink "
@@ -300,21 +319,22 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
 
     notes: list[Note] = []
     # verified kernels by (tag, map, incoming shrinks); the group is fixed
-    # within one compile
+    # within one compile.  A shrink is keyed by its two ints, since hashing
+    # a Fraction inverts its denominator modulo a prime.
     kernels: dict[tuple, Kernel] = {}
     for v in order:
         op = ops[v]
         if op.tag in (SOURCE_TTR, SINK_NOOP):
             continue
         a_in = tuple(ops[net.edges[e][0]].alpha for e in net.in_edges(v))
-        key = (op.tag, None if op.map is None else op.map.table, a_in)
-        if key not in kernels:
-            op = replace(op, kernel=build_kernel(op, a_in, d3.group))
-            check_kernel(op, a_in, d3.group)
-            kernels[key] = op.kernel
+        key = (op.tag, op.map and op.map.table, *((a.numerator, a.denominator) for a in a_in))
+        kernel = kernels.get(key)
+        ops[v] = replace(op, kernel=kernel or build_kernel(op, a_in, d3.group))
+        if kernel is None:
+            check_kernel(ops[v], a_in, d3.group)
+            kernels[key] = ops[v].kernel
             if op.tag in (FORK_EFC, TRANSFORM_TWO_TO_ONE):
                 notes.append(Note(a_in[0], op.map))
-        ops[v] = replace(op, kernel=kernels[key])
     return CompiledProtocol(d3, ops, order, depths, tuple(notes))
 
 

@@ -1,24 +1,36 @@
 """Reference laws and an enumeration that the exact sweep is checked against.
 
 `fork_branch_law` is the fork's `Fraction` branch law, built from `efc`'s
-pair law, independently of the compiled kernels.  `check_kernel_by_tuples`
-is the kernel check one input tuple at a time, which `check_kernel`'s
-axis-wise mix must agree with, message for message.  `enumerate_branches`
-walks the nodes in listing order with the `Fraction` laws and keeps the
-full joint over the live edges, as one table that assumes no product
-structure; it is exponential in the live-edge count and only for small
-networks.
+pair law, independently of the compiled kernels.  `build_kernel_two_step`
+is the kernel build through the emission law, which `build_kernel`'s one
+mix per input must agree with, entry for entry and message for message.
+`check_kernel_by_tuples` is the kernel check one input tuple at a time,
+which `check_kernel`'s axis-wise mix must agree with, message for message.
+`enumerate_branches` walks the nodes in listing order with the `Fraction`
+laws and keeps the full joint over the live edges, as one table that
+assumes no product structure; it is exponential in the live-edge count and
+only for small networks.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from qnc4 import efc, qmath
 from qnc4.errors import SizeError, VerificationError
 from qnc4.netgraph import LETTERS, GroupKind, Letter
-from qnc4.qcompiler import FORK_EFC, JOIN, SINK_NOOP, SOURCE_TTR, CompiledProtocol, QuantumOp
+from qnc4.qcompiler import (
+    FORK_EFC,
+    JOIN,
+    SINK_NOOP,
+    SOURCE_TTR,
+    CompiledProtocol,
+    Kernel,
+    QuantumOp,
+    _target_rows,
+    _unmix,
+)
 from qnc4.shrink import shrunk_weights
 from qnc4.qsim import _resolve_inputs, join_branch_law, transform_branch_law
 
@@ -33,6 +45,29 @@ def fork_branch_law(op: QuantumOp, u: Letter) -> dict[tuple, Fraction]:
         for pair, w in efc.efc_pair_distribution(op.input_alpha, x).items():
             out[pair] = out.get(pair, Fraction(0)) + t * w
     return out
+
+
+def build_kernel_two_step(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> Kernel:
+    """The transition kernel of op at incoming shrinks a_in like
+    `qcompiler.build_kernel`, in two steps.  The node reads input z_i
+    through W(a_i/3), the incoming shrink and then the tetra measurement's
+    W(1/3), so undoing W(a_i/3) along each input of the target rows gives
+    the emission law E.  E is checked to be nonnegative, and re-applying
+    W(1/3) = W(3)^-1 along each input gives the kernel.  Raises
+    VerificationError, naming the node, if E has a negative entry."""
+    rows, den = _target_rows(op, len(a_in), group)
+    strides = (4, 1)[-len(a_in):]  # input index 4 * z1 + z2, or z
+    for stride, a in zip(strides, a_in):
+        rows, den = _unmix(rows, den, stride, a / 3)
+    if any(n < 0 for row in rows for n in row):
+        raise VerificationError(
+            f"{op.tag} node {op.node} cannot emit shrink {op.alpha} at incoming "
+            f"shrink {', '.join(map(str, a_in))}: its emission law would be negative"
+        )
+    for stride in strides:
+        rows, den = _unmix(rows, den, stride, Fraction(3))
+    g = gcd(den, *(n for row in rows for n in row))
+    return Kernel(den // g, tuple(tuple(n // g for n in row) for row in rows))
 
 
 def check_kernel_by_tuples(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:

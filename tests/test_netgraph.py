@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -69,6 +70,25 @@ def test_map_classification():
     assert LetterMap((0, 0, 0, 1)).try_classify() is None
     with pytest.raises(ValueError):
         LetterMap((0, 0, 0, 1)).classify()
+
+
+def test_map_classification_over_every_table():
+    # the rule, written out: image size 1 is constant, 4 is one-to-one, and
+    # 2 is two-to-one only when each image value has two preimages
+    found = {cls: 0 for cls in (*MapClass, None)}
+    for table in itertools.product(range(4), repeat=4):
+        preimages = sorted(table.count(y) for y in set(table))
+        want = {
+            (4,): MapClass.CONSTANT,
+            (1, 1, 1, 1): MapClass.ONE_TO_ONE,
+            (2, 2): MapClass.TWO_TO_ONE,
+        }.get(tuple(preimages))
+        got = LetterMap(table).try_classify()
+        assert got is want, table
+        found[got] += 1
+    assert found == {
+        MapClass.CONSTANT: 4, MapClass.ONE_TO_ONE: 24, MapClass.TWO_TO_ONE: 36, None: 192
+    }
 
 
 def test_validate_accepts_bundled_instances():

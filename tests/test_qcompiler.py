@@ -35,7 +35,7 @@ from qnc4.qmath import ShrunkState
 from qnc4.qsim import join_branch_law, transform_branch_law
 
 from _generators import diamond_chain, random_d3_instance, random_two_to_one_map
-from _reference import check_kernel_by_tuples, fork_branch_law
+from _reference import build_kernel_two_step, check_kernel_by_tuples, fork_branch_law
 
 
 def _chain(maps, group=GroupKind.Z2xZ2) -> D3Network:
@@ -439,18 +439,96 @@ def test_digit_limit_refuses_before_any_kernel(monkeypatch):
     assert built
 
 
-@pytest.mark.parametrize(
-    "op, a_in",
-    [
-        # a one-to-one map claimed at a/2 and a join claimed at ab/8, both
-        # sharper than any measure-and-prepare law can emit
-        (qcompiler.QuantumOp("h", TRANSFORM_ONE_TO_ONE, Fraction(1, 18),
-                             input_alpha=Fraction(1, 9), map=SWAP01), (Fraction(1, 9),)),
-        (qcompiler.QuantumOp("j", JOIN, Fraction(1, 648)), (Fraction(1, 9), Fraction(1, 9))),
-    ],
-    ids=["one-to-one-at-a/2", "join-at-ab/8"],
-)
+# a one-to-one map claimed at a/2 and a join claimed at ab/8, both sharper
+# than any measure-and-prepare law can emit
+UNREACHABLE = [
+    (qcompiler.QuantumOp("h", TRANSFORM_ONE_TO_ONE, Fraction(1, 18),
+                         input_alpha=Fraction(1, 9), map=SWAP01), (Fraction(1, 9),)),
+    (qcompiler.QuantumOp("j", JOIN, Fraction(1, 648)), (Fraction(1, 9), Fraction(1, 9))),
+]
+
+
+@pytest.mark.parametrize("op, a_in", UNREACHABLE, ids=["one-to-one-at-a/2", "join-at-ab/8"])
 def test_unreachable_shrink_is_refused(op, a_in):
     for group in GroupKind:
         with pytest.raises(VerificationError, match=f"node {op.node} cannot emit"):
             qcompiler.build_kernel(op, a_in, group)
+
+
+def test_build_agrees_with_the_two_step_reference():
+    """build_kernel, which undoes W(a) once per input and reads the
+    emission law off the kernel, against the reference that undoes
+    W(a/3), checks the emission law and re-applies W(1/3): the same den
+    and rows on every distinct kernel of the bundled instances,
+    diamond_chain(9) and 25 seeded draws, and the same refusal message on
+    the unreachable shrinks."""
+    seen = set()
+    for d3 in [*_compiled_samples(), diamond_chain(9)]:
+        comp = compile_protocol(d3)
+        for op in _kernel_ops(comp):
+            a_in = _incoming(comp, op.node)
+            key = (op.tag, op.map and op.map.table, a_in, d3.group)
+            if key not in seen:
+                seen.add(key)
+                assert build_kernel_two_step(op, a_in, d3.group) == op.kernel, op.node
+    assert len(seen) > 100
+    for op, a_in in UNREACHABLE:
+        for group in GroupKind:
+            got = _message(qcompiler.build_kernel, op, a_in, group)
+            assert got is not None and got == _message(build_kernel_two_step, op, a_in, group)
+
+
+def test_every_rule_row_is_tight_or_states_its_margin():
+    """Each row of the shrink table is the largest output shrink that
+    build_kernel accepts, up to a factor 1 + 2^-20, at incoming shrinks 1,
+    1/3, 1/9 and 1/81 on both groups; the fork row is the exception, with
+    the margin stated below."""
+    shrinks = [Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 81)]
+    over = 1 + Fraction(1, 2**20)
+
+    def builds(tag, alpha, a_in, group, map_=None):
+        op = qcompiler.QuantumOp("v", tag, alpha, map=map_)
+        return _message(qcompiler.build_kernel, op, a_in, group) is None
+
+    for group in GroupKind:
+        for a, b in zip(shrinks, shrinks[1:] + shrinks[:1]):
+            tight = [
+                (JOIN, a * a / 9, (a, a), None),
+                (JOIN, a * b / 9, (a, b), None),
+                (TRANSFORM_ONE_TO_ONE, a / 3, (a,), SWAP01),
+                (TRANSFORM_TWO_TO_ONE, a / (6 - a), (a,), HIGH_BIT),
+            ]
+            for tag, alpha, a_in, map_ in tight:
+                assert builds(tag, alpha, a_in, group, map_), (tag, a_in)
+                assert not builds(tag, alpha * over, a_in, group, map_), (tag, a_in)
+            # the fork's margin: its largest reachable shrink is 1.392 to
+            # 1.497 times the row a/9 at these incoming shrinks, an
+            # irrational root of the quadratic that its (y, y) entries for
+            # y off the measured letter must meet, so the row is not tight
+            assert builds(FORK_EFC, Fraction(139, 100) * a / 9, (a,), group)
+            assert not builds(FORK_EFC, Fraction(3, 2) * a / 9, (a,), group)
+
+
+def test_each_distinct_kernel_is_built_and_checked_once(monkeypatch):
+    # the kernel memo is keyed by (tag, map, incoming shrinks); count the
+    # calls behind it against those keys, read off the compiled protocol
+    calls = {"build": [], "check": []}
+    for name in ("build", "check"):
+        real = getattr(qcompiler, f"{name}_kernel")
+
+        def counting(op, a_in, group, name=name, real=real):
+            calls[name].append((op.tag, op.map, a_in))
+            return real(op, a_in, group)
+
+        monkeypatch.setattr(qcompiler, f"{name}_kernel", counting)
+    net, proto = instances.bundled("butterfly-z4")
+    shared = 0  # kernel nodes that reuse a kernel built for another node
+    for d3 in (diamond_chain(5), netgraph.normalize_to_d3(net, proto)[0]):
+        calls["build"].clear()
+        calls["check"].clear()
+        comp = compile_protocol(d3)
+        keys = {(op.tag, op.map, _incoming(comp, op.node)) for op in _kernel_ops(comp)}
+        shared += len(_kernel_ops(comp)) - len(keys)
+        for made in calls.values():
+            assert sorted(made, key=str) == sorted(keys, key=str)
+    assert shared > 0
