@@ -9,13 +9,14 @@ Exit codes: 0 success / all checks passed, 1 a simulation check failed,
 the exact sweep or past the digit limit of exact numbers.  Set QNC_LOG
 to a log level (debug, info, warning, error or critical, in any case) for
 progress logging; any other value exits 2.
+
+A run imports only what it uses: `logging` once QNC_LOG names a level,
+`csv` for `eval`, `importlib.resources` for a bundled instance name and
+numpy for Monte Carlo.
 """
 
 import argparse
-import csv
-import io
 import json
-import logging
 import os
 import sys
 from fractions import Fraction
@@ -24,8 +25,6 @@ from .errors import QncError, SchemaError, SizeError, ValidationError
 from . import classical_eval, instances, netgraph, qsim
 from .netgraph import letter_from_str, letter_to_str
 from .qcompiler import compile_protocol, protocol_to_json
-
-log = logging.getLogger("qnc4")
 
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
@@ -92,6 +91,9 @@ def cmd_validate(args) -> int:
 def cmd_eval(args) -> int:
     net, proto, _, _ = load_instance(args.instance)
     table = classical_eval.truth_table(net, proto)
+    import csv
+    import io
+
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(list(table.sources) + list(table.sinks))
@@ -103,7 +105,11 @@ def cmd_eval(args) -> int:
 
 def cmd_normalize(args) -> int:
     _, _, d3, corr = load_instance(args.instance)
-    log.info("normal form has %d nodes", len(d3.network.nodes))
+    # no handler can exist before logging is imported, and main imports it
+    # once QNC_LOG names a level
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("qnc4").info("normal form has %d nodes", len(d3.network.nodes))
     doc = netgraph.d3_to_json(d3)
     doc["node_correspondence"] = corr
     _write(args, json.dumps(doc, indent=2) + "\n")
@@ -329,6 +335,8 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
+        import logging
+
         logging.basicConfig(level=getattr(logging, level.upper()))
     args = build_parser().parse_args(argv)
     try:

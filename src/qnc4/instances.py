@@ -8,7 +8,6 @@ compilation.
 """
 
 import json
-from importlib import resources
 
 from .errors import SchemaError
 from .netgraph import ClassicalProtocol, LetterMap, Network, instance_from_json
@@ -36,6 +35,8 @@ def read_json(name: str):
     a key within one object.
     """
     if name in BUNDLED:
+        from importlib import resources
+
         text = resources.files("qnc4.data").joinpath(name + ".json").read_text()
     else:
         try:

@@ -223,7 +223,12 @@ def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     Raises VerificationError, naming the node, if that law has a negative
     entry: no node law reaches the claimed shrink.
     """
-    rows, den = _target_rows(op, len(a_in), group)
+    return _build_kernel(op, a_in, _target_rows(op, len(a_in), group))
+
+
+def _build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> Kernel:
+    """`build_kernel` from the target rows and their denominator."""
+    rows, den = target
     strides = (4, 1)[-len(a_in):]  # input index 4 * z1 + z2, or z
     for stride, a in zip(strides, a_in):
         rows, den = _unmix(rows, den, stride, a)
@@ -255,8 +260,13 @@ def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     of `_target_rows`, as a whole row.  O(in 4^in 4^w) integer operations.
     Raises VerificationError naming the first failing z in letter order.
     """
+    _check_kernel(op, a_in, _target_rows(op, len(a_in), group))
+
+
+def _check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> None:
+    """`check_kernel` against the target rows and their denominator."""
     rows = op.kernel.rows
-    target, scale = _target_rows(op, len(a_in), group)
+    target, scale = target
     if len(rows) != len(target) or any(len(row) != len(target[0]) for row in rows):
         raise VerificationError(f"{op.tag} kernel of node {op.node} has the wrong shape")
     in_scale = op.kernel.den
@@ -329,12 +339,17 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
         a_in = tuple(ops[net.edges[e][0]].alpha for e in net.in_edges(v))
         key = (op.tag, op.map and op.map.table, *((a.numerator, a.denominator) for a in a_in))
         kernel = kernels.get(key)
-        ops[v] = replace(op, kernel=kernel or build_kernel(op, a_in, d3.group))
-        if kernel is None:
-            check_kernel(ops[v], a_in, d3.group)
-            kernels[key] = ops[v].kernel
-            if op.tag in (FORK_EFC, TRANSFORM_TWO_TO_ONE):
-                notes.append(Note(a_in[0], op.map))
+        if kernel is not None:
+            ops[v] = replace(op, kernel=kernel)
+            continue
+        # built and checked against one copy of the target rows, which
+        # neither changes
+        target = _target_rows(op, len(a_in), d3.group)
+        ops[v] = replace(op, kernel=_build_kernel(op, a_in, target))
+        _check_kernel(ops[v], a_in, target)
+        kernels[key] = ops[v].kernel
+        if op.tag in (FORK_EFC, TRANSFORM_TWO_TO_ONE):
+            notes.append(Note(a_in[0], op.map))
     return CompiledProtocol(d3, ops, order, depths, tuple(notes))
 
 

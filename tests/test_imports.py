@@ -1,7 +1,7 @@
-"""The exact path runs without numpy or a thread pool, and `qnc4` keeps
-every public name.
+"""The exact path runs without numpy or a thread pool, a subcommand loads
+no module it does not use, and `qnc4` keeps every public name.
 
-Both checks run in a fresh interpreter, because this one has long since
+Each check runs in a fresh interpreter, because this one has long since
 imported numpy and every submodule.
 """
 
@@ -45,12 +45,12 @@ _PUBLIC = (
 )
 
 
-def _child(code: str, *args: str) -> str:
-    """Run code in a fresh interpreter that imports qnc4 from this tree;
-    its stdout."""
+def _child(code: str, *args: str, flags: tuple = ()) -> str:
+    """Run code in a fresh interpreter, started with flags, that imports
+    qnc4 from this tree; its stdout."""
     env = {**os.environ, "PYTHONPATH": _SRC}
     done = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -83,6 +83,51 @@ def test_exact_subcommands_run_without_numpy():
             assert main(argv) == code == 0, argv
         assert buf.getvalue() == out, argv
         assert loaded == [], argv
+
+
+_NEW_MODULES = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from qnc4.cli import main
+results = [["import", sorted(set(sys.modules) - before)]]
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    results.append([argv[0], sorted(set(sys.modules) - before)])
+print(json.dumps(results))
+"""
+
+# what a subcommand that does not use them must not load: each adds to the
+# start of every run
+_UNUSED = {"logging", "typing", "importlib.resources", "numpy", "concurrent.futures"}
+
+
+def test_subcommands_load_only_the_modules_they_use(monkeypatch):
+    # -S: without site's start-up hooks, which on some hosts import typing
+    # or importlib.resources before qnc4 runs and would hide either here
+    monkeypatch.delenv("QNC_LOG", raising=False)
+    data = Path(_SRC) / "qnc4" / "data"
+    runs = [[c[0], str(data / f"{name}.json"), *c[1:]] for name in BUNDLED for c in _EXACT]
+    results = json.loads(_child(_NEW_MODULES, json.dumps(runs), flags=("-S",)))
+    assert len(results) == 1 + len(runs)
+    for command, new in results:
+        assert _UNUSED.isdisjoint(new), (command, _UNUSED.intersection(new))
+        assert "csv" not in new or command == "eval", command
+    assert any("csv" in new for _, new in results)
+
+
+def test_qnc_log_still_logs_the_normal_form_size(tmp_path):
+    path = str(Path(_SRC) / "qnc4" / "data" / "butterfly.json")
+    out = tmp_path / "butterfly.d3.json"
+    env = {**os.environ, "PYTHONPATH": _SRC, "QNC_LOG": "info"}
+    done = subprocess.run(
+        [sys.executable, "-m", "qnc4", "normalize", path, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0 and done.stdout == "", done.stderr
+    nodes = len(json.loads(out.read_text())["nodes"])
+    assert done.stderr == f"INFO:qnc4:normal form has {nodes} nodes\n"
 
 
 _IMPORT_EACH = """

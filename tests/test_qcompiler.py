@@ -32,10 +32,15 @@ from qnc4.qcompiler import (
     two_to_one_emission,
 )
 from qnc4.qmath import ShrunkState
-from qnc4.qsim import join_branch_law, transform_branch_law
 
 from _generators import diamond_chain, random_d3_instance, random_two_to_one_map
-from _reference import build_kernel_two_step, check_kernel_by_tuples, fork_branch_law
+from _reference import (
+    build_kernel_two_step,
+    check_kernel_by_tuples,
+    fork_branch_law,
+    join_branch_law,
+    transform_branch_law,
+)
 
 
 def _chain(maps, group=GroupKind.Z2xZ2) -> D3Network:
@@ -409,13 +414,13 @@ def test_kernel_with_the_wrong_row_count_is_caught(butterfly_compiled):
 
 
 def test_compile_verifies_every_kernel(monkeypatch):
-    build = qcompiler.build_kernel
+    build = qcompiler._build_kernel
 
-    def tamper_one_to_one(op, a_in, group):
-        kernel = build(op, a_in, group)
+    def tamper_one_to_one(op, a_in, target):
+        kernel = build(op, a_in, target)
         return _tampered(kernel, 2) if op.tag == TRANSFORM_ONE_TO_ONE else kernel
 
-    monkeypatch.setattr(qcompiler, "build_kernel", tamper_one_to_one)
+    monkeypatch.setattr(qcompiler, "_build_kernel", tamper_one_to_one)
     compile_protocol(_chain([HIGH_BIT]))
     with pytest.raises(VerificationError, match="h1"):
         compile_protocol(_chain([HIGH_BIT, SWAP01]))
@@ -425,13 +430,13 @@ def test_digit_limit_refuses_before_any_kernel(monkeypatch):
     # every shrink is computed, and the limit checked, before the first
     # kernel is built, so a deep chain is refused without verifying one
     built = []
-    build = qcompiler.build_kernel
+    build = qcompiler._build_kernel
 
-    def counting(op, a_in, group):
+    def counting(op, a_in, target):
         built.append(op.node)
-        return build(op, a_in, group)
+        return build(op, a_in, target)
 
-    monkeypatch.setattr(qcompiler, "build_kernel", counting)
+    monkeypatch.setattr(qcompiler, "_build_kernel", counting)
     with pytest.raises(SizeError, match="at node d9 would have"):
         compile_protocol(diamond_chain(14))
     assert built == []
@@ -514,21 +519,32 @@ def test_each_distinct_kernel_is_built_and_checked_once(monkeypatch):
     # calls behind it against those keys, read off the compiled protocol
     calls = {"build": [], "check": []}
     for name in ("build", "check"):
-        real = getattr(qcompiler, f"{name}_kernel")
+        real = getattr(qcompiler, f"_{name}_kernel")
 
-        def counting(op, a_in, group, name=name, real=real):
+        def counting(op, a_in, target, name=name, real=real):
             calls[name].append((op.tag, op.map, a_in))
-            return real(op, a_in, group)
+            return real(op, a_in, target)
 
-        monkeypatch.setattr(qcompiler, f"{name}_kernel", counting)
+        monkeypatch.setattr(qcompiler, f"_{name}_kernel", counting)
+    # and the target rows, which build and check share, once per kernel
+    targets = []
+    target_rows = qcompiler._target_rows
+
+    def counting_targets(op, n_in, group):
+        targets.append(op.node)
+        return target_rows(op, n_in, group)
+
+    monkeypatch.setattr(qcompiler, "_target_rows", counting_targets)
     net, proto = instances.bundled("butterfly-z4")
     shared = 0  # kernel nodes that reuse a kernel built for another node
     for d3 in (diamond_chain(5), netgraph.normalize_to_d3(net, proto)[0]):
         calls["build"].clear()
         calls["check"].clear()
+        targets.clear()
         comp = compile_protocol(d3)
         keys = {(op.tag, op.map, _incoming(comp, op.node)) for op in _kernel_ops(comp)}
         shared += len(_kernel_ops(comp)) - len(keys)
         for made in calls.values():
             assert sorted(made, key=str) == sorted(keys, key=str)
+        assert len(targets) == len(keys)
     assert shared > 0

@@ -20,18 +20,16 @@ from qnc4.qsim import (
     chi_square_statistic,
     estimate_fidelity,
     guess_fidelities,
-    join_branch_law,
     mixture_fidelity,
     simulate_analytic,
     simulate_montecarlo,
     simulate_oracle,
     source_distribution,
-    transform_branch_law,
 )
 
 import _reference
 from _generators import diamond_chain, grown_d3, random_d3_instance
-from _reference import enumerate_branches, fork_branch_law
+from _reference import enumerate_branches, fork_branch_law, join_branch_law, transform_branch_law
 
 SWAP01 = LetterMap((1, 0, 2, 3))
 
