@@ -29,11 +29,8 @@ from .netgraph import (
     NodeOp,
     Term,
     constant_map,
-    d3_from_json,
-    d3_to_json,
     instance_from_json,
     instance_to_json,
-    is_d3_json,
     make_network,
     node_op,
     normalize_to_d3,
@@ -42,7 +39,7 @@ from .netgraph import (
 )
 from .classical_eval import check_requirement, evaluate, truth_table
 from .shrink import ShrunkState, tetra_weights, ttr_outcome_weights
-from .qcompiler import CompiledProtocol, QuantumOp, compile_protocol, two_to_one_emission
+from .qcompiler import CompiledProtocol, QuantumOp, compile_protocol
 from .qsim import (
     estimate_fidelity,
     simulate_analytic,

@@ -2,7 +2,8 @@
 
 Subcommands: validate, eval, normalize, compile, simulate, report.  An
 instance argument is either a bundled name (see `qnc4 validate --list`) or
-a path to a JSON file, in the general or the normal-form layout.
+a path to a JSON file in the layout of `netgraph.instance_to_json`, which
+is also the layout `normalize` writes.
 
 Exit codes: 0 success / all checks passed, 1 a simulation check failed,
 2 unreadable input or bad arguments, 3 invalid network, 4 too large for
@@ -35,21 +36,17 @@ def _num(x) -> str:
 
 
 def load_instance(name: str):
-    """Resolve, parse and validate a bundled name or JSON path.
+    """Resolve, parse, validate and normalize a bundled name or JSON path.
 
     Returns (net, proto, d3, corr): the instance as given, its degree-3
-    normal form and the node correspondence between them.  A file already
-    in normal form is its own normal form: net and proto are its views and
-    corr maps every node to itself.  Raises SchemaError on unreadable input
-    and ValidationError on any violation.
+    normal form and the node correspondence between them.  A file that
+    `normalize` wrote is its own normal form, node for node and edge for
+    edge, and corr maps each of its nodes to itself.  Raises SchemaError on
+    unreadable input and ValidationError on any violation.
     """
-    data = instances.read_json(name)
-    if not netgraph.is_d3_json(data):
-        net, proto = netgraph.instance_from_json(data)
-        d3, corr = netgraph.normalize_to_d3(net, proto)
-        return net, proto, d3, corr
-    d3 = netgraph.d3_from_json(data)
-    return d3.network, d3.protocol, d3, {n.id: [n.id] for n in d3.network.nodes}
+    net, proto = netgraph.instance_from_json(instances.read_json(name))
+    d3, corr = netgraph.normalize_to_d3(net, proto)
+    return net, proto, d3, corr
 
 
 def _write(args, text: str) -> None:
@@ -110,7 +107,7 @@ def cmd_normalize(args) -> int:
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger("qnc4").info("normal form has %d nodes", len(d3.network.nodes))
-    doc = netgraph.d3_to_json(d3)
+    doc = netgraph.instance_to_json(d3.network, d3.protocol)
     doc["node_correspondence"] = corr
     _write(args, json.dumps(doc, indent=2) + "\n")
     return 0

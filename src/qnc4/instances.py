@@ -63,17 +63,3 @@ def bundled(name: str) -> tuple[Network, ClassicalProtocol]:
     """The bundled instance `name`, parsed from its JSON file."""
     return instance_from_json(read_json(name))
 
-
-def butterfly() -> tuple[Network, ClassicalProtocol]:
-    """Two sources crossing over through one shared relay."""
-    return bundled("butterfly")
-
-
-def two_to_one_diamond() -> tuple[Network, ClassicalProtocol]:
-    """One source split into its two letter bits and reassembled."""
-    return bundled("two-to-one-diamond")
-
-
-def single_edge() -> tuple[Network, ClassicalProtocol]:
-    """One source wired straight into one sink."""
-    return bundled("single-edge")

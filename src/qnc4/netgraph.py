@@ -11,14 +11,23 @@ nodes are sources (0 in, 1 out), sinks (1 in, 0 out), forks (1 in, 2 out,
 pure copy), joins (2 in, 1 out, group addition) and transforms (1 in, 1 out,
 one letter map).  The rewrite is `normalize_to_d3`.
 
-Every topological order comes from one Kahn walk, `Network.kahn`.  The
-table `_ROLES` gives each role its node kind and degree, one to one; the
-general layout checks degrees by kind, and the normal form reads each
-node's role from its kind and degree, so a wrong degree is reported once.
-An unknown kind is reported once too: no check that needs a node's kind
-runs on it.  A sink without an operation decodes by the identity
-(`ClassicalProtocol.decode_terms`), and a `D3Network` builds its implied
-protocol once (`D3Network.protocol`).
+Every topological order comes from one Kahn walk, `Network.kahn`, which
+by default follows the listing order wherever the edges allow.  The
+normalizer walks in that order and lists what it emits in the order it
+emits it, so the normal form of a normal form is the same network, node
+for node and edge for edge.
+
+The table `_ROLES` gives each role its node kind and degree, one to one.
+`validate_network` checks degrees by kind; `validate_d3`, the check of a
+`D3Network` built in Python, reads each node's role from its kind and
+degree, so a wrong degree is reported once.  An unknown kind is reported
+once too: no check that needs a node's kind runs on it.  A sink without an
+operation decodes by the identity (`ClassicalProtocol.decode_terms`), and a
+`D3Network` builds its implied protocol once (`D3Network.protocol`).
+
+An instance has one JSON layout, `instance_to_json`: group, nodes, edges,
+requirements and each node's operations.  A normal form is written in it
+too, from `D3Network.protocol`.
 """
 
 import enum
@@ -212,12 +221,14 @@ class Network:
     def sink_ids(self) -> list[str]:
         return sorted(n.id for n in self.nodes if n.kind == "sink")
 
-    def kahn(self, key=str) -> list[str]:
+    def kahn(self, key=None) -> list[str]:
         """Kahn's topological walk (CACM 5(11), 1962) over well-formed edges:
         among the ready nodes, the one with the smallest key(id) goes first,
-        the id itself by default.  Shorter than the node list iff there is a
-        cycle."""
-        ids = {n.id for n in self.nodes}
+        by default the one listed first.  So a list that is already in
+        topological order is walked as listed.  Shorter than the node list
+        iff there is a cycle."""
+        ids = {n.id: k for k, n in enumerate(self.nodes)}
+        key = key or ids.__getitem__
         indeg = {i: 0 for i in ids}
         children = {i: [] for i in ids}
         for u, v in self.edges:
@@ -317,8 +328,8 @@ def _check_graph(net: Network, rep: ValidationReport) -> bool:
 
 
 def _check_kind_degrees(net: Network, rep: ValidationReport) -> None:
-    """Degrees by node kind, for the general layout; the normal form reads
-    each node's role from its kind and degree instead."""
+    """Degrees by node kind; `validate_d3` reads each node's role from its
+    kind and degree instead."""
     for n in net.nodes:
         indeg, outdeg = net.degree(n.id)
         if n.kind == "source":
@@ -510,7 +521,9 @@ class _Normalizer:
     """Rewrites one validated instance into degree-3 form.
 
     Nodes already shaped like a degree-3 role are kept under their own id,
-    so a degree-3 input is reproduced unchanged.  Everything else is
+    and nodes and edges are listed as they are emitted, in the input's
+    listing order where the edges allow, so a degree-3 input is reproduced
+    unchanged, node for node and edge for edge.  Everything else is
     decomposed: per-value fork chains make the needed copies, non-identity
     term maps become transform nodes, and multi-term sums become left-leaning
     join chains.  Incoming values that no operation uses are absorbed through
@@ -699,43 +712,35 @@ def normalize_to_d3(
 # JSON layout
 
 
-def _map_to_json(m: LetterMap) -> list[str]:
-    return [letter_to_str(x) for x in m.table]
-
-
 def _map_from_json(data, where: str) -> LetterMap:
     if not isinstance(data, list) or len(data) != 4:
         raise SchemaError(f"{where}: map must be an array of 4 letters")
     return LetterMap(tuple(letter_from_str(s) for s in data))
 
 
-def _network_to_json(net: Network, group: GroupKind) -> dict:
-    """The part both layouts share: group, nodes, edges and requirements."""
+def instance_to_json(net: Network, proto: ClassicalProtocol) -> dict:
+    """The instance as a JSON document, nodes and edges in listing order."""
     return {
-        "group": group.value,
+        "group": proto.group.value,
         "nodes": [{"id": n.id, "kind": n.kind} for n in net.nodes],
         "edges": [{"from": u, "to": v} for u, v in net.edges],
         "requirements": [
             {"sink": t, "source": s} for t, s in sorted(net.requirements.items())
         ],
+        "ops": {
+            v: [
+                {
+                    "out": op.out_pos,
+                    "terms": [
+                        {"in": t.in_pos, "map": [letter_to_str(x) for x in t.map.table]}
+                        for t in op.terms
+                    ],
+                }
+                for op in nops
+            ]
+            for v, nops in proto.ops.items()
+        },
     }
-
-
-def instance_to_json(net: Network, proto: ClassicalProtocol) -> dict:
-    ops = {}
-    for v, nops in proto.ops.items():
-        ops[v] = [
-            {
-                "out": op.out_pos,
-                "terms": [
-                    {"in": t.in_pos, "map": _map_to_json(t.map)} for t in op.terms
-                ],
-            }
-            for op in nops
-        ]
-    doc = _network_to_json(net, proto.group)
-    doc["ops"] = ops
-    return doc
 
 
 def _require(data, key, where, types):
@@ -748,8 +753,9 @@ def _require(data, key, where, types):
     return value
 
 
-def _network_from_json(data) -> tuple[Network, GroupKind]:
-    """Parse the part both layouts share: group, nodes, edges, requirements."""
+def instance_from_json(data) -> tuple[Network, ClassicalProtocol]:
+    """Parse a document of `instance_to_json`'s layout; SchemaError names
+    the first field that is missing or of the wrong type."""
     if not isinstance(data, dict):
         raise SchemaError("top level: expected an object")
     group = GroupKind.from_name(_require(data, "group", "top level", str))
@@ -775,11 +781,6 @@ def _network_from_json(data) -> tuple[Network, GroupKind]:
         if sink in requirements:
             raise SchemaError(f"requirements[{k}]: a second requirement for sink {sink}")
         requirements[sink] = _require(rq, "source", f"requirements[{k}]", str)
-    return Network(nodes, edges, requirements), group
-
-
-def instance_from_json(data) -> tuple[Network, ClassicalProtocol]:
-    net, group = _network_from_json(data)
     ops = {}
     for v, nops in _require(data, "ops", "top level", dict).items():
         if not isinstance(nops, list):
@@ -800,27 +801,4 @@ def instance_from_json(data) -> tuple[Network, ClassicalProtocol]:
                 )
             parsed.append(NodeOp(out, tuple(terms)))
         ops[v] = tuple(parsed)
-    return net, ClassicalProtocol(group, ops)
-
-
-def d3_to_json(d3: D3Network) -> dict:
-    doc = _network_to_json(d3.network, d3.group)
-    doc["transforms"] = {v: _map_to_json(m) for v, m in sorted(d3.transforms.items())}
-    return doc
-
-
-def d3_from_json(data) -> D3Network:
-    # a node's "role", which older files carry, is ignored like node_correspondence
-    net, group = _network_from_json(data)
-    transforms = {}
-    for v, m in _require(data, "transforms", "top level", dict).items():
-        transforms[v] = _map_from_json(m, f"transforms.{v}")
-    return D3Network(net, transforms, group)
-
-
-def is_d3_json(data) -> bool:
-    """Whether data is in the normal-form layout (it has `transforms`), not
-    the general one (`ops`); SchemaError when it has both."""
-    if isinstance(data, dict) and "ops" in data and "transforms" in data:
-        raise SchemaError("top level: both 'ops' and 'transforms' given; a file has one layout")
-    return isinstance(data, dict) and "transforms" in data
+    return Network(nodes, edges, requirements), ClassicalProtocol(group, ops)

@@ -42,10 +42,9 @@ from .netgraph import (
     Letter,
     LetterMap,
     MapClass,
-    as_letter,
     letter_to_str,
 )
-from .shrink import as_shrink, shrunk_weights
+from .shrink import shrunk_weights
 
 SOURCE_TTR = "SourceTTR"
 JOIN = "Join"
@@ -72,28 +71,6 @@ _RULES = {
 # qnc4 prints is over a shrink's denominator (times at most 12) or a fork's
 # joint denominator; compile_protocol refuses these past this many digits.
 MAX_DIGITS = 4000
-
-
-def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dict:
-    """Output letter distribution of a two-to-one node on one input letter.
-
-    Prepares the mapped letter with weight 3/(6-param) and each of the two
-    letters outside the map's image with weight (3-param)/(2(6-param)); the
-    unmapped image letter is never produced.  Exact in the parameter.
-    """
-    letter = as_letter(letter)
-    param = Fraction(as_shrink(param))
-    image = map_.image()
-    if len(image) != 2:
-        raise ValueError("emission law only applies to two-to-one maps")
-    own = Fraction(3, 1) / (6 - param)
-    off = (3 - param) / (2 * (6 - param))
-    dist = {z: Fraction(0) for z in LETTERS}
-    dist[map_(letter)] = own
-    for z in LETTERS:
-        if z not in image:
-            dist[z] = off
-    return dist
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,13 @@ the trials they own, with the same counts on any number of threads.
 
 Only the float code imports numpy, inside the functions that handle
 arrays: Monte Carlo with `alias_table`, `guess_fidelities` and the
-estimates built on it, a fidelity against a state vector, a source given
-a state vector or density matrix, and `OracleResult.sink_state`.  Asking
-whether a value is an array never imports numpy: no array can exist
-before it is imported.  The exact sweep and the analytic report run
-on the `Fraction` shrink bookkeeping of `qnc4.shrink`, so the `qnc4`
-subcommands that print only exact numbers never load numpy.  Nor does
-this module import `typing`, which would add to every start-up.
+estimates built on it, a fidelity against a state vector, and a source
+given a state vector or density matrix.  Asking whether a value is an
+array never imports numpy: no array can exist before it is imported.
+The exact sweep and the analytic report run on the `Fraction` shrink
+bookkeeping of `qnc4.shrink`, so the `qnc4` subcommands that print only
+exact numbers never load numpy.  Nor does this module import `typing`,
+which would add to every start-up.
 """
 
 from __future__ import annotations
@@ -141,11 +141,6 @@ class OracleResult:
     fork_joints: dict[str, dict[tuple, object]]
     sink_mixtures: dict[str, dict[Letter, object]]
     largest_factor: int
-
-    def sink_state(self, sink: str) -> np.ndarray:
-        from . import qmath
-
-        return qmath.mixture_matrix(self.sink_mixtures[sink])
 
 
 def _source_kernel(law: dict) -> Kernel:
@@ -360,9 +355,6 @@ class MonteCarloResult:
     trials: int
     seed: int
     sink_counts: dict[str, np.ndarray]
-
-    def sink_probs(self, sink: str) -> np.ndarray:
-        return self.sink_counts[sink] / self.trials
 
 
 def alias_table(kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:

@@ -11,8 +11,8 @@ at alpha / 3 on a shrunk one (`shrunk_probabilities`).  Nothing here
 needs the states' complex matrices, so this module imports no numpy;
 `qmath` re-exports every name in it.
 
-`as_shrink` is the one range check of a shrink factor: `ShrunkState`, the
-cloners in `efc` and `qcompiler.two_to_one_emission` all call it.
+`as_shrink` is the one range check of a shrink factor: `ShrunkState` and
+the cloners in `efc` call it.
 """
 
 from dataclasses import dataclass

@@ -259,18 +259,18 @@ def _items(value, key, kind):
 
 def mutate_document(rng: random.Random, doc: dict) -> None:
     """Apply one random structural mutation to an instance JSON document,
-    in the general or the normal-form layout, in place.
+    in place.
 
     Drops keys, swaps in values of the wrong type, moves `in`/`out` indices
-    and edge ends out of range, repeats node ids, adds cycles, and changes
-    kinds and letter maps.
+    and edge ends out of range, repeats node ids, adds cycles, changes
+    kinds and letter maps, and drops a node's operations or gives some to
+    a node.
     """
     nodes = [n for n in _items(doc, "nodes", dict) if isinstance(n.get("id"), str)]
     edges = _items(doc, "edges", dict)
     by_node = doc.get("ops") if isinstance(doc.get("ops"), dict) else {}
     ops = [op for v in by_node for op in _items(by_node, v, dict)]
     terms = [t for op in ops for t in _items(op, "terms", dict)]
-    maps = doc.get("transforms")
     kind = rng.randrange(9)
     if kind == 0:
         d = rng.choice(_dicts(doc, []))
@@ -297,14 +297,11 @@ def mutate_document(rng: random.Random, doc: dict) -> None:
         n["kind"] = rng.choice(
             ("source", "sink", "internal", "fork", "join", "transform", "widget")
         )
-    elif kind == 7:
-        table = [rng.choice(("00", "01", "10", "11")) for _ in range(4)]
-        if isinstance(maps, dict) and maps and rng.random() < 0.5:
-            maps[rng.choice(list(maps))] = table
-        elif terms:
-            rng.choice(terms)["map"] = table
-    elif kind == 8 and isinstance(maps, dict) and nodes:
-        if maps and rng.random() < 0.5:
-            del maps[rng.choice(list(maps))]
+    elif kind == 7 and terms:
+        rng.choice(terms)["map"] = [rng.choice(("00", "01", "10", "11")) for _ in range(4)]
+    elif kind == 8 and isinstance(doc.get("ops"), dict) and nodes:
+        if by_node and rng.random() < 0.5:
+            del by_node[rng.choice(list(by_node))]
         else:
-            maps[rng.choice(nodes)["id"]] = ["00", "01", "10", "11"]
+            identity = {"in": 0, "map": ["00", "01", "10", "11"]}
+            by_node[rng.choice(nodes)["id"]] = [{"out": 0, "terms": [identity]}]

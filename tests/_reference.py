@@ -1,8 +1,9 @@
 """Reference laws and an enumeration that the exact sweep is checked against.
 
 `transform_branch_law`, `join_branch_law` and `fork_branch_law` are the
-per-node `Fraction` branch laws, the fork's built from `efc`'s pair law,
-independently of the compiled kernels.  `build_kernel_two_step`
+per-node `Fraction` branch laws, the two-to-one transform's built from
+`two_to_one_emission` and the fork's from `efc`'s pair law, independently
+of the compiled kernels.  `build_kernel_two_step`
 is the kernel build through the emission law, which `build_kernel`'s one
 mix per input must agree with, entry for entry and message for message.
 `check_kernel_by_tuples` is the kernel check one input tuple at a time,
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from qnc4 import efc, qmath
 from qnc4.errors import SizeError, VerificationError
-from qnc4.netgraph import LETTERS, GroupKind, Letter
+from qnc4.netgraph import LETTERS, GroupKind, Letter, LetterMap, as_letter
 from qnc4.qcompiler import (
     FORK_EFC,
     JOIN,
@@ -33,12 +34,33 @@ from qnc4.qcompiler import (
     QuantumOp,
     _target_rows,
     _unmix,
-    two_to_one_emission,
 )
-from qnc4.shrink import shrunk_weights, ttr_outcome_weights
+from qnc4.shrink import as_shrink, shrunk_weights, ttr_outcome_weights
 from qnc4.qsim import _resolve_inputs
 
 MAX_FULL_BRANCHES = 10**6
+
+
+def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dict:
+    """Output letter distribution of a two-to-one node on one input letter.
+
+    Prepares the mapped letter with weight 3/(6-param) and each of the two
+    letters outside the map's image with weight (3-param)/(2(6-param)); the
+    unmapped image letter is never produced.  Exact in the parameter.
+    """
+    letter = as_letter(letter)
+    param = Fraction(as_shrink(param))
+    image = map_.image()
+    if len(image) != 2:
+        raise ValueError("emission law only applies to two-to-one maps")
+    own = Fraction(3, 1) / (6 - param)
+    off = (3 - param) / (2 * (6 - param))
+    dist = {z: Fraction(0) for z in LETTERS}
+    dist[map_(letter)] = own
+    for z in LETTERS:
+        if z not in image:
+            dist[z] = off
+    return dist
 
 
 def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:

@@ -6,13 +6,13 @@ from qnc4.qcompiler import compile_protocol
 
 @pytest.fixture(scope="session")
 def butterfly_compiled():
-    net, proto = instances.butterfly()
+    net, proto = instances.bundled("butterfly")
     d3, _ = netgraph.normalize_to_d3(net, proto)
     return compile_protocol(d3)
 
 
 @pytest.fixture(scope="session")
 def diamond_compiled():
-    net, proto = instances.two_to_one_diamond()
+    net, proto = instances.bundled("two-to-one-diamond")
     d3, _ = netgraph.normalize_to_d3(net, proto)
     return compile_protocol(d3)

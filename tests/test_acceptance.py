@@ -173,7 +173,7 @@ def test_criterion_05_state_family_ranks():
 
 def test_criterion_06_butterfly_end_to_end():
     t0 = time.perf_counter()
-    net, proto = instances.butterfly()
+    net, proto = instances.bundled("butterfly")
     d3, _ = normalize_to_d3(net, proto)
     comp = compile_protocol(d3)
     floors = {}

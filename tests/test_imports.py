@@ -32,15 +32,14 @@ _PUBLIC = (
     "LETTERS", "LetterMap", "MapClass", "Network", "NodeOp", "QncError", "QuantumOp",
     "SchemaError", "ShrunkState", "SizeError", "Term", "ValidationError",
     "VerificationError", "check_requirement", "classical_eval", "compile_protocol",
-    "constant_map", "d3_from_json", "d3_to_json", "densify", "efc", "efc2_apply",
-    "efc_apply", "efc_joint_distribution", "efc_pair_distribution", "efc_params",
-    "efco2_apply", "errors", "estimate_fidelity", "evaluate", "fidelity",
-    "instance_from_json", "instance_to_json", "instances", "is_d3_json",
-    "linear_independence_rank", "make_network", "netgraph", "node_op",
-    "normalize_to_d3", "qcompiler", "qmath", "qsim", "simulate_analytic",
-    "simulate_montecarlo", "simulate_oracle", "tetra", "tetra_matrix", "tetra_povm",
-    "tetra_vector", "tetra_weights", "truth_table", "ttr_channel",
-    "ttr_outcome_weights", "ttr_probabilities", "two_to_one_emission", "validate_d3",
+    "constant_map", "densify", "efc", "efc2_apply", "efc_apply",
+    "efc_joint_distribution", "efc_pair_distribution", "efc_params", "efco2_apply",
+    "errors", "estimate_fidelity", "evaluate", "fidelity", "instance_from_json",
+    "instance_to_json", "instances", "linear_independence_rank", "make_network",
+    "netgraph", "node_op", "normalize_to_d3", "qcompiler", "qmath", "qsim",
+    "simulate_analytic", "simulate_montecarlo", "simulate_oracle", "tetra",
+    "tetra_matrix", "tetra_povm", "tetra_vector", "tetra_weights", "truth_table",
+    "ttr_channel", "ttr_outcome_weights", "ttr_probabilities", "validate_d3",
     "validate_network",
 )
 

@@ -8,17 +8,15 @@ from qnc4 import instances, netgraph
 from qnc4.errors import QncError, SchemaError, ValidationError
 from qnc4.netgraph import (
     ClassicalProtocol,
+    D3Network,
     GroupKind,
     IDENTITY_MAP,
     LetterMap,
     MapClass,
     Term,
     constant_map,
-    d3_from_json,
-    d3_to_json,
     instance_from_json,
     instance_to_json,
-    is_d3_json,
     letter_from_str,
     letter_to_str,
     make_network,
@@ -180,6 +178,25 @@ def test_cycle_detection():
         net.topo_order
 
 
+@pytest.mark.parametrize(
+    "listed, walked",
+    [
+        (["z", "b", "y", "a", "t"], ["z", "b", "y", "a", "t"]),
+        (["t", "a", "y", "b", "z"], ["b", "a", "z", "y", "t"]),
+    ],
+    ids=["topological-listing", "listing-against-the-edges"],
+)
+def test_kahn_takes_the_ready_node_listed_first(listed, walked):
+    # sources z and b, z -> y -> t, b -> a -> t: ids never decide the order
+    kinds = {"z": "source", "b": "source", "t": "sink"}
+    net = make_network(
+        [(v, kinds.get(v, "internal")) for v in listed],
+        [("z", "y"), ("b", "a"), ("y", "t"), ("a", "t")],
+        {"t": "z"},
+    )
+    assert net.kahn() == net.topo_order == walked
+
+
 def test_normalize_rejects_invalid_instance():
     net, proto = _tiny(edges=[])
     with pytest.raises(ValidationError) as err:
@@ -192,7 +209,7 @@ def test_normalize_rejects_invalid_instance():
 
 
 def test_normalize_butterfly_shape():
-    net, proto = instances.butterfly()
+    net, proto = instances.bundled("butterfly")
     d3, corr = normalize_to_d3(net, proto)
     assert validate_d3(d3).ok
     ids = sorted(n.id for n in d3.network.nodes)
@@ -266,18 +283,28 @@ def test_normalize_renames_a_fork_whose_id_is_taken():
     assert truth_table(d3).rows == truth_table(net, proto).rows
 
 
+def _fixpoint_inputs():
+    for name in sorted(instances.BUNDLED):
+        yield name, instances.bundled(name)
+    rng = random.Random(1)
+    for k in range(200):
+        yield f"draw {k}", random_network_instance(rng)
+
+
 def test_normalize_is_fixpoint_on_normal_form():
-    for name in instances.BUNDLED:
-        net, proto = instances.bundled(name)
+    # the normalizer walks in listing order and lists nodes and edges as it
+    # emits them, so a normal form read back from its JSON document
+    # normalizes to itself, node for node and edge for edge
+    for label, (net, proto) in _fixpoint_inputs():
         d3, _ = normalize_to_d3(net, proto)
-        again, corr = normalize_to_d3(d3.network, d3.protocol)
-        assert sorted(n.id for n in again.network.nodes) == sorted(
-            n.id for n in d3.network.nodes
-        )
-        assert sorted(again.network.edges) == sorted(d3.network.edges)
-        assert again.roles == d3.roles
-        assert again.transforms == d3.transforms
-        assert all(corr[v] == [v] for v in corr)
+        doc = json.loads(json.dumps(instance_to_json(d3.network, d3.protocol)))
+        again, corr = normalize_to_d3(*instance_from_json(doc))
+        assert again.network.nodes == d3.network.nodes, label
+        assert again.network.edges == d3.network.edges, label
+        assert again.network.requirements == d3.network.requirements, label
+        assert again.transforms == d3.transforms, label
+        assert again.group == d3.group, label
+        assert corr == {n.id: [n.id] for n in d3.network.nodes}, label
 
 
 def test_normalize_wide_node_decomposition():
@@ -411,23 +438,48 @@ def test_instance_json_round_trip():
         assert proto2.ops == proto.ops
 
 
-def test_d3_json_round_trip():
-    net, proto = instances.butterfly()
-    d3, _ = normalize_to_d3(net, proto)
-    doc = json.loads(json.dumps(d3_to_json(d3)))
-    assert is_d3_json(doc)
-    assert all("role" not in nd for nd in doc["nodes"])
-    assert not is_d3_json(instance_to_json(net, proto))
-    d3b = d3_from_json(doc)
-    assert d3b.roles == d3.roles
-    assert d3b.transforms == d3.transforms
-    assert d3b.network.edges == d3.network.edges
-    assert d3b.group == d3.group
-
-
 def test_roles_are_one_to_one_on_kind_and_degree():
     # D3Network.roles reads each node's role back from its kind and degree
     assert len(set(netgraph._ROLES.values())) == len(netgraph._ROLES)
+
+
+@pytest.mark.parametrize(
+    "edit, violations",
+    [
+        (lambda maps: maps.pop("u1"), ["transform u1 has no letter map"]),
+        (
+            lambda maps: maps.__setitem__("d", IDENTITY_MAP),
+            ["letter map given for non-transform node d"],
+        ),
+        (
+            lambda maps: maps.__setitem__("nowhere", IDENTITY_MAP),
+            ["letter map given for unknown node nowhere"],
+        ),
+    ],
+    ids=["missing-map", "map-on-fork", "map-for-unknown-node"],
+)
+def test_d3_network_refuses_a_wrong_letter_map(edit, violations):
+    d3, _ = normalize_to_d3(*instances.bundled("two-to-one-diamond"))
+    maps = dict(d3.transforms)
+    edit(maps)
+    with pytest.raises(ValidationError) as err:
+        D3Network(d3.network, maps, d3.group)
+    assert err.value.report.violations == violations
+
+
+def test_d3_network_reports_a_wrong_degree_once():
+    # without edge s1 -> s1.f0, two nodes have a kind and degree that belong
+    # to no role: each is reported once, with the degrees its kind allows
+    d3, _ = normalize_to_d3(*instances.bundled("butterfly"))
+    net = d3.network
+    edges = [e for e in net.edges if e != ("s1", "s1.f0")]
+    assert len(edges) == len(net.edges) - 1
+    with pytest.raises(ValidationError) as err:
+        D3Network(netgraph.Network(net.nodes, edges, net.requirements), d3.transforms, d3.group)
+    assert err.value.report.violations == [
+        "source s1 has degree (0, 0), expected (0, 1)",
+        "internal s1.f0 has degree (0, 2), expected (1, 2), (2, 1) or (1, 1)",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -440,7 +492,7 @@ def test_roles_are_one_to_one_on_kind_and_degree():
     ],
 )
 def test_instance_json_schema_errors(breakage):
-    net, proto = instances.butterfly()
+    net, proto = instances.bundled("butterfly")
     doc = instance_to_json(net, proto)
     breakage(doc)
     with pytest.raises(SchemaError):

@@ -29,7 +29,6 @@ from qnc4.qcompiler import (
     check_kernel,
     compile_protocol,
     protocol_to_json,
-    two_to_one_emission,
 )
 from qnc4.qmath import ShrunkState
 
@@ -40,6 +39,7 @@ from _reference import (
     fork_branch_law,
     join_branch_law,
     transform_branch_law,
+    two_to_one_emission,
 )
 
 

@@ -1,10 +1,10 @@
 """A golden transcript of the command line on every bundled instance.
 
-Nine commands run on each bundled instance in both layouts: the general
-layout by its bundled name, the normal form from a file that
-`normalize --out` writes.  Each run's stdout, stderr and exit code must
-match `cli_transcript.json` byte for byte, so a change that means to
-alter no output can show that it alters none.
+Nine commands run on each bundled instance twice: by its bundled name, and
+on the normal form in the file that `normalize --out` writes.  Each run's
+stdout, stderr and exit code must match `cli_transcript.json` byte for
+byte, so a change that means to alter no output can show that it alters
+none.
 
 After a change that is meant to alter the output, rewrite the file from
 the repository root with
