@@ -161,9 +161,10 @@ def cmd_simulate(args) -> int:
     doc = {"inputs": {s: letter_to_str(x) for s, x in zip(srcs, letters)}}
     if args.mode == "analytic":
         rep = qsim.simulate_analytic(compiled, letters)
+        alphas = compiled.sink_alphas
         doc["sinks"] = {
             t: {
-                "alpha": _num(rep.sink_alphas[t]),
+                "alpha": _num(alphas[t]),
                 "decoded": letter_to_str(rep.decoded[t]),
                 "mixture": _mixture_doc(rep.sink_mixtures[t]),
                 "fidelity_floor": _num(rep.fidelity_floor[t]),

@@ -26,4 +26,7 @@ class SizeError(QncError):
 
 
 class VerificationError(QncError):
-    """Raised when a closed-form self-check fails its residual bound."""
+    """Raised when a self-check of a derived law fails: exactly, for a
+    compiled kernel that misses its target law, a shrink whose emission law
+    would be negative or an exact cloner identity of `efc`; past a residual
+    bound, for `efc`'s float closed forms."""

@@ -10,10 +10,7 @@ compilation.
 import json
 
 from .errors import SchemaError
-from .netgraph import ClassicalProtocol, LetterMap, Network, instance_from_json
-
-HIGH_BIT = LetterMap((0, 0, 2, 2))
-LOW_BIT = LetterMap((0, 1, 0, 1))
+from .netgraph import ClassicalProtocol, Network, instance_from_json
 
 BUNDLED = ("butterfly", "butterfly-z4", "single-edge", "two-to-one-diamond")
 

@@ -7,11 +7,11 @@ any input toward the maximally mixed state by a factor of 3.
 
 Shrink bookkeeping is exact and lives in `qnc4.shrink`, which imports no
 numpy; this module re-exports its names (`ShrunkState`, `as_shrink`,
-`tetra_weights`, `shrunk_from_weights`, `ttr_outcome_weights`,
-`shrunk_probabilities`), and `ttr_probabilities` hands a ShrunkState to
-it.  Matrices are complex floats and appear only where sqrt(3) does; they
-are why importing this module imports numpy.  `as_state_vector` is the
-one check of a state vector, wherever one enters.
+`tetra_weights`, `ttr_outcome_weights`, `shrunk_probabilities`), and
+`ttr_probabilities` hands a ShrunkState to it.  Matrices are complex
+floats and appear only where sqrt(3) does; they are why importing this
+module imports numpy.  `as_state_vector` is the one check of a state
+vector, wherever one enters.
 """
 
 import cmath
@@ -24,7 +24,6 @@ from .netgraph import LETTERS, Letter, as_letter
 from .shrink import (
     ShrunkState,
     as_shrink,
-    shrunk_from_weights,
     shrunk_probabilities,
     tetra_weights,
     ttr_outcome_weights,

@@ -136,7 +136,6 @@ class OracleResult:
     outputs and every sink's letter mixture; largest_factor is the most
     live edges any factor of the sweep held, counted before splitting."""
 
-    compiled: CompiledProtocol
     edge_marginals: dict[int, dict[Letter, object]]
     fork_joints: dict[str, dict[tuple, object]]
     sink_mixtures: dict[str, dict[Letter, object]]
@@ -296,7 +295,7 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
                 runs = _runs(marg, len(f.edges), f.edges.index(e))
                 marg = [sum(map(sum, runs[z::4])) for z in LETTERS]
             marginals[e] = {z: value(n, f.total) for z, n in enumerate(marg) if n}
-    return OracleResult(compiled, marginals, fork_joints, sink_mixtures, largest)
+    return OracleResult(marginals, fork_joints, sink_mixtures, largest)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,6 @@ class AnalyticReport:
     is only present for all-letter inputs.
     """
 
-    sink_alphas: dict[str, Fraction]
     fidelity_floor: dict[str, Fraction]
     decoded: dict[str, Letter] | None
     sink_mixtures: dict[str, dict] | None
@@ -342,7 +340,7 @@ def simulate_analytic(compiled: CompiledProtocol, inputs=None) -> AnalyticReport
             decoded[t] = by_sink[t]
             mixtures[t] = tetra_weights(ShrunkState(by_sink[t], alphas[t]))
             tetra[t] = mixture_fidelity(mixtures[t], by_source[net.requirements[t]])
-    return AnalyticReport(alphas, floor, decoded, mixtures, tetra)
+    return AnalyticReport(floor, decoded, mixtures, tetra)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +349,6 @@ def simulate_analytic(compiled: CompiledProtocol, inputs=None) -> AnalyticReport
 
 @dataclass
 class MonteCarloResult:
-    compiled: CompiledProtocol
     trials: int
     seed: int
     sink_counts: dict[str, np.ndarray]
@@ -542,7 +539,7 @@ def simulate_montecarlo(
     for more in tallies[1:]:
         for t, c in more.items():
             counts[t] += c
-    return MonteCarloResult(compiled, trials, seed, counts)
+    return MonteCarloResult(trials, seed, counts)
 
 
 # ---------------------------------------------------------------------------

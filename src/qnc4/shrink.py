@@ -2,8 +2,8 @@
 
 A `ShrunkState` pairs a letter with a rational shrink factor alpha: the
 state alpha * chi(label) + (1 - alpha) * I/2, where chi is the letter's
-tetra state.  It converts losslessly to and from a rational mixture over
-the four tetra states, `tetra_weights`, which mixes its letter by
+tetra state.  `tetra_weights` writes it as the one rational mixture of
+the four tetra states equal to it, which mixes its letter by
 W(alpha) = alpha I + (1 - alpha)/4 J.  The tetra measurement mixes a
 letter by W(1/3), and W(a) W(b) = W(ab), so the outcome laws are
 `tetra_weights` too: at 1/3 on a pure state (`ttr_outcome_weights`) and
@@ -62,22 +62,6 @@ def tetra_weights(state: ShrunkState) -> dict[Letter, Fraction]:
     own, off, den = shrunk_weights(state.alpha)
     own, off = Fraction(own, den), Fraction(off, den)
     return {z: own if z == state.label else off for z in LETTERS}
-
-
-def shrunk_from_weights(weights) -> ShrunkState | None:
-    """Recover a ShrunkState from exact tetra-mixture weights, or None when
-    the weights are not of that one-peak, three-equal form."""
-    w = {z: Fraction(weights.get(z, 0)) for z in LETTERS}
-    if sum(w.values()) != 1:
-        return None
-    top = max(w, key=lambda z: w[z])
-    rest = [w[z] for z in LETTERS if z != top]
-    if rest[0] != rest[1] or rest[0] != rest[2]:
-        return None
-    alpha = w[top] - rest[0]
-    if not 0 < alpha <= 1:
-        return None
-    return ShrunkState(top, alpha)
 
 
 def ttr_outcome_weights(z: Letter) -> dict[Letter, Fraction]:

@@ -2,7 +2,6 @@
 
 import random
 
-from qnc4.instances import HIGH_BIT, LOW_BIT
 from qnc4.netgraph import (
     ClassicalProtocol,
     D3Network,
@@ -13,6 +12,9 @@ from qnc4.netgraph import (
     make_network,
     node_op,
 )
+
+HIGH_BIT = LetterMap((0, 0, 2, 2))
+LOW_BIT = LetterMap((0, 1, 0, 1))
 
 
 def random_permutation_map(rng: random.Random) -> LetterMap:

@@ -50,7 +50,7 @@ def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dic
     """
     letter = as_letter(letter)
     param = Fraction(as_shrink(param))
-    image = map_.image()
+    image = set(map_.table)
     if len(image) != 2:
         raise ValueError("emission law only applies to two-to-one maps")
     own = Fraction(3, 1) / (6 - param)

@@ -277,6 +277,19 @@ def test_invalid_file_gives_one_answer(tmp_path, capsys, mutate, problem):
     assert f"violation: {problem}" in answers.pop()
 
 
+def test_cut_edge_is_reported_by_degrees_only(tmp_path, capsys):
+    # s1.f0's operations read its one incoming edge; with that edge cut, the
+    # two degree lines say it all, and no line per operation repeats them
+    doc = _normal_form("butterfly")
+    doc["edges"] = [e for e in doc["edges"] if (e["from"], e["to"]) != ("s1", "s1.f0")]
+    path = _write_json(tmp_path, "cut.json", doc)
+    assert main(["validate", path]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "violation: source s1 has outdegree 0 (must send its letter somewhere)",
+        "violation: internal node s1.f0 has indegree 0",
+    ]
+
+
 def _set_kind(doc, node, kind):
     next(n for n in doc["nodes"] if n["id"] == node)["kind"] = kind
     return doc

@@ -13,7 +13,6 @@ from qnc4.qmath import (
     identity2,
     linear_independence_rank,
     mixture_matrix,
-    shrunk_from_weights,
     tetra_matrix,
     tetra_povm,
     tetra_vector,
@@ -115,23 +114,6 @@ def test_densify_weights_round_trip():
     assert sum(w.values()) == 1
     assert w[1] == Fraction(2, 5) + Fraction(3, 20)
     assert np.abs(mixture_matrix(w) - densify(state)).max() < 1e-12
-    back = shrunk_from_weights(w)
-    assert back == state
-    assert shrunk_from_weights({0: Fraction(1, 2), 1: Fraction(1, 2)}) is None
-
-
-@pytest.mark.parametrize(
-    "weights",
-    [
-        {0: Fraction(1, 2), 1: Fraction(1, 4)},  # sums to 3/4
-        {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 8), 3: Fraction(1, 8)},
-        {z: Fraction(1, 4) for z in range(4)},  # no peak: alpha 0
-        {0: Fraction(7, 4), 1: Fraction(-1, 4), 2: Fraction(-1, 4), 3: Fraction(-1, 4)},
-    ],
-    ids=["not-normalized", "two-levels-below-the-peak", "flat", "alpha-above-1"],
-)
-def test_weights_of_no_shrunk_state_give_none(weights):
-    assert shrunk_from_weights(weights) is None
 
 
 def test_fidelity_basics():

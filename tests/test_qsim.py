@@ -11,7 +11,6 @@ import pytest
 
 from qnc4 import classical_eval, efc, instances, netgraph, qcompiler, qmath, qsim
 from qnc4.errors import SizeError
-from qnc4.instances import HIGH_BIT
 from qnc4.netgraph import GroupKind, LetterMap, constant_map, normalize_to_d3
 from qnc4.qcompiler import FORK_EFC, compile_protocol
 from qnc4.qmath import ShrunkState
@@ -28,7 +27,7 @@ from qnc4.qsim import (
 )
 
 import _reference
-from _generators import diamond_chain, grown_d3, random_d3_instance
+from _generators import HIGH_BIT, diamond_chain, grown_d3, random_d3_instance
 from _reference import enumerate_branches, fork_branch_law, join_branch_law, transform_branch_law
 
 SWAP01 = LetterMap((1, 0, 2, 3))
