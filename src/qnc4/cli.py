@@ -12,8 +12,8 @@ to a log level (debug, info, warning, error or critical, in any case) for
 progress logging; any other value exits 2.
 
 A run imports only what it uses: `logging` once QNC_LOG names a level,
-`csv` for `eval`, `importlib.resources` for a bundled instance name and
-numpy for Monte Carlo.
+`csv` for `eval` and numpy for Monte Carlo.  A bundled instance name and
+a file path are read alike, with one `open`.
 """
 
 import argparse

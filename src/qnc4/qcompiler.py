@@ -197,8 +197,11 @@ def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     2 W(3) = 6I - J.  Its sign is read off K in lowest terms, whose
     numbers can be far smaller than before the gcd cancels: a join's
     kernel at its row ab/9 has denominator 9 at any incoming shrinks.
-    Raises VerificationError, naming the node, if that law has a negative
-    entry: no node law reaches the claimed shrink.
+    One test serves every kernel: 6I - J is mixed in along every input
+    but the last, and along the last an entry is negative iff 6 times it
+    is below the sum of that entry over its block of 4 rows.  Raises
+    VerificationError, naming the node, if that law has a negative entry:
+    no node law reaches the claimed shrink.
     """
     return _build_kernel(op, a_in, _target_rows(op, len(a_in), group))
 
@@ -211,20 +214,19 @@ def _build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> K
         rows, den = _unmix(rows, den, stride, a)
     g = gcd(den, *chain.from_iterable(rows))
     rows = [list(map(floordiv, row, repeat(g))) for row in rows]
-    if len(a_in) == 1:
-        # 2 W(3) K = 6 K - (the column sums of K), entry by entry
-        sums = [sum(col) for col in zip(*rows)]
-        negative = any(map(gt, sums * len(rows), map(mul, chain.from_iterable(rows), repeat(6))))
-    else:
-        law = rows
-        for stride in strides:
-            law = _mix(law, stride, 6, -1)
-        negative = min(map(min, law)) < 0
-    if negative:
-        raise VerificationError(
-            f"{op.tag} node {op.node} cannot emit shrink {op.alpha} at incoming "
-            f"shrink {', '.join(map(str, a_in))}: its emission law would be negative"
-        )
+    law = rows
+    for stride in strides[:-1]:
+        law = _mix(law, stride, 6, -1)
+    # 2 W(3) along the last input: 6 x_z - (the sum of x_u over the block
+    # of 4 rows x_z lies in), entry by entry
+    for i in range(0, len(law), 4):
+        block = law[i:i + 4]
+        sums = [sum(col) for col in zip(*block)]
+        if any(map(gt, sums * 4, map(mul, chain.from_iterable(block), repeat(6)))):
+            raise VerificationError(
+                f"{op.tag} node {op.node} cannot emit shrink {op.alpha} at incoming "
+                f"shrink {', '.join(map(str, a_in))}: its emission law would be negative"
+            )
     return Kernel(den // g, tuple(map(tuple, rows)))
 
 

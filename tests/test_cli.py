@@ -251,6 +251,10 @@ def _non_source_requirement(doc):
     doc["requirements"][0]["source"] = "t0"
 
 
+def _edge_into_source(doc):
+    doc["edges"].append({"from": "s2", "to": "s1"})
+
+
 @pytest.mark.parametrize(
     "mutate, problem",
     [
@@ -258,8 +262,10 @@ def _non_source_requirement(doc):
         (_duplicate_id, "duplicate node id s1"),
         (_add_cycle, "network contains a cycle"),
         (_non_source_requirement, "requirement for sink t1 names t0, which is not a source"),
+        (_edge_into_source, "source s1 has indegree 1 (must be 0)"),
     ],
-    ids=["ops-for-unknown-node", "duplicate-id", "cycle", "non-source-requirement"],
+    ids=["ops-for-unknown-node", "duplicate-id", "cycle", "non-source-requirement",
+         "edge-into-source"],
 )
 def test_invalid_file_gives_one_answer(tmp_path, capsys, mutate, problem):
     doc = instances.read_json("butterfly")

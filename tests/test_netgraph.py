@@ -480,6 +480,18 @@ def test_d3_network_reports_a_wrong_degree_once():
     ]
 
 
+def test_d3_network_stops_at_a_repeated_node_id():
+    # every check after the graph's keys nodes by id, so a repeated id is
+    # the one violation reported: listed again as a sink, s would otherwise
+    # draw requirement and degree violations read under the wrong kind
+    d3, _ = normalize_to_d3(*instances.bundled("single-edge"))
+    net = d3.network
+    nodes = [*net.nodes, netgraph.Node("s", "sink")]
+    with pytest.raises(ValidationError) as err:
+        D3Network(netgraph.Network(nodes, net.edges, net.requirements), d3.transforms, d3.group)
+    assert err.value.report.violations == ["duplicate node id s"]
+
+
 @pytest.mark.parametrize(
     "breakage",
     [
