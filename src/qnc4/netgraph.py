@@ -238,6 +238,7 @@ class Network:
 
     @cached_property
     def topo_order(self) -> list[str]:
+        """The default Kahn walk, made once per network; QncError on a cycle."""
         order = self.kahn()
         if len(order) != len(self.nodes):
             raise QncError("network contains a cycle")
@@ -311,8 +312,10 @@ def _check_graph(net: Network, rep: ValidationReport) -> bool:
             rep.add(f"edge {e} ends at unknown node {v}")
     if repeated:
         return False
-    if len(net.kahn()) != len(net.nodes):
-        rep.add("network contains a cycle")
+    try:
+        net.topo_order  # the network's one walk, kept for the normalizer and compiler
+    except QncError as e:
+        rep.add(str(e))
     return True
 
 

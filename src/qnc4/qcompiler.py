@@ -20,11 +20,11 @@ memoized within one compile.  The exact sweep in `qsim` runs on them.
 `check_kernel` verifies every kernel once, at every incoming shrink where
 it occurs: mixed forward by W(a_in) along each input, it must give exactly
 tetra_weights(ShrunkState(f(z), a_out)) on every tuple z of input letters
-(for a fork, the product of two such vectors), row by row.  Build and
-check both mix one input axis at a time (`_mix`, from `_target_rows`):
-O(in 4^in 4^w) operations.  A mismatch raises VerificationError, so a
-compiled protocol only exists if each of its node laws lands on the
-bookkeeping above.
+(for a fork, the product of two such vectors).  Build, sign test and check
+run on one flat table of integers, row z after row z, and mix one input at
+a time by `_mix`, stepping by `_steps`: O(d 4^d 4^w) operations for d
+inputs.  A mismatch raises VerificationError, so a compiled protocol only
+exists if each of its node laws lands on the bookkeeping above.
 """
 
 from dataclasses import dataclass, field, replace
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import gcd
-from operator import add, floordiv, gt, mul
+from operator import add, floordiv, mul
 
 from .errors import SizeError, VerificationError
 from .netgraph import (
@@ -77,10 +77,11 @@ MAX_DIGITS = 4000
 class Kernel:
     """Exact transition law of one node: P(output letters | input letters).
 
-    rows[i] is the row for input index i, the incoming letter u or
-    4 * u1 + u2 for a join: a tuple of 4^w numerators, w the number of
-    output letters, where entry k packs the output letters two bits each,
-    first letter highest.  Every probability is numerator / den.
+    rows[i] is the row for input index i = sum z_j 4^(d-1-j) over the d
+    incoming letters z_j: the letter u, or 4 * u1 + u2 for a join.  It is
+    a tuple of 4^w numerators, w the number of output letters, where entry
+    k packs the output letters two bits each, first letter highest.
+    Every probability is numerator / den.
     """
 
     den: int
@@ -149,38 +150,37 @@ class CompiledProtocol:
 # transition kernels in integer arithmetic
 
 
-def _target_rows(op: QuantumOp, n_in: int, group: GroupKind) -> tuple[list[list[int]], int]:
-    """T(y | z), one integer row per input index over the returned
-    denominator: the shrunk weights at op.alpha peaked at the letter of a
-    join's group sum or a transform's map, or for a fork their outer
-    product, peaked at its two copies of the input letter."""
+def _target_rows(op: QuantumOp, n_in: int, group: GroupKind) -> tuple[list[int], int, int]:
+    """T(y | z) as (flat table, row width, denominator): row z is the shrunk
+    weights at op.alpha peaked at the letter of a join's group sum or a
+    transform's map, or for a fork their outer product, peaked at its two
+    copies of the input letter."""
     own, other, scale = shrunk_weights(op.alpha)
     fork = op.tag == FORK_EFC
-    rows = []
+    flat = []
     for zs in product(LETTERS, repeat=n_in):
         row = [other] * 4
         row[group.add(*zs) if op.tag == JOIN else zs[0] if fork else op.map(zs[0])] = own
-        rows.append([x * y for x in row for y in row] if fork else row)
-    return rows, scale ** (2 if fork else 1)
+        flat += [x * y for x in row for y in row] if fork else row
+    return flat, 16 if fork else 4, scale ** (2 if fork else 1)
 
 
-def _mix(rows: list, stride: int, own: int, rest: int) -> list[list[int]]:
-    """Replace each row x_z along the input letter that steps the row index
-    by stride (4 for a join's first input, else 1) with
-    own * x_z + rest * (the sum of the 4 rows x_u along that letter)."""
-    out = list(rows)
-    for i in (0, 1, 2, 3) if stride == 4 else range(0, len(rows), 4):
-        axis = slice(i, i + 4 * stride, stride)
-        sums = [rest * sum(col) for col in zip(*rows[axis])]
-        out[axis] = [list(map(add, map(mul, row, repeat(own)), sums)) for row in rows[axis]]
+def _steps(width: int, n_in: int) -> list[int]:
+    """How far input i steps a flat table of rows width entries long."""
+    return [width * 4 ** (n_in - 1 - i) for i in range(n_in)]
+
+
+def _mix(flat: list[int], step: int, own: int, rest: int) -> list[int]:
+    """own I + rest J along the input that steps the flat table by step, a
+    mode product (Kolda and Bader, SIAM Review 51(3), 2009): in each block of
+    4 step entries, each quarter x_u becomes own x_u + rest (x_0 + ... + x_3)."""
+    out = []
+    for b in range(0, len(flat), 4 * step):
+        x = flat[b:b + 4 * step]
+        sums = map(add, map(add, x[:step], x[step:2 * step]),
+                   map(add, x[2 * step:3 * step], x[3 * step:]))
+        out += map(add, map(mul, x, repeat(own)), list(map(mul, sums, repeat(rest))) * 4)
     return out
-
-
-def _unmix(rows: list, den: int, stride: int, a: Fraction) -> tuple[list, int]:
-    """Apply W(a)^-1 = (1/a)(I - (1-a)/4 J) along one input letter: with
-    a = p/q, 4q I + (p - q) J over 4p den."""
-    p, q = a.numerator, a.denominator
-    return _mix(rows, stride, 4 * q, p - q), 4 * p * den
 
 
 def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> Kernel:
@@ -189,80 +189,77 @@ def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
 
     A state at shrink a mixes its letter by W(a) = a I + (1-a)/4 J, with
     W(a)^-1 = (1/a)(I - (1-a)/4 J) and W(a) W(b) = W(ab).  The kernel K is
-    W(a_i)^-1 along each input i applied to T, the target rows of
-    `_target_rows`: one `_mix` per input axis.  The node reads input z_i
+    W(a_i)^-1 along each input i applied to T, the target table of
+    `_target_rows`: one `_mix` per input.  The node reads input z_i
     through W(a_i/3), the incoming shrink and then the tetra measurement's
     W(1/3), so its emission law is W(a_i/3)^-1 = W(3) W(a_i)^-1 along each
     input applied to T: W(3) along each input applied to K, where
     2 W(3) = 6I - J.  Its sign is read off K in lowest terms, whose
     numbers can be far smaller than before the gcd cancels: a join's
     kernel at its row ab/9 has denominator 9 at any incoming shrinks.
-    One test serves every kernel: 6I - J is mixed in along every input
-    but the last, and along the last an entry is negative iff 6 times it
-    is below the sum of that entry over its block of 4 rows.  Raises
-    VerificationError, naming the node, if that law has a negative entry:
-    no node law reaches the claimed shrink.
+    6I - J is mixed in along every input, and VerificationError, naming
+    the node, is raised if any entry is negative: no node law reaches the
+    claimed shrink.
     """
     return _build_kernel(op, a_in, _target_rows(op, len(a_in), group))
 
 
 def _build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> Kernel:
-    """`build_kernel` from the target rows and their denominator."""
-    rows, den = target
-    strides = (4, 1)[-len(a_in):]  # input index 4 * z1 + z2, or z
-    for stride, a in zip(strides, a_in):
-        rows, den = _unmix(rows, den, stride, a)
-    g = gcd(den, *chain.from_iterable(rows))
-    rows = [list(map(floordiv, row, repeat(g))) for row in rows]
-    law = rows
-    for stride in strides[:-1]:
-        law = _mix(law, stride, 6, -1)
-    # 2 W(3) along the last input: 6 x_z - (the sum of x_u over the block
-    # of 4 rows x_z lies in), entry by entry
-    for i in range(0, len(law), 4):
-        block = law[i:i + 4]
-        sums = [sum(col) for col in zip(*block)]
-        if any(map(gt, sums * 4, map(mul, chain.from_iterable(block), repeat(6)))):
-            raise VerificationError(
-                f"{op.tag} node {op.node} cannot emit shrink {op.alpha} at incoming "
-                f"shrink {', '.join(map(str, a_in))}: its emission law would be negative"
-            )
-    return Kernel(den // g, tuple(map(tuple, rows)))
+    """`build_kernel` from the flat target, its row width and denominator."""
+    flat, width, den = target
+    steps = _steps(width, len(a_in))
+    for step, a in zip(steps, a_in):
+        # W(a)^-1 = (1/a)(I - (1-a)/4 J): with a = p/q, 4q I + (p - q) J over 4p
+        p, q = a.numerator, a.denominator
+        flat, den = _mix(flat, step, 4 * q, p - q), 4 * p * den
+    g = gcd(den, *flat)
+    flat = list(map(floordiv, flat, repeat(g)))
+    law = flat
+    for step in steps:
+        law = _mix(law, step, 6, -1)
+    if min(law) < 0:
+        raise VerificationError(
+            f"{op.tag} node {op.node} cannot emit shrink {op.alpha} at incoming "
+            f"shrink {', '.join(map(str, a_in))}: its emission law would be negative"
+        )
+    return Kernel(den // g, tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width)))
 
 
 def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:
     """Verify op.kernel at the incoming shrinks a_in, exactly.
 
-    The kernel mixed forward over its inputs' latent letters, by `_mix`
-    with W(a) = (4p I + (q - p) J)/4q, a = p/q, along each input axis,
-    must give for every tuple z of incoming letters the target row T(y | z)
-    of `_target_rows`, as a whole row.  O(in 4^in 4^w) integer operations.
+    The kernel's rows, flattened once and mixed forward over its inputs'
+    latent letters by `_mix` with W(a) = (4p I + (q - p) J)/4q, a = p/q,
+    along each input, must give the target table T(y | z) of
+    `_target_rows`, compared whole.  O(in 4^in 4^w) integer operations.
     Raises VerificationError naming the first failing z in letter order.
     """
     _check_kernel(op, a_in, _target_rows(op, len(a_in), group))
 
 
 def _check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> None:
-    """`check_kernel` against the target rows and their denominator."""
+    """`check_kernel` against the flat target, its row width and denominator."""
     rows = op.kernel.rows
-    target, scale = target
-    if len(rows) != len(target) or any(len(row) != len(target[0]) for row in rows):
+    target, width, scale = target
+    if len(rows) * width != len(target) or any(len(row) != width for row in rows):
         raise VerificationError(f"{op.tag} kernel of node {op.node} has the wrong shape")
+    flat = list(chain.from_iterable(rows))
     in_scale = op.kernel.den
-    for stride, a in zip((4, 1)[-len(a_in):], a_in):
+    steps = _steps(width, len(a_in))
+    for step, a in zip(steps, a_in):
         p, q = a.numerator, a.denominator
-        rows = _mix(rows, stride, 4 * p, q - p)
+        flat = _mix(flat, step, 4 * p, q - p)
         in_scale *= 4 * q
-    # mixed / in_scale == want / scale, with the common factor of the scales out
+    # mixed / in_scale == target / scale, with the common factor of the scales out
     g = gcd(scale, in_scale)
-    scale, in_scale = scale // g, in_scale // g
-    for zs, mixed, want in zip(product(LETTERS, repeat=len(a_in)), rows, target):
-        if list(map(mul, mixed, repeat(scale))) != list(map(mul, want, repeat(in_scale))):
-            shrinks = ", ".join(map(str, a_in))
-            raise VerificationError(
-                f"{op.tag} kernel of node {op.node} at incoming shrink "
-                f"{shrinks} misses its target on input letters {zs}"
-            )
+    flat = list(map(mul, flat, repeat(scale // g)))
+    target = list(map(mul, target, repeat(in_scale // g)))
+    if flat != target:  # name the letters of the row of the first wrong entry
+        j = next(j for j, (x, y) in enumerate(zip(flat, target)) if x != y)
+        raise VerificationError(
+            f"{op.tag} kernel of node {op.node} at incoming shrink {', '.join(map(str, a_in))} "
+            f"misses its target on input letters {tuple(j // step % 4 for step in steps)}"
+        )
 
 
 def compile_protocol(d3: D3Network) -> CompiledProtocol:
@@ -321,8 +318,7 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
         if kernel is not None:
             ops[v] = replace(op, kernel=kernel)
             continue
-        # built and checked against one copy of the target rows, which
-        # neither changes
+        # built and checked against one copy of the target, which neither changes
         target = _target_rows(op, len(a_in), d3.group)
         ops[v] = replace(op, kernel=_build_kernel(op, a_in, target))
         _check_kernel(ops[v], a_in, target)

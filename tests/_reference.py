@@ -5,7 +5,10 @@ per-node `Fraction` branch laws, the two-to-one transform's built from
 `two_to_one_emission` and the fork's from `efc`'s pair law, independently
 of the compiled kernels.  `build_kernel_two_step`
 is the kernel build through the emission law, which `build_kernel`'s one
-mix per input must agree with, entry for entry and message for message.
+mix per input must agree with, entry for entry and message for message;
+it keeps its own row-wise target, mix and unmix (`_target_rows`, `_mix`,
+`_unmix`), one list per input tuple, so it shares no indexing with the
+compiler's flat table.
 `check_kernel_by_tuples` is the kernel check one input tuple at a time,
 which `check_kernel`'s axis-wise mix must agree with, message for message.
 `enumerate_branches` walks the nodes in listing order with the `Fraction`
@@ -15,8 +18,9 @@ only for small networks.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd, prod
+from operator import add, mul
 from typing import NamedTuple
 
 from qnc4 import efc, qmath
@@ -32,8 +36,6 @@ from qnc4.qcompiler import (
     CompiledProtocol,
     Kernel,
     QuantumOp,
-    _target_rows,
-    _unmix,
 )
 from qnc4.shrink import as_shrink, shrunk_weights, ttr_outcome_weights
 from qnc4.qsim import _resolve_inputs
@@ -97,6 +99,40 @@ def fork_branch_law(op: QuantumOp, u: Letter) -> dict[tuple, Fraction]:
         for pair, w in efc.efc_pair_distribution(op.input_alpha, x).items():
             out[pair] = out.get(pair, Fraction(0)) + t * w
     return out
+
+
+def _target_rows(op: QuantumOp, n_in: int, group: GroupKind) -> tuple[list[list[int]], int]:
+    """T(y | z), one integer row per input index over the returned
+    denominator: the shrunk weights at op.alpha peaked at the letter of a
+    join's group sum or a transform's map, or for a fork their outer
+    product, peaked at its two copies of the input letter."""
+    own, other, scale = shrunk_weights(op.alpha)
+    fork = op.tag == FORK_EFC
+    rows = []
+    for zs in product(LETTERS, repeat=n_in):
+        row = [other] * 4
+        row[group.add(*zs) if op.tag == JOIN else zs[0] if fork else op.map(zs[0])] = own
+        rows.append([x * y for x in row for y in row] if fork else row)
+    return rows, scale ** (2 if fork else 1)
+
+
+def _mix(rows: list, stride: int, own: int, rest: int) -> list[list[int]]:
+    """Replace each row x_z along the input letter that steps the row index
+    by stride (4 for a join's first input, else 1) with
+    own * x_z + rest * (the sum of the 4 rows x_u along that letter)."""
+    out = list(rows)
+    for i in (0, 1, 2, 3) if stride == 4 else range(0, len(rows), 4):
+        axis = slice(i, i + 4 * stride, stride)
+        sums = [rest * sum(col) for col in zip(*rows[axis])]
+        out[axis] = [list(map(add, map(mul, row, repeat(own)), sums)) for row in rows[axis]]
+    return out
+
+
+def _unmix(rows: list, den: int, stride: int, a: Fraction) -> tuple[list, int]:
+    """Apply W(a)^-1 = (1/a)(I - (1-a)/4 J) along one input letter: with
+    a = p/q, 4q I + (p - q) J over 4p den."""
+    p, q = a.numerator, a.denominator
+    return _mix(rows, stride, 4 * q, p - q), 4 * p * den
 
 
 def build_kernel_two_step(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> Kernel:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qnc4 import instances, netgraph
+from qnc4 import cli, instances, netgraph
 from qnc4.errors import QncError, SchemaError, ValidationError
 from qnc4.netgraph import (
     ClassicalProtocol,
@@ -25,7 +25,8 @@ from qnc4.netgraph import (
     validate_d3,
     validate_network,
 )
-from qnc4.classical_eval import truth_table
+from qnc4.classical_eval import check_requirement, truth_table
+from qnc4.qcompiler import compile_protocol
 
 from _generators import random_network_instance
 
@@ -174,6 +175,35 @@ def test_cycle_detection():
     assert any("cycle" in v for v in report.violations)
     with pytest.raises(QncError):
         net.topo_order
+
+
+def test_each_network_is_walked_once(monkeypatch):
+    # load, validate, check delivery, normalize and compile walk the given
+    # network and its normal form once each: validation reads the kept
+    # topo_order, and a cycle still gives its one violation line
+    walked = []
+    kahn = netgraph.Network.kahn
+
+    def counting(net, key=None):
+        walked.append(net)
+        return kahn(net, key)
+
+    monkeypatch.setattr(netgraph.Network, "kahn", counting)
+    for name in sorted(instances.BUNDLED):
+        walked.clear()
+        net, proto, d3, _ = cli.load_instance(name)
+        check_requirement(net, proto)
+        compile_protocol(d3)
+        assert len(walked) == 2 and walked[0] is net and walked[1] is d3.network, name
+    net, proto = _tiny(
+        nodes=[("s", "source"), ("a", "internal"), ("b", "internal"), ("t", "sink")],
+        edges=[("s", "a"), ("a", "b"), ("b", "a"), ("b", "t")],
+    )
+    walked.clear()
+    assert [v for v in validate_network(net, proto).violations if "cycle" in v] == [
+        "network contains a cycle"
+    ]
+    assert len(walked) == 1
 
 
 @pytest.mark.parametrize(

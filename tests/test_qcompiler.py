@@ -36,6 +36,7 @@ from _generators import (
     LOW_BIT,
     diamond_chain,
     random_d3_instance,
+    random_permutation_map,
     random_two_to_one_map,
 )
 from _reference import (
@@ -486,6 +487,55 @@ def test_build_agrees_with_the_two_step_reference():
         for group in GroupKind:
             got = _message(qcompiler.build_kernel, op, a_in, group)
             assert got is not None and got == _message(build_kernel_two_step, op, a_in, group)
+
+
+def test_flat_build_and_check_agree_with_the_references_on_random_ops():
+    """2400 seeded draws on both groups: a join, a fork, or a transform of
+    each map class, at random incoming shrinks, claiming its rule row's
+    output shrink or 1 + 2^-20 times it.  build_kernel must give
+    build_kernel_two_step's kernel or its refusal message, and a built
+    kernel with one entry changed must get the same message from
+    check_kernel as from check_kernel_by_tuples."""
+    rng = random.Random(26)
+    over = 1 + Fraction(1, 2**20)
+    maps = {
+        TRANSFORM_CONSTANT: lambda: constant_map(rng.randrange(4)),
+        TRANSFORM_ONE_TO_ONE: lambda: random_permutation_map(rng),
+        TRANSFORM_TWO_TO_ONE: lambda: random_two_to_one_map(rng),
+    }
+    rows = {
+        JOIN: lambda a, b: a * b / 9,
+        FORK_EFC: lambda a: a / 9,
+        TRANSFORM_CONSTANT: lambda a: Fraction(1),
+        TRANSFORM_ONE_TO_ONE: lambda a: a / 3,
+        TRANSFORM_TWO_TO_ONE: lambda a: a / (6 - a),
+    }
+    built = refused = 0
+    for draw in range(2400):
+        group = GroupKind.Z4 if draw % 2 else GroupKind.Z2xZ2
+        tag = rng.choice(sorted(rows))
+        a_in = tuple(
+            Fraction(rng.randint(1, q), q)
+            for q in [rng.randint(1, 60) for _ in range(2 if tag == JOIN else 1)]
+        )
+        alpha = rows[tag](*a_in) * (over if rng.random() < 0.5 else 1)
+        map_ = maps[tag]() if tag in maps else None
+        op = qcompiler.QuantumOp("v", tag, alpha, map=map_)
+        try:
+            kernel = qcompiler.build_kernel(op, a_in, group)
+        except VerificationError as e:
+            assert str(e) == _message(build_kernel_two_step, op, a_in, group), (op, a_in)
+            refused += 1
+            continue
+        assert kernel == build_kernel_two_step(op, a_in, group), (op, a_in)
+        built += 1
+        changed = [list(row) for row in kernel.rows]
+        i, j = rng.randrange(len(changed)), rng.randrange(len(changed[0]))
+        changed[i][j] += rng.choice((-1, 1)) * rng.randint(1, kernel.den)
+        bad = replace(op, kernel=Kernel(kernel.den, tuple(map(tuple, changed))))
+        got = _message(check_kernel, bad, a_in, group)
+        assert got is not None and got == _message(check_kernel_by_tuples, bad, a_in, group)
+    assert built > 600 and refused > 600
 
 
 def test_every_rule_row_is_tight_or_states_its_margin():
