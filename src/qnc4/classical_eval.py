@@ -3,16 +3,31 @@
 Evaluation walks the network in topological order, so it needs a validated
 instance: a D3Network is valid by construction, and a plain Network with
 its ClassicalProtocol should pass `validate_network` first.
+
+One walk evaluates a whole list of input rows (`_columns`).  Each edge
+carries a column, its letter on every row, as one byte per row.  Over the
+4^S rows of S sources, row j gives source i the letter
+(j >> 2(S-1-i)) & 3, so the rows run through the input tuples in
+lexicographic order, first source highest.  A node's output column is the
+group sum of its terms' mapped input columns, computed entry-wise from each
+map's value table and the group's 16-entry addition table; an identity term
+reads its input column as is.  `edge_values` and `evaluate` walk one row,
+`truth_table` and `check_requirement` all 4^S rows at once.
 """
 
-import itertools
 from dataclasses import dataclass
+from itertools import product
+from operator import getitem
 
 from .errors import SizeError
-from .netgraph import LETTERS, D3Network, Letter, as_letter
+from .netgraph import IDENTITY_MAP, LETTERS, D3Network, GroupKind, Letter, as_letter
 
 # 4**8 = 65536 rows; beyond this, exhaustive checks are refused
 MAX_EXHAUSTIVE_SOURCES = 8
+
+_IDENTITY = IDENTITY_MAP.table
+# each group's addition table: _ADD[group][a][b] is a + b
+_ADD = {g: tuple(bytes(g.add(a, b) for b in LETTERS) for a in LETTERS) for g in GroupKind}
 
 
 def _resolve(instance, proto):
@@ -23,11 +38,50 @@ def _resolve(instance, proto):
     return instance, proto
 
 
-def _combine(group, vals, ins, terms) -> Letter:
-    acc = 0
+def _sum(add, cols, ins, terms, n_rows: int) -> bytes:
+    """The column of sum h(X) over the terms, from the edge columns."""
+    acc = None
     for t in terms:
-        acc = group.add(acc, t.map(vals[ins[t.in_pos]]))
-    return acc
+        col = cols[ins[t.in_pos]]
+        table = t.map.table
+        if table != _IDENTITY:
+            col = bytes(map(table.__getitem__, col))
+        acc = col if acc is None else bytes(map(getitem, map(add.__getitem__, acc), col))
+    return bytes(n_rows) if acc is None else acc
+
+
+def _columns(net, proto, sources: list[bytes], n_rows: int) -> list:
+    """Every edge's column over n_rows rows, indexed by edge id, from one
+    column per source in sorted source-id order."""
+    add = _ADD[proto.group]
+    by_source = dict(zip(net.source_ids, sources))
+    cols: list = [None] * len(net.edges)
+    for v in net.topo_order:
+        kind = net.kind_of[v]
+        outs = net.out_edges(v)
+        if kind == "source":
+            for e in outs:
+                cols[e] = by_source[v]
+        elif kind == "internal":
+            ins = net.in_edges(v)
+            for op in proto.ops[v]:
+                cols[outs[op.out_pos]] = _sum(add, cols, ins, op.terms, n_rows)
+    return cols
+
+
+def _sink_columns(net, proto, cols, n_rows: int) -> list[bytes]:
+    add = _ADD[proto.group]
+    return [
+        _sum(add, cols, net.in_edges(t), proto.decode_terms(t), n_rows)
+        for t in net.sink_ids
+    ]
+
+
+def _one_row(net, inputs) -> list[bytes]:
+    sources = net.source_ids
+    if len(inputs) != len(sources):
+        raise ValueError(f"expected {len(sources)} input letters, got {len(inputs)}")
+    return [bytes((as_letter(x),)) for x in inputs]
 
 
 def edge_values(instance, proto, inputs) -> list[Letter]:
@@ -36,32 +90,27 @@ def edge_values(instance, proto, inputs) -> list[Letter]:
     `inputs` lists one letter per source, in sorted source-id order.
     """
     net, proto = _resolve(instance, proto)
-    sources = net.source_ids
-    if len(inputs) != len(sources):
-        raise ValueError(f"expected {len(sources)} input letters, got {len(inputs)}")
-    by_source = dict(zip(sources, map(as_letter, inputs)))
-    vals: list = [None] * len(net.edges)
-    for v in net.topo_order:
-        kind = net.kind_of[v]
-        outs = net.out_edges(v)
-        if kind == "source":
-            for e in outs:
-                vals[e] = by_source[v]
-        elif kind == "internal":
-            ins = net.in_edges(v)
-            for op in proto.ops[v]:
-                vals[outs[op.out_pos]] = _combine(proto.group, vals, ins, op.terms)
-    return vals
+    return [col[0] for col in _columns(net, proto, _one_row(net, inputs), 1)]
 
 
 def evaluate(instance, proto, inputs) -> tuple[Letter, ...]:
     """Letters delivered at the sinks, in sorted sink-id order."""
     net, proto = _resolve(instance, proto)
-    vals = edge_values(net, proto, inputs)
-    out = []
-    for t in net.sink_ids:
-        out.append(_combine(proto.group, vals, net.in_edges(t), proto.decode_terms(t)))
-    return tuple(out)
+    cols = _columns(net, proto, _one_row(net, inputs), 1)
+    return tuple(col[0] for col in _sink_columns(net, proto, cols, 1))
+
+
+def _all_rows(net, what: str) -> list[bytes]:
+    """Each source's column over all 4^S rows.  Raises SizeError, naming
+    `what`, past MAX_EXHAUSTIVE_SOURCES."""
+    n = len(net.source_ids)
+    if n > MAX_EXHAUSTIVE_SOURCES:
+        raise SizeError(
+            f"{what} over {n} sources needs 4**{n} rows; "
+            f"refusing beyond {MAX_EXHAUSTIVE_SOURCES} sources"
+        )
+    # source i holds each letter for 4^(n-1-i) rows in turn, 4^i times over
+    return [b"".join(bytes((z,)) * 4 ** (n - 1 - i) for z in LETTERS) * 4 ** i for i in range(n)]
 
 
 @dataclass
@@ -71,22 +120,13 @@ class TruthTable:
     rows: dict[tuple[Letter, ...], tuple[Letter, ...]]
 
 
-def _rows(net, proto, what: str):
-    """Every input tuple, in lexicographic order, with the sink letters it
-    yields.  Raises SizeError, naming `what`, past MAX_EXHAUSTIVE_SOURCES."""
-    n = len(net.source_ids)
-    if n > MAX_EXHAUSTIVE_SOURCES:
-        raise SizeError(
-            f"{what} over {n} sources needs 4**{n} rows; "
-            f"refusing beyond {MAX_EXHAUSTIVE_SOURCES} sources"
-        )
-    return ((xs, evaluate(net, proto, xs)) for xs in itertools.product(LETTERS, repeat=n))
-
-
 def truth_table(instance, proto=None) -> TruthTable:
     """Outputs for every input tuple (guarded at 4**8 rows)."""
     net, proto = _resolve(instance, proto)
-    rows = dict(_rows(net, proto, "truth table"))
+    sources = _all_rows(net, "truth table")
+    n_rows = 4 ** len(sources)
+    outs = _sink_columns(net, proto, _columns(net, proto, sources, n_rows), n_rows)
+    rows = dict(zip(product(LETTERS, repeat=len(sources)), zip(*outs)))
     return TruthTable(tuple(net.source_ids), tuple(net.sink_ids), rows)
 
 
@@ -99,12 +139,22 @@ class RequirementResult:
 def check_requirement(instance, proto=None) -> RequirementResult:
     """Does every sink always receive its required source letter?
 
-    Exhaustive over all input tuples; the first failing tuple is returned.
+    Exhaustive over all input tuples in one walk; the counterexample is the
+    lowest failing row over all sinks, the first failing tuple in
+    lexicographic order.
     """
     net, proto = _resolve(instance, proto)
-    src_index = {s: i for i, s in enumerate(net.source_ids)}
-    want = [src_index[net.requirements[t]] for t in net.sink_ids]
-    for xs, ys in _rows(net, proto, "requirement check"):
-        if any(y != xs[w] for y, w in zip(ys, want)):
-            return RequirementResult(False, xs)
-    return RequirementResult(True, None)
+    sources = _all_rows(net, "requirement check")
+    n = len(sources)
+    outs = _sink_columns(net, proto, _columns(net, proto, sources, 4 ** n), 4 ** n)
+    by_source = dict(zip(net.source_ids, sources))
+    wants = [by_source[net.requirements[t]] for t in net.sink_ids]
+    fails = [
+        next(j for j, (y, x) in enumerate(zip(got, want)) if y != x)
+        for got, want in zip(outs, wants)
+        if got != want
+    ]
+    if not fails:
+        return RequirementResult(True, None)
+    j = min(fails)
+    return RequirementResult(False, tuple((j >> 2 * (n - 1 - i)) & 3 for i in range(n)))

@@ -706,9 +706,9 @@ def normalize_to_d3(
 # JSON layout
 
 
-def _map_from_json(data, where: str) -> LetterMap:
+def _map_from_json(data, where: str, *at) -> LetterMap:
     if not isinstance(data, list) or len(data) != 4:
-        raise SchemaError(f"{where}: map must be an array of 4 letters")
+        raise SchemaError(f"{where.format(*at)}: map must be an array of 4 letters")
     return LetterMap(tuple(letter_from_str(s) for s in data))
 
 
@@ -737,13 +737,16 @@ def instance_to_json(net: Network, proto: ClassicalProtocol) -> dict:
     }
 
 
-def _require(data, key, where, types):
+def _require(data, key, types, where, *at):
+    """data[key], if data is an object holding a key of one of the types;
+    else SchemaError naming the field.  Its path, where.format(*at), is
+    formatted only then."""
     if not isinstance(data, dict) or key not in data:
-        raise SchemaError(f"{where}: missing field {key!r}")
+        raise SchemaError(f"{where.format(*at)}: missing field {key!r}")
     value = data[key]
     # JSON true/false load as bool, which Python counts as an int
     if isinstance(value, bool) or not isinstance(value, types):
-        raise SchemaError(f"{where}.{key}: unexpected type {type(value).__name__}")
+        raise SchemaError(f"{where.format(*at)}.{key}: unexpected type {type(value).__name__}")
     return value
 
 
@@ -752,44 +755,44 @@ def instance_from_json(data) -> tuple[Network, ClassicalProtocol]:
     the first field that is missing or of the wrong type."""
     if not isinstance(data, dict):
         raise SchemaError("top level: expected an object")
-    group = GroupKind.from_name(_require(data, "group", "top level", str))
+    group = GroupKind.from_name(_require(data, "group", str, "top level"))
     nodes = []
-    for k, nd in enumerate(_require(data, "nodes", "top level", list)):
+    for k, nd in enumerate(_require(data, "nodes", list, "top level")):
         nodes.append(
             Node(
-                _require(nd, "id", f"nodes[{k}]", str),
-                _require(nd, "kind", f"nodes[{k}]", str),
+                _require(nd, "id", str, "nodes[{}]", k),
+                _require(nd, "kind", str, "nodes[{}]", k),
             )
         )
     edges = []
-    for k, ed in enumerate(_require(data, "edges", "top level", list)):
+    for k, ed in enumerate(_require(data, "edges", list, "top level")):
         edges.append(
             (
-                _require(ed, "from", f"edges[{k}]", str),
-                _require(ed, "to", f"edges[{k}]", str),
+                _require(ed, "from", str, "edges[{}]", k),
+                _require(ed, "to", str, "edges[{}]", k),
             )
         )
     requirements = {}
-    for k, rq in enumerate(_require(data, "requirements", "top level", list)):
-        sink = _require(rq, "sink", f"requirements[{k}]", str)
+    for k, rq in enumerate(_require(data, "requirements", list, "top level")):
+        sink = _require(rq, "sink", str, "requirements[{}]", k)
         if sink in requirements:
             raise SchemaError(f"requirements[{k}]: a second requirement for sink {sink}")
-        requirements[sink] = _require(rq, "source", f"requirements[{k}]", str)
+        requirements[sink] = _require(rq, "source", str, "requirements[{}]", k)
     ops = {}
-    for v, nops in _require(data, "ops", "top level", dict).items():
+    term_at = "ops.{}[{}].terms[{}]"
+    for v, nops in _require(data, "ops", dict, "top level").items():
         if not isinstance(nops, list):
             raise SchemaError(f"ops.{v}: expected an array of operations")
         parsed = []
         for k, op in enumerate(nops):
-            out = _require(op, "out", f"ops.{v}[{k}]", int)
+            out = _require(op, "out", int, "ops.{}[{}]", v, k)
             terms = []
-            for t, term in enumerate(_require(op, "terms", f"ops.{v}[{k}]", list)):
+            for t, term in enumerate(_require(op, "terms", list, "ops.{}[{}]", v, k)):
                 terms.append(
                     Term(
-                        _require(term, "in", f"ops.{v}[{k}].terms[{t}]", int),
+                        _require(term, "in", int, term_at, v, k, t),
                         _map_from_json(
-                            _require(term, "map", f"ops.{v}[{k}].terms[{t}]", list),
-                            f"ops.{v}[{k}].terms[{t}]",
+                            _require(term, "map", list, term_at, v, k, t), term_at, v, k, t
                         ),
                     )
                 )

@@ -27,7 +27,8 @@ inputs.  A mismatch raises VerificationError, so a compiled protocol only
 exists if each of its node laws lands on the bookkeeping above.
 """
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, repeat
@@ -104,6 +105,11 @@ class QuantumOp:
     map: LetterMap | None = None
     letter: Letter | None = None
     kernel: Kernel | None = field(default=None, repr=False, compare=False)
+
+
+# a node's law before its kernel exists: what `_target_rows` and
+# `_build_kernel` read of a QuantumOp, and its incoming shrinks
+_Law = namedtuple("_Law", "node tag alpha map a_in")
 
 
 @dataclass(frozen=True)
@@ -281,50 +287,52 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
         depths[v] = 0 if not parents else 1 + max(depths[u] for u in parents)
     order = tuple(sorted((n.id for n in net.nodes), key=lambda v: (depths[v], v)))
 
-    ops: dict[str, QuantumOp] = {}
+    alphas: dict[str, Fraction] = {}
+    laws: list[_Law] = []
     for v in order:
-        a_in = tuple(ops[net.edges[e][0]].alpha for e in net.in_edges(v))
+        a_in = tuple(alphas[net.edges[e][0]] for e in net.in_edges(v))
         m = d3.transforms.get(v)
         tag, shrink = _RULES[d3.roles[v] if m is None else m.try_classify()]
-        op = QuantumOp(
-            v, tag, shrink(*a_in),
-            input_alpha=a_in[0] if len(a_in) == 1 else None,
-            map=m,
-            letter=m(0) if tag == TRANSFORM_CONSTANT else None,
-        )
+        alpha = alphas[v] = shrink(*a_in)
         # a fork's two outputs have a joint law over up to 16 q^2
-        q = op.alpha.denominator
-        biggest = 16 * q * q if op.tag == FORK_EFC else q
+        q = alpha.denominator
+        biggest = 16 * q * q if tag == FORK_EFC else q
         digits = biggest.bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103
         if digits > MAX_DIGITS:
             raise SizeError(
                 f"exact numbers at node {v} would have {digits} digits, over the "
                 f"limit of {MAX_DIGITS}"
             )
-        ops[v] = op
+        laws.append(_Law(v, tag, alpha, m, a_in))
 
+    ops: dict[str, QuantumOp] = {}
     notes: list[Note] = []
     # verified kernels by (tag, map, incoming shrinks); the group is fixed
     # within one compile.  A shrink is keyed by its two ints, since hashing
     # a Fraction inverts its denominator modulo a prime.
     kernels: dict[tuple, Kernel] = {}
-    for v in order:
-        op = ops[v]
-        if op.tag in (SOURCE_TTR, SINK_NOOP):
-            continue
-        a_in = tuple(ops[net.edges[e][0]].alpha for e in net.in_edges(v))
-        key = (op.tag, op.map and op.map.table, *((a.numerator, a.denominator) for a in a_in))
-        kernel = kernels.get(key)
-        if kernel is not None:
-            ops[v] = replace(op, kernel=kernel)
-            continue
-        # built and checked against one copy of the target, which neither changes
-        target = _target_rows(op, len(a_in), d3.group)
-        ops[v] = replace(op, kernel=_build_kernel(op, a_in, target))
-        _check_kernel(ops[v], a_in, target)
-        kernels[key] = ops[v].kernel
-        if op.tag in (FORK_EFC, TRANSFORM_TWO_TO_ONE):
-            notes.append(Note(a_in[0], op.map))
+    for law in laws:
+        v, tag, alpha, m, a_in = law
+        target = kernel = None
+        if tag not in (SOURCE_TTR, SINK_NOOP):
+            key = (tag, m and m.table, *((a.numerator, a.denominator) for a in a_in))
+            kernel = kernels.get(key)
+            if kernel is None:
+                target = _target_rows(law, len(a_in), d3.group)
+                kernel = kernels[key] = _build_kernel(law, a_in, target)
+        op = ops[v] = QuantumOp(
+            v, tag, alpha,
+            input_alpha=a_in[0] if len(a_in) == 1 else None,
+            map=m,
+            letter=m(0) if tag == TRANSFORM_CONSTANT else None,
+            kernel=kernel,
+        )
+        if target is not None:
+            # checked against the copy of the target it was built from, which
+            # neither changes
+            _check_kernel(op, a_in, target)
+            if tag in (FORK_EFC, TRANSFORM_TWO_TO_ONE):
+                notes.append(Note(a_in[0], m))
     return CompiledProtocol(d3, ops, order, depths, tuple(notes))
 
 

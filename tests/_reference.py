@@ -11,6 +11,11 @@ it keeps its own row-wise target, mix and unmix (`_target_rows`, `_mix`,
 compiler's flat table.
 `check_kernel_by_tuples` is the kernel check one input tuple at a time,
 which `check_kernel`'s axis-wise mix must agree with, message for message.
+`truth_table_by_tuples` and `check_requirement_by_tuples` are the classical
+delivery check one input tuple at a time, a fresh walk of the network per
+tuple with one `GroupKind.add` and one map call per term, which
+`classical_eval`'s one walk over all rows must agree with, verdict,
+counterexample and table.
 `enumerate_branches` walks the nodes in listing order with the `Fraction`
 laws and keeps the full joint over the live edges, as one table that
 assumes no product structure; it is exponential in the live-edge count and
@@ -192,6 +197,60 @@ def check_kernel_by_tuples(op: QuantumOp, a_in: tuple[Fraction, ...], group: Gro
                     f"{op.tag} kernel of node {op.node} at incoming shrink "
                     f"{shrinks} misses its target on input letters {zs}"
                 )
+
+
+def _combine(group, vals, ins, terms) -> Letter:
+    acc = 0
+    for t in terms:
+        acc = group.add(acc, t.map(vals[ins[t.in_pos]]))
+    return acc
+
+
+def edge_values_by_tuple(net, proto, inputs) -> list[Letter]:
+    """The letter on every edge for one input tuple, in sorted source-id
+    order, by one walk of a validated network."""
+    by_source = dict(zip(net.source_ids, map(as_letter, inputs)))
+    vals: list = [None] * len(net.edges)
+    for v in net.topo_order:
+        outs = net.out_edges(v)
+        if net.kind_of[v] == "source":
+            for e in outs:
+                vals[e] = by_source[v]
+        elif net.kind_of[v] == "internal":
+            ins = net.in_edges(v)
+            for op in proto.ops[v]:
+                vals[outs[op.out_pos]] = _combine(proto.group, vals, ins, op.terms)
+    return vals
+
+
+def evaluate_by_tuple(net, proto, inputs) -> tuple[Letter, ...]:
+    """The sink letters for one input tuple, in sorted sink-id order."""
+    vals = edge_values_by_tuple(net, proto, inputs)
+    return tuple(
+        _combine(proto.group, vals, net.in_edges(t), proto.decode_terms(t))
+        for t in net.sink_ids
+    )
+
+
+def truth_table_by_tuples(net, proto) -> dict:
+    """{input tuple: sink letters}, one walk per tuple, in lexicographic
+    order."""
+    return {
+        xs: evaluate_by_tuple(net, proto, xs)
+        for xs in product(LETTERS, repeat=len(net.source_ids))
+    }
+
+
+def check_requirement_by_tuples(net, proto) -> tuple[bool, tuple | None]:
+    """(ok, counterexample): the first input tuple, in lexicographic order,
+    on which some sink misses its required source letter."""
+    src_index = {s: i for i, s in enumerate(net.source_ids)}
+    want = [src_index[net.requirements[t]] for t in net.sink_ids]
+    for xs in product(LETTERS, repeat=len(net.source_ids)):
+        ys = evaluate_by_tuple(net, proto, xs)
+        if any(y != xs[w] for y, w in zip(ys, want)):
+            return False, xs
+    return True, None
 
 
 class Enumeration(NamedTuple):

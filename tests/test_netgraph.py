@@ -537,3 +537,36 @@ def test_instance_json_schema_errors(breakage):
     breakage(doc)
     with pytest.raises(SchemaError):
         instance_from_json(doc)
+
+
+def _doc_with_braced_id():
+    """Butterfly with its relay node t0 renamed t{0}, so that a field path
+    naming it holds braces."""
+    net, proto = instances.bundled("butterfly")
+    doc = netgraph.instance_to_json(net, proto)
+    text = json.dumps(doc).replace('"t0"', '"t{0}"')
+    assert text.count('"t{0}"') == 5  # its node, three edge ends, its ops
+    return json.loads(text)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["nodes"][2].pop("kind"), "nodes[2]: missing field 'kind'"),
+        (lambda d: d["edges"][1].update({"to": 7}), "edges[1].to: unexpected type int"),
+        (lambda d: d["requirements"][0].pop("source"),
+         "requirements[0]: missing field 'source'"),
+        (lambda d: d["ops"]["t{0}"][1].update({"out": True}),
+         "ops.t{0}[1].out: unexpected type bool"),
+        (lambda d: d["ops"]["t{0}"][0]["terms"][0].pop("in"),
+         "ops.t{0}[0].terms[0]: missing field 'in'"),
+        (lambda d: d["ops"]["t{0}"][0]["terms"][0].update({"map": ["00"]}),
+         "ops.t{0}[0].terms[0]: map must be an array of 4 letters"),
+    ],
+)
+def test_schema_errors_name_the_field_path(edit, message):
+    doc = _doc_with_braced_id()
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        netgraph.instance_from_json(doc)
+    assert str(err.value) == message
