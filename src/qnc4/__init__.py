@@ -22,7 +22,6 @@ from .netgraph import (
     ClassicalProtocol,
     D3Network,
     LetterMap,
-    MapClass,
     Network,
     NodeOp,
     Term,

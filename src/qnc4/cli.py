@@ -94,8 +94,9 @@ def cmd_eval(args) -> int:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(list(table.sources) + list(table.sinks))
-    for ins, outs in sorted(table.rows.items()):
-        w.writerow([letter_to_str(x) for x in ins] + [letter_to_str(y) for y in outs])
+    strs = tuple(map(letter_to_str, netgraph.LETTERS))
+    # truth_table lists its rows in lexicographic order of the inputs
+    w.writerows([strs[x] for x in ins + outs] for ins, outs in table.rows.items())
     _write(args, buf.getvalue())
     return 0
 

@@ -3,8 +3,8 @@
 The alphabet is Sigma4 = {00, 01, 10, 11}, encoded as the integers 0..3
 (value = 2 * first_bit + second_bit).  A classical protocol attaches to each
 outgoing edge of a node an operation of the form sum_i h_i(X_i), where the
-sum is taken in one of the two abelian group structures on Sigma4 and every
-h_i is a constant, one-to-one, or two-to-one letter map.
+sum is taken in one of the two abelian group structures on Sigma4 and each
+h_i is any of the 256 letter maps.
 
 Any such network can be rewritten into an equivalent degree-3 form whose
 nodes are sources (0 in, 1 out), sinks (1 in, 0 out), forks (1 in, 2 out,
@@ -86,12 +86,6 @@ class GroupKind(enum.Enum):
         raise SchemaError(f"unknown group {name!r} (expected Z4 or Z2xZ2)")
 
 
-class MapClass(enum.Enum):
-    CONSTANT = "constant"
-    ONE_TO_ONE = "one-to-one"
-    TWO_TO_ONE = "two-to-one"
-
-
 @dataclass(frozen=True)
 class LetterMap:
     """A letter map given by its value table, indexed by input letter."""
@@ -100,23 +94,6 @@ class LetterMap:
 
     def __call__(self, x: Letter) -> Letter:
         return self.table[x]
-
-    def try_classify(self) -> MapClass | None:
-        """Classify the map, or return None when it is in no legal class.
-
-        Legal classes: constant (image size 1), one-to-one (image size 4),
-        two-to-one (image size 2, each image value hit exactly twice).
-        A map of image size 3, or of image size 2 with a 3/1 preimage split,
-        is illegal and is reported by validation, never repaired.
-        """
-        size = len(set(self.table))
-        if size == 1:
-            return MapClass.CONSTANT
-        if size == 4:
-            return MapClass.ONE_TO_ONE
-        if size == 2 and self.table.count(self.table[0]) == 2:
-            return MapClass.TWO_TO_ONE
-        return None
 
     @property
     def is_identity(self) -> bool:
@@ -395,11 +372,6 @@ def validate_network(net: Network, proto: ClassicalProtocol) -> ValidationReport
                         f"incoming edge {term.in_pos} twice"
                     )
                 seen_in.add(term.in_pos)
-                if term.map.try_classify() is None:
-                    rep.add(
-                        f"operation map {term.map.table} on node {v} (out {op.out_pos}) "
-                        "is neither constant, one-to-one nor two-to-one"
-                    )
 
     for n in net.nodes:
         if n.kind == "internal":
@@ -480,10 +452,11 @@ def validate_d3(d3: D3Network) -> ValidationReport:
 
     Each node's role, read from its kind and degree, fixes its edge
     operations, so checking that every node of known kind has a role and
-    every transform a legal map covers what `validate_network` checks on
-    the implied protocol.  A node of known kind whose degree belongs to no
-    role is one violation, and an unknown kind is reported by the graph
-    check alone.  A node with no role gets no letter map check either.
+    every transform a letter map (any of the 256) covers what
+    `validate_network` checks on the implied protocol.  A node of known
+    kind whose degree belongs to no role is one violation, and an unknown
+    kind is reported by the graph check alone.  A node with no role gets
+    no letter map check either.
     """
     rep = ValidationReport()
     net = d3.network
@@ -498,11 +471,8 @@ def validate_d3(d3: D3Network) -> ValidationReport:
             expected = f"{', '.join(rest)} or {last}" if rest else last
             rep.add(f"{n.kind} {n.id} has degree {net.degree(n.id)}, expected {expected}")
         elif role == "transform":
-            m = d3.transforms.get(n.id)
-            if m is None:
+            if d3.transforms.get(n.id) is None:
                 rep.add(f"transform {n.id} has no letter map")
-            elif m.try_classify() is None:
-                rep.add(f"transform {n.id} carries illegal map {m.table}")
     for v in d3.transforms:
         if v not in roles:
             rep.add(f"letter map given for unknown node {v}")

@@ -2,7 +2,9 @@
 
 Each node becomes one prepare-and-measure op, and every edge carries a
 tetra state shrunk by a factor that the compiler tracks exactly.  One
-table, `_RULES`, gives each node's op tag and the shrink it emits.
+table, `_RULES`, gives each node's op tag and the shrink it emits; a
+transform takes any of the 256 letter maps, and its row reads the map's
+largest preimage size.
 
 Every join, fork and transform op also carries its transition kernel: the
 exact conditional law P(output letters | input letters), as integer
@@ -42,7 +44,6 @@ from .netgraph import (
     GroupKind,
     Letter,
     LetterMap,
-    MapClass,
     letter_to_str,
 )
 from .shrink import shrunk_weights
@@ -52,21 +53,35 @@ JOIN = "Join"
 TRANSFORM_CONSTANT = "TransformConstant"
 TRANSFORM_ONE_TO_ONE = "TransformOneToOne"
 TRANSFORM_TWO_TO_ONE = "TransformTwoToOne"
+TRANSFORM_MAP = "TransformMap"
 FORK_EFC = "ForkEFC"
 SINK_NOOP = "SinkNoop"
 
 # The shrink table: each role's op tag and the shrink factor it emits, as a
 # function of the shrink factors of its incoming edges.  A transform's row
-# is keyed by its map's class.
+# also reads k, the largest preimage size of its map: a constant map
+# (k = 4) prepares its letter afresh, and any other map emits
+# a/(3k - (k - 1)a), so a/3 one-to-one and a/(6 - a) two-to-one.
 _RULES = {
     "source": (SOURCE_TTR, lambda: Fraction(1)),
     "join": (JOIN, lambda a, b: a * b / 9),
-    MapClass.CONSTANT: (TRANSFORM_CONSTANT, lambda a: Fraction(1)),
-    MapClass.ONE_TO_ONE: (TRANSFORM_ONE_TO_ONE, lambda a: a / 3),
-    MapClass.TWO_TO_ONE: (TRANSFORM_TWO_TO_ONE, lambda a: a / (6 - a)),
+    "transform": (
+        TRANSFORM_MAP, lambda a, k: Fraction(1) if k == 4 else a / (3 * k - (k - 1) * a)
+    ),
     "fork": (FORK_EFC, lambda a: a / 9),
     "sink": (SINK_NOOP, lambda a: a),
 }
+
+# the paper's three transform tags, by the preimage sizes of their maps in
+# ascending order; the 192 other maps keep the transform row's tag
+_TRANSFORM_TAGS = {
+    (4,): TRANSFORM_CONSTANT,
+    (1, 1, 1, 1): TRANSFORM_ONE_TO_ONE,
+    (2, 2): TRANSFORM_TWO_TO_ONE,
+}
+
+# the laws compile_protocol notes, by tag
+_NOTED = {FORK_EFC: "fork", TRANSFORM_TWO_TO_ONE: "two-to-one", TRANSFORM_MAP: "letter map"}
 
 # str() refuses ints of more than 4300 digits by default.  Every exact number
 # qnc4 prints is over a shrink's denominator (times at most 12) or a fork's
@@ -114,17 +129,20 @@ _Law = namedtuple("_Law", "node tag alpha map a_in")
 
 @dataclass(frozen=True)
 class Note:
-    """A law compile_protocol verified: a fork's (map None) or a two-to-one
-    map's, at an exact incoming shrink, formatted only by str()."""
+    """A law compile_protocol verified at an exact incoming shrink: a
+    fork's (map None), or a transform's of a tag in `_NOTED`, formatted
+    only by str()."""
 
+    tag: str
     shrink: Fraction
     map: LetterMap | None = None
 
     def __str__(self) -> str:
+        text = f"{_NOTED[self.tag]} law verified at incoming shrink {self.shrink}"
         if self.map is None:
-            return f"fork law verified at incoming shrink {self.shrink}"
+            return text
         table = ",".join(letter_to_str(z) for z in self.map.table)
-        return f"two-to-one law verified at incoming shrink {self.shrink} for map {table}"
+        return f"{text} for map {table}"
 
 
 @dataclass(frozen=True)
@@ -292,8 +310,14 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
     for v in order:
         a_in = tuple(alphas[net.edges[e][0]] for e in net.in_edges(v))
         m = d3.transforms.get(v)
-        tag, shrink = _RULES[d3.roles[v] if m is None else m.try_classify()]
-        alpha = alphas[v] = shrink(*a_in)
+        tag, shrink = _RULES[d3.roles[v]]
+        if m is None:
+            alpha = shrink(*a_in)
+        else:
+            sizes = tuple(sorted(map(m.table.count, set(m.table))))
+            tag = _TRANSFORM_TAGS.get(sizes, tag)
+            alpha = shrink(*a_in, sizes[-1])
+        alphas[v] = alpha
         # a fork's two outputs have a joint law over up to 16 q^2
         q = alpha.denominator
         biggest = 16 * q * q if tag == FORK_EFC else q
@@ -331,8 +355,8 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
             # checked against the copy of the target it was built from, which
             # neither changes
             _check_kernel(op, a_in, target)
-            if tag in (FORK_EFC, TRANSFORM_TWO_TO_ONE):
-                notes.append(Note(a_in[0], m))
+            if tag in _NOTED:
+                notes.append(Note(tag, a_in[0], m))
     return CompiledProtocol(d3, ops, order, depths, tuple(notes))
 
 

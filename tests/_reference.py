@@ -38,6 +38,7 @@ from qnc4.qcompiler import (
     SOURCE_TTR,
     TRANSFORM_CONSTANT,
     TRANSFORM_ONE_TO_ONE,
+    TRANSFORM_TWO_TO_ONE,
     CompiledProtocol,
     Kernel,
     QuantumOp,
@@ -74,6 +75,8 @@ def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
     """Output letter distribution of a transform given the incoming letter."""
     if op.tag == TRANSFORM_CONSTANT:
         return {op.letter: Fraction(1)}
+    if op.tag not in (TRANSFORM_ONE_TO_ONE, TRANSFORM_TWO_TO_ONE):
+        raise ValueError(f"no reference branch law for a {op.tag} node")
     out: dict[Letter, Fraction] = {}
     for x, t in ttr_outcome_weights(u).items():
         if op.tag == TRANSFORM_ONE_TO_ONE:

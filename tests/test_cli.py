@@ -6,11 +6,12 @@ import logging
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from _generators import diamond_chain, mutate_document
-from qnc4 import cli, instances, netgraph
+from qnc4 import cli, instances, netgraph, qsim
 from qnc4.cli import main
 from qnc4.errors import VerificationError
 from qnc4.instances import BUNDLED
@@ -642,6 +643,42 @@ def test_report_butterfly(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 8  # two sinks, four checks each
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_maps_of_no_paper_class_validate_compile_and_pass(tmp_path, capsys):
+    # one Z4 source split into two paths, mapped by 00,01,00,00 (preimage
+    # sizes 3 and 1) and 00,00,10,11 (2, 1 and 1) and summed at the sink,
+    # which then holds the source's letter: each path gets a/(3k - (k - 1)a)
+    # at incoming 1/9, k its map's largest preimage size, and the sink
+    # their join's 1/79 * 1/53 / 9
+    net = make_network(
+        nodes=[("s", "source"), ("a", "internal"), ("b", "internal"), ("t", "sink")],
+        edges=[("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")],
+        requirements={"t": "s"},
+    )
+    proto = netgraph.ClassicalProtocol(GroupKind.Z4, {
+        "a": (node_op(0, [(0, LetterMap((0, 1, 0, 0)))]),),
+        "b": (node_op(0, [(0, LetterMap((0, 0, 2, 3)))]),),
+        "t": (node_op(0, [(0, IDENTITY_MAP), (1, IDENTITY_MAP)]),),
+    })
+    path = _write_json(tmp_path, "two-path.json", netgraph.instance_to_json(net, proto))
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == "ok: structure and delivery requirement verified\n"
+    assert main(["compile", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sinks"]["t"]["alpha"] == "1/37683"
+    assert [(doc["ops"][v]["op"], doc["ops"][v]["alpha"]) for v in "ab"] == [
+        ("TransformMap", "1/79"), ("TransformMap", "1/53")
+    ]
+    compiled = compile_protocol(netgraph.normalize_to_d3(net, proto)[0])
+    for x in range(4):
+        assert main(["simulate", path, "--mode", "oracle", "--inputs", letter_to_str(x)]) == 0
+        got = json.loads(capsys.readouterr().out)["sinks"]["t"]["mixture"]
+        exact = qsim.simulate_analytic(compiled, [x]).sink_mixtures["t"]
+        assert {z: Fraction(got.get(letter_to_str(z), 0)) for z in range(4)} == exact
+        assert main(["report", path, "--inputs", letter_to_str(x), "--trials", "20000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and all(line.startswith("PASS ") for line in lines)
 
 
 def test_report_passes_a_correct_program_at_few_trials(capsys):

@@ -28,7 +28,7 @@ _EXACT = (
 # the public names of `qnc4`, submodules included
 _PUBLIC = (
     "ClassicalProtocol", "CompiledProtocol", "D3Network", "GroupKind", "IDENTITY_MAP",
-    "LETTERS", "LetterMap", "MapClass", "Network", "NodeOp", "QncError", "QuantumOp",
+    "LETTERS", "LetterMap", "Network", "NodeOp", "QncError", "QuantumOp",
     "SchemaError", "ShrunkState", "SizeError", "Term", "ValidationError",
     "VerificationError", "check_requirement", "classical_eval", "compile_protocol",
     "constant_map", "efc", "errors", "estimate_fidelity", "evaluate",

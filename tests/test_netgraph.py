@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,6 @@ from qnc4.netgraph import (
     GroupKind,
     IDENTITY_MAP,
     LetterMap,
-    MapClass,
     Term,
     constant_map,
     instance_from_json,
@@ -26,7 +26,13 @@ from qnc4.netgraph import (
     validate_network,
 )
 from qnc4.classical_eval import check_requirement, truth_table
-from qnc4.qcompiler import compile_protocol
+from qnc4.qcompiler import (
+    TRANSFORM_CONSTANT,
+    TRANSFORM_MAP,
+    TRANSFORM_ONE_TO_ONE,
+    TRANSFORM_TWO_TO_ONE,
+    compile_protocol,
+)
 
 from _generators import random_network_instance
 
@@ -60,31 +66,48 @@ def test_group_axioms():
                 assert group.add(a, b) == group.add(b, a)
 
 
+def _transform_op(m: LetterMap):
+    """The compiled op of transform h in source -> h -> sink, carrying m."""
+    net = make_network(
+        [("s", "source"), ("h", "internal"), ("t", "sink")], [("s", "h"), ("h", "t")], {"t": "s"}
+    )
+    return compile_protocol(D3Network(net, {"h": m}, GroupKind.Z4)).ops["h"]
+
+
 def test_map_classification():
-    assert constant_map(2).try_classify() is MapClass.CONSTANT
-    assert IDENTITY_MAP.try_classify() is MapClass.ONE_TO_ONE
-    assert LetterMap((1, 1, 3, 3)).try_classify() is MapClass.TWO_TO_ONE
-    # image size 3, and a 3/1 split onto two values: both illegal
-    assert LetterMap((0, 1, 2, 2)).try_classify() is None
-    assert LetterMap((0, 0, 0, 1)).try_classify() is None
+    # every map compiles; the 192 outside the paper's three classes, such
+    # as image size 3 or a 3/1 split onto two values, share one tag
+    for m, tag in [
+        (constant_map(2), TRANSFORM_CONSTANT),
+        (IDENTITY_MAP, TRANSFORM_ONE_TO_ONE),
+        (LetterMap((1, 1, 3, 3)), TRANSFORM_TWO_TO_ONE),
+        (LetterMap((0, 1, 2, 2)), TRANSFORM_MAP),
+        (LetterMap((0, 0, 0, 1)), TRANSFORM_MAP),
+    ]:
+        assert _transform_op(m).tag == tag, m
 
 
 def test_map_classification_over_every_table():
-    # the rule, written out: image size 1 is constant, 4 is one-to-one, and
-    # 2 is two-to-one only when each image value has two preimages
-    found = {cls: 0 for cls in (*MapClass, None)}
+    # the rule, written out: image size 1 is constant, 4 is one-to-one, 2
+    # is two-to-one when each image value has two preimages, and every
+    # other map is TRANSFORM_MAP; at incoming shrink 1 the row
+    # a/(3k - (k - 1)a) is 1/(2k + 1) for k, the largest preimage size,
+    # and a constant map emits shrink 1
+    found = {}
     for table in itertools.product(range(4), repeat=4):
         preimages = sorted(table.count(y) for y in set(table))
         want = {
-            (4,): MapClass.CONSTANT,
-            (1, 1, 1, 1): MapClass.ONE_TO_ONE,
-            (2, 2): MapClass.TWO_TO_ONE,
-        }.get(tuple(preimages))
-        got = LetterMap(table).try_classify()
-        assert got is want, table
-        found[got] += 1
+            (4,): TRANSFORM_CONSTANT,
+            (1, 1, 1, 1): TRANSFORM_ONE_TO_ONE,
+            (2, 2): TRANSFORM_TWO_TO_ONE,
+        }.get(tuple(preimages), TRANSFORM_MAP)
+        op = _transform_op(LetterMap(table))
+        assert op.tag == want, table
+        k = preimages[-1]
+        assert op.alpha == (1 if k == 4 else Fraction(1, 2 * k + 1)), table
+        found[op.tag] = found.get(op.tag, 0) + 1
     assert found == {
-        MapClass.CONSTANT: 4, MapClass.ONE_TO_ONE: 24, MapClass.TWO_TO_ONE: 36, None: 192
+        TRANSFORM_CONSTANT: 4, TRANSFORM_ONE_TO_ONE: 24, TRANSFORM_TWO_TO_ONE: 36, TRANSFORM_MAP: 192
     }
 
 
@@ -132,28 +155,30 @@ def test_validation_violations(mutate, needle):
 
 def test_unknown_kind_skips_only_the_checks_that_need_a_kind():
     # no degree or requirement line for the widget, and no position check
-    # for its operation, but its illegal map is still reported
+    # for its operation, but its term list reading edge 0 twice is still
+    # reported
     net, proto = _tiny(
         nodes=[("s", "widget"), ("v", "widget"), ("t", "sink")],
         edges=[("s", "v"), ("v", "t")],
-        ops={"v": (node_op(3, [(0, LetterMap((0, 1, 2, 2)))]),)},
+        ops={"v": (node_op(3, [(0, IDENTITY_MAP), (0, IDENTITY_MAP)]),)},
     )
     assert validate_network(net, proto).violations == [
         "node s has unknown kind 'widget'",
         "node v has unknown kind 'widget'",
-        "operation map (0, 1, 2, 2) on node v (out 3) is neither constant, "
-        "one-to-one nor two-to-one",
+        "operation on node v (out 3) references incoming edge 0 twice",
     ]
 
 
-def test_validation_rejects_illegal_map():
+def test_validation_accepts_a_map_of_no_paper_class():
+    # image size 3: neither constant, one-to-one nor two-to-one
     net, proto = _tiny(
         nodes=[("s", "source"), ("v", "internal"), ("t", "sink")],
         edges=[("s", "v"), ("v", "t")],
         ops={"v": (node_op(0, [(0, LetterMap((0, 1, 2, 2)))]),)},
     )
-    report = validate_network(net, proto)
-    assert any("map" in v for v in report.violations), report.violations
+    assert validate_network(net, proto).ok
+    d3, _ = normalize_to_d3(net, proto)
+    assert d3.transforms == {"v": LetterMap((0, 1, 2, 2))}
 
 
 def test_validation_requires_decode_for_wide_sink():

@@ -22,6 +22,7 @@ from qnc4.qcompiler import (
     SINK_NOOP,
     SOURCE_TTR,
     TRANSFORM_CONSTANT,
+    TRANSFORM_MAP,
     TRANSFORM_ONE_TO_ONE,
     TRANSFORM_TWO_TO_ONE,
     Kernel,
@@ -233,10 +234,16 @@ def test_compile_rejects_bad_degree():
         D3Network(net, {}, GroupKind.Z2xZ2)
 
 
-def test_compile_rejects_unusable_map():
-    bad = LetterMap((0, 1, 2, 2))  # image of size 3: neither class
-    with pytest.raises(ValidationError, match="transform h0 carries illegal map"):
-        _chain([bad])
+def test_compile_takes_a_map_of_no_paper_class():
+    # image of size 3, neither constant, one-to-one nor two-to-one; its
+    # largest preimage size is 2, so it gets a/(6 - a) like a two-to-one map
+    m = LetterMap((0, 1, 2, 2))
+    comp = compile_protocol(_chain([SWAP01, m]))
+    assert comp.ops["h1"].tag == TRANSFORM_MAP
+    assert comp.ops["h1"].alpha == Fraction(1, 17)
+    assert [str(note) for note in comp.notes] == [
+        "letter map law verified at incoming shrink 1/3 for map 00,01,10,10"
+    ]
 
 
 def test_protocol_json_shape(diamond_compiled):
@@ -541,8 +548,9 @@ def test_flat_build_and_check_agree_with_the_references_on_random_ops():
 def test_every_rule_row_is_tight_or_states_its_margin():
     """Each row of the shrink table is the largest output shrink that
     build_kernel accepts, up to a factor 1 + 2^-20, at incoming shrinks 1,
-    1/3, 1/9 and 1/81 on both groups; the fork row is the exception, with
-    the margin stated below."""
+    1/3, 1/9 and 1/81 on both groups, and for the transform row, at 2/7
+    too and with each of the 252 non-constant maps; the fork row is the
+    exception, with the margin stated below."""
     shrinks = [Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 81)]
     over = 1 + Fraction(1, 2**20)
 
@@ -567,6 +575,26 @@ def test_every_rule_row_is_tight_or_states_its_margin():
             # y off the measured letter must meet, so the row is not tight
             assert builds(FORK_EFC, Fraction(139, 100) * a / 9, (a,), group)
             assert not builds(FORK_EFC, Fraction(3, 2) * a / 9, (a,), group)
+
+    # every non-constant map, at the row a/(3k - (k - 1)a) of its largest
+    # preimage size k, written here from the map's preimage shape: built
+    # as the two-step reference builds it, exact by the per-tuple check,
+    # and refused 1 + 2^-20 times higher
+    cases = 0
+    for table in product(LETTERS, repeat=4):
+        k = max(table.count(y) for y in set(table))
+        if k == 4:
+            continue
+        m = LetterMap(table)
+        for group in GroupKind:
+            for a in shrinks + [Fraction(2, 7)]:
+                op = qcompiler.QuantumOp("v", TRANSFORM_MAP, a / (3 * k - (k - 1) * a), map=m)
+                kernel = qcompiler.build_kernel(op, (a,), group)
+                assert kernel == build_kernel_two_step(op, (a,), group), (table, a)
+                check_kernel_by_tuples(replace(op, kernel=kernel), (a,), group)
+                assert not builds(TRANSFORM_MAP, op.alpha * over, (a,), group, m), (table, a)
+                cases += 1
+    assert cases == 2520
 
 
 def test_each_distinct_kernel_is_built_and_checked_once(monkeypatch):
