@@ -16,11 +16,22 @@ kernel is W(a_in)^-1 along each input applied to the target of the node's
 classical function at its output shrink (`build_kernel`), one mix per
 input.  The node reads each input through the tetra measurement, W(1/3),
 so its emission law is W(3) along each input applied to the kernel; a
-shrink whose emission law would be negative is refused.  Kernels are
-memoized within one compile.  The exact sweep in `qsim` runs on them.
+shrink whose emission law would be negative is refused.  The exact sweep
+in `qsim` runs on the kernels.
 
-`check_kernel` verifies every kernel once, at every incoming shrink where
-it occurs: mixed forward by W(a_in) along each input, it must give exactly
+Kernels are memoized within one compile.  A join adds its two letters in
+the group and a one-to-one transform permutes its letter: each is a
+bijection in every input, so mixing an input by W(a) mixes the output by
+W(a), and its kernel is W(r) peaked at f(z), r = a_out / prod(a_in).  Such
+a kernel depends on the incoming shrinks only through r, 1/9 for a join
+and 1/3 for a one-to-one map, so it is built once per (tag, map, r).  A
+fork's kernel and a many-to-one map's read the incoming shrink; they, and
+a constant map's, are built once per (tag, map, incoming shrinks).
+
+`check_kernel` verifies every kernel at every incoming shrink where it
+occurs, so a kernel shared by its ratio is checked at each node's own
+shrinks, and compile raises rather than return one that misses there.
+Mixed forward by W(a_in) along each input, a kernel must give exactly
 tetra_weights(ShrunkState(f(z), a_out)) on every tuple z of input letters
 (for a fork, the product of two such vectors).  Build, sign test and check
 run on one flat table of integers, row z after row z, and mix one input at
@@ -34,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, repeat
-from math import gcd
+from math import gcd, prod
 from operator import add, floordiv, mul
 
 from .errors import SizeError, VerificationError
@@ -79,6 +90,10 @@ _TRANSFORM_TAGS = {
     (1, 1, 1, 1): TRANSFORM_ONE_TO_ONE,
     (2, 2): TRANSFORM_TWO_TO_ONE,
 }
+
+# the tags whose function is a bijection in each input: their kernels
+# depend on the incoming shrinks only through alpha / prod(a_in)
+_BIJECTIVE = (JOIN, TRANSFORM_ONE_TO_ONE)
 
 # the laws compile_protocol notes, by tag
 _NOTED = {FORK_EFC: "fork", TRANSFORM_TWO_TO_ONE: "two-to-one", TRANSFORM_MAP: "letter map"}
@@ -297,6 +312,12 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
     built or verified.  Then raises VerificationError if a node's shrink
     is out of its law's reach or a kernel misses its target at an
     incoming shrink occurring in this network.
+
+    A join or one-to-one kernel is built once per ratio
+    alpha / prod(a_in), at the incoming shrinks of the first node that has
+    it, and every other kernel once per (tag, map, incoming shrinks).
+    Each kernel is checked, and noted, once per (tag, map, incoming
+    shrinks), so it is verified at every incoming shrink it is used at.
     """
     net = d3.network
     depths: dict[str, int] = {}
@@ -331,19 +352,27 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
 
     ops: dict[str, QuantumOp] = {}
     notes: list[Note] = []
-    # verified kernels by (tag, map, incoming shrinks); the group is fixed
-    # within one compile.  A shrink is keyed by its two ints, since hashing
-    # a Fraction inverts its denominator modulo a prime.
-    kernels: dict[tuple, Kernel] = {}
+    # kernels by law key, and the checked ones by (tag, map, incoming
+    # shrinks); the group is fixed within one compile.  A shrink is keyed by
+    # its two ints, since hashing a Fraction inverts its denominator modulo
+    # a prime.
+    built: dict[tuple, Kernel] = {}
+    checked: dict[tuple, Kernel] = {}
     for law in laws:
         v, tag, alpha, m, a_in = law
         target = kernel = None
         if tag not in (SOURCE_TTR, SINK_NOOP):
             key = (tag, m and m.table, *((a.numerator, a.denominator) for a in a_in))
-            kernel = kernels.get(key)
+            kernel = checked.get(key)
             if kernel is None:
                 target = _target_rows(law, len(a_in), d3.group)
-                kernel = kernels[key] = _build_kernel(law, a_in, target)
+                law_key = key
+                if tag in _BIJECTIVE:
+                    r = alpha / prod(a_in)
+                    law_key = (tag, m and m.table, r.numerator, r.denominator)
+                if law_key not in built:
+                    built[law_key] = _build_kernel(law, a_in, target)
+                kernel = checked[key] = built[law_key]
         op = ops[v] = QuantumOp(
             v, tag, alpha,
             input_alpha=a_in[0] if len(a_in) == 1 else None,

@@ -1,7 +1,8 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -597,19 +598,28 @@ def test_every_rule_row_is_tight_or_states_its_margin():
     assert cases == 2520
 
 
+def _law_key(tag, map_, alpha, a_in) -> tuple:
+    """The kernel's key by the lemma: a join or one-to-one kernel by its
+    ratio alpha / prod(a_in), any other by its incoming shrinks."""
+    if tag in (JOIN, TRANSFORM_ONE_TO_ONE):
+        return tag, map_, alpha / prod(a_in)
+    return tag, map_, a_in
+
+
 def test_each_distinct_kernel_is_built_and_checked_once(monkeypatch):
-    # the kernel memo is keyed by (tag, map, incoming shrinks); count the
-    # calls behind it against those keys, read off the compiled protocol
+    # kernels are built once per law key and checked once per (tag, map,
+    # incoming shrinks); count the calls behind them against those keys,
+    # read off the compiled protocol
     calls = {"build": [], "check": []}
     for name in ("build", "check"):
         real = getattr(qcompiler, f"_{name}_kernel")
 
         def counting(op, a_in, target, name=name, real=real):
-            calls[name].append((op.tag, op.map, a_in))
+            calls[name].append((op.tag, op.map, op.alpha, a_in))
             return real(op, a_in, target)
 
         monkeypatch.setattr(qcompiler, f"_{name}_kernel", counting)
-    # and the target rows, which build and check share, once per kernel
+    # and the target rows, which build and check share, once per check
     targets = []
     target_rows = qcompiler._target_rows
 
@@ -619,15 +629,68 @@ def test_each_distinct_kernel_is_built_and_checked_once(monkeypatch):
 
     monkeypatch.setattr(qcompiler, "_target_rows", counting_targets)
     net, proto = instances.bundled("butterfly-z4")
-    shared = 0  # kernel nodes that reuse a kernel built for another node
+    counts = []
     for d3 in (diamond_chain(5), netgraph.normalize_to_d3(net, proto)[0]):
         calls["build"].clear()
         calls["check"].clear()
         targets.clear()
         comp = compile_protocol(d3)
-        keys = {(op.tag, op.map, _incoming(comp, op.node)) for op in _kernel_ops(comp)}
-        shared += len(_kernel_ops(comp)) - len(keys)
-        for made in calls.values():
-            assert sorted(made, key=str) == sorted(keys, key=str)
-        assert len(targets) == len(keys)
-    assert shared > 0
+        laws = [(op.tag, op.map, op.alpha, _incoming(comp, op.node)) for op in _kernel_ops(comp)]
+        checks = {(tag, map_, a_in) for tag, map_, _, a_in in laws}
+        assert sorted(calls["check"], key=str) == sorted(set(laws), key=str)
+        assert len(targets) == len(checks) == len(calls["check"])
+        built = [_law_key(*law) for law in calls["build"]]
+        assert sorted(built, key=str) == sorted({_law_key(*law) for law in laws}, key=str)
+        counts.append((len(built), len(checks)))
+    # joins, and one-to-one maps, met at several incoming shrinks share a build
+    assert counts == [(16, 20), (7, 10)]
+
+
+def _distinct_shrinks(rng, n: int) -> list[Fraction]:
+    shrinks = set()
+    while len(shrinks) < n:
+        q = rng.randint(1, 60)
+        shrinks.add(Fraction(rng.randint(1, q), q))
+    return sorted(shrinks)
+
+
+def test_join_and_one_to_one_kernels_depend_only_on_the_shrink_ratio():
+    """A join adds its letters in the group and a one-to-one map permutes
+    its letter: a bijection in each input, so mixing an input by W(a)
+    mixes the output by W(a), and the kernel at output shrink r prod(a_in)
+    is one and the same at every a_in.  On both groups: a join at 20
+    seeded pairs of incoming shrinks, and each of the 24 one-to-one maps
+    at 5 seeded incoming shrinks."""
+    rng = random.Random(41)
+    maps = [LetterMap(table) for table in permutations(LETTERS)]
+    assert len(maps) == 24
+    for group in GroupKind:
+        pairs = zip(_distinct_shrinks(rng, 20), rng.sample(_distinct_shrinks(rng, 20), 20))
+        joins = {
+            qcompiler.build_kernel(qcompiler.QuantumOp("j", JOIN, a * b / 9), (a, b), group)
+            for a, b in pairs
+        }
+        assert len(joins) == 1
+        for m in maps:
+            kernels = {
+                qcompiler.build_kernel(
+                    qcompiler.QuantumOp("h", TRANSFORM_ONE_TO_ONE, a / 3, map=m), (a,), group
+                )
+                for a in _distinct_shrinks(rng, 5)
+            }
+            assert len(kernels) == 1, m
+
+
+@pytest.mark.parametrize("tag, map_, row", [
+    (FORK_EFC, None, lambda a: a / 9),
+    (TRANSFORM_TWO_TO_ONE, HIGH_BIT, lambda a: a / (6 - a)),
+    (TRANSFORM_MAP, LetterMap((0, 0, 1, 2)), lambda a: a / (6 - a)),
+], ids=["fork", "two-to-one", "letter-map"])
+def test_kernels_outside_the_lemma_read_their_incoming_shrink(tag, map_, row):
+    # so compile keys them by their incoming shrinks, not by a ratio
+    for group in GroupKind:
+        kernels = {
+            qcompiler.build_kernel(qcompiler.QuantumOp("v", tag, row(a), map=map_), (a,), group)
+            for a in (Fraction(1, 3), Fraction(1, 9))
+        }
+        assert len(kernels) == 2
