@@ -188,8 +188,8 @@ def cmd_simulate(args) -> int:
         }
         doc["fork_pairs"] = {
             v: {
-                letter_to_str(a) + letter_to_str(b): _num(p)
-                for (a, b), p in sorted(res.fork_joints[v].items())
+                "".join(map(letter_to_str, ys)): _num(p)
+                for ys, p in sorted(res.fork_joints[v].items())
             }
             for v in compiled.order
             if v in res.fork_joints

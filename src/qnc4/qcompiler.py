@@ -33,18 +33,18 @@ occurs, so a kernel shared by its ratio is checked at each node's own
 shrinks, and compile raises rather than return one that misses there.
 Mixed forward by W(a_in) along each input, a kernel must give exactly
 tetra_weights(ShrunkState(f(z), a_out)) on every tuple z of input letters
-(for a fork, the product of two such vectors).  Build, sign test and check
-run on one flat table of integers, row z after row z, and mix one input at
-a time by `_mix`, stepping by `_steps`: O(d 4^d 4^w) operations for d
-inputs.  A mismatch raises VerificationError, so a compiled protocol only
-exists if each of its node laws lands on the bookkeeping above.
+(for k output letters, the product of k such vectors).  Build, sign test
+and check run on one flat table of integers, row z after row z, and mix
+one input at a time by `_mix`, stepping by `_steps`: O(d 4^d 4^k)
+operations.  A mismatch raises VerificationError, so a compiled protocol
+only exists if each of its node laws lands on the bookkeeping above.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from math import gcd, prod
 from operator import add, floordiv, mul
 
@@ -95,6 +95,8 @@ _TRANSFORM_TAGS = {
 # depend on the incoming shrinks only through alpha / prod(a_in)
 _BIJECTIVE = (JOIN, TRANSFORM_ONE_TO_ONE)
 
+_OUTPUTS = {FORK_EFC: 2}  # how many letters each tag's op emits, where not one
+
 # the laws compile_protocol notes, by tag
 _NOTED = {FORK_EFC: "fork", TRANSFORM_TWO_TO_ONE: "two-to-one", TRANSFORM_MAP: "letter map"}
 
@@ -108,11 +110,11 @@ MAX_DIGITS = 4000
 class Kernel:
     """Exact transition law of one node: P(output letters | input letters).
 
-    rows[i] is the row for input index i = sum z_j 4^(d-1-j) over the d
-    incoming letters z_j: the letter u, or 4 * u1 + u2 for a join.  It is
-    a tuple of 4^w numerators, w the number of output letters, where entry
-    k packs the output letters two bits each, first letter highest.
-    Every probability is numerator / den.
+    One layout for any arity, two bits per letter, first letter highest:
+    rows[i] is the row for the d incoming letters at i = sum z_j 4^(d-1-j),
+    in in-edge order, and holds 4^k numerators, the entry for the k output
+    letters, in out-edge order, at sum y_j 4^(k-1-j).  Every probability
+    is numerator / den.
     """
 
     den: int
@@ -190,18 +192,23 @@ class CompiledProtocol:
 
 
 def _target_rows(op: QuantumOp, n_in: int, group: GroupKind) -> tuple[list[int], int, int]:
-    """T(y | z) as (flat table, row width, denominator): row z is the shrunk
-    weights at op.alpha peaked at the letter of a join's group sum or a
-    transform's map, or for a fork their outer product, peaked at its two
-    copies of the input letter."""
+    """T(y | z) as (flat table, row width, denominator): row z is the k-fold
+    outer product, k the op's output letters, of the shrunk weights at
+    op.alpha peaked at the group sum of op.map (the identity when None)
+    on each input letter."""
     own, other, scale = shrunk_weights(op.alpha)
-    fork = op.tag == FORK_EFC
+    k = _OUTPUTS.get(op.tag, 1)
+    peaks = f = op.map.table if op.map else LETTERS  # each row's peak, one input at a time
+    for _ in range(n_in - 1):
+        peaks = [group.add(y, x) for y in peaks for x in f]
     flat = []
-    for zs in product(LETTERS, repeat=n_in):
-        row = [other] * 4
-        row[group.add(*zs) if op.tag == JOIN else zs[0] if fork else op.map(zs[0])] = own
-        flat += [x * y for x in row for y in row] if fork else row
-    return flat, 16 if fork else 4, scale ** (2 if fork else 1)
+    for y in peaks:  # row z, the k-fold outer product of the weights peaked at y
+        row = entries = [other] * 4
+        row[y] = own
+        for _ in range(k - 1):
+            entries = [n * w for n in entries for w in row]
+        flat += entries
+    return flat, 4**k, scale**k
 
 
 def _steps(width: int, n_in: int) -> list[int]:
@@ -339,9 +346,8 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
             tag = _TRANSFORM_TAGS.get(sizes, tag)
             alpha = shrink(*a_in, sizes[-1])
         alphas[v] = alpha
-        # a fork's two outputs have a joint law over up to 16 q^2
-        q = alpha.denominator
-        biggest = 16 * q * q if tag == FORK_EFC else q
+        # k outputs have a joint law over up to 16^(k-1) q^k = (16 q)^k / 16
+        biggest = (16 * alpha.denominator) ** _OUTPUTS.get(tag, 1) // 16
         digits = biggest.bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103
         if digits > MAX_DIGITS:
             raise SizeError(

@@ -14,11 +14,11 @@ its total: a node merges the factors that hold its inputs and applies its
 compiled transition kernel (`QuantumOp.kernel`) in Python-int arithmetic,
 then splits off every edge that an exact integer test proves independent
 of the rest of its factor, and cancels each factor's gcd.  Values become
-`Fraction`s when a marginal or fork joint is recorded, or floats
-throughout when any source is given a state vector or density matrix; a
-sink's mixture is a copy of its input edge's marginal.  It assumes nothing about independence across edges:
-every split is proven, which is what lets its per-edge marginals serve as
-ground truth.
+`Fraction`s when a marginal or the joint of a node's outputs is recorded,
+or floats throughout when any source is given a state vector or density
+matrix; a sink's mixture is a copy of its input edge's marginal.  It
+assumes nothing about independence across edges: every split is proven,
+which is what lets its per-edge marginals serve as ground truth.
 
 The independent reference for the kernels, the per-node `Fraction` laws,
 lives with the tests in `tests/_reference.py`.  `simulate_analytic` skips
@@ -50,7 +50,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from math import gcd, lcm
 from numbers import Integral
@@ -59,13 +59,7 @@ from operator import mul, truediv
 from .errors import SizeError
 from .netgraph import LETTERS, Letter, as_letter
 from .classical_eval import evaluate
-from .qcompiler import (
-    FORK_EFC,
-    SINK_NOOP,
-    SOURCE_TTR,
-    CompiledProtocol,
-    Kernel,
-)
+from .qcompiler import SINK_NOOP, SOURCE_TTR, CompiledProtocol, Kernel
 from .shrink import ShrunkState, shrunk_probabilities, tetra_weights
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -132,9 +126,9 @@ def _resolve_inputs(compiled: CompiledProtocol, inputs) -> dict[str, dict]:
 
 @dataclass
 class OracleResult:
-    """Every edge's letter marginal, every fork's joint over its two
-    outputs and every sink's letter mixture; largest_factor is the most
-    live edges any factor of the sweep held, counted before splitting."""
+    """Each edge's letter marginal, each multi-output node's joint by its
+    output letters in out-edge order, each sink's letter mixture, and
+    largest_factor, the most live edges a factor held before splitting."""
 
     edge_marginals: dict[int, dict[Letter, object]]
     fork_joints: dict[str, dict[tuple, object]]
@@ -157,6 +151,8 @@ def _source_kernel(law: dict) -> Kernel:
 # `table` over their sum `total`, entry i for the edges' letters packed as
 # in a `Kernel` row.
 _Factor = namedtuple("_Factor", ("edges", "table", "total"))
+
+_entry_letters = cache(lambda k: tuple(product(LETTERS, repeat=k)))  # in `Kernel` entry order
 
 
 def _cancelled(edges: tuple, table: list, total: int) -> _Factor:
@@ -203,10 +199,10 @@ def _split(edges: tuple, table: list, total: int) -> list[_Factor]:
 def _input_mass(held: list[_Factor], ins: tuple) -> tuple[list[list], int]:
     """The merged law of the factors that hold a node's input edges, as a
     list over the letters of the rest edges, in the factors' order, of the
-    mass of each input index (the letter u, or 4 * u1 + u2 for a join; 0
-    for a source, which holds nothing), and its total."""
+    mass of each kernel row index (`Kernel`; 0 for a source, which holds
+    nothing), and its total."""
     masses, total = None, 1
-    for f in held:  # in the order of ins, so u1 comes out above u2
+    for f in held:  # in the order of ins, so the first input comes out highest
         k, rows = len(f.edges), [f.table]
         if k > 1:
             pos = [f.edges.index(e) for e in ins if e in f.edges]
@@ -281,9 +277,10 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
             cols = list(zip(*kernel.rows))
             den = total * kernel.den
             table = [sum(map(mul, m, col)) for m in masses for col in cols]
-            if op.tag == FORK_EFC:  # the outputs' 16 entries repeat over the rest's letters
-                joint = enumerate(table if not rest else [sum(table[k::16]) for k in range(16)])
-                fork_joints[op.node] = {(k >> 2, k & 3): value(n, den) for k, n in joint if n}
+            if len(outs) > 1:  # the outputs' entries repeat over the rest's letters
+                joint = [sum(table[y::len(cols)]) for y in range(len(cols))] if rest else table
+                joint = zip(_entry_letters(len(outs)), joint)
+                fork_joints[op.node] = {y: value(n, den) for y, n in joint if n}
             factors = _split(rest + outs, table, den)
         for f in factors:
             for e in f.edges:
@@ -497,19 +494,16 @@ def simulate_montecarlo(
                 u *= 1 << shift  # exact: a power of two
                 j = u.astype(np.uint8)
                 u -= j
-                if ins:
-                    row = ins[0] if len(ins) == 1 else ins[0] << 2 | ins[1]
-                    j |= row << shift
+                if ins:  # the kernel's row index, first input letter highest
+                    j |= reduce(lambda row, z: row << 2 | z, ins) << shift
                 np.copyto(i, j)
                 prob.take(i, out=p)
                 i <<= 1
                 i |= u >= p
                 out = outcomes.take(i)
-                if len(out_edges) == 1:
-                    letters[out_edges[0]] = out
-                else:
-                    letters[out_edges[0]] = out >> 2
-                    letters[out_edges[1]] = out & 3
+                for e in reversed(out_edges[1:]):  # the last output letter lowest
+                    letters[e], out = out & 3, out >> 2
+                letters[out_edges[0]] = out
 
     errors: list[BaseException] = []
 

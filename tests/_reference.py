@@ -23,6 +23,7 @@ only for small networks.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product, repeat
 from math import gcd, prod
 from operator import add, mul
@@ -112,27 +113,29 @@ def fork_branch_law(op: QuantumOp, u: Letter) -> dict[tuple, Fraction]:
 def _target_rows(op: QuantumOp, n_in: int, group: GroupKind) -> tuple[list[list[int]], int]:
     """T(y | z), one integer row per input index over the returned
     denominator: the shrunk weights at op.alpha peaked at the letter of a
-    join's group sum or a transform's map, or for a fork their outer
-    product, peaked at its two copies of the input letter."""
+    join's group sum of its n_in letters or a transform's map, or for a
+    fork their outer product, peaked at its two copies of the input
+    letter."""
     own, other, scale = shrunk_weights(op.alpha)
     fork = op.tag == FORK_EFC
     rows = []
     for zs in product(LETTERS, repeat=n_in):
         row = [other] * 4
-        row[group.add(*zs) if op.tag == JOIN else zs[0] if fork else op.map(zs[0])] = own
+        row[reduce(group.add, zs) if op.tag == JOIN else zs[0] if fork else op.map(zs[0])] = own
         rows.append([x * y for x in row for y in row] if fork else row)
     return rows, scale ** (2 if fork else 1)
 
 
 def _mix(rows: list, stride: int, own: int, rest: int) -> list[list[int]]:
     """Replace each row x_z along the input letter that steps the row index
-    by stride (4 for a join's first input, else 1) with
-    own * x_z + rest * (the sum of the 4 rows x_u along that letter)."""
+    by stride with own * x_z + rest * (the sum of the 4 rows x_u along that
+    letter)."""
     out = list(rows)
-    for i in (0, 1, 2, 3) if stride == 4 else range(0, len(rows), 4):
-        axis = slice(i, i + 4 * stride, stride)
-        sums = [rest * sum(col) for col in zip(*rows[axis])]
-        out[axis] = [list(map(add, map(mul, row, repeat(own)), sums)) for row in rows[axis]]
+    for block in range(0, len(rows), 4 * stride):
+        for i in range(block, block + stride):
+            axis = slice(i, i + 4 * stride, stride)
+            sums = [rest * sum(col) for col in zip(*rows[axis])]
+            out[axis] = [list(map(add, map(mul, row, repeat(own)), sums)) for row in rows[axis]]
     return out
 
 
@@ -152,7 +155,8 @@ def build_kernel_two_step(op: QuantumOp, a_in: tuple[Fraction, ...], group: Grou
     W(1/3) = W(3)^-1 along each input gives the kernel.  Raises
     VerificationError, naming the node, if E has a negative entry."""
     rows, den = _target_rows(op, len(a_in), group)
-    strides = (4, 1)[-len(a_in):]  # input index 4 * z1 + z2, or z
+    d = len(a_in)
+    strides = [4 ** (d - 1 - i) for i in range(d)]  # row index sum z_i 4^(d-1-i)
     for stride, a in zip(strides, a_in):
         rows, den = _unmix(rows, den, stride, a / 3)
     if any(n < 0 for row in rows for n in row):
@@ -187,7 +191,7 @@ def check_kernel_by_tuples(op: QuantumOp, a_in: tuple[Fraction, ...], group: Gro
             w = prod(o if u == z else f for z, u, (o, f, _) in zip(zs, us, ins))
             mixed = [m + w * n for m, n in zip(mixed, row)]
         if op.tag == JOIN:
-            want = (group.add(*zs),)
+            want = (reduce(group.add, zs),)
         elif op.tag == FORK_EFC:
             want = zs * 2
         else:

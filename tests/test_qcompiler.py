@@ -598,6 +598,35 @@ def test_every_rule_row_is_tight_or_states_its_margin():
     assert cases == 2520
 
 
+def test_three_input_sum_builds_at_its_row_and_no_higher():
+    """A join of three letters, through the one target rule for any arity:
+    at incoming shrinks 1, (1/3, 1/9, 2/7) and 1/81 each, on both groups,
+    build_kernel accepts the d-term row prod(a_i)/27 with the two-step
+    reference's kernel, which check_kernel and check_kernel_by_tuples both
+    pass, and both refuse one changed entry with the same message; 1 + 2^-20
+    times higher, build_kernel and the reference refuse alike."""
+    over = 1 + Fraction(1, 2**20)
+    cases = [(Fraction(1),) * 3, (Fraction(1, 3), Fraction(1, 9), Fraction(2, 7)),
+             (Fraction(1, 81),) * 3]
+    for group in GroupKind:
+        for a_in in cases:
+            op = qcompiler.QuantumOp("v", JOIN, prod(a_in) / 27)
+            kernel = qcompiler.build_kernel(op, a_in, group)
+            assert kernel == build_kernel_two_step(op, a_in, group), a_in
+            assert len(kernel.rows) == 64
+            op = replace(op, kernel=kernel)
+            assert _message(check_kernel, op, a_in, group) is None
+            assert _message(check_kernel_by_tuples, op, a_in, group) is None
+            rows = [list(row) for row in kernel.rows]
+            rows[37][2] += 1
+            bad = replace(op, kernel=Kernel(kernel.den, tuple(map(tuple, rows))))
+            got = _message(check_kernel, bad, a_in, group)
+            assert got is not None and got == _message(check_kernel_by_tuples, bad, a_in, group)
+            raised = replace(op, alpha=op.alpha * over, kernel=None)
+            got = _message(qcompiler.build_kernel, raised, a_in, group)
+            assert got is not None and got == _message(build_kernel_two_step, raised, a_in, group)
+
+
 def _law_key(tag, map_, alpha, a_in) -> tuple:
     """The kernel's key by the lemma: a join or one-to-one kernel by its
     ratio alpha / prod(a_in), any other by its incoming shrinks."""
