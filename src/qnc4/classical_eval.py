@@ -11,8 +11,10 @@ carries a column, its letter on every row, as one byte per row.  Over the
 lexicographic order, first source highest.  A node's output column is the
 group sum of its terms' mapped input columns, computed entry-wise from each
 map's value table and the group's 16-entry addition table; an identity term
-reads its input column as is.  `edge_values` and `evaluate` walk one row,
-`truth_table` and `check_requirement` all 4^S rows at once.
+reads its input column as is.  A sink's decoded column is summed the same
+way in the same walk.  No row count is passed: a column's length is its
+row count.  `edge_values` and `evaluate` walk one row, `truth_table` and
+`check_requirement` all 4^S rows at once.
 """
 
 from dataclasses import dataclass
@@ -38,8 +40,9 @@ def _resolve(instance, proto):
     return instance, proto
 
 
-def _sum(add, cols, ins, terms, n_rows: int) -> bytes:
-    """The column of sum h(X) over the terms, from the edge columns."""
+def _sum(add, cols, ins, terms) -> bytes:
+    """The column of sum h(X) over the terms, from the edge columns; all
+    00 on a node with no terms, as long as its first input's column."""
     acc = None
     for t in terms:
         col = cols[ins[t.in_pos]]
@@ -47,34 +50,28 @@ def _sum(add, cols, ins, terms, n_rows: int) -> bytes:
         if table != _IDENTITY:
             col = bytes(map(table.__getitem__, col))
         acc = col if acc is None else bytes(map(getitem, map(add.__getitem__, acc), col))
-    return bytes(n_rows) if acc is None else acc
+    return bytes(len(cols[ins[0]])) if acc is None else acc
 
 
-def _columns(net, proto, sources: list[bytes], n_rows: int) -> list:
-    """Every edge's column over n_rows rows, indexed by edge id, from one
-    column per source in sorted source-id order."""
+def _columns(net, proto, sources: list[bytes]) -> tuple[list, list[bytes]]:
+    """Every edge's column, indexed by edge id, and every sink's, in sorted
+    sink-id order, from one column per source in sorted source-id order."""
     add = _ADD[proto.group]
     by_source = dict(zip(net.source_ids, sources))
     cols: list = [None] * len(net.edges)
+    sinks = {}
     for v in net.topo_order:
         kind = net.kind_of[v]
-        outs = net.out_edges(v)
+        ins, outs = net.in_edges(v), net.out_edges(v)
         if kind == "source":
             for e in outs:
                 cols[e] = by_source[v]
         elif kind == "internal":
-            ins = net.in_edges(v)
             for op in proto.ops[v]:
-                cols[outs[op.out_pos]] = _sum(add, cols, ins, op.terms, n_rows)
-    return cols
-
-
-def _sink_columns(net, proto, cols, n_rows: int) -> list[bytes]:
-    add = _ADD[proto.group]
-    return [
-        _sum(add, cols, net.in_edges(t), proto.decode_terms(t), n_rows)
-        for t in net.sink_ids
-    ]
+                cols[outs[op.out_pos]] = _sum(add, cols, ins, op.terms)
+        else:  # a sink
+            sinks[v] = _sum(add, cols, ins, proto.decode_terms(v))
+    return cols, [sinks[t] for t in net.sink_ids]
 
 
 def _one_row(net, inputs) -> list[bytes]:
@@ -90,14 +87,13 @@ def edge_values(instance, proto, inputs) -> list[Letter]:
     `inputs` lists one letter per source, in sorted source-id order.
     """
     net, proto = _resolve(instance, proto)
-    return [col[0] for col in _columns(net, proto, _one_row(net, inputs), 1)]
+    return [col[0] for col in _columns(net, proto, _one_row(net, inputs))[0]]
 
 
 def evaluate(instance, proto, inputs) -> tuple[Letter, ...]:
     """Letters delivered at the sinks, in sorted sink-id order."""
     net, proto = _resolve(instance, proto)
-    cols = _columns(net, proto, _one_row(net, inputs), 1)
-    return tuple(col[0] for col in _sink_columns(net, proto, cols, 1))
+    return tuple(col[0] for col in _columns(net, proto, _one_row(net, inputs))[1])
 
 
 def _all_rows(net, what: str) -> list[bytes]:
@@ -124,8 +120,7 @@ def truth_table(instance, proto=None) -> TruthTable:
     """Outputs for every input tuple (guarded at 4**8 rows)."""
     net, proto = _resolve(instance, proto)
     sources = _all_rows(net, "truth table")
-    n_rows = 4 ** len(sources)
-    outs = _sink_columns(net, proto, _columns(net, proto, sources, n_rows), n_rows)
+    outs = _columns(net, proto, sources)[1]
     rows = dict(zip(product(LETTERS, repeat=len(sources)), zip(*outs)))
     return TruthTable(tuple(net.source_ids), tuple(net.sink_ids), rows)
 
@@ -146,7 +141,7 @@ def check_requirement(instance, proto=None) -> RequirementResult:
     net, proto = _resolve(instance, proto)
     sources = _all_rows(net, "requirement check")
     n = len(sources)
-    outs = _sink_columns(net, proto, _columns(net, proto, sources, 4 ** n), 4 ** n)
+    outs = _columns(net, proto, sources)[1]
     by_source = dict(zip(net.source_ids, sources))
     wants = [by_source[net.requirements[t]] for t in net.sink_ids]
     fails = [

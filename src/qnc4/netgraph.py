@@ -642,17 +642,14 @@ class _Normalizer:
                     self.add_edge(p, tr)
                     p = tr
                 ports.append(p)
-            if len(ports) == 1:
-                producers.append(ports[0])
-                continue
-            prev = None
+            acc = ports[0]
             for t in range(1, len(ports)):
                 jn = self.fresh(f"{v}.j{j}.{t - 1}")
                 self.add_node(jn, "join", v)
-                self.add_edge(prev if prev else ports[0], jn)
+                self.add_edge(acc, jn)
                 self.add_edge(ports[t], jn)
-                prev = jn
-            producers.append(prev)
+                acc = jn
+            producers.append(acc)
         return producers
 
 

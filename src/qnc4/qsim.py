@@ -10,15 +10,18 @@ network once, along `compiled.sweep_order`, and keeping the joint
 distribution over the currently live edges only, merging histories that
 agree there.  It keeps that joint as a product of factors, each a flat
 list of integers over some live edges, laid out like a kernel row, and
-its total: a node merges the factors that hold its inputs and applies its
-compiled transition kernel (`QuantumOp.kernel`) in Python-int arithmetic,
-then splits off every edge that an exact integer test proves independent
-of the rest of its factor, and cancels each factor's gcd.  Values become
-`Fraction`s when a marginal or the joint of a node's outputs is recorded,
-or floats throughout when any source is given a state vector or density
-matrix; a sink's mixture is a copy of its input edge's marginal.  It
-assumes nothing about independence across edges: every split is proven,
-which is what lets its per-edge marginals serve as ground truth.
+its total.  Each node takes one step: it multiplies the factors that hold
+its inputs, with its input letters last as a kernel row index, applies
+its compiled transition kernel (`QuantumOp.kernel`) in Python-int
+arithmetic, then splits off every edge that an exact integer test proves
+independent of the rest of its factor, and cancels each factor's gcd.  A
+source applies its input's law; a sink records its input edge's marginal
+as its mixture and sums that input out when other edges share its
+factor.  Values become `Fraction`s when a marginal or the joint of a
+node's outputs is recorded, or floats throughout when any source is given
+a state vector or density matrix.  It assumes nothing about independence
+across edges: every split is proven, which is what lets its per-edge
+marginals serve as ground truth.
 
 The independent reference for the kernels, the per-node `Fraction` laws,
 lives with the tests in `tests/_reference.py`.  `simulate_analytic` skips
@@ -59,7 +62,7 @@ from operator import mul, truediv
 from .errors import SizeError
 from .netgraph import LETTERS, Letter, as_letter
 from .classical_eval import evaluate
-from .qcompiler import SINK_NOOP, SOURCE_TTR, CompiledProtocol, Kernel
+from .qcompiler import CompiledProtocol, Kernel
 from .shrink import ShrunkState, shrunk_probabilities, tetra_weights
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -196,27 +199,25 @@ def _split(edges: tuple, table: list, total: int) -> list[_Factor]:
     return factors
 
 
-def _input_mass(held: list[_Factor], ins: tuple) -> tuple[list[list], int]:
-    """The merged law of the factors that hold a node's input edges, as a
-    list over the letters of the rest edges, in the factors' order, of the
-    mass of each kernel row index (`Kernel`; 0 for a source, which holds
-    nothing), and its total."""
-    masses, total = None, 1
-    for f in held:  # in the order of ins, so the first input comes out highest
-        k, rows = len(f.edges), [f.table]
-        if k > 1:
-            pos = [f.edges.index(e) for e in ins if e in f.edges]
-            order = [j for j, e in enumerate(f.edges) if e not in ins] + pos
-            table, size = f.table, 4 ** len(pos)
-            if order != list(range(k)):  # move the input letters lowest
-                shifts = [2 * (k - 1 - j) for j in order]
-                table = [table[sum(z << s for z, s in zip(zs, shifts))]
-                         for zs in product(LETTERS, repeat=k)]
-            rows = [table[r:r + size] for r in range(0, len(table), size)]
-        masses = rows if masses is None else [
-            [a * b for a in m for b in row] for m in masses for row in rows]
+_SUM_OUT = Kernel(1, ((1,),) * 4)  # sums a sink's input out of its factor
+
+
+def _merged(held: list[_Factor], order: tuple) -> tuple[list, int]:
+    """The table and total of the product of the factors that hold a
+    node's input edges, over the same edges in the given order.  The sweep
+    puts the other edges first, in the factors' order, and then the inputs,
+    in in-edge order: each run of 4^(inputs) entries is then a list of
+    masses by kernel row index (`Kernel`)."""
+    edges, table, total = held[0] if held else ((), [1], 1)  # a source holds none
+    for f in held[1:]:
+        edges += f.edges
+        table = [a * b for a in table for b in f.table]
         total *= f.total
-    return masses or [[1]], total
+    if order != edges:
+        shifts = [2 * (len(edges) - 1 - edges.index(e)) for e in order]
+        table = [table[sum(z << s for z, s in zip(zs, shifts))]
+                 for zs in product(LETTERS, repeat=len(edges))]
+    return table, total
 
 
 def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
@@ -252,7 +253,7 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
     sink_mixtures: dict[str, dict] = {}
     net = compiled.d3.network
     for v in compiled.sweep_order:
-        op, ins, outs = compiled.ops[v], net.in_edges(v), tuple(net.out_edges(v))
+        op, ins, outs = compiled.ops[v], tuple(net.in_edges(v)), tuple(net.out_edges(v))
         held: list[_Factor] = []
         for e in ins:
             f = holder.pop(e)
@@ -266,22 +267,25 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
                 f"over the limit of {MAX_ORACLE_BRANCHES}; use Monte Carlo for this network"
             )
         largest = max(largest, width)
-        masses, total = _input_mass(held, ins)
-        if op.tag == SINK_NOOP:
+        if not ins:
+            kernel = _source_kernel(laws[op.node])
+        elif outs:
+            kernel = op.kernel
+        else:  # a sink, whose mixture is its input's marginal
             sink_mixtures[op.node] = dict(marginals[ins[0]])
-            if not rest:
+            if not rest:  # its input had a factor of its own
                 continue
-            factors = _split(rest, [sum(m) for m in masses], total)
-        else:
-            kernel = _source_kernel(laws[op.node]) if op.tag == SOURCE_TTR else op.kernel
-            cols = list(zip(*kernel.rows))
-            den = total * kernel.den
-            table = [sum(map(mul, m, col)) for m in masses for col in cols]
-            if len(outs) > 1:  # the outputs' entries repeat over the rest's letters
-                joint = [sum(table[y::len(cols)]) for y in range(len(cols))] if rest else table
-                joint = zip(_entry_letters(len(outs)), joint)
-                fork_joints[op.node] = {y: value(n, den) for y, n in joint if n}
-            factors = _split(rest + outs, table, den)
+            kernel = _SUM_OUT
+        table, total = _merged(held, rest + ins)
+        size, cols = 4 ** len(ins), list(zip(*kernel.rows))
+        masses = [table[r:r + size] for r in range(0, len(table), size)] if rest else [table]
+        table = [sum(map(mul, m, col)) for m in masses for col in cols]
+        den = total * kernel.den
+        if len(outs) > 1:  # the outputs' entries repeat over the rest's letters
+            joint = [sum(table[y::len(cols)]) for y in range(len(cols))] if rest else table
+            joint = zip(_entry_letters(len(outs)), joint)
+            fork_joints[op.node] = {y: value(n, den) for y, n in joint if n}
+        factors = _split(rest + outs, table, den)
         for f in factors:
             for e in f.edges:
                 holder[e] = f
@@ -443,15 +447,14 @@ def simulate_montecarlo(
     tables: dict[Kernel, tuple] = {}  # nodes with equal laws share a kernel
     steps = []
     for v in compiled.order:
-        op = compiled.ops[v]
-        if op.tag == SINK_NOOP:
-            table = None
-        else:
-            kernel = _source_kernel(laws[v]) if op.tag == SOURCE_TTR else op.kernel
+        ins, outs = net.in_edges(v), net.out_edges(v)
+        table = None  # a sink draws nothing
+        if outs:
+            kernel = compiled.ops[v].kernel if ins else _source_kernel(laws[v])
             if kernel not in tables:
                 tables[kernel] = alias_table(kernel)
             table = tables[kernel]
-        steps.append((v, net.in_edges(v), net.out_edges(v), table))
+        steps.append((v, ins, outs, table))
 
     workers = max(1, min(_usable_cpus(), trials // (CHUNK_SIZE // 4), MAX_WORKERS))
     bounds = [k * trials // workers for k in range(workers + 1)]

@@ -218,6 +218,17 @@ def test_split_frees_only_the_independent_middle_edge():
     ]
 
 
+def test_merged_orders_interleaved_inputs_by_in_edge():
+    # inputs 1 and 3 share a factor, input 2 has its own: the letters of
+    # inputs (1, 2, 3) land at row z1*16 + z2*4 + z3, as in a 3-input kernel;
+    # entries below 100 times distinct powers of 100 make each product unique
+    a, b = list(range(1, 17)), [1, 100, 10**4, 10**6]
+    table, total = qsim._merged([qsim._Factor((1, 3), a, 200), qsim._Factor((2,), b, 7)], (1, 2, 3))
+    assert total == 1400
+    for z1, z2, z3 in product(range(4), repeat=3):
+        assert table[z1 * 16 + z2 * 4 + z3] == a[z1 * 4 + z3] * b[z2]
+
+
 def _fork_rejoined_compiled():
     # s0's fork feeds the join j, together with s1, and the join k
     net = netgraph.make_network(
