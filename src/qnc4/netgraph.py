@@ -17,13 +17,13 @@ normalizer walks in that order and lists what it emits in the order it
 emits it, so the normal form of a normal form is the same network, node
 for node and edge for edge.
 
-The table `_ROLES` gives each role its node kind and degree, one to one.
+The table `_ROLES` gives each role its node kind and degree, one to one,
+and `_TERMS` its operations, the one place that `D3Network.protocol`, the
+default sink decode and the normalizer's rule for keeping a node read.
 `validate_network` checks degrees by kind; `validate_d3`, the check of a
 `D3Network` built in Python, reads each node's role from its kind and
 degree, so a wrong degree is reported once.  An unknown kind is reported
-once too: no check that needs a node's kind runs on it.  A sink without an
-operation decodes by the identity (`ClassicalProtocol.decode_terms`), and a
-`D3Network` builds its implied protocol once (`D3Network.protocol`).
+once too: no check that needs a node's kind runs on it.
 
 An instance has one JSON layout, `instance_to_json`: group, nodes, edges,
 requirements and each node's operations.  A normal form is written in it
@@ -248,11 +248,11 @@ class ClassicalProtocol:
 
     def decode_terms(self, t: str) -> tuple[Term, ...]:
         """The terms sink t decodes its letter from: its operation's, or the
-        identity on its lone input when it has none.  An explicit decode
-        with no terms means the constant 00."""
+        sink's row in `_TERMS`, the identity on its lone input, when it has
+        none.  An explicit decode with no terms means the constant 00."""
         for op in self.ops.get(t, ()):
             return op.terms
-        return (Term(0, IDENTITY_MAP),)
+        return _TERMS["sink"][0]
 
 
 @dataclass
@@ -319,11 +319,13 @@ def _check_kind_degrees(net: Network, rep: ValidationReport) -> None:
 
 
 def _check_requirements(net: Network, rep: ValidationReport) -> None:
+    # only known kinds count, and None is a missing node; _check_graph reports unknown kinds
+    if not net.sink_ids and all(n.kind in NODE_KINDS for n in net.nodes):  # the empty network too
+        rep.add("network has no sink")
     for t in net.sink_ids:
         if t not in net.requirements:
             rep.add(f"missing requirement for sink {t}")
     for t, s in net.requirements.items():
-        # a missing node or a known kind; _check_graph reports unknown kinds
         if net.kind_of.get(t) in (None, "source", "internal"):
             rep.add(f"requirement names {t}, which is not a sink")
         if net.kind_of.get(s) in (None, "sink", "internal"):
@@ -404,14 +406,23 @@ _ROLES = {
 # the inverse: the role of each (kind, degree) that has one
 _ROLE_OF = {shape: role for role, shape in _ROLES.items()}
 
+# each role's terms by output but a source's, row entry i reading input i;
+# None stands for a transform's own map, and the sink's one row is its decode
+_TERMS = {
+    "fork": ((Term(0, IDENTITY_MAP),), (Term(0, IDENTITY_MAP),)),
+    "join": ((Term(0, IDENTITY_MAP), Term(1, IDENTITY_MAP)),),
+    "transform": ((Term(0, None),),),
+    "sink": ((Term(0, IDENTITY_MAP),),),
+}
+_ZERO = Term(0, constant_map(0))  # the constant 00
+
 
 @dataclass
 class D3Network:
     """A network in degree-3 form, valid by construction.
 
-    Each node's role follows from its kind and degree (`roles`); the
-    implied protocol is: sources pass through, forks copy, joins add in
-    `group`, transforms apply their letter map, sinks receive.  Construction
+    Each node's role follows from its kind and degree (`roles`), and its
+    operations from its role (`_TERMS`), adding in `group`.  Construction
     runs `validate_d3` and raises ValidationError with its report.
     """
 
@@ -433,17 +444,17 @@ class D3Network:
 
     @cached_property
     def protocol(self) -> ClassicalProtocol:
-        """The implied edge operations, in ordinary protocol form, built on
-        first use and kept.  Sinks carry none: each decodes by the default
-        of `ClassicalProtocol.decode_terms`, the identity."""
+        """Each internal node's operations, its role's rows in `_TERMS` with a
+        transform's map for None, built on first use and kept.  Sinks carry
+        none: each decodes by the default of `ClassicalProtocol.decode_terms`."""
         ops = {}
-        for v, role in self.roles.items():
-            if role == "fork":
-                ops[v] = (node_op(0, [(0, IDENTITY_MAP)]), node_op(1, [(0, IDENTITY_MAP)]))
-            elif role == "join":
-                ops[v] = (node_op(0, [(0, IDENTITY_MAP), (1, IDENTITY_MAP)]),)
-            elif role == "transform":
-                ops[v] = (node_op(0, [(0, self.transforms[v])]),)
+        for n in self.network.nodes:
+            if n.kind == "internal":
+                m = self.transforms.get(n.id)
+                ops[n.id] = tuple(
+                    NodeOp(j, tuple(Term(t.in_pos, t.map or m) for t in row))
+                    for j, row in enumerate(_TERMS[self.roles[n.id]])
+                )
         return ClassicalProtocol(self.group, ops)
 
 
@@ -470,9 +481,8 @@ def validate_d3(d3: D3Network) -> ValidationReport:
             *rest, last = [str(d) for k, d in _ROLES.values() if k == n.kind]
             expected = f"{', '.join(rest)} or {last}" if rest else last
             rep.add(f"{n.kind} {n.id} has degree {net.degree(n.id)}, expected {expected}")
-        elif role == "transform":
-            if d3.transforms.get(n.id) is None:
-                rep.add(f"transform {n.id} has no letter map")
+        elif role == "transform" and d3.transforms.get(n.id) is None:
+            rep.add(f"transform {n.id} has no letter map")
     for v in d3.transforms:
         if v not in roles:
             rep.add(f"letter map given for unknown node {v}")
@@ -484,14 +494,13 @@ def validate_d3(d3: D3Network) -> ValidationReport:
 class _Normalizer:
     """Rewrites one validated instance into degree-3 form.
 
-    Nodes already shaped like a degree-3 role are kept under their own id,
-    and nodes and edges are listed as they are emitted, in the input's
-    listing order where the edges allow, so a degree-3 input is reproduced
-    unchanged, node for node and edge for edge.  Everything else is
-    decomposed: per-value fork chains make the needed copies, non-identity
-    term maps become transform nodes, and multi-term sums become left-leaning
-    join chains.  Incoming values that no operation uses are absorbed through
-    a constant-00 term, which contributes the group identity.
+    A node whose kind and degree have a role, and whose terms by output are
+    that role's (`_TERMS`), is kept under its own id, and nodes and edges
+    are listed as they are emitted, in the input's listing order where the
+    edges allow, so a degree-3 input is reproduced unchanged, node for node
+    and edge for edge.  Everything else is decomposed: per-value fork chains
+    make the needed copies, non-identity term maps become transform nodes,
+    and multi-term sums become left-leaning join chains.
     """
 
     def __init__(self, net: Network, proto: ClassicalProtocol):
@@ -514,12 +523,9 @@ class _Normalizer:
 
     def add_node(self, nid: str, role: str, orig: str, map_: LetterMap | None = None):
         self.nodes.append(Node(nid, _ROLES[role][0]))
-        if map_ is not None:
+        if role == "transform":
             self.transforms[nid] = map_
         self.corr[orig].append(nid)
-
-    def add_edge(self, u: str, v: str):
-        self.edges.append((u, v))
 
     def build(self) -> tuple[D3Network, dict[str, list[str]]]:
         for v in self.net.topo_order:
@@ -537,12 +543,6 @@ class _Normalizer:
         )
         return d3, self.corr
 
-    def _terms_by_out(self, v: str, n_out: int) -> list[list[tuple[int, LetterMap]]]:
-        by_out = [[] for _ in range(n_out)]
-        for op in self.proto.ops.get(v, ()):
-            by_out[op.out_pos] = [(t.in_pos, t.map) for t in op.terms]
-        return by_out
-
     def _copies(self, producer: str, n: int, base: str, orig: str) -> list[str]:
         """The producer of each of n copies of producer's value: a chain of
         forks {base}0 .. {base}(n-2), fork k feeding copy k and the next
@@ -552,79 +552,52 @@ class _Normalizer:
             f = self.fresh(f"{base}{k}")
             self.add_node(f, "fork", orig)
             self.copy_forks.add(f)
-            self.add_edge(chain[-1], f)
+            self.edges.append((chain[-1], f))
             chain.append(f)
         return [chain[min(k + 1, n - 1)] for k in range(n)]
 
     def _emit_source(self, v: str):
         outs = self.net.out_edges(v)
         self.add_node(v, "source", v)
-        for e, p in zip(outs, self._copies(v, len(outs), f"{v}.f", v)):
-            self.prod[e] = p
+        self.prod.update(zip(outs, self._copies(v, len(outs), f"{v}.f", v)))
 
     def _emit_internal(self, v: str):
-        ins = self.net.in_edges(v)
-        outs = self.net.out_edges(v)
-        by_out = self._terms_by_out(v, len(outs))
-
-        if len(ins) == 1 and len(outs) == 2:
-            if all(t == [(0, IDENTITY_MAP)] for t in by_out):
-                self.add_node(v, "fork", v)
-                self.add_edge(self.prod[ins[0]], v)
-                self.prod[outs[0]] = self.prod[outs[1]] = v
-                return
-        if len(ins) == 2 and len(outs) == 1:
-            if sorted(by_out[0]) == [(0, IDENTITY_MAP), (1, IDENTITY_MAP)]:
-                self.add_node(v, "join", v)
-                self.add_edge(self.prod[ins[0]], v)
-                self.add_edge(self.prod[ins[1]], v)
-                self.prod[outs[0]] = v
-                return
-        if len(ins) == 1 and len(outs) == 1:
-            terms = by_out[0]
-            m = terms[0][1] if terms else constant_map(0)
-            if len(terms) <= 1:
-                self.add_node(v, "transform", v, m)
-                self.add_edge(self.prod[ins[0]], v)
-                self.prod[outs[0]] = v
-                return
-
-        producers = self._build_chains(v, ins, by_out)
-        for j, e in enumerate(outs):
-            self.prod[e] = producers[j]
+        ins, outs = self.net.in_edges(v), self.net.out_edges(v)
+        by_out = [()] * len(outs)
+        for op in self.proto.ops.get(v, ()):
+            by_out[op.out_pos] = op.terms
+        by_out = _normal_terms(by_out, len(ins))
+        role = _kept_role("internal", ins, outs, by_out)
+        if role:
+            self.add_node(v, role, v, by_out[0][0].map)
+            for e in ins:
+                self.edges.append((self.prod[e], v))
+            for e in outs:
+                self.prod[e] = v
+        else:
+            self.prod.update(zip(outs, self._build_chains(v, ins, by_out)))
 
     def _emit_sink(self, v: str):
         ins = self.net.in_edges(v)
-        terms = [(t.in_pos, t.map) for t in self.proto.decode_terms(v)]
-        if len(ins) == 1 and terms == [(0, IDENTITY_MAP)]:
-            p = self.prod[ins[0]]
-        else:
-            p = self._build_chains(v, ins, [terms])[0]
+        by_out = _normal_terms([self.proto.decode_terms(v)], len(ins))
+        kept = _kept_role("sink", ins, (), by_out)
+        p = self.prod[ins[0]] if kept else self._build_chains(v, ins, by_out)[0]
         # a value copied just before delivery still needs a carrier operation
         if p in self.copy_forks:
             rx = self.fresh(f"{v}.rx")
             self.add_node(rx, "transform", v, IDENTITY_MAP)
-            self.add_edge(p, rx)
+            self.edges.append((p, rx))
             p = rx
         self.add_node(v, "sink", v)
-        self.add_edge(p, v)
+        self.edges.append((p, v))
 
     def _build_chains(self, v, ins, by_out) -> list[str]:
-        """Fork, transform and join structure for one decomposed node.
-        Returns the producing new node per output position."""
-        by_out = [list(t) for t in by_out]
-        for terms in by_out:
-            if not terms:
-                terms.append((0, constant_map(0)))
-        used_in = {i for terms in by_out for i, _ in terms}
-        for i in range(len(ins)):
-            if i not in used_in:
-                by_out[-1].append((i, constant_map(0)))
-
+        """Fork, transform and join structure for one decomposed node, its terms
+        in `_normal_terms`' form.  Returns the producing new node per output."""
         consumers = {i: [] for i in range(len(ins))}
         for j, terms in enumerate(by_out):
-            for t, (i, _) in enumerate(terms):
-                consumers[i].append((j, t))
+            for t, term in enumerate(terms):
+                consumers[term.in_pos].append((j, t))
 
         leaf = {}  # (j, t) -> producing node for that copy of the value
         for i, cons in consumers.items():
@@ -634,23 +607,49 @@ class _Normalizer:
         producers = []
         for j, terms in enumerate(by_out):
             ports = []
-            for t, (i, h) in enumerate(terms):
+            for t, term in enumerate(terms):
                 p = leaf[(j, t)]
-                if not h.is_identity:
+                if not term.map.is_identity:
                     tr = self.fresh(f"{v}.h{j}.{t}")
-                    self.add_node(tr, "transform", v, h)
-                    self.add_edge(p, tr)
+                    self.add_node(tr, "transform", v, term.map)
+                    self.edges.append((p, tr))
                     p = tr
                 ports.append(p)
             acc = ports[0]
             for t in range(1, len(ports)):
                 jn = self.fresh(f"{v}.j{j}.{t - 1}")
                 self.add_node(jn, "join", v)
-                self.add_edge(acc, jn)
-                self.add_edge(ports[t], jn)
+                self.edges.append((acc, jn))
+                self.edges.append((ports[t], jn))
                 acc = jn
             producers.append(acc)
         return producers
+
+
+def _normal_terms(by_out: list, n_in: int) -> list:
+    """A node's terms by output in the form it is kept or decomposed in: an
+    empty output reads the constant 00, and a constant-00 term on the last
+    output absorbs each input that no term reads.  Copies nothing in that form."""
+    if not all(by_out):
+        by_out = [terms or (_ZERO,) for terms in by_out]
+    # one input is read once every output is not empty
+    if n_in > 1 and len(used := {t.in_pos for terms in by_out for t in terms}) < n_in:
+        by_out[-1] += tuple(Term(i, _ZERO.map) for i in range(n_in) if i not in used)
+    return by_out
+
+
+def _kept_role(kind: str, ins, outs, by_out: list) -> str | None:
+    """The node's role, if its kind and degree have one whose terms are by_out
+    (from `_normal_terms`, each output's in any order); else None."""
+    role = _ROLE_OF.get((kind, (len(ins), len(outs))))
+    for terms, row in zip(by_out, _TERMS.get(role, ())):
+        if len(terms) != len(row):
+            return None
+        for t in terms:
+            m = row[t.in_pos].map
+            if m is not None and m.table != t.map.table:
+                return None
+    return role
 
 
 def normalize_to_d3(

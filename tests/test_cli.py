@@ -1,5 +1,6 @@
 import copy
 import csv
+import itertools
 import io
 import json
 import logging
@@ -706,6 +707,53 @@ def test_report_fails_below_the_floor(swap_chain_path, capsys):
         "PASS t: exact sweep matches the compiled mixture",
         "FAIL t: fidelity 4/9 (floor 5/9)",
     ]
+
+
+def test_an_instance_without_a_sink_exits_3_on_every_subcommand(tmp_path, capsys):
+    # with no nodes, validate printed ok and report passed without a line
+    doc = {"group": "Z4", "nodes": [], "edges": [], "requirements": [], "ops": {}}
+    path = _write_json(tmp_path, "empty.json", doc)
+    for command in _ALL_SIX:
+        code, out, err = _run_one(capsys, command, path)
+        assert (code, out) == (3, "violation: network has no sink\n"), command
+        assert "is not a valid network" in err, command
+
+
+def _claims(capsys, args, field):
+    """The field of each sink that `args` prints, none if it exits non-zero."""
+    code = main(args)
+    out = capsys.readouterr().out
+    return [] if code else [sink.get(field) for sink in json.loads(out)["sinks"].values()]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+def test_sinks_that_do_not_deliver_get_no_floor(tmp_path, capsys):
+    # the butterfly with t1 needing s2 and t2 needing s1 fails delivery:
+    # validate exits 3, yet compile and simulate printed the floor
+    # 797162/1594323 and report --inputs 00,00 passed
+    doc = instances.read_json("butterfly")
+    for req in doc["requirements"]:
+        req["source"] = {"s1": "s2", "s2": "s1"}[req["source"]]
+    path = _write_json(tmp_path, "swapped.json", doc)
+    assert main(["validate", path]) == 3
+    capsys.readouterr()
+    assert not any(_claims(capsys, ["compile", path], "fidelity_floor"))
+    assert not any(_claims(capsys, ["simulate", path, "--inputs", "01,10"], "fidelity_floor"))
+    for x, y in itertools.product(("00", "01", "10", "11"), repeat=2):
+        assert main(["report", path, "--inputs", f"{x},{y}"]) == 1, (x, y)
+        capsys.readouterr()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+def test_compile_claims_no_fidelity_for_a_sink_that_does_not_deliver(tmp_path, capsys):
+    # single-edge whose sink decodes nothing delivers 00 on every input:
+    # compile printed fidelity_tetra_input 1 from its own 1/2 + a/2, where
+    # simulate --inputs 01 gives 1/3
+    doc = instances.read_json("single-edge")
+    doc["ops"] = {"t": [{"out": 0, "terms": []}]}
+    path = _write_json(tmp_path, "decodes-nothing.json", doc)
+    for field in ("fidelity_tetra_input", "fidelity_floor"):
+        assert not any(_claims(capsys, ["compile", path], field)), field
 
 
 @pytest.mark.parametrize(

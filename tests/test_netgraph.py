@@ -460,6 +460,84 @@ def test_normalize_keeps_empty_sink_decode_constant():
     assert all(outs == (0,) for outs in table.rows.values())
 
 
+_ONE_IN = dict(
+    nodes=[("s", "source"), ("v", "internal"), ("t", "sink")], edges=[("s", "v"), ("v", "t")]
+)
+_ID = LetterMap((0, 1, 2, 3))  # equal to IDENTITY_MAP, not the same object
+
+
+@pytest.mark.parametrize(
+    "instance, maps",
+    [
+        (
+            dict(
+                nodes=[("s1", "source"), ("s2", "source"), ("v", "internal"), ("t", "sink")],
+                edges=[("s1", "v"), ("s2", "v"), ("v", "t")],
+                requirements={"t": "s1"},
+                ops={"v": (node_op(0, [(1, _ID), (0, _ID)]),)},
+            ),
+            {},
+        ),
+        (dict(_ONE_IN, ops={"v": (node_op(0, []),)}), {"v": constant_map(0)}),
+        (
+            dict(_ONE_IN, ops={"v": (node_op(0, [(0, LetterMap((0, 1, 2, 2)))]),)}),
+            {"v": LetterMap((0, 1, 2, 2))},
+        ),
+        (dict(ops={"t": (node_op(0, [(0, _ID)]),)}), {}),
+    ],
+    ids=["join-listed-input-1-first", "empty-term-list", "map-of-no-paper-class",
+         "explicit-identity-decode"],
+)
+def test_normalize_keeps_a_node_whose_terms_are_its_roles(instance, maps, monkeypatch):
+    # in the general layout, each node's terms are its role's up to order,
+    # the empty sum and a transform's own map: it keeps its id, map and
+    # edges, nothing is decomposed, and the normal form's protocol gives
+    # back the same operations, the empty sum as the constant 00
+    def decompose(*args):
+        raise AssertionError(f"decomposed {args[1]}")
+
+    monkeypatch.setattr(netgraph._Normalizer, "_build_chains", decompose)
+    net, proto = _tiny(**instance)
+    d3, corr = normalize_to_d3(net, proto)
+    assert d3.network.nodes == net.nodes
+    assert d3.network.edges == net.edges
+    assert corr == {n.id: [n.id] for n in net.nodes}
+    assert d3.transforms == maps
+    implied = d3.protocol
+    for v, ops in proto.ops.items():
+        want = [set(op.terms) or {Term(0, constant_map(0))} for op in ops]
+        got = [set(op.terms) for op in implied.ops.get(v, ())] or [set(implied.decode_terms(v))]
+        assert got == want, v
+
+
+def test_each_role_row_reads_input_i_at_entry_i():
+    # the normalizer looks a term up in its role's row by input position,
+    # and D3Network.protocol writes the rows out as they are
+    for role, rows in netgraph._TERMS.items():
+        indegree = netgraph._ROLES[role][1][0]
+        assert rows and all(tuple(t.in_pos for t in row) == tuple(range(indegree)) for row in rows)
+
+
+def test_a_network_without_a_sink_is_refused_by_both_validators():
+    # every acyclic network with a node has one of outdegree 0; the empty
+    # network has none and would otherwise validate
+    empty = make_network([], [], {})
+    proto = ClassicalProtocol(GroupKind.Z4, {})
+    assert validate_network(empty, proto).violations == ["network has no sink"]
+    with pytest.raises(ValidationError) as err:
+        D3Network(empty, {}, GroupKind.Z4)
+    assert err.value.report.violations == ["network has no sink"]
+    # beside the degree line of a node that should have been the sink
+    net, proto = _tiny(nodes=[("s", "source"), ("t", "internal")], requirements={})
+    assert validate_network(net, proto).violations == [
+        "internal node t has outdegree 0",
+        "network has no sink",
+    ]
+    # an unknown kind is reported by itself, as for every check that needs a kind
+    net, proto = _tiny(nodes=[("s", "source"), ("t", "widget")], requirements={})
+    assert validate_network(net, proto).violations == ["node t has unknown kind 'widget'"]
+
+
 def test_normalize_preserves_truth_tables_random():
     rng = random.Random(1234)
     for _ in range(40):
