@@ -640,11 +640,12 @@ def _normal_terms(by_out: list, n_in: int) -> list:
 
 def _kept_role(kind: str, ins, outs, by_out: list) -> str | None:
     """The node's role, if its kind and degree have one whose terms are by_out
-    (from `_normal_terms`, each output's in any order); else None."""
+    (from `_normal_terms`, each output's in any order); else None.  Each
+    output has as many terms as its row: `validate_network` lets it read
+    each input at most once, and `_normal_terms` fills it and absorbs every
+    unread input."""
     role = _ROLE_OF.get((kind, (len(ins), len(outs))))
     for terms, row in zip(by_out, _TERMS.get(role, ())):
-        if len(terms) != len(row):
-            return None
         for t in terms:
             m = row[t.in_pos].map
             if m is not None and m.table != t.map.table:

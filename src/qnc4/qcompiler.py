@@ -40,7 +40,6 @@ operations.  A mismatch raises VerificationError, so a compiled protocol
 only exists if each of its node laws lands on the bookkeeping above.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -53,7 +52,6 @@ from .netgraph import (
     LETTERS,
     D3Network,
     GroupKind,
-    Letter,
     LetterMap,
     letter_to_str,
 )
@@ -123,25 +121,21 @@ class Kernel:
 
 @dataclass(frozen=True)
 class QuantumOp:
-    """One compiled node: its transition kernel and exact shrink bookkeeping.
+    """One compiled node: its law and its transition kernel.
 
-    alpha is the shrink factor of the states this node emits; input_alpha
-    is the incoming shrink factor that parameterizes the node's law (None
-    for sources and joins).  kernel is None for sources and sinks.
+    alpha is the shrink factor of the states this node emits, and a_in the
+    shrink factors of its incoming edges, in in-edge order (() for a
+    source).  The tag, map (a transform's letter map, else None), alpha and
+    a_in fix the node's law; a constant map's letter is map(0).  kernel is
+    None for sources and sinks.
     """
 
     node: str
     tag: str
     alpha: Fraction
-    input_alpha: Fraction | None = None
+    a_in: tuple[Fraction, ...]
     map: LetterMap | None = None
-    letter: Letter | None = None
     kernel: Kernel | None = field(default=None, repr=False, compare=False)
-
-
-# a node's law before its kernel exists: what `_target_rows` and
-# `_build_kernel` read of a QuantumOp, and its incoming shrinks
-_Law = namedtuple("_Law", "node tag alpha map a_in")
 
 
 @dataclass(frozen=True)
@@ -191,15 +185,15 @@ class CompiledProtocol:
 # transition kernels in integer arithmetic
 
 
-def _target_rows(op: QuantumOp, n_in: int, group: GroupKind) -> tuple[list[int], int, int]:
+def _target_rows(op: QuantumOp, group: GroupKind) -> tuple[list[int], int, int]:
     """T(y | z) as (flat table, row width, denominator): row z is the k-fold
     outer product, k the op's output letters, of the shrunk weights at
     op.alpha peaked at the group sum of op.map (the identity when None)
-    on each input letter."""
+    on each of its len(op.a_in) input letters."""
     own, other, scale = shrunk_weights(op.alpha)
     k = _OUTPUTS.get(op.tag, 1)
     peaks = f = op.map.table if op.map else LETTERS  # each row's peak, one input at a time
-    for _ in range(n_in - 1):
+    for _ in range(len(op.a_in) - 1):
         peaks = [group.add(y, x) for y in peaks for x in f]
     flat = []
     for y in peaks:  # row z, the k-fold outer product of the weights peaked at y
@@ -229,9 +223,9 @@ def _mix(flat: list[int], step: int, own: int, rest: int) -> list[int]:
     return out
 
 
-def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> Kernel:
-    """Transition kernel of a join, fork or transform op at incoming
-    shrinks a_in, derived from the shrink table alone.
+def build_kernel(op: QuantumOp, group: GroupKind) -> Kernel:
+    """Transition kernel of a join, fork or transform op at its incoming
+    shrinks op.a_in, derived from the shrink table alone.
 
     A state at shrink a mixes its letter by W(a) = a I + (1-a)/4 J, with
     W(a)^-1 = (1/a)(I - (1-a)/4 J) and W(a) W(b) = W(ab).  The kernel K is
@@ -247,14 +241,14 @@ def build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     the node, is raised if any entry is negative: no node law reaches the
     claimed shrink.
     """
-    return _build_kernel(op, a_in, _target_rows(op, len(a_in), group))
+    return _build_kernel(op, _target_rows(op, group))
 
 
-def _build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> Kernel:
+def _build_kernel(op: QuantumOp, target: tuple) -> Kernel:
     """`build_kernel` from the flat target, its row width and denominator."""
     flat, width, den = target
-    steps = _steps(width, len(a_in))
-    for step, a in zip(steps, a_in):
+    steps = _steps(width, len(op.a_in))
+    for step, a in zip(steps, op.a_in):
         # W(a)^-1 = (1/a)(I - (1-a)/4 J): with a = p/q, 4q I + (p - q) J over 4p
         p, q = a.numerator, a.denominator
         flat, den = _mix(flat, step, 4 * q, p - q), 4 * p * den
@@ -266,13 +260,13 @@ def _build_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> K
     if min(law) < 0:
         raise VerificationError(
             f"{op.tag} node {op.node} cannot emit shrink {op.alpha} at incoming "
-            f"shrink {', '.join(map(str, a_in))}: its emission law would be negative"
+            f"shrink {', '.join(map(str, op.a_in))}: its emission law would be negative"
         )
     return Kernel(den // g, tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width)))
 
 
-def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:
-    """Verify op.kernel at the incoming shrinks a_in, exactly.
+def check_kernel(op: QuantumOp, group: GroupKind) -> None:
+    """Verify op.kernel at its incoming shrinks op.a_in, exactly.
 
     The kernel's rows, flattened once and mixed forward over its inputs'
     latent letters by `_mix` with W(a) = (4p I + (q - p) J)/4q, a = p/q,
@@ -280,10 +274,10 @@ def check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) ->
     `_target_rows`, compared whole.  O(in 4^in 4^w) integer operations.
     Raises VerificationError naming the first failing z in letter order.
     """
-    _check_kernel(op, a_in, _target_rows(op, len(a_in), group))
+    _check_kernel(op, _target_rows(op, group))
 
 
-def _check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> None:
+def _check_kernel(op: QuantumOp, target: tuple) -> None:
     """`check_kernel` against the flat target, its row width and denominator."""
     rows = op.kernel.rows
     target, width, scale = target
@@ -291,8 +285,8 @@ def _check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> N
         raise VerificationError(f"{op.tag} kernel of node {op.node} has the wrong shape")
     flat = list(chain.from_iterable(rows))
     in_scale = op.kernel.den
-    steps = _steps(width, len(a_in))
-    for step, a in zip(steps, a_in):
+    steps = _steps(width, len(op.a_in))
+    for step, a in zip(steps, op.a_in):
         p, q = a.numerator, a.denominator
         flat = _mix(flat, step, 4 * p, q - p)
         in_scale *= 4 * q
@@ -303,22 +297,25 @@ def _check_kernel(op: QuantumOp, a_in: tuple[Fraction, ...], target: tuple) -> N
     if flat != target:  # name the letters of the row of the first wrong entry
         j = next(j for j, (x, y) in enumerate(zip(flat, target)) if x != y)
         raise VerificationError(
-            f"{op.tag} kernel of node {op.node} at incoming shrink {', '.join(map(str, a_in))} "
-            f"misses its target on input letters {tuple(j // step % 4 for step in steps)}"
+            f"{op.tag} kernel of node {op.node} at incoming shrink "
+            f"{', '.join(map(str, op.a_in))} misses its target on input letters "
+            f"{tuple(j // step % 4 for step in steps)}"
         )
 
 
 def compile_protocol(d3: D3Network) -> CompiledProtocol:
-    """Assign a quantum op, an exact shrink factor and a verified transition
-    kernel to every node.
+    """One QuantumOp per node: its tag, map, exact shrink and incoming
+    shrinks, and a verified transition kernel.
 
     A D3Network is valid by construction, so nothing is validated here.
-    Every shrink is computed first, in listing order, and SizeError is
-    raised at the first node where a shrink's denominator or a fork's
-    joint denominator would pass MAX_DIGITS digits, before any kernel is
-    built or verified.  Then raises VerificationError if a node's shrink
-    is out of its law's reach or a kernel misses its target at an
-    incoming shrink occurring in this network.
+    Every op is made first without its kernel, in listing order, reading
+    its incoming shrinks off its producers' ops, and SizeError is raised
+    at the first node where a shrink's denominator or a fork's joint
+    denominator would pass MAX_DIGITS digits, before any kernel is built
+    or verified.  Then each op is made again with its kernel, and
+    VerificationError is raised if a node's shrink is out of its law's
+    reach or a kernel misses its target at an incoming shrink occurring in
+    this network.
 
     A join or one-to-one kernel is built once per ratio
     alpha / prod(a_in), at the incoming shrinks of the first node that has
@@ -333,10 +330,9 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
         depths[v] = 0 if not parents else 1 + max(depths[u] for u in parents)
     order = tuple(sorted((n.id for n in net.nodes), key=lambda v: (depths[v], v)))
 
-    alphas: dict[str, Fraction] = {}
-    laws: list[_Law] = []
+    ops: dict[str, QuantumOp] = {}
     for v in order:
-        a_in = tuple(alphas[net.edges[e][0]] for e in net.in_edges(v))
+        a_in = tuple(ops[net.edges[e][0]].alpha for e in net.in_edges(v))
         m = d3.transforms.get(v)
         tag, shrink = _RULES[d3.roles[v]]
         if m is None:
@@ -345,7 +341,6 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
             sizes = tuple(sorted(map(m.table.count, set(m.table))))
             tag = _TRANSFORM_TAGS.get(sizes, tag)
             alpha = shrink(*a_in, sizes[-1])
-        alphas[v] = alpha
         # k outputs have a joint law over up to 16^(k-1) q^k = (16 q)^k / 16
         biggest = (16 * alpha.denominator) ** _OUTPUTS.get(tag, 1) // 16
         digits = biggest.bit_length() * 30103 // 100000 + 1  # log10(2) < 0.30103
@@ -354,9 +349,8 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
                 f"exact numbers at node {v} would have {digits} digits, over the "
                 f"limit of {MAX_DIGITS}"
             )
-        laws.append(_Law(v, tag, alpha, m, a_in))
+        ops[v] = QuantumOp(v, tag, alpha, a_in, m)
 
-    ops: dict[str, QuantumOp] = {}
     notes: list[Note] = []
     # kernels by law key, and the checked ones by (tag, map, incoming
     # shrinks); the group is fixed within one compile.  A shrink is keyed by
@@ -364,32 +358,27 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
     # a prime.
     built: dict[tuple, Kernel] = {}
     checked: dict[tuple, Kernel] = {}
-    for law in laws:
-        v, tag, alpha, m, a_in = law
-        target = kernel = None
-        if tag not in (SOURCE_TTR, SINK_NOOP):
-            key = (tag, m and m.table, *((a.numerator, a.denominator) for a in a_in))
-            kernel = checked.get(key)
-            if kernel is None:
-                target = _target_rows(law, len(a_in), d3.group)
-                law_key = key
-                if tag in _BIJECTIVE:
-                    r = alpha / prod(a_in)
-                    law_key = (tag, m and m.table, r.numerator, r.denominator)
-                if law_key not in built:
-                    built[law_key] = _build_kernel(law, a_in, target)
-                kernel = checked[key] = built[law_key]
-        op = ops[v] = QuantumOp(
-            v, tag, alpha,
-            input_alpha=a_in[0] if len(a_in) == 1 else None,
-            map=m,
-            letter=m(0) if tag == TRANSFORM_CONSTANT else None,
-            kernel=kernel,
-        )
+    for v, op in ops.items():
+        tag, m, a_in = op.tag, op.map, op.a_in
+        if tag in (SOURCE_TTR, SINK_NOOP):
+            continue
+        key = (tag, m and m.table, *((a.numerator, a.denominator) for a in a_in))
+        kernel = checked.get(key)
+        target = None
+        if kernel is None:
+            target = _target_rows(op, d3.group)
+            law_key = key
+            if tag in _BIJECTIVE:
+                r = op.alpha / prod(a_in)
+                law_key = (tag, m and m.table, r.numerator, r.denominator)
+            if law_key not in built:
+                built[law_key] = _build_kernel(op, target)
+            kernel = checked[key] = built[law_key]
+        op = ops[v] = QuantumOp(v, tag, op.alpha, a_in, m, kernel)
         if target is not None:
             # checked against the copy of the target it was built from, which
             # neither changes
-            _check_kernel(op, a_in, target)
+            _check_kernel(op, target)
             if tag in _NOTED:
                 notes.append(Note(tag, a_in[0], m))
     return CompiledProtocol(d3, ops, order, depths, tuple(notes))
@@ -426,11 +415,11 @@ def protocol_to_json(compiled: CompiledProtocol) -> dict:
     for v in compiled.order:
         op = compiled.ops[v]
         entry: dict = {"op": op.tag, "alpha": str(op.alpha)}
-        if op.input_alpha is not None:
-            entry["input_alpha"] = str(op.input_alpha)
+        if len(op.a_in) == 1:
+            entry["input_alpha"] = str(op.a_in[0])
         if op.map is not None:
             entry["map"] = [letter_to_str(z) for z in op.map.table]
-        if op.letter is not None:
-            entry["letter"] = letter_to_str(op.letter)
+        if op.tag == TRANSFORM_CONSTANT:
+            entry["letter"] = letter_to_str(op.map(0))
         out[v] = entry
     return out

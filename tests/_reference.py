@@ -75,7 +75,7 @@ def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dic
 def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
     """Output letter distribution of a transform given the incoming letter."""
     if op.tag == TRANSFORM_CONSTANT:
-        return {op.letter: Fraction(1)}
+        return {op.map(0): Fraction(1)}
     if op.tag not in (TRANSFORM_ONE_TO_ONE, TRANSFORM_TWO_TO_ONE):
         raise ValueError(f"no reference branch law for a {op.tag} node")
     out: dict[Letter, Fraction] = {}
@@ -84,7 +84,7 @@ def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
             y = op.map(x)
             out[y] = out.get(y, Fraction(0)) + t
         else:
-            for y, w in two_to_one_emission(x, op.map, op.input_alpha).items():
+            for y, w in two_to_one_emission(x, op.map, op.a_in[0]).items():
                 if w:
                     out[y] = out.get(y, Fraction(0)) + t * w
     return out
@@ -105,21 +105,21 @@ def fork_branch_law(op: QuantumOp, u: Letter) -> dict[tuple, Fraction]:
     incoming letter."""
     out: dict[tuple, Fraction] = {}
     for x, t in qmath.ttr_outcome_weights(u).items():
-        for pair, w in efc.efc_pair_distribution(op.input_alpha, x).items():
+        for pair, w in efc.efc_pair_distribution(op.a_in[0], x).items():
             out[pair] = out.get(pair, Fraction(0)) + t * w
     return out
 
 
-def _target_rows(op: QuantumOp, n_in: int, group: GroupKind) -> tuple[list[list[int]], int]:
+def _target_rows(op: QuantumOp, group: GroupKind) -> tuple[list[list[int]], int]:
     """T(y | z), one integer row per input index over the returned
     denominator: the shrunk weights at op.alpha peaked at the letter of a
-    join's group sum of its n_in letters or a transform's map, or for a
-    fork their outer product, peaked at its two copies of the input
+    join's group sum of its len(op.a_in) letters or a transform's map, or
+    for a fork their outer product, peaked at its two copies of the input
     letter."""
     own, other, scale = shrunk_weights(op.alpha)
     fork = op.tag == FORK_EFC
     rows = []
-    for zs in product(LETTERS, repeat=n_in):
+    for zs in product(LETTERS, repeat=len(op.a_in)):
         row = [other] * 4
         row[reduce(group.add, zs) if op.tag == JOIN else zs[0] if fork else op.map(zs[0])] = own
         rows.append([x * y for x in row for y in row] if fork else row)
@@ -146,15 +146,16 @@ def _unmix(rows: list, den: int, stride: int, a: Fraction) -> tuple[list, int]:
     return _mix(rows, stride, 4 * q, p - q), 4 * p * den
 
 
-def build_kernel_two_step(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> Kernel:
-    """The transition kernel of op at incoming shrinks a_in like
+def build_kernel_two_step(op: QuantumOp, group: GroupKind) -> Kernel:
+    """The transition kernel of op at its incoming shrinks op.a_in like
     `qcompiler.build_kernel`, in two steps.  The node reads input z_i
     through W(a_i/3), the incoming shrink and then the tetra measurement's
     W(1/3), so undoing W(a_i/3) along each input of the target rows gives
     the emission law E.  E is checked to be nonnegative, and re-applying
     W(1/3) = W(3)^-1 along each input gives the kernel.  Raises
     VerificationError, naming the node, if E has a negative entry."""
-    rows, den = _target_rows(op, len(a_in), group)
+    a_in = op.a_in
+    rows, den = _target_rows(op, group)
     d = len(a_in)
     strides = [4 ** (d - 1 - i) for i in range(d)]  # row index sum z_i 4^(d-1-i)
     for stride, a in zip(strides, a_in):
@@ -170,14 +171,15 @@ def build_kernel_two_step(op: QuantumOp, a_in: tuple[Fraction, ...], group: Grou
     return Kernel(den // g, tuple(tuple(n // g for n in row) for row in rows))
 
 
-def check_kernel_by_tuples(op: QuantumOp, a_in: tuple[Fraction, ...], group: GroupKind) -> None:
-    """Verify op.kernel at the incoming shrinks a_in like
+def check_kernel_by_tuples(op: QuantumOp, group: GroupKind) -> None:
+    """Verify op.kernel at its incoming shrinks a_in = op.a_in like
     `qcompiler.check_kernel`, one tuple z of incoming letters at a time: all
     4^in rows weighted by the product of the letter mixtures
     tetra_weights(ShrunkState(z_i, a_in[i])) must give the output letters
     of op's classical function on z each at shrink op.alpha, one weight
     vector for a join or a transform, the product of two for a fork.
     O(16^in 4^w) integer operations.  Raises VerificationError."""
+    a_in = op.a_in
     width = 2 if op.tag == FORK_EFC else 1
     rows = op.kernel.rows
     if len(rows) != 4 ** len(a_in) or any(len(row) != 4**width for row in rows):

@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from qnc4 import classical_eval, efc, instances, netgraph, qmath, qsim
-from qnc4.netgraph import GroupKind, normalize_to_d3
+from qnc4.netgraph import GroupKind, constant_map, normalize_to_d3
 from qnc4.qcompiler import (
     TRANSFORM_CONSTANT,
     TRANSFORM_ONE_TO_ONE,
@@ -133,13 +133,13 @@ def test_criterion_04_node_rules_on_rational_grid():
         two1 = random_two_to_one_map(rng)
         for z in range(4):
             op = QuantumOp(
-                "n", TRANSFORM_CONSTANT, Fraction(1), input_alpha=alpha, letter=2
+                "n", TRANSFORM_CONSTANT, Fraction(1), a_in=(alpha,), map=constant_map(2)
             )
             out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
             assert out == qmath.tetra_weights(ShrunkState(2, Fraction(1)))
 
             op = QuantumOp(
-                "n", TRANSFORM_ONE_TO_ONE, alpha / 3, input_alpha=alpha, map=perm
+                "n", TRANSFORM_ONE_TO_ONE, alpha / 3, a_in=(alpha,), map=perm
             )
             out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
             assert out == qmath.tetra_weights(ShrunkState(perm(z), alpha / 3))
@@ -148,7 +148,7 @@ def test_criterion_04_node_rules_on_rational_grid():
                 "n",
                 TRANSFORM_TWO_TO_ONE,
                 alpha / (6 - alpha),
-                input_alpha=alpha,
+                a_in=(alpha,),
                 map=two1,
             )
             out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))

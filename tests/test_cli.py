@@ -285,6 +285,69 @@ def test_invalid_file_gives_one_answer(tmp_path, capsys, mutate, problem):
     assert f"violation: {problem}" in answers.pop()
 
 
+def _identity_term(i):
+    return {"in": i, "map": ["00", "01", "10", "11"]}
+
+
+def _edge_from_nowhere(doc):
+    doc["edges"].append({"from": "ghost", "to": "t1"})
+
+
+def _edge_out_of_sink(doc):
+    doc["edges"].append({"from": "t1", "to": "t2"})
+
+
+def _sink_fed_by_nothing(doc):
+    doc["nodes"].append({"id": "t3", "kind": "sink"})
+    doc["requirements"].append({"sink": "t3", "source": "s1"})
+
+
+def _source_op_for_missing_out(doc):
+    doc["ops"]["s1"] = [{"out": 3, "terms": []}]
+
+
+def _op_for_missing_out_reading_missing_in(doc):
+    doc["ops"]["t0"].append({"out": 5, "terms": [_identity_term(4)]})
+
+
+def _two_terms_on_one_missing_in(doc):
+    doc["ops"]["s0"][0]["terms"] = [_identity_term(7)] * 2
+
+
+@pytest.mark.parametrize(
+    "mutate, violations",
+    [
+        # not passed on to the normalizer, which has no producer for it
+        (_edge_from_nowhere, ["edge 7 starts at unknown node ghost"]),
+        (_edge_out_of_sink, ["sink t1 has outdegree 1 (must be 0)"]),
+        (_sink_fed_by_nothing, ["sink t3 has indegree 0 (receives nothing)"]),
+        # no degree, requirement or operation check runs once an id repeats
+        (_duplicate_id, ["duplicate node id s1", "edge 0 ends at unknown node s0",
+                         "edge 2 ends at unknown node s0", "edge 4 starts at unknown node s0"]),
+        # a source's operations get one line, not one more per position
+        (_source_op_for_missing_out,
+         ["source s1 carries operations (sources pass their letter through)"]),
+        # an operation for a missing output gets no line for its terms
+        (_op_for_missing_out_reading_missing_in,
+         ["node t0 has an operation for missing outgoing edge 5"]),
+        # a term on a missing input is not also counted as a repeat
+        (_two_terms_on_one_missing_in,
+         ["operation on node s0 (out 0) references missing incoming edge 7"] * 2),
+    ],
+    ids=["edge-from-unknown-node", "sink-with-outdegree", "sink-with-indegree-0",
+         "duplicate-id", "source-op-for-missing-out", "op-for-missing-out",
+         "two-terms-on-one-missing-in"],
+)
+def test_each_check_gives_exactly_its_violations(tmp_path, capsys, mutate, violations):
+    doc = instances.read_json("butterfly")
+    mutate(doc)
+    path = _write_json(tmp_path, "invalid.json", doc)
+    assert main(["validate", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"violation: {v}" for v in violations]
+    assert "Traceback" not in captured.err
+
+
 def test_cut_edge_is_reported_by_degrees_only(tmp_path, capsys):
     # s1.f0's operations read its one incoming edge; with that edge cut, the
     # two degree lines say it all, and no line per operation repeats them
@@ -548,6 +611,19 @@ def test_compile_butterfly(capsys):
     assert doc["ops"]["s1.f0"]["op"] == "ForkEFC"
     assert any("fork law" in n for n in doc["notes"])
     assert "sweep" not in doc
+
+
+@pytest.mark.parametrize("command", [
+    ["compile", "butterfly"],
+    ["simulate", "two-to-one-diamond", "--mode", "oracle", "--inputs", "11"],
+], ids=["compile", "simulate"])
+def test_out_file_holds_exactly_what_stdout_gets(tmp_path, capsys, command):
+    assert main(command) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main([*command, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
 
 
 def test_simulate_analytic_single_edge(capsys):

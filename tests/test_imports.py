@@ -145,3 +145,18 @@ def test_public_names_still_import():
 
     assert qnc4.ShrunkState is qmath.ShrunkState
     assert efc.efc_apply.__module__ == "qnc4.efc"
+
+
+def test_both_module_entry_points_run_the_command():
+    # `python -m qnc4` and `python -m qnc4.cli` are the `qnc4` command, exit code included
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    for module in ("qnc4", "qnc4.cli"):
+        for argv, code, out in (
+            (["validate", "single-edge"], 0, "ok: structure and delivery requirement verified\n"),
+            (["validate", "no-such-instance"], 2, ""),
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (done.returncode, done.stdout) == (code, out), (module, argv, done.stderr)

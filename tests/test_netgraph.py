@@ -250,6 +250,17 @@ def test_kahn_takes_the_ready_node_listed_first(listed, walked):
     assert net.kahn() == net.topo_order == walked
 
 
+def test_kahn_follows_its_key_among_nodes_ready_at_the_start():
+    # the sources are listed against their key, so the walk must reorder
+    # the nodes that are ready before any is taken
+    net = make_network(
+        [("c", "source"), ("b", "source"), ("a", "source"), ("t", "sink")],
+        [("c", "t"), ("b", "t"), ("a", "t")],
+        {"t": "a"},
+    )
+    assert net.kahn(lambda v: v) == ["a", "b", "c", "t"]
+
+
 def test_normalize_rejects_invalid_instance():
     net, proto = _tiny(edges=[])
     with pytest.raises(ValidationError) as err:

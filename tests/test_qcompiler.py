@@ -130,14 +130,14 @@ def test_shrink_two_to_one():
     # chained after a one-to-one map: incoming 1/3, so 1/3 / (6 - 1/3) = 1/17
     comp = compile_protocol(_chain([SWAP01, HIGH_BIT]))
     assert comp.ops["h1"].alpha == Fraction(1, 17)
-    assert comp.ops["h1"].input_alpha == Fraction(1, 3)
+    assert comp.ops["h1"].a_in == (Fraction(1, 3),)
 
 
 def test_constant_resets_shrink():
     comp = compile_protocol(_chain([SWAP01, constant_map(3), SWAP01]))
     assert comp.ops["h1"].tag == TRANSFORM_CONSTANT
     assert comp.ops["h1"].alpha == Fraction(1)
-    assert comp.ops["h1"].letter == 3
+    assert comp.ops["h1"].map(0) == 3
     assert comp.ops["t"].alpha == Fraction(1, 3)
 
 
@@ -181,7 +181,7 @@ def test_butterfly_shrink_factors(butterfly_compiled):
 
 def test_diamond_two_to_one_compile(diamond_compiled):
     comp = diamond_compiled
-    assert comp.ops["u1"].input_alpha == Fraction(1, 9)
+    assert comp.ops["u1"].a_in == (Fraction(1, 9),)
     assert comp.ops["u1"].alpha == comp.ops["u2"].alpha == Fraction(1, 53)
     assert comp.sink_alphas["t"] == Fraction(1, 25281)
     joined = "\n".join(map(str, comp.notes))
@@ -262,11 +262,6 @@ def test_protocol_json_shape(diamond_compiled):
 # transition kernels
 
 
-def _incoming(comp, v) -> tuple:
-    net = comp.d3.network
-    return tuple(comp.edge_alpha(e) for e in net.in_edges(v))
-
-
 def _kernel_ops(comp):
     return [op for op in comp.ops.values() if op.kernel is not None]
 
@@ -338,22 +333,21 @@ def test_tampered_kernel_is_caught(butterfly_compiled, diamond_compiled):
         for op in _kernel_ops(comp):
             if op.tag in checked:
                 continue
-            a_in = _incoming(comp, op.node)
-            check_kernel(op, a_in, comp.d3.group)
+            check_kernel(op, comp.d3.group)
             for i in (0, len(op.kernel.rows) - 1):
                 bad = replace(op, kernel=_tampered(op.kernel, i))
                 with pytest.raises(VerificationError, match=op.node):
-                    check_kernel(bad, a_in, comp.d3.group)
+                    check_kernel(bad, comp.d3.group)
             checked.add(op.tag)
     assert checked == {
         JOIN, FORK_EFC, TRANSFORM_CONSTANT, TRANSFORM_ONE_TO_ONE, TRANSFORM_TWO_TO_ONE
     }
 
 
-def _message(check, op, a_in, group) -> str | None:
+def _message(check, op, group) -> str | None:
     """The VerificationError message of one check, or None if it passes."""
     try:
-        check(op, a_in, group)
+        check(op, group)
     except VerificationError as e:
         return str(e)
     return None
@@ -370,14 +364,13 @@ def test_axis_check_agrees_with_the_per_tuple_check():
     for d3 in [*_compiled_samples(), diamond_chain(9)]:
         comp = compile_protocol(d3)
         for op in _kernel_ops(comp):
-            a_in = _incoming(comp, op.node)
-            key = (op.tag, op.map and op.map.table, a_in, d3.group)
-            kernels.setdefault(key, (op, a_in, d3.group))
+            key = (op.tag, op.map and op.map.table, op.a_in, d3.group)
+            kernels.setdefault(key, (op, d3.group))
     rng = random.Random(16)
     moves = 0
-    for op, a_in, group in kernels.values():
-        assert _message(check_kernel, op, a_in, group) is None
-        assert _message(check_kernel_by_tuples, op, a_in, group) is None
+    for op, group in kernels.values():
+        assert _message(check_kernel, op, group) is None
+        assert _message(check_kernel_by_tuples, op, group) is None
         for i, row in enumerate(op.kernel.rows):
             for _ in range(4):
                 up, down = rng.sample(range(len(row)), 2)
@@ -387,8 +380,8 @@ def test_axis_check_agrees_with_the_per_tuple_check():
                 rows = list(op.kernel.rows)
                 rows[i] = tuple(moved)
                 bad = replace(op, kernel=Kernel(op.kernel.den, tuple(rows)))
-                got = _message(check_kernel, bad, a_in, group)
-                assert got is not None and got == _message(check_kernel_by_tuples, bad, a_in, group)
+                got = _message(check_kernel, bad, group)
+                assert got is not None and got == _message(check_kernel_by_tuples, bad, group)
                 moves += 1
     assert len(kernels) > 100 and moves > 3000
 
@@ -402,12 +395,12 @@ def test_kernel_checked_at_the_wrong_incoming_shrink_is_refused():
         net, proto = instances.bundled(name)
         comp = compile_protocol(netgraph.normalize_to_d3(net, proto)[0])
         for op in _kernel_ops(comp):
-            wrong = tuple(a / 3 for a in _incoming(comp, op.node))
+            wrong = replace(op, a_in=tuple(a / 3 for a in op.a_in))
             if op.tag == TRANSFORM_CONSTANT:
-                check_kernel(op, wrong, comp.d3.group)
+                check_kernel(wrong, comp.d3.group)
             else:
                 with pytest.raises(VerificationError, match=f"node {op.node} at incoming"):
-                    check_kernel(op, wrong, comp.d3.group)
+                    check_kernel(wrong, comp.d3.group)
             tags.append(op.tag)
     assert len(tags) == 21 and TRANSFORM_CONSTANT in tags
 
@@ -418,20 +411,19 @@ def test_kernel_with_the_wrong_row_count_is_caught(butterfly_compiled):
     fork = next(op for op in _kernel_ops(butterfly_compiled) if op.tag == FORK_EFC)
     bad = replace(join, kernel=fork.kernel)
     with pytest.raises(VerificationError, match=f"node {join.node} has the wrong shape"):
-        check_kernel(bad, _incoming(butterfly_compiled, join.node), GroupKind.Z2xZ2)
+        check_kernel(bad, GroupKind.Z2xZ2)
     # and each row one entry per outcome: a short row would leave the last
     # outcome unchecked
     short = Kernel(join.kernel.den, tuple(row[:3] for row in join.kernel.rows))
     with pytest.raises(VerificationError, match=f"node {join.node} has the wrong shape"):
-        check_kernel(replace(join, kernel=short), _incoming(butterfly_compiled, join.node),
-                     GroupKind.Z2xZ2)
+        check_kernel(replace(join, kernel=short), GroupKind.Z2xZ2)
 
 
 def test_compile_verifies_every_kernel(monkeypatch):
     build = qcompiler._build_kernel
 
-    def tamper_one_to_one(op, a_in, target):
-        kernel = build(op, a_in, target)
+    def tamper_one_to_one(op, target):
+        kernel = build(op, target)
         return _tampered(kernel, 2) if op.tag == TRANSFORM_ONE_TO_ONE else kernel
 
     monkeypatch.setattr(qcompiler, "_build_kernel", tamper_one_to_one)
@@ -446,9 +438,9 @@ def test_digit_limit_refuses_before_any_kernel(monkeypatch):
     built = []
     build = qcompiler._build_kernel
 
-    def counting(op, a_in, target):
+    def counting(op, target):
         built.append(op.node)
-        return build(op, a_in, target)
+        return build(op, target)
 
     monkeypatch.setattr(qcompiler, "_build_kernel", counting)
     digits = "exact numbers at node d9 would have 4512 digits, over the limit of 4000"
@@ -462,17 +454,16 @@ def test_digit_limit_refuses_before_any_kernel(monkeypatch):
 # a one-to-one map claimed at a/2 and a join claimed at ab/8, both sharper
 # than any measure-and-prepare law can emit
 UNREACHABLE = [
-    (qcompiler.QuantumOp("h", TRANSFORM_ONE_TO_ONE, Fraction(1, 18),
-                         input_alpha=Fraction(1, 9), map=SWAP01), (Fraction(1, 9),)),
-    (qcompiler.QuantumOp("j", JOIN, Fraction(1, 648)), (Fraction(1, 9), Fraction(1, 9))),
+    qcompiler.QuantumOp("h", TRANSFORM_ONE_TO_ONE, Fraction(1, 18), (Fraction(1, 9),), SWAP01),
+    qcompiler.QuantumOp("j", JOIN, Fraction(1, 648), (Fraction(1, 9), Fraction(1, 9))),
 ]
 
 
-@pytest.mark.parametrize("op, a_in", UNREACHABLE, ids=["one-to-one-at-a/2", "join-at-ab/8"])
-def test_unreachable_shrink_is_refused(op, a_in):
+@pytest.mark.parametrize("op", UNREACHABLE, ids=["one-to-one-at-a/2", "join-at-ab/8"])
+def test_unreachable_shrink_is_refused(op):
     for group in GroupKind:
         with pytest.raises(VerificationError, match=f"node {op.node} cannot emit"):
-            qcompiler.build_kernel(op, a_in, group)
+            qcompiler.build_kernel(op, group)
 
 
 def test_build_agrees_with_the_two_step_reference():
@@ -486,16 +477,15 @@ def test_build_agrees_with_the_two_step_reference():
     for d3 in [*_compiled_samples(), diamond_chain(9)]:
         comp = compile_protocol(d3)
         for op in _kernel_ops(comp):
-            a_in = _incoming(comp, op.node)
-            key = (op.tag, op.map and op.map.table, a_in, d3.group)
+            key = (op.tag, op.map and op.map.table, op.a_in, d3.group)
             if key not in seen:
                 seen.add(key)
-                assert build_kernel_two_step(op, a_in, d3.group) == op.kernel, op.node
+                assert build_kernel_two_step(op, d3.group) == op.kernel, op.node
     assert len(seen) > 100
-    for op, a_in in UNREACHABLE:
+    for op in UNREACHABLE:
         for group in GroupKind:
-            got = _message(qcompiler.build_kernel, op, a_in, group)
-            assert got is not None and got == _message(build_kernel_two_step, op, a_in, group)
+            got = _message(qcompiler.build_kernel, op, group)
+            assert got is not None and got == _message(build_kernel_two_step, op, group)
 
 
 def test_flat_build_and_check_agree_with_the_references_on_random_ops():
@@ -529,21 +519,21 @@ def test_flat_build_and_check_agree_with_the_references_on_random_ops():
         )
         alpha = rows[tag](*a_in) * (over if rng.random() < 0.5 else 1)
         map_ = maps[tag]() if tag in maps else None
-        op = qcompiler.QuantumOp("v", tag, alpha, map=map_)
+        op = qcompiler.QuantumOp("v", tag, alpha, a_in, map_)
         try:
-            kernel = qcompiler.build_kernel(op, a_in, group)
+            kernel = qcompiler.build_kernel(op, group)
         except VerificationError as e:
-            assert str(e) == _message(build_kernel_two_step, op, a_in, group), (op, a_in)
+            assert str(e) == _message(build_kernel_two_step, op, group), op
             refused += 1
             continue
-        assert kernel == build_kernel_two_step(op, a_in, group), (op, a_in)
+        assert kernel == build_kernel_two_step(op, group), op
         built += 1
         changed = [list(row) for row in kernel.rows]
         i, j = rng.randrange(len(changed)), rng.randrange(len(changed[0]))
         changed[i][j] += rng.choice((-1, 1)) * rng.randint(1, kernel.den)
         bad = replace(op, kernel=Kernel(kernel.den, tuple(map(tuple, changed))))
-        got = _message(check_kernel, bad, a_in, group)
-        assert got is not None and got == _message(check_kernel_by_tuples, bad, a_in, group)
+        got = _message(check_kernel, bad, group)
+        assert got is not None and got == _message(check_kernel_by_tuples, bad, group)
     assert built > 600 and refused > 600
 
 
@@ -557,8 +547,8 @@ def test_every_rule_row_is_tight_or_states_its_margin():
     over = 1 + Fraction(1, 2**20)
 
     def builds(tag, alpha, a_in, group, map_=None):
-        op = qcompiler.QuantumOp("v", tag, alpha, map=map_)
-        return _message(qcompiler.build_kernel, op, a_in, group) is None
+        op = qcompiler.QuantumOp("v", tag, alpha, a_in, map_)
+        return _message(qcompiler.build_kernel, op, group) is None
 
     for group in GroupKind:
         for a, b in zip(shrinks, shrinks[1:] + shrinks[:1]):
@@ -590,10 +580,10 @@ def test_every_rule_row_is_tight_or_states_its_margin():
         m = LetterMap(table)
         for group in GroupKind:
             for a in shrinks + [Fraction(2, 7)]:
-                op = qcompiler.QuantumOp("v", TRANSFORM_MAP, a / (3 * k - (k - 1) * a), map=m)
-                kernel = qcompiler.build_kernel(op, (a,), group)
-                assert kernel == build_kernel_two_step(op, (a,), group), (table, a)
-                check_kernel_by_tuples(replace(op, kernel=kernel), (a,), group)
+                op = qcompiler.QuantumOp("v", TRANSFORM_MAP, a / (3 * k - (k - 1) * a), (a,), m)
+                kernel = qcompiler.build_kernel(op, group)
+                assert kernel == build_kernel_two_step(op, group), (table, a)
+                check_kernel_by_tuples(replace(op, kernel=kernel), group)
                 assert not builds(TRANSFORM_MAP, op.alpha * over, (a,), group, m), (table, a)
                 cases += 1
     assert cases == 2520
@@ -611,21 +601,21 @@ def test_three_input_sum_builds_at_its_row_and_no_higher():
              (Fraction(1, 81),) * 3]
     for group in GroupKind:
         for a_in in cases:
-            op = qcompiler.QuantumOp("v", JOIN, prod(a_in) / 27)
-            kernel = qcompiler.build_kernel(op, a_in, group)
-            assert kernel == build_kernel_two_step(op, a_in, group), a_in
+            op = qcompiler.QuantumOp("v", JOIN, prod(a_in) / 27, a_in)
+            kernel = qcompiler.build_kernel(op, group)
+            assert kernel == build_kernel_two_step(op, group), a_in
             assert len(kernel.rows) == 64
             op = replace(op, kernel=kernel)
-            assert _message(check_kernel, op, a_in, group) is None
-            assert _message(check_kernel_by_tuples, op, a_in, group) is None
+            assert _message(check_kernel, op, group) is None
+            assert _message(check_kernel_by_tuples, op, group) is None
             rows = [list(row) for row in kernel.rows]
             rows[37][2] += 1
             bad = replace(op, kernel=Kernel(kernel.den, tuple(map(tuple, rows))))
-            got = _message(check_kernel, bad, a_in, group)
-            assert got is not None and got == _message(check_kernel_by_tuples, bad, a_in, group)
+            got = _message(check_kernel, bad, group)
+            assert got is not None and got == _message(check_kernel_by_tuples, bad, group)
             raised = replace(op, alpha=op.alpha * over, kernel=None)
-            got = _message(qcompiler.build_kernel, raised, a_in, group)
-            assert got is not None and got == _message(build_kernel_two_step, raised, a_in, group)
+            got = _message(qcompiler.build_kernel, raised, group)
+            assert got is not None and got == _message(build_kernel_two_step, raised, group)
 
 
 def _law_key(tag, map_, alpha, a_in) -> tuple:
@@ -644,18 +634,18 @@ def test_each_distinct_kernel_is_built_and_checked_once(monkeypatch):
     for name in ("build", "check"):
         real = getattr(qcompiler, f"_{name}_kernel")
 
-        def counting(op, a_in, target, name=name, real=real):
-            calls[name].append((op.tag, op.map, op.alpha, a_in))
-            return real(op, a_in, target)
+        def counting(op, target, name=name, real=real):
+            calls[name].append((op.tag, op.map, op.alpha, op.a_in))
+            return real(op, target)
 
         monkeypatch.setattr(qcompiler, f"_{name}_kernel", counting)
     # and the target rows, which build and check share, once per check
     targets = []
     target_rows = qcompiler._target_rows
 
-    def counting_targets(op, n_in, group):
+    def counting_targets(op, group):
         targets.append(op.node)
-        return target_rows(op, n_in, group)
+        return target_rows(op, group)
 
     monkeypatch.setattr(qcompiler, "_target_rows", counting_targets)
     net, proto = instances.bundled("butterfly-z4")
@@ -665,7 +655,7 @@ def test_each_distinct_kernel_is_built_and_checked_once(monkeypatch):
         calls["check"].clear()
         targets.clear()
         comp = compile_protocol(d3)
-        laws = [(op.tag, op.map, op.alpha, _incoming(comp, op.node)) for op in _kernel_ops(comp)]
+        laws = [(op.tag, op.map, op.alpha, op.a_in) for op in _kernel_ops(comp)]
         checks = {(tag, map_, a_in) for tag, map_, _, a_in in laws}
         assert sorted(calls["check"], key=str) == sorted(set(laws), key=str)
         assert len(targets) == len(checks) == len(calls["check"])
@@ -697,14 +687,14 @@ def test_join_and_one_to_one_kernels_depend_only_on_the_shrink_ratio():
     for group in GroupKind:
         pairs = zip(_distinct_shrinks(rng, 20), rng.sample(_distinct_shrinks(rng, 20), 20))
         joins = {
-            qcompiler.build_kernel(qcompiler.QuantumOp("j", JOIN, a * b / 9), (a, b), group)
+            qcompiler.build_kernel(qcompiler.QuantumOp("j", JOIN, a * b / 9, (a, b)), group)
             for a, b in pairs
         }
         assert len(joins) == 1
         for m in maps:
             kernels = {
                 qcompiler.build_kernel(
-                    qcompiler.QuantumOp("h", TRANSFORM_ONE_TO_ONE, a / 3, map=m), (a,), group
+                    qcompiler.QuantumOp("h", TRANSFORM_ONE_TO_ONE, a / 3, (a,), m), group
                 )
                 for a in _distinct_shrinks(rng, 5)
             }
@@ -720,7 +710,7 @@ def test_kernels_outside_the_lemma_read_their_incoming_shrink(tag, map_, row):
     # so compile keys them by their incoming shrinks, not by a ratio
     for group in GroupKind:
         kernels = {
-            qcompiler.build_kernel(qcompiler.QuantumOp("v", tag, row(a), map=map_), (a,), group)
+            qcompiler.build_kernel(qcompiler.QuantumOp("v", tag, row(a), (a,), map_), group)
             for a in (Fraction(1, 3), Fraction(1, 9))
         }
         assert len(kernels) == 2
