@@ -27,7 +27,6 @@ from .netgraph import IDENTITY_MAP, LETTERS, D3Network, GroupKind, Letter, as_le
 # 4**8 = 65536 rows; beyond this, exhaustive checks are refused
 MAX_EXHAUSTIVE_SOURCES = 8
 
-_IDENTITY = IDENTITY_MAP.table
 # each group's addition table: _ADD[group][a][b] is a + b
 _ADD = {g: tuple(bytes(g.add(a, b) for b in LETTERS) for a in LETTERS) for g in GroupKind}
 
@@ -46,9 +45,8 @@ def _sum(add, cols, ins, terms) -> bytes:
     acc = None
     for t in terms:
         col = cols[ins[t.in_pos]]
-        table = t.map.table
-        if table != _IDENTITY:
-            col = bytes(map(table.__getitem__, col))
+        if t.map != IDENTITY_MAP:
+            col = bytes(map(t.map.__getitem__, col))
         acc = col if acc is None else bytes(map(getitem, map(add.__getitem__, acc), col))
     return bytes(len(cols[ins[0]])) if acc is None else acc
 

@@ -4,7 +4,8 @@ The alphabet is Sigma4 = {00, 01, 10, 11}, encoded as the integers 0..3
 (value = 2 * first_bit + second_bit).  A classical protocol attaches to each
 outgoing edge of a node an operation of the form sum_i h_i(X_i), where the
 sum is taken in one of the two abelian group structures on Sigma4 and each
-h_i is any of the 256 letter maps.
+h_i is any of the 256 letter maps.  A letter map is its value table, the
+4-tuple (h(00), h(01), h(10), h(11)) indexed by input letter: h(x) is h[x].
 
 Any such network can be rewritten into an equivalent degree-3 form whose
 nodes are sources (0 in, 1 out), sinks (1 in, 0 out), forks (1 in, 2 out,
@@ -86,31 +87,20 @@ class GroupKind(enum.Enum):
         raise SchemaError(f"unknown group {name!r} (expected Z4 or Z2xZ2)")
 
 
-@dataclass(frozen=True)
-class LetterMap:
-    """A letter map given by its value table, indexed by input letter."""
+LetterMap = tuple  # h's value table: h(x) is h[x]
 
-    table: tuple[Letter, Letter, Letter, Letter]
-
-    def __call__(self, x: Letter) -> Letter:
-        return self.table[x]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.table == (0, 1, 2, 3)
-
-
-IDENTITY_MAP = LetterMap((0, 1, 2, 3))
+IDENTITY_MAP: LetterMap = (0, 1, 2, 3)
 
 
 def constant_map(c: Letter) -> LetterMap:
-    return LetterMap((c, c, c, c))
+    return (c, c, c, c)
 
 
 @dataclass(frozen=True)
 class Term:
     """One summand h(X_i) of an edge operation; `in_pos` indexes the node's
-    incoming edges sorted by edge id."""
+    incoming edges sorted by edge id, and `map` is h's value table, indexed
+    by input letter."""
 
     in_pos: int
     map: LetterMap
@@ -609,7 +599,7 @@ class _Normalizer:
             ports = []
             for t, term in enumerate(terms):
                 p = leaf[(j, t)]
-                if not term.map.is_identity:
+                if term.map != IDENTITY_MAP:
                     tr = self.fresh(f"{v}.h{j}.{t}")
                     self.add_node(tr, "transform", v, term.map)
                     self.edges.append((p, tr))
@@ -648,7 +638,7 @@ def _kept_role(kind: str, ins, outs, by_out: list) -> str | None:
     for terms, row in zip(by_out, _TERMS.get(role, ())):
         for t in terms:
             m = row[t.in_pos].map
-            if m is not None and m.table != t.map.table:
+            if m is not None and m != t.map:
                 return None
     return role
 
@@ -676,7 +666,7 @@ def normalize_to_d3(
 def _map_from_json(data, where: str, *at) -> LetterMap:
     if not isinstance(data, list) or len(data) != 4:
         raise SchemaError(f"{where.format(*at)}: map must be an array of 4 letters")
-    return LetterMap(tuple(letter_from_str(s) for s in data))
+    return tuple(map(letter_from_str, data))
 
 
 def instance_to_json(net: Network, proto: ClassicalProtocol) -> dict:
@@ -693,7 +683,7 @@ def instance_to_json(net: Network, proto: ClassicalProtocol) -> dict:
                 {
                     "out": op.out_pos,
                     "terms": [
-                        {"in": t.in_pos, "map": [letter_to_str(x) for x in t.map.table]}
+                        {"in": t.in_pos, "map": [letter_to_str(x) for x in t.map]}
                         for t in op.terms
                     ],
                 }

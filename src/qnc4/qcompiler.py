@@ -152,7 +152,7 @@ class Note:
         text = f"{_NOTED[self.tag]} law verified at incoming shrink {self.shrink}"
         if self.map is None:
             return text
-        table = ",".join(letter_to_str(z) for z in self.map.table)
+        table = ",".join(letter_to_str(z) for z in self.map)
         return f"{text} for map {table}"
 
 
@@ -192,7 +192,7 @@ def _target_rows(op: QuantumOp, group: GroupKind) -> tuple[list[int], int, int]:
     on each of its len(op.a_in) input letters."""
     own, other, scale = shrunk_weights(op.alpha)
     k = _OUTPUTS.get(op.tag, 1)
-    peaks = f = op.map.table if op.map else LETTERS  # each row's peak, one input at a time
+    peaks = f = op.map or LETTERS  # each row's peak, one input at a time
     for _ in range(len(op.a_in) - 1):
         peaks = [group.add(y, x) for y in peaks for x in f]
     flat = []
@@ -338,7 +338,7 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
         if m is None:
             alpha = shrink(*a_in)
         else:
-            sizes = tuple(sorted(map(m.table.count, set(m.table))))
+            sizes = tuple(sorted(map(m.count, set(m))))
             tag = _TRANSFORM_TAGS.get(sizes, tag)
             alpha = shrink(*a_in, sizes[-1])
         # k outputs have a joint law over up to 16^(k-1) q^k = (16 q)^k / 16
@@ -362,7 +362,7 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
         tag, m, a_in = op.tag, op.map, op.a_in
         if tag in (SOURCE_TTR, SINK_NOOP):
             continue
-        key = (tag, m and m.table, *((a.numerator, a.denominator) for a in a_in))
+        key = (tag, m, *((a.numerator, a.denominator) for a in a_in))
         kernel = checked.get(key)
         target = None
         if kernel is None:
@@ -370,7 +370,7 @@ def compile_protocol(d3: D3Network) -> CompiledProtocol:
             law_key = key
             if tag in _BIJECTIVE:
                 r = op.alpha / prod(a_in)
-                law_key = (tag, m and m.table, r.numerator, r.denominator)
+                law_key = (tag, m, r.numerator, r.denominator)
             if law_key not in built:
                 built[law_key] = _build_kernel(op, target)
             kernel = checked[key] = built[law_key]
@@ -418,8 +418,8 @@ def protocol_to_json(compiled: CompiledProtocol) -> dict:
         if len(op.a_in) == 1:
             entry["input_alpha"] = str(op.a_in[0])
         if op.map is not None:
-            entry["map"] = [letter_to_str(z) for z in op.map.table]
+            entry["map"] = [letter_to_str(z) for z in op.map]
         if op.tag == TRANSFORM_CONSTANT:
-            entry["letter"] = letter_to_str(op.map(0))
+            entry["letter"] = letter_to_str(op.map[0])
         out[v] = entry
     return out

@@ -59,13 +59,13 @@ def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dic
     """
     letter = as_letter(letter)
     param = Fraction(as_shrink(param))
-    image = set(map_.table)
+    image = set(map_)
     if len(image) != 2:
         raise ValueError("emission law only applies to two-to-one maps")
     own = Fraction(3, 1) / (6 - param)
     off = (3 - param) / (2 * (6 - param))
     dist = {z: Fraction(0) for z in LETTERS}
-    dist[map_(letter)] = own
+    dist[map_[letter]] = own
     for z in LETTERS:
         if z not in image:
             dist[z] = off
@@ -75,13 +75,13 @@ def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dic
 def transform_branch_law(op: QuantumOp, u: Letter) -> dict[Letter, Fraction]:
     """Output letter distribution of a transform given the incoming letter."""
     if op.tag == TRANSFORM_CONSTANT:
-        return {op.map(0): Fraction(1)}
+        return {op.map[0]: Fraction(1)}
     if op.tag not in (TRANSFORM_ONE_TO_ONE, TRANSFORM_TWO_TO_ONE):
         raise ValueError(f"no reference branch law for a {op.tag} node")
     out: dict[Letter, Fraction] = {}
     for x, t in ttr_outcome_weights(u).items():
         if op.tag == TRANSFORM_ONE_TO_ONE:
-            y = op.map(x)
+            y = op.map[x]
             out[y] = out.get(y, Fraction(0)) + t
         else:
             for y, w in two_to_one_emission(x, op.map, op.a_in[0]).items():
@@ -121,7 +121,7 @@ def _target_rows(op: QuantumOp, group: GroupKind) -> tuple[list[list[int]], int]
     rows = []
     for zs in product(LETTERS, repeat=len(op.a_in)):
         row = [other] * 4
-        row[reduce(group.add, zs) if op.tag == JOIN else zs[0] if fork else op.map(zs[0])] = own
+        row[reduce(group.add, zs) if op.tag == JOIN else zs[0] if fork else op.map[zs[0]]] = own
         rows.append([x * y for x in row for y in row] if fork else row)
     return rows, scale ** (2 if fork else 1)
 
@@ -197,7 +197,7 @@ def check_kernel_by_tuples(op: QuantumOp, group: GroupKind) -> None:
         elif op.tag == FORK_EFC:
             want = zs * 2
         else:
-            want = (op.map(zs[0]),)
+            want = (op.map[zs[0]],)
         for m, out in zip(mixed, product(LETTERS, repeat=width)):
             rhs = in_scale * prod(own if y == t else other for y, t in zip(out, want))
             if m * scale**width != rhs:
@@ -211,7 +211,7 @@ def check_kernel_by_tuples(op: QuantumOp, group: GroupKind) -> None:
 def _combine(group, vals, ins, terms) -> Letter:
     acc = 0
     for t in terms:
-        acc = group.add(acc, t.map(vals[ins[t.in_pos]]))
+        acc = group.add(acc, t.map[vals[ins[t.in_pos]]])
     return acc
 
 

@@ -142,7 +142,7 @@ def test_criterion_04_node_rules_on_rational_grid():
                 "n", TRANSFORM_ONE_TO_ONE, alpha / 3, a_in=(alpha,), map=perm
             )
             out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
-            assert out == qmath.tetra_weights(ShrunkState(perm(z), alpha / 3))
+            assert out == qmath.tetra_weights(ShrunkState(perm[z], alpha / 3))
 
             op = QuantumOp(
                 "n",
@@ -152,7 +152,7 @@ def test_criterion_04_node_rules_on_rational_grid():
                 map=two1,
             )
             out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
-            assert out == qmath.tetra_weights(ShrunkState(two1(z), alpha / (6 - alpha)))
+            assert out == qmath.tetra_weights(ShrunkState(two1[z], alpha / (6 - alpha)))
     _passed(4, "join alpha*beta/9 and transform shrinks {1, a/3, a/(6-a)} exact on the grid")
 
 

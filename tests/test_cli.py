@@ -593,7 +593,7 @@ def test_old_normal_form_layout_exits_2_naming_ops(tmp_path, capsys):
     d3, _ = netgraph.normalize_to_d3(*instances.bundled("two-to-one-diamond"))
     doc = _d3_doc(d3)
     del doc["ops"]
-    doc["transforms"] = {v: [letter_to_str(x) for x in m.table] for v, m in d3.transforms.items()}
+    doc["transforms"] = {v: [letter_to_str(x) for x in m] for v, m in d3.transforms.items()}
     path = _write_json(tmp_path, "old.json", doc)
     for command in _ALL_SIX:
         assert _run_one(capsys, command, path) == (

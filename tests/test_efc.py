@@ -127,6 +127,17 @@ def test_cloner_output_is_product_of_shrunk_copies(alpha, label):
         assert joint[(z1, z2)] == marg[z1] * marg[z2]
 
 
+def test_cloner_refuses_an_output_that_is_not_the_claimed_product(monkeypatch):
+    # the claimed marginal is qmath's tetra mixture at alpha / 9; claim the
+    # one at alpha / 3 instead and the exact joint law no longer factors
+    tetra_weights = qmath.tetra_weights
+    monkeypatch.setattr(
+        qmath, "tetra_weights", lambda s: tetra_weights(ShrunkState(s.label, s.alpha * 3))
+    )
+    with pytest.raises(VerificationError, match="is not the claimed product"):
+        efc_apply(ShrunkState(1, Fraction(1, 3)))
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_cloner_against_density_matrix_oracle(alpha):
     # independent check: realize the full two-qubit output state numerically
@@ -185,6 +196,11 @@ def test_cloners_refuse_non_bits(bit):
         efco2_apply(bit, Fraction(1, 2))
     with pytest.raises(ValueError, match="input must be the bit 0 or 1"):
         efc2_apply(0.3, bit, 0.5)
+
+
+def test_mirror_cloner_checks_its_bit_before_its_angle():
+    with pytest.raises(ValueError, match="input must be the bit 0 or 1"):
+        efc2_apply(math.pi / 4, 2, 0.5)
 
 
 def test_basis_cloner_accepts_floats():

@@ -430,7 +430,7 @@ def test_normalize_inserts_transform_between_new_fork_and_sink():
         (e,) = d3.network.in_edges(t)
         producer = d3.network.edges[e][0]
         assert d3.roles[producer] == "transform"
-        assert d3.transforms[producer].is_identity
+        assert d3.transforms[producer] == IDENTITY_MAP
 
 
 def test_normalize_absorbs_unused_inputs():
@@ -578,6 +578,15 @@ def test_instance_json_round_trip():
         assert net2.requirements == net.requirements
         assert proto2.group == proto.group
         assert proto2.ops == proto.ops
+
+
+def test_a_letter_map_is_its_value_table():
+    doc = instance_to_json(*instances.bundled("single-edge"))
+    doc["ops"]["t"] = [{"out": 0, "terms": [{"in": 0, "map": ["01", "00", "10", "11"]}]}]
+    _, proto = instance_from_json(doc)
+    assert proto.ops["t"][0].terms == (Term(0, (1, 0, 2, 3)),)
+    assert constant_map(2) == (2, 2, 2, 2)
+    assert IDENTITY_MAP == netgraph.LETTERS
 
 
 def test_roles_are_one_to_one_on_kind_and_degree():

@@ -141,3 +141,12 @@ def test_state_family_ranks():
     assert linear_independence_rank(tetra[:2]) == 2
     with pytest.raises(ValueError):
         linear_independence_rank([])
+    assert linear_independence_rank(tetra_matrix(z) for z in range(4)) == 4
+    with pytest.raises(ValueError, match="between 1 and 4 states, got 5"):
+        linear_independence_rank(tetra + tetra[:1])
+
+
+def test_tetra_matrices_are_read_only():
+    for z in range(4):
+        with pytest.raises(ValueError, match="read-only"):
+            tetra_matrix(z)[0, 0] = 1

@@ -772,6 +772,41 @@ def test_montecarlo_stops_every_worker_when_one_fails(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_montecarlo_stops_the_caller_when_a_worker_fails(monkeypatch):
+    # the thread's worker fails on its first piece, from the middle of chunk
+    # 2, while the calling thread runs chunk 0; the caller must stop after
+    # that piece rather than run chunks 1 and 2.  The call's stop event is
+    # the first Event it makes.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    comp = compile_protocol(_every_op_network(GroupKind.Z4))
+    started, events = threading.Event(), []
+
+    class RecordedEvent(threading.Event):
+        def __init__(self):
+            super().__init__()
+            events.append(self)
+
+    monkeypatch.setattr(threading, "Event", RecordedEvent)
+    default_rng = np.random.default_rng
+    drawn = []
+
+    def failing_rng(seq):
+        drawn.append(seq.spawn_key)
+        if seq.spawn_key == (2,):
+            started.wait(10)
+            raise RuntimeError("chunk 2 failed")
+        started.set()
+        events[0].wait(10)
+        return default_rng(seq)
+
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 2 failed"):
+        simulate_montecarlo(comp, [1, 2], trials=5 * qsim.CHUNK_SIZE + 123, seed=5)
+    assert sorted(drawn) == [(0,), (2,)]
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_montecarlo_splits_one_chunk_without_changing_counts(monkeypatch, cpus):
     # 60,000 trials are one chunk, cut mid-chunk among one, two or three
