@@ -3,9 +3,8 @@
 The exact path (validation, normal form, compilation, exact sweep and
 analytic report) is integer and `Fraction` code and imports no numpy, so
 `import qnc4` and every `qnc4` subcommand except Monte Carlo start
-without it.  The numpy-backed matrix and state helpers and cloners live
-in the `qnc4.qmath` and `qnc4.efc` submodules, which load numpy when
-they are imported.
+without it.  The numpy-backed state checks and matrices live in the
+`qnc4.qmath` submodule, which loads numpy when it is imported.
 """
 
 from .errors import (

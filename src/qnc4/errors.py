@@ -26,7 +26,6 @@ class SizeError(QncError):
 
 
 class VerificationError(QncError):
-    """Raised when a self-check of a derived law fails: exactly, for a
-    compiled kernel that misses its target law, a shrink whose emission law
-    would be negative or an exact cloner identity of `efc`; past a residual
-    bound, for `efc`'s float closed forms."""
+    """Raised when a self-check of a derived law fails: when a node kernel
+    is built or checked, for a compiled kernel that misses its target law
+    or a shrink whose emission law would be negative."""

@@ -8,11 +8,10 @@ W(alpha) = alpha I + (1 - alpha)/4 J.  The tetra measurement mixes a
 letter by W(1/3), and W(a) W(b) = W(ab), so the outcome laws are
 `tetra_weights` too: at 1/3 on a pure state (`ttr_outcome_weights`) and
 at alpha / 3 on a shrunk one (`shrunk_probabilities`).  Nothing here
-needs the states' complex matrices, so this module imports no numpy;
-`qmath` re-exports every name in it.
+needs the states' complex matrices, so this module imports no numpy.
 
-`as_shrink` is the one range check of a shrink factor: `ShrunkState` and
-the cloners in `efc` call it.
+`as_shrink` is the one range check of a shrink factor: `ShrunkState`
+calls it.
 """
 
 from dataclasses import dataclass

@@ -1,4 +1,7 @@
-"""Entanglement-free cloners.
+"""Entanglement-free cloners, in the closed forms of the paper: the tests'
+reference for them.  `qnc4` itself runs the fork's cloner as the compiled
+fork kernel, which `build_kernel` derives from the shrink table; the fork
+branch law of `_reference` is built from `efc_pair_distribution` here.
 
 `efc_apply` is the cloner used at fork nodes: measure the incoming qubit
 with the tetra measurement, then draw a pair of letters from a distribution
@@ -20,10 +23,11 @@ from itertools import product
 
 import numpy as np
 
-from .errors import VerificationError
-from .netgraph import LETTERS, Letter, as_letter
-from . import qmath
-from .qmath import ShrunkState, as_shrink, identity2
+from qnc4.errors import VerificationError
+from qnc4.netgraph import LETTERS, Letter, as_letter
+from qnc4.shrink import ShrunkState, as_shrink, shrunk_probabilities, tetra_weights
+
+from _qubits import identity2
 
 PairDist = dict[tuple[Letter, Letter], Fraction]
 
@@ -96,7 +100,7 @@ def efc_pair_distribution(alpha, measured: Letter) -> PairDist:
 def efc_joint_distribution(state: ShrunkState) -> PairDist:
     """Exact output pair distribution of the cloner on a shrunk state."""
     joint = {pair: Fraction(0) for pair in product(LETTERS, repeat=2)}
-    probs = qmath.ttr_probabilities(state)
+    probs = shrunk_probabilities(state)
     for x in LETTERS:
         for pair, w in efc_pair_distribution(state.alpha, x).items():
             joint[pair] += probs[x] * w
@@ -110,7 +114,7 @@ def efc_apply(state: ShrunkState) -> tuple[ShrunkState, ShrunkState]:
     the two claimed marginals before returning.
     """
     out = ShrunkState(state.label, state.alpha / 9)
-    marginal = qmath.tetra_weights(out)
+    marginal = tetra_weights(out)
     joint = efc_joint_distribution(state)
     for (z1, z2), w in joint.items():
         if w != marginal[z1] * marginal[z2]:

@@ -2,7 +2,7 @@
 
 `transform_branch_law`, `join_branch_law` and `fork_branch_law` are the
 per-node `Fraction` branch laws, the two-to-one transform's built from
-`two_to_one_emission` and the fork's from `efc`'s pair law, independently
+`two_to_one_emission` and the fork's from `_efc`'s pair law, independently
 of the compiled kernels.  `build_kernel_two_step`
 is the kernel build through the emission law, which `build_kernel`'s one
 mix per input must agree with, entry for entry and message for message;
@@ -29,7 +29,6 @@ from math import gcd, prod
 from operator import add, mul
 from typing import NamedTuple
 
-from qnc4 import efc, qmath
 from qnc4.errors import SizeError, VerificationError
 from qnc4.netgraph import LETTERS, GroupKind, Letter, LetterMap, as_letter
 from qnc4.qcompiler import (
@@ -46,6 +45,8 @@ from qnc4.qcompiler import (
 )
 from qnc4.shrink import as_shrink, shrunk_weights, ttr_outcome_weights
 from qnc4.qsim import _resolve_inputs
+
+import _efc
 
 MAX_FULL_BRANCHES = 10**6
 
@@ -104,8 +105,8 @@ def fork_branch_law(op: QuantumOp, u: Letter) -> dict[tuple, Fraction]:
     """Joint distribution of the two letters a fork emits, given the
     incoming letter."""
     out: dict[tuple, Fraction] = {}
-    for x, t in qmath.ttr_outcome_weights(u).items():
-        for pair, w in efc.efc_pair_distribution(op.a_in[0], x).items():
+    for x, t in ttr_outcome_weights(u).items():
+        for pair, w in _efc.efc_pair_distribution(op.a_in[0], x).items():
             out[pair] = out.get(pair, Fraction(0)) + t * w
     return out
 

@@ -16,7 +16,7 @@ function and class, looked up in CLASSES by module, function and statement:
 The working tree is never edited.  The mutants are written into two
 scratch copies of it, one per worker, in a temporary directory that is
 removed at the end.  Pytest does not collect this file.  Run it by hand
-from the repository root (about 50 minutes on two CPUs):
+from the repository root (about 40 minutes on two CPUs):
 
     python tests/mutants.py
 """
@@ -35,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("qsim", "netgraph", "qcompiler", "cli", "classical_eval", "instances", "shrink",
-           "efc", "qmath")
+           "qmath")
 # the suite but the test of this script's own record, which no mutant of
 # src/ can change and which fails while the record is being rewritten
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "--ff",
@@ -56,22 +56,7 @@ _SINK_SHORTCUT = (
     "without the shortcut the sum gives a factor over no edge, which "
     "nothing reads",
 )
-# efc's self-checks of its own closed forms, kept as guards against a wrong
-# formula: no input can make one fire
-_RATIONAL_CHECK = (
-    "equivalent",
-    "the cloner weights satisfy these rational identities at every shrink "
-    "that as_shrink accepts, exactly, so the check never fires",
-)
-_FLOAT_CHECK = (
-    "equivalent",
-    "the closed form satisfies the checked identity at every angle and "
-    "shrink the function accepts: exactly for a Fraction, and for a float "
-    "with rounding below 1e-15, far under the 1e-12 tolerance, so the "
-    "check never fires",
-)
 CLASSES = {
-    ("qsim", "<module>", "if TYPE_CHECKING:"): _TYPE_ONLY,
     ("qsim", "<module>", "import numpy as np"): _TYPE_ONLY,
     ("qsim", "simulate_oracle", "if not rest:"): _SINK_SHORTCUT,
     ("qsim", "simulate_oracle", "continue"): _SINK_SHORTCUT,
@@ -81,24 +66,6 @@ CLASSES = {
         "'.<tag><i>.<k>' after its node's own id, so no fresh id can equal "
         "an earlier one, and the original ids are in used from the start",
     ),
-    ("efc", "efc_params", "if not all(checks):"): _RATIONAL_CHECK,
-    ("efc", "efc_params",
-     "raise VerificationError(f'cloner weight identities fail at alpha={a}')"): _RATIONAL_CHECK,
-    ("efc", "efco2_apply", "for pair in dist:"): _FLOAT_CHECK,
-    ("efc", "efco2_apply", "if abs(dist[pair] - expected[pair]) > tol:"): _FLOAT_CHECK,
-    ("efc", "efco2_apply",
-     "raise VerificationError(f'pair distribution at p={p} is not a product')"): _FLOAT_CHECK,
-    ("efc", "efc2_apply", "if max(abs(eq1), abs(eq2)) > 1e-12:"): _FLOAT_CHECK,
-    ("efc", "efc2_apply",
-     "raise VerificationError(f'closed form fails its defining equations at theta={theta}, "
-     "p={p}')"): _FLOAT_CHECK,
-    ("efc", "efc2_apply", "if np.abs(clone - target).max() > 1e-12:"): _FLOAT_CHECK,
-    ("efc", "efc2_apply",
-     "raise VerificationError(f'output is not a shrink of the input state at theta={theta}, "
-     "p={p}')"): _FLOAT_CHECK,
-    ("efc", "efc2_apply", "if np.abs(joint - np.kron(clone, clone)).max() > 1e-12:"): _FLOAT_CHECK,
-    ("efc", "efc2_apply",
-     "raise VerificationError('joint output is not a product')"): _FLOAT_CHECK,
 }
 
 

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from qnc4 import classical_eval, efc, instances, netgraph, qmath, qsim
+from qnc4 import classical_eval, instances, netgraph, qmath, qsim, shrink
 from qnc4.netgraph import GroupKind, constant_map, normalize_to_d3
 from qnc4.qcompiler import (
     TRANSFORM_CONSTANT,
@@ -21,14 +21,18 @@ from qnc4.qcompiler import (
     QuantumOp,
     compile_protocol,
 )
-from qnc4.qmath import ShrunkState, densify, tetra_matrix, tetra_vector
+from qnc4.qmath import tetra_matrix
+from qnc4.shrink import ShrunkState
 
+import _efc
+import _qubits
 from _generators import (
     random_d3_instance,
     random_network_instance,
     random_permutation_map,
     random_two_to_one_map,
 )
+from _qubits import densify, tetra_vector
 from _reference import join_branch_law, transform_branch_law
 
 GRID_10 = [Fraction(k, 10) for k in range(1, 11)]
@@ -42,7 +46,7 @@ def _shrunk_input_mix(z: int, alpha: Fraction, law) -> dict:
     """Mix a letter-conditioned branch law over the latent letter mixture
     that realizes ShrunkState(z, alpha) on the node's incoming edge."""
     out: dict = {y: Fraction(0) for y in range(4)}
-    for u, w in qmath.tetra_weights(ShrunkState(z, alpha)).items():
+    for u, w in shrink.tetra_weights(ShrunkState(z, alpha)).items():
         for y, p in law(u).items():
             out[y] += w * p
     return out
@@ -55,9 +59,9 @@ def test_criterion_01_tetra_geometry():
         2: (1, -1, -1),
         3: (-1, 1, -1),
     }
-    qmath.bloch_vector(tetra_matrix(0))  # warm-up outside the timed region
+    _qubits.bloch_vector(tetra_matrix(0))  # warm-up outside the timed region
     t0 = time.perf_counter()
-    vecs = [qmath.bloch_vector(tetra_matrix(z)) for z in range(4)]
+    vecs = [_qubits.bloch_vector(tetra_matrix(z)) for z in range(4)]
     total = sum(tetra_matrix(z) for z in range(4))
     elapsed = time.perf_counter() - t0
     inv = 1 / math.sqrt(3)
@@ -79,11 +83,11 @@ def test_criterion_02_ttr_law_and_channel():
         assert all(abs(approx[w] - 1 / 6) < 1e-12 for w in range(4) if w != z)
     rng = np.random.default_rng(321)
     for _ in range(100):
-        v1, v2 = qmath.random_pure_state(rng), qmath.random_pure_state(rng)
+        v1, v2 = _qubits.random_pure_state(rng), _qubits.random_pure_state(rng)
         w = rng.random()
         rho = w * np.outer(v1, v1.conj()) + (1 - w) * np.outer(v2, v2.conj())
         shrunk = rho / 3 + np.eye(2) / 3
-        assert np.abs(qmath.ttr_channel(rho) - shrunk).max() < 1e-12
+        assert np.abs(_qubits.ttr_channel(rho) - shrunk).max() < 1e-12
     _passed(2, "measurement law exact, channel is 1/3-shrinking on 100 densities")
 
 
@@ -92,9 +96,9 @@ def test_criterion_03_cloner_exactness():
     for alpha in (Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 5), Fraction(1, 81)):
         for z in range(4):
             state = ShrunkState(z, alpha)
-            joint = efc.efc_joint_distribution(state)
-            out1, out2 = efc.efc_apply(state)
-            marg = qmath.tetra_weights(out1)
+            joint = _efc.efc_joint_distribution(state)
+            out1, out2 = _efc.efc_apply(state)
+            marg = shrink.tetra_weights(out1)
             # exact mixture coefficients
             for pair, w in joint.items():
                 assert w == marg[pair[0]] * marg[pair[1]]
@@ -105,7 +109,7 @@ def test_criterion_03_cloner_exactness():
             single = densify(ShrunkState(z, alpha / 9))
             assert np.abs(rho - np.kron(single, single)).max() < 1e-12
     for k in range(1, 101):
-        par = efc.efc_params(Fraction(k, 100))
+        par = _efc.efc_params(Fraction(k, 100))
         assert min(par.p1, par.p2, par.p3, par.p4) > 0
         assert par.p1 + 6 * par.p2 + 6 * par.p3 + 3 * par.p4 == 1
     elapsed = time.perf_counter() - t0
@@ -118,12 +122,12 @@ def test_criterion_04_node_rules_on_rational_grid():
         for alpha, beta in product(GRID_10, repeat=2):
             for z1, z2 in ((0, 0), (1, 3), (2, 1)):
                 out: dict = {}
-                wa = qmath.tetra_weights(ShrunkState(z1, alpha))
-                wb = qmath.tetra_weights(ShrunkState(z2, beta))
+                wa = shrink.tetra_weights(ShrunkState(z1, alpha))
+                wb = shrink.tetra_weights(ShrunkState(z2, beta))
                 for u1, u2 in product(range(4), repeat=2):
                     for y, p in join_branch_law(group, u1, u2).items():
                         out[y] = out.get(y, Fraction(0)) + wa[u1] * wb[u2] * p
-                want = qmath.tetra_weights(
+                want = shrink.tetra_weights(
                     ShrunkState(group.add(z1, z2), alpha * beta / 9)
                 )
                 assert out == want
@@ -136,13 +140,13 @@ def test_criterion_04_node_rules_on_rational_grid():
                 "n", TRANSFORM_CONSTANT, Fraction(1), a_in=(alpha,), map=constant_map(2)
             )
             out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
-            assert out == qmath.tetra_weights(ShrunkState(2, Fraction(1)))
+            assert out == shrink.tetra_weights(ShrunkState(2, Fraction(1)))
 
             op = QuantumOp(
                 "n", TRANSFORM_ONE_TO_ONE, alpha / 3, a_in=(alpha,), map=perm
             )
             out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
-            assert out == qmath.tetra_weights(ShrunkState(perm[z], alpha / 3))
+            assert out == shrink.tetra_weights(ShrunkState(perm[z], alpha / 3))
 
             op = QuantumOp(
                 "n",
@@ -152,13 +156,13 @@ def test_criterion_04_node_rules_on_rational_grid():
                 map=two1,
             )
             out = _shrunk_input_mix(z, alpha, lambda u: transform_branch_law(op, u))
-            assert out == qmath.tetra_weights(ShrunkState(two1[z], alpha / (6 - alpha)))
+            assert out == shrink.tetra_weights(ShrunkState(two1[z], alpha / (6 - alpha)))
     _passed(4, "join alpha*beta/9 and transform shrinks {1, a/3, a/(6-a)} exact on the grid")
 
 
 def test_criterion_05_state_family_ranks():
     tetra = [tetra_matrix(z) for z in range(4)]
-    assert qmath.linear_independence_rank(tetra) == 4
+    assert _qubits.linear_independence_rank(tetra) == 4
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     minus = np.array([1.0, -1.0]) / math.sqrt(2)
     bb84 = [
@@ -167,7 +171,7 @@ def test_criterion_05_state_family_ranks():
         np.outer(plus, plus),
         np.outer(minus, minus),
     ]
-    assert qmath.linear_independence_rank(bb84) == 3
+    assert _qubits.linear_independence_rank(bb84) == 3
     _passed(5, "projector ranks: tetra family 4, conjugate-basis family 3")
 
 
@@ -200,7 +204,7 @@ def test_criterion_06_butterfly_end_to_end():
     rng = np.random.default_rng(123)
     pure_pairs = [
         (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-        (qmath.random_pure_state(rng), qmath.random_pure_state(rng)),
+        (_qubits.random_pure_state(rng), _qubits.random_pure_state(rng)),
     ]
     trials = 10**6
     for pair in pure_pairs:
@@ -225,7 +229,7 @@ def test_criterion_07_random_networks_edge_exactness():
             classical = classical_eval.edge_values(d3, None, list(inputs))
             oracle = qsim.simulate_oracle(comp, list(inputs))
             for e in range(len(d3.network.edges)):
-                want = qmath.tetra_weights(
+                want = shrink.tetra_weights(
                     ShrunkState(classical[e], comp.edge_alpha(e))
                 )
                 got = oracle.edge_marginals[e]
@@ -262,7 +266,7 @@ def test_criterion_08_normalization_preserves_truth_tables():
 def test_criterion_09_two_state_cloners():
     for p in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
         for x in (0, 1):
-            res = efc.efco2_apply(x, p)
+            res = _efc.efco2_apply(x, p)
             own = Fraction(1, 2) + p / 4
             other = Fraction(1, 2) - p / 4
             assert res.output_shrink == p / 2
@@ -271,7 +275,7 @@ def test_criterion_09_two_state_cloners():
             assert res.pair_dist[(1 - x, 1 - x)] == other * other
     for theta in (0.0, math.pi / 12, math.pi / 6, math.pi / 5):
         for p in (0.25, 0.5, 1.0):
-            res = efc.efc2_apply(theta, 0, p)
+            res = _efc.efc2_apply(theta, 0, p)
             assert res.r > 0
             c, s = math.cos(theta), math.sin(theta)
             eq1 = (res.r * c * c + (1 - res.r) / 2) - (
@@ -299,8 +303,8 @@ def test_criterion_10_forks_produce_no_correlations():
                 rho = np.zeros((4, 4), dtype=complex)
                 for (z1, z2), w in joint.items():
                     rho += float(w) * np.kron(tetra_matrix(z1), tetra_matrix(z2))
-                r1 = qmath.mixture_matrix(m1)
-                r2 = qmath.mixture_matrix(m2)
+                r1 = _qubits.mixture_matrix(m1)
+                r2 = _qubits.mixture_matrix(m2)
                 assert np.abs(rho - np.kron(r1, r2)).max() < 1e-12
                 found += 1
     assert found

@@ -5,8 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qnc4 import efc, qmath
-from qnc4.efc import (
+from qnc4.errors import VerificationError
+from qnc4.qmath import tetra_matrix
+from qnc4.shrink import ShrunkState, as_shrink, tetra_weights
+
+import _efc
+from _efc import (
     Efc2Result,
     efc_apply,
     efc_joint_distribution,
@@ -15,10 +19,8 @@ from qnc4.efc import (
     efc2_apply,
     efco2_apply,
 )
-from qnc4.errors import VerificationError
-from qnc4.qmath import ShrunkState, as_shrink, densify, identity2, tetra_matrix
-
 from _generators import HIGH_BIT
+from _qubits import densify, identity2
 from _reference import two_to_one_emission
 
 ALPHAS = [Fraction(1), Fraction(1, 3), Fraction(1, 9), Fraction(1, 5), Fraction(1, 81)]
@@ -122,17 +124,16 @@ def test_cloner_output_is_product_of_shrunk_copies(alpha, label):
     out1, out2 = efc_apply(state)
     assert out1 == out2 == ShrunkState(label, alpha / 9)
     joint = efc_joint_distribution(state)
-    marg = qmath.tetra_weights(out1)
+    marg = tetra_weights(out1)
     for z1, z2 in product(range(4), repeat=2):
         assert joint[(z1, z2)] == marg[z1] * marg[z2]
 
 
 def test_cloner_refuses_an_output_that_is_not_the_claimed_product(monkeypatch):
-    # the claimed marginal is qmath's tetra mixture at alpha / 9; claim the
-    # one at alpha / 3 instead and the exact joint law no longer factors
-    tetra_weights = qmath.tetra_weights
+    # the claimed marginal is the tetra mixture at alpha / 9; claim the one
+    # at alpha / 3 instead and the exact joint law no longer factors
     monkeypatch.setattr(
-        qmath, "tetra_weights", lambda s: tetra_weights(ShrunkState(s.label, s.alpha * 3))
+        _efc, "tetra_weights", lambda s: tetra_weights(ShrunkState(s.label, s.alpha * 3))
     )
     with pytest.raises(VerificationError, match="is not the claimed product"):
         efc_apply(ShrunkState(1, Fraction(1, 3)))

@@ -6,6 +6,7 @@ imported numpy and every submodule.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -31,7 +32,7 @@ _PUBLIC = (
     "LETTERS", "LetterMap", "Network", "NodeOp", "QncError", "QuantumOp",
     "SchemaError", "ShrunkState", "SizeError", "Term", "ValidationError",
     "VerificationError", "check_requirement", "classical_eval", "compile_protocol",
-    "constant_map", "efc", "errors", "estimate_fidelity", "evaluate",
+    "constant_map", "errors", "estimate_fidelity", "evaluate",
     "instance_from_json", "instance_to_json", "instances", "make_network", "netgraph",
     "node_op", "normalize_to_d3", "qcompiler", "qmath", "qsim", "simulate_analytic",
     "simulate_montecarlo", "simulate_oracle", "tetra_weights", "truth_table",
@@ -139,12 +140,13 @@ print("numpy" in sys.modules)
 
 
 def test_public_names_still_import():
-    # numpy is loaded only once the qmath or efc submodule is imported
+    # numpy is loaded only once the qmath submodule is imported
     assert _child(_IMPORT_EACH, *_PUBLIC).split() == ["False", "True"]
-    from qnc4 import efc, qmath
+    from qnc4 import shrink
 
-    assert qnc4.ShrunkState is qmath.ShrunkState
-    assert efc.efc_apply.__module__ == "qnc4.efc"
+    assert qnc4.ShrunkState is shrink.ShrunkState
+    # the paper's standalone cloners are the tests' reference, not API
+    assert importlib.util.find_spec("qnc4.efc") is None
 
 
 def test_both_module_entry_points_run_the_command():

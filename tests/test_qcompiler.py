@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from qnc4 import instances, netgraph, qcompiler, qmath
+from qnc4 import instances, netgraph, qcompiler, qmath, shrink
 from qnc4.errors import SizeError, ValidationError, VerificationError
 from qnc4.netgraph import (
     LETTERS,
@@ -31,7 +31,7 @@ from qnc4.qcompiler import (
     compile_protocol,
     protocol_to_json,
 )
-from qnc4.qmath import ShrunkState
+from qnc4.shrink import ShrunkState
 
 from _generators import (
     HIGH_BIT,
@@ -107,7 +107,7 @@ def test_emission_mixes_to_shrunk_mapped_letter():
                 for x in LETTERS:
                     for y, w in two_to_one_emission(x, m, a).items():
                         out[y] += probs[x] * w
-                want = qmath.tetra_weights(ShrunkState(m[z], a / (6 - a)))
+                want = shrink.tetra_weights(ShrunkState(m[z], a / (6 - a)))
                 assert out == want
 
 

@@ -5,28 +5,26 @@ import numpy as np
 import pytest
 
 from qnc4 import qmath
-from qnc4.qmath import (
-    ShrunkState,
+from qnc4.qmath import fidelity, tetra_matrix, ttr_probabilities
+from qnc4.shrink import ShrunkState, tetra_weights, ttr_outcome_weights
+
+import _qubits
+from _qubits import (
     bloch_vector,
     densify,
-    fidelity,
     identity2,
     linear_independence_rank,
     mixture_matrix,
-    tetra_matrix,
     tetra_povm,
     tetra_vector,
-    tetra_weights,
     ttr_channel,
-    ttr_outcome_weights,
-    ttr_probabilities,
 )
 
 
 def _random_density(rng):
     # random mixture of two pure states
     w = rng.random()
-    v1, v2 = qmath.random_pure_state(rng), qmath.random_pure_state(rng)
+    v1, v2 = _qubits.random_pure_state(rng), _qubits.random_pure_state(rng)
     return w * np.outer(v1, v1.conj()) + (1 - w) * np.outer(v2, v2.conj())
 
 
@@ -59,12 +57,12 @@ def test_tetra_bloch_vectors_form_a_tetrahedron():
 def test_tetra_states_sum_to_twice_identity():
     total = sum(tetra_matrix(z) for z in range(4))
     assert np.abs(total - 2 * identity2).max() < 1e-12
-    assert qmath.check_povm(tetra_povm())
+    assert _qubits.check_povm(tetra_povm())
 
 
 def test_matrix_checks_hold_their_absolute_tolerance():
     # np.allclose's default relative tolerance of 1e-5 would let both pass
-    assert not qmath.check_povm([identity2 * (1 + 4e-6)])
+    assert not _qubits.check_povm([identity2 * (1 + 4e-6)])
     skew = np.array([[0.6, 0.2], [0.2 + 2e-6, 0.4]])
     assert not qmath.is_density_matrix(skew)
     assert qmath.is_density_matrix((skew + skew.T) / 2)
@@ -119,7 +117,7 @@ def test_densify_weights_round_trip():
 def test_fidelity_basics():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        v = qmath.random_pure_state(rng)
+        v = _qubits.random_pure_state(rng)
         assert abs(fidelity(v, np.outer(v, v.conj())) - 1) < 1e-12
         assert abs(fidelity(v, identity2 / 2) - 0.5) < 1e-12
     with pytest.raises(ValueError):

@@ -9,11 +9,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qnc4 import classical_eval, efc, instances, netgraph, qcompiler, qmath, qsim
+from qnc4 import classical_eval, instances, netgraph, qcompiler, qmath, qsim, shrink
 from qnc4.errors import SizeError
 from qnc4.netgraph import GroupKind, LetterMap, constant_map, normalize_to_d3
 from qnc4.qcompiler import FORK_EFC, compile_protocol
-from qnc4.qmath import ShrunkState
+from qnc4.shrink import ShrunkState
 from qnc4.qsim import (
     alias_table,
     chi_square_statistic,
@@ -26,6 +26,8 @@ from qnc4.qsim import (
     source_distribution,
 )
 
+import _efc
+import _qubits
 import _reference
 from _generators import HIGH_BIT, diamond_chain, grown_d3, random_d3_instance
 from _reference import enumerate_branches, fork_branch_law, join_branch_law, transform_branch_law
@@ -103,7 +105,7 @@ def test_fork_law_marginals(butterfly_compiled):
             for (z1, z2), w in law.items():
                 left[z1] += w
                 right[z2] += w
-            expect = qmath.tetra_weights(ShrunkState(u, Fraction(1, 9)))
+            expect = shrink.tetra_weights(ShrunkState(u, Fraction(1, 9)))
             assert left == expect and right == expect
 
 
@@ -275,7 +277,7 @@ def test_oracle_accepts_shrunk_and_vector_inputs(single_compiled):
     res = simulate_oracle(single_compiled, [np.array([1.0, 0.0])])
     total = sum(res.edge_marginals[0].values())
     assert abs(total - 1) < 1e-12
-    rho = qmath.mixture_matrix(res.sink_mixtures["t"])
+    rho = _qubits.mixture_matrix(res.sink_mixtures["t"])
     assert qmath.is_density_matrix(rho)
 
 
@@ -330,7 +332,7 @@ def test_random_networks_hit_compiled_shrinks():
         classical = classical_eval.edge_values(d3, None, inputs)
         oracle = simulate_oracle(comp, list(inputs))
         for e in range(len(d3.network.edges)):
-            want = qmath.tetra_weights(ShrunkState(classical[e], comp.edge_alpha(e)))
+            want = shrink.tetra_weights(ShrunkState(classical[e], comp.edge_alpha(e)))
             for z in range(4):
                 assert oracle.edge_marginals[e].get(z, 0) == want[z]
 
@@ -475,7 +477,7 @@ def test_plan_sweeps_disjoint_diamonds_one_at_a_time(diamond_compiled, monkeypat
         assert oracle.sink_mixtures == simulate_analytic(comp, inputs).sink_mixtures
         letters = classical_eval.edge_values(d3, None, list(inputs))
         for e in range(len(net.edges)):
-            want = qmath.tetra_weights(ShrunkState(letters[e], comp.edge_alpha(e)))
+            want = shrink.tetra_weights(ShrunkState(letters[e], comp.edge_alpha(e)))
             assert {z: oracle.edge_marginals[e].get(z, 0) for z in range(4)} == want
 
 
@@ -502,7 +504,7 @@ def test_sweep_is_exact_where_the_plan_is_too_wide():
                 assert {z: oracle.sink_mixtures[t].get(z, 0) for z in range(4)} == analytic[t]
             letters = classical_eval.edge_values(d3, None, inputs)
             for e in range(len(net.edges)):
-                want = qmath.tetra_weights(ShrunkState(letters[e], comp.edge_alpha(e)))
+                want = shrink.tetra_weights(ShrunkState(letters[e], comp.edge_alpha(e)))
                 assert {z: oracle.edge_marginals[e].get(z, 0) for z in range(4)} == want
         swept += 1
     assert swept >= 6
@@ -911,13 +913,13 @@ _LETTER_ENTRY_POINTS = {
     "mixture_fidelity": lambda comp, x: mixture_fidelity({0: Fraction(1)}, x),
     "guess_fidelities": lambda comp, x: guess_fidelities(x),
     "ShrunkState": lambda comp, x: ShrunkState(x, Fraction(1, 2)),
-    "tetra": lambda comp, x: qmath.tetra(x),
+    "tetra": lambda comp, x: _qubits.tetra(x),
     "tetra_matrix": lambda comp, x: qmath.tetra_matrix(x),
-    "tetra_vector": lambda comp, x: qmath.tetra_vector(x),
-    "ttr_outcome_weights": lambda comp, x: qmath.ttr_outcome_weights(x),
+    "tetra_vector": lambda comp, x: _qubits.tetra_vector(x),
+    "ttr_outcome_weights": lambda comp, x: shrink.ttr_outcome_weights(x),
     "two_to_one_emission": lambda comp, x: _reference.two_to_one_emission(
         x, HIGH_BIT, Fraction(1, 9)),
-    "efc_pair_distribution": lambda comp, x: efc.efc_pair_distribution(Fraction(1, 9), x),
+    "efc_pair_distribution": lambda comp, x: _efc.efc_pair_distribution(Fraction(1, 9), x),
 }
 
 
@@ -941,7 +943,7 @@ def test_every_entry_point_takes_numpy_letters(diamond_compiled, entry):
 
 _STATE_VECTOR_ENTRY_POINTS = {
     "source_distribution": source_distribution,
-    "fidelity": lambda psi: qmath.fidelity(psi, qmath.identity2 / 2),
+    "fidelity": lambda psi: qmath.fidelity(psi, _qubits.identity2 / 2),
     "guess_fidelities": guess_fidelities,
     "mixture_fidelity": lambda psi: mixture_fidelity({0: Fraction(1)}, psi),
     "estimate_fidelity": lambda psi: estimate_fidelity(np.array([1, 0, 0, 0]), 1, psi),
