@@ -17,7 +17,7 @@ row count.  `edge_values` and `evaluate` walk one row, `truth_table` and
 `check_requirement` all 4^S rows at once.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from operator import getitem
 
@@ -107,11 +107,8 @@ def _all_rows(net, what: str) -> list[bytes]:
     return [b"".join(bytes((z,)) * 4 ** (n - 1 - i) for z in LETTERS) * 4 ** i for i in range(n)]
 
 
-@dataclass
-class TruthTable:
-    sources: tuple[str, ...]
-    sinks: tuple[str, ...]
-    rows: dict[tuple[Letter, ...], tuple[Letter, ...]]
+# the sources' and sinks' ids, and each input tuple's output tuple in that order
+TruthTable = namedtuple("TruthTable", ("sources", "sinks", "rows"))
 
 
 def truth_table(instance, proto=None) -> TruthTable:
@@ -123,10 +120,8 @@ def truth_table(instance, proto=None) -> TruthTable:
     return TruthTable(tuple(net.source_ids), tuple(net.sink_ids), rows)
 
 
-@dataclass
-class RequirementResult:
-    ok: bool
-    counterexample: tuple[Letter, ...] | None
+# whether every sink gets its letter, and if not, the first failing input tuple
+RequirementResult = namedtuple("RequirementResult", ("ok", "counterexample"))
 
 
 def check_requirement(instance, proto=None) -> RequirementResult:

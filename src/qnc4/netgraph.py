@@ -33,7 +33,7 @@ too, from `D3Network.protocol`.
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from numbers import Integral
 
@@ -96,23 +96,20 @@ def constant_map(c: Letter) -> LetterMap:
     return (c, c, c, c)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(namedtuple("Term", ("in_pos", "map"))):
     """One summand h(X_i) of an edge operation; `in_pos` indexes the node's
     incoming edges sorted by edge id, and `map` is h's value table, indexed
     by input letter."""
 
-    in_pos: int
-    map: LetterMap
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NodeOp:
+class NodeOp(namedtuple("NodeOp", ("out_pos", "terms"))):
     """The operation for one outgoing edge (position `out_pos` in the node's
-    sorted outgoing-edge list).  An empty term tuple denotes the constant 00."""
+    sorted outgoing-edge list), a tuple of Terms.  An empty term tuple
+    denotes the constant 00."""
 
-    out_pos: int
-    terms: tuple[Term, ...]
+    __slots__ = ()
 
 
 def node_op(out_pos: int, terms) -> NodeOp:
@@ -120,16 +117,12 @@ def node_op(out_pos: int, terms) -> NodeOp:
     return NodeOp(out_pos, tuple(Term(i, m) for i, m in terms))
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: str  # source | sink | internal
+Node = namedtuple("Node", ("id", "kind"))  # kind: source | sink | internal
 
 
 NODE_KINDS = ("source", "sink", "internal")
 
 
-@dataclass
 class Network:
     """A DAG with typed nodes, ordered edges, and a delivery requirement.
 
@@ -139,9 +132,11 @@ class Network:
     cached.
     """
 
-    nodes: list[Node]
-    edges: list[tuple[str, str]]
-    requirements: dict[str, str]
+    def __init__(self, nodes: list[Node], edges: list[tuple[str, str]],
+                 requirements: dict[str, str]):
+        self.nodes = nodes
+        self.edges = edges
+        self.requirements = requirements
 
     @cached_property
     def kind_of(self) -> dict[str, str]:
@@ -222,9 +217,9 @@ def make_network(nodes, edges, requirements) -> Network:
     )
 
 
-@dataclass
-class ClassicalProtocol:
-    """Edge operations for every non-source node of a Network.
+class ClassicalProtocol(namedtuple("ClassicalProtocol", ("group", "ops"))):
+    """Edge operations for every non-source node of a Network, adding in the
+    GroupKind `group`.
 
     `ops[node]` lists one NodeOp per outgoing-edge position.  Sinks carry at
     most one NodeOp, under out position 0, describing how the delivered
@@ -233,8 +228,7 @@ class ClassicalProtocol:
     through unchanged and carry no operations.
     """
 
-    group: GroupKind
-    ops: dict[str, tuple[NodeOp, ...]]
+    __slots__ = ()
 
     def decode_terms(self, t: str) -> tuple[Term, ...]:
         """The terms sink t decodes its letter from: its operation's, or the
@@ -245,9 +239,11 @@ class ClassicalProtocol:
         return _TERMS["sink"][0]
 
 
-@dataclass
 class ValidationReport:
-    violations: list[str] = field(default_factory=list)
+    """Every violation a validation found, one message each."""
+
+    def __init__(self):
+        self.violations: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -407,7 +403,6 @@ _TERMS = {
 _ZERO = Term(0, constant_map(0))  # the constant 00
 
 
-@dataclass
 class D3Network:
     """A network in degree-3 form, valid by construction.
 
@@ -416,11 +411,10 @@ class D3Network:
     runs `validate_d3` and raises ValidationError with its report.
     """
 
-    network: Network
-    transforms: dict[str, LetterMap]
-    group: GroupKind
-
-    def __post_init__(self):
+    def __init__(self, network: Network, transforms: dict[str, LetterMap], group: GroupKind):
+        self.network = network
+        self.transforms = transforms
+        self.group = group
         report = validate_d3(self)
         if not report.ok:
             raise ValidationError(report)

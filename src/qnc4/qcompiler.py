@@ -40,7 +40,7 @@ operations.  A mismatch raises VerificationError, so a compiled protocol
 only exists if each of its node laws lands on the bookkeeping above.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -52,7 +52,6 @@ from .netgraph import (
     LETTERS,
     D3Network,
     GroupKind,
-    LetterMap,
     letter_to_str,
 )
 from .shrink import shrunk_weights
@@ -104,8 +103,7 @@ _NOTED = {FORK_EFC: "fork", TRANSFORM_TWO_TO_ONE: "two-to-one", TRANSFORM_MAP: "
 MAX_DIGITS = 4000
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(namedtuple("Kernel", ("den", "rows"))):
     """Exact transition law of one node: P(output letters | input letters).
 
     One layout for any arity, two bits per letter, first letter highest:
@@ -115,38 +113,29 @@ class Kernel:
     is numerator / den.
     """
 
-    den: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuantumOp:
+class QuantumOp(namedtuple("QuantumOp", ("node", "tag", "alpha", "a_in", "map", "kernel"),
+                           defaults=(None, None))):
     """One compiled node: its law and its transition kernel.
 
     alpha is the shrink factor of the states this node emits, and a_in the
     shrink factors of its incoming edges, in in-edge order (() for a
     source).  The tag, map (a transform's letter map, else None), alpha and
-    a_in fix the node's law; a constant map's letter is map(0).  kernel is
-    None for sources and sinks.
+    a_in fix the node's law; a constant map's letter is map[0].  kernel, a
+    Kernel, is None for sources and sinks.
     """
 
-    node: str
-    tag: str
-    alpha: Fraction
-    a_in: tuple[Fraction, ...]
-    map: LetterMap | None = None
-    kernel: Kernel | None = field(default=None, repr=False, compare=False)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Note:
+class Note(namedtuple("Note", ("tag", "shrink", "map"), defaults=(None,))):
     """A law compile_protocol verified at an exact incoming shrink: a
     fork's (map None), or a transform's of a tag in `_NOTED`, formatted
     only by str()."""
 
-    tag: str
-    shrink: Fraction
-    map: LetterMap | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         text = f"{_NOTED[self.tag]} law verified at incoming shrink {self.shrink}"
@@ -156,13 +145,18 @@ class Note:
         return f"{text} for map {table}"
 
 
-@dataclass(frozen=True)
 class CompiledProtocol:
-    d3: D3Network
-    ops: dict[str, QuantumOp]
-    order: tuple[str, ...]  # listing order: by longest-path depth, then id
-    depths: dict[str, int]
-    notes: tuple[Note, ...] = field(default_factory=tuple)
+    """A D3Network's QuantumOps by node id, listed in `order`, by
+    longest-path depth (`depths`) and then id, and the Notes of the laws
+    verified while compiling it."""
+
+    def __init__(self, d3: D3Network, ops: dict[str, QuantumOp], order: tuple[str, ...],
+                 depths: dict[str, int], notes: tuple[Note, ...] = ()):
+        self.d3 = d3
+        self.ops = ops
+        self.order = order
+        self.depths = depths
+        self.notes = notes
 
     @cached_property
     def sweep_order(self) -> tuple[str, ...]:

@@ -6,7 +6,8 @@ tetra measurement); measuring and re-preparing the reported state shrinks
 any input toward the maximally mixed state by a factor of 3.
 
 Shrink bookkeeping is exact and lives in `qnc4.shrink`, which imports no
-numpy; `ttr_probabilities` hands a ShrunkState to it.  Matrices are
+numpy; `shrink.shrunk_probabilities` is the exact twin of this module's
+`ttr_probabilities`, which reads a density matrix.  Matrices are
 complex floats and appear only where sqrt(3) does; they are why importing
 this module imports numpy.  `as_state_vector` is the one check of a state
 vector, wherever one enters.  `qsim` reads this module for array inputs
@@ -19,7 +20,6 @@ import math
 import numpy as np
 
 from .netgraph import LETTERS, Letter, as_letter
-from .shrink import ShrunkState, shrunk_probabilities
 
 STATE_TOL = 1e-9  # allowed error in the norm or trace of an input state
 
@@ -83,13 +83,9 @@ def fidelity(psi, rho: np.ndarray) -> float:
     return float(np.vdot(psi, rho @ psi).real)
 
 
-def ttr_probabilities(rho):
-    """Outcome probabilities of the tetra measurement, indexed by letter.
-
-    Accepts a density matrix (float probabilities Tr(rho chi/2)) or a
-    ShrunkState (exact rationals).
-    """
-    if isinstance(rho, ShrunkState):
-        return shrunk_probabilities(rho)
+def ttr_probabilities(rho: np.ndarray) -> tuple[float, ...]:
+    """Outcome probabilities of the tetra measurement on a density matrix,
+    indexed by letter: Tr(rho chi/2).  A ShrunkState's exact ones are
+    `shrink.shrunk_probabilities`."""
     return tuple(float(np.trace(rho @ tetra_matrix(z)).real / 2) for z in LETTERS)
 

@@ -51,7 +51,6 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
@@ -127,16 +126,13 @@ def _resolve_inputs(compiled: CompiledProtocol, inputs) -> dict[str, dict]:
 # exact sweep over a product of factors of the live-edge joint distribution
 
 
-@dataclass
-class OracleResult:
+class OracleResult(namedtuple(
+        "OracleResult", ("edge_marginals", "fork_joints", "sink_mixtures", "largest_factor"))):
     """Each edge's letter marginal, each multi-output node's joint by its
     output letters in out-edge order, each sink's letter mixture, and
     largest_factor, the most live edges a factor held before splitting."""
 
-    edge_marginals: dict[int, dict[Letter, object]]
-    fork_joints: dict[str, dict[tuple, object]]
-    sink_mixtures: dict[str, dict[Letter, object]]
-    largest_factor: int
+    __slots__ = ()
 
 
 def _source_kernel(law: dict) -> Kernel:
@@ -303,20 +299,18 @@ def simulate_oracle(compiled: CompiledProtocol, inputs) -> OracleResult:
 # analytic shortcut
 
 
-@dataclass(frozen=True)
-class AnalyticReport:
+class AnalyticReport(namedtuple(
+        "AnalyticReport", ("fidelity_floor", "decoded", "sink_mixtures", "fidelity_tetra"))):
     """Per-sink predictions read directly off the compiled shrink factors.
 
     fidelity_floor is the guessing fidelity against an arbitrary unknown
     input state, 1/2 + alpha/6; fidelity_tetra applies when the tracked
     source is fed a tetra label (conditioned process), 1/2 + alpha/2, and
-    is only present for all-letter inputs.
+    is only present for all-letter inputs, as are the decoded letters and
+    the sink mixtures; each is None otherwise.
     """
 
-    fidelity_floor: dict[str, Fraction]
-    decoded: dict[str, Letter] | None
-    sink_mixtures: dict[str, dict] | None
-    fidelity_tetra: dict[str, Fraction] | None
+    __slots__ = ()
 
 
 def simulate_analytic(compiled: CompiledProtocol, inputs=None) -> AnalyticReport:
@@ -348,11 +342,8 @@ def simulate_analytic(compiled: CompiledProtocol, inputs=None) -> AnalyticReport
 # Monte Carlo
 
 
-@dataclass
-class MonteCarloResult:
-    trials: int
-    seed: int
-    sink_counts: dict[str, np.ndarray]
+# each sink's count of each letter over the trials sampled from seed
+MonteCarloResult = namedtuple("MonteCarloResult", ("trials", "seed", "sink_counts"))
 
 
 def alias_table(kernel: Kernel) -> tuple[int, np.ndarray, np.ndarray]:
@@ -554,7 +545,8 @@ def guess_fidelities(target) -> np.ndarray:
 
     from . import qmath
 
-    if isinstance(target, (np.ndarray, list, tuple)):
+    # a ShrunkState is a tuple too, but neither a vector nor a letter
+    if isinstance(target, (np.ndarray, list, tuple)) and not isinstance(target, ShrunkState):
         vec = qmath.as_state_vector(target)
         return np.array([qmath.fidelity(vec, qmath.tetra_matrix(z)) for z in LETTERS])
     target = as_letter(target)

@@ -14,7 +14,7 @@ needs the states' complex matrices, so this module imports no numpy.
 calls it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .netgraph import LETTERS, Letter, as_letter
@@ -32,19 +32,23 @@ def as_shrink(a):
     return a
 
 
-@dataclass(frozen=True)
-class ShrunkState:
+class ShrunkState(namedtuple("ShrunkState", ("label", "alpha"))):
     """A tetra state shrunk toward the maximally mixed state:
-    alpha * chi(label) + (1 - alpha) * I/2, with rational alpha in (0, 1]."""
+    alpha * chi(label) + (1 - alpha) * I/2, with rational alpha in (0, 1].
+    Every way to make one, `_replace` included, checks both."""
 
-    label: Letter
-    alpha: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        as_letter(self.label)
-        if not isinstance(self.alpha, Fraction):
-            raise ValueError(f"shrink factor must be a Fraction, got {self.alpha!r}")
-        as_shrink(self.alpha)
+    def __new__(cls, label: Letter, alpha: Fraction):
+        as_letter(label)
+        if not isinstance(alpha, Fraction):
+            raise ValueError(f"shrink factor must be a Fraction, got {alpha!r}")
+        as_shrink(alpha)
+        return tuple.__new__(cls, (label, alpha))
+
+    @classmethod
+    def _make(cls, iterable):  # what `_replace` calls
+        return cls(*iterable)
 
 
 def shrunk_weights(a: Fraction) -> tuple[int, int, int]:

@@ -75,7 +75,7 @@ def test_criterion_01_tetra_geometry():
 
 def test_criterion_02_ttr_law_and_channel():
     for z in range(4):
-        probs = qmath.ttr_probabilities(ShrunkState(z, Fraction(1)))
+        probs = shrink.shrunk_probabilities(ShrunkState(z, Fraction(1)))
         assert probs[z] == Fraction(1, 2)
         assert all(probs[w] == Fraction(1, 6) for w in range(4) if w != z)
         approx = qmath.ttr_probabilities(tetra_matrix(z))

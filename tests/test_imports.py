@@ -1,8 +1,9 @@
 """The exact path runs without numpy or a thread pool, a subcommand loads
-no module it does not use, and `qnc4` keeps every public name.
+no module it does not use, `qnc4` keeps every public name, and its records
+are immutable.
 
-Each check runs in a fresh interpreter, because this one has long since
-imported numpy and every submodule.
+Each import check runs in a fresh interpreter, because this one has long
+since imported numpy and every submodule.
 """
 
 import contextlib
@@ -12,11 +13,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import qnc4
+from qnc4.classical_eval import RequirementResult, TruthTable
 from qnc4.cli import main
 from qnc4.instances import BUNDLED
+from qnc4.netgraph import ClassicalProtocol, Node, NodeOp, Term
+from qnc4.qcompiler import Kernel, Note, QuantumOp
+from qnc4.qsim import AnalyticReport, MonteCarloResult, OracleResult
+from qnc4.shrink import ShrunkState
 
 _SRC = str(Path(qnc4.__file__).resolve().parents[1])
 
@@ -94,8 +103,12 @@ print(json.dumps(results))
 """
 
 # what a subcommand that does not use them must not load: each adds to the
-# start of every run
-_UNUSED = {"logging", "typing", "importlib.resources", "numpy", "concurrent.futures"}
+# start of every run (dataclasses also execs each record's methods, and
+# pulls in inspect)
+_UNUSED = {
+    "logging", "typing", "importlib.resources", "numpy", "concurrent.futures",
+    "dataclasses", "inspect",
+}
 
 
 def test_subcommands_load_only_the_modules_they_use(monkeypatch):
@@ -147,6 +160,21 @@ def test_public_names_still_import():
     assert qnc4.ShrunkState is shrink.ShrunkState
     # the paper's standalone cloners are the tests' reference, not API
     assert importlib.util.find_spec("qnc4.efc") is None
+
+
+def test_records_are_immutable():
+    # each record is a tuple with no instance dict: no field can be
+    # reassigned and no attribute added
+    records = [ShrunkState(0, Fraction(1))] + [
+        cls(*[None] * len(cls._fields))
+        for cls in (Term, NodeOp, Node, ClassicalProtocol, Kernel, QuantumOp, Note, TruthTable,
+                    RequirementResult, OracleResult, AnalyticReport, MonteCarloResult)
+    ]
+    for record in records:
+        with pytest.raises(AttributeError):
+            record.added = 1
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
 
 
 def test_both_module_entry_points_run_the_command():

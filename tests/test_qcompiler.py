@@ -1,12 +1,11 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
 
 import pytest
 
-from qnc4 import instances, netgraph, qcompiler, qmath, shrink
+from qnc4 import instances, netgraph, qcompiler, shrink
 from qnc4.errors import SizeError, ValidationError, VerificationError
 from qnc4.netgraph import (
     LETTERS,
@@ -102,7 +101,7 @@ def test_emission_mixes_to_shrunk_mapped_letter():
         a = Fraction(num, 9)
         for m in (HIGH_BIT, LOW_BIT):
             for z in LETTERS:
-                probs = qmath.ttr_probabilities(ShrunkState(z, a))
+                probs = shrink.shrunk_probabilities(ShrunkState(z, a))
                 out = {y: Fraction(0) for y in LETTERS}
                 for x in LETTERS:
                     for y, w in two_to_one_emission(x, m, a).items():
@@ -335,7 +334,7 @@ def test_tampered_kernel_is_caught(butterfly_compiled, diamond_compiled):
                 continue
             check_kernel(op, comp.d3.group)
             for i in (0, len(op.kernel.rows) - 1):
-                bad = replace(op, kernel=_tampered(op.kernel, i))
+                bad = op._replace(kernel=_tampered(op.kernel, i))
                 with pytest.raises(VerificationError, match=op.node):
                     check_kernel(bad, comp.d3.group)
             checked.add(op.tag)
@@ -379,7 +378,7 @@ def test_axis_check_agrees_with_the_per_tuple_check():
                 moved[down] -= 1
                 rows = list(op.kernel.rows)
                 rows[i] = tuple(moved)
-                bad = replace(op, kernel=Kernel(op.kernel.den, tuple(rows)))
+                bad = op._replace(kernel=Kernel(op.kernel.den, tuple(rows)))
                 got = _message(check_kernel, bad, group)
                 assert got is not None and got == _message(check_kernel_by_tuples, bad, group)
                 moves += 1
@@ -395,7 +394,7 @@ def test_kernel_checked_at_the_wrong_incoming_shrink_is_refused():
         net, proto = instances.bundled(name)
         comp = compile_protocol(netgraph.normalize_to_d3(net, proto)[0])
         for op in _kernel_ops(comp):
-            wrong = replace(op, a_in=tuple(a / 3 for a in op.a_in))
+            wrong = op._replace(a_in=tuple(a / 3 for a in op.a_in))
             if op.tag == TRANSFORM_CONSTANT:
                 check_kernel(wrong, comp.d3.group)
             else:
@@ -409,14 +408,14 @@ def test_kernel_with_the_wrong_row_count_is_caught(butterfly_compiled):
     # a join's kernel has a row per pair of input letters; a fork's one per letter
     join = next(op for op in _kernel_ops(butterfly_compiled) if op.tag == JOIN)
     fork = next(op for op in _kernel_ops(butterfly_compiled) if op.tag == FORK_EFC)
-    bad = replace(join, kernel=fork.kernel)
+    bad = join._replace(kernel=fork.kernel)
     with pytest.raises(VerificationError, match=f"node {join.node} has the wrong shape"):
         check_kernel(bad, GroupKind.Z2xZ2)
     # and each row one entry per outcome: a short row would leave the last
     # outcome unchecked
     short = Kernel(join.kernel.den, tuple(row[:3] for row in join.kernel.rows))
     with pytest.raises(VerificationError, match=f"node {join.node} has the wrong shape"):
-        check_kernel(replace(join, kernel=short), GroupKind.Z2xZ2)
+        check_kernel(join._replace(kernel=short), GroupKind.Z2xZ2)
 
 
 def test_compile_verifies_every_kernel(monkeypatch):
@@ -531,7 +530,7 @@ def test_flat_build_and_check_agree_with_the_references_on_random_ops():
         changed = [list(row) for row in kernel.rows]
         i, j = rng.randrange(len(changed)), rng.randrange(len(changed[0]))
         changed[i][j] += rng.choice((-1, 1)) * rng.randint(1, kernel.den)
-        bad = replace(op, kernel=Kernel(kernel.den, tuple(map(tuple, changed))))
+        bad = op._replace(kernel=Kernel(kernel.den, tuple(map(tuple, changed))))
         got = _message(check_kernel, bad, group)
         assert got is not None and got == _message(check_kernel_by_tuples, bad, group)
     assert built > 600 and refused > 600
@@ -583,7 +582,7 @@ def test_every_rule_row_is_tight_or_states_its_margin():
                 op = qcompiler.QuantumOp("v", TRANSFORM_MAP, a / (3 * k - (k - 1) * a), (a,), m)
                 kernel = qcompiler.build_kernel(op, group)
                 assert kernel == build_kernel_two_step(op, group), (table, a)
-                check_kernel_by_tuples(replace(op, kernel=kernel), group)
+                check_kernel_by_tuples(op._replace(kernel=kernel), group)
                 assert not builds(TRANSFORM_MAP, op.alpha * over, (a,), group, m), (table, a)
                 cases += 1
     assert cases == 2520
@@ -605,15 +604,15 @@ def test_three_input_sum_builds_at_its_row_and_no_higher():
             kernel = qcompiler.build_kernel(op, group)
             assert kernel == build_kernel_two_step(op, group), a_in
             assert len(kernel.rows) == 64
-            op = replace(op, kernel=kernel)
+            op = op._replace(kernel=kernel)
             assert _message(check_kernel, op, group) is None
             assert _message(check_kernel_by_tuples, op, group) is None
             rows = [list(row) for row in kernel.rows]
             rows[37][2] += 1
-            bad = replace(op, kernel=Kernel(kernel.den, tuple(map(tuple, rows))))
+            bad = op._replace(kernel=Kernel(kernel.den, tuple(map(tuple, rows))))
             got = _message(check_kernel, bad, group)
             assert got is not None and got == _message(check_kernel_by_tuples, bad, group)
-            raised = replace(op, alpha=op.alpha * over, kernel=None)
+            raised = op._replace(alpha=op.alpha * over, kernel=None)
             got = _message(qcompiler.build_kernel, raised, group)
             assert got is not None and got == _message(build_kernel_two_step, raised, group)
 

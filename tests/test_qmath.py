@@ -6,7 +6,7 @@ import pytest
 
 from qnc4 import qmath
 from qnc4.qmath import fidelity, tetra_matrix, ttr_probabilities
-from qnc4.shrink import ShrunkState, tetra_weights, ttr_outcome_weights
+from qnc4.shrink import ShrunkState, shrunk_probabilities, tetra_weights, ttr_outcome_weights
 
 import _qubits
 from _qubits import (
@@ -79,7 +79,7 @@ def test_measurement_statistics_on_own_states():
 
 def test_measurement_statistics_on_shrunk_states_exact():
     state = ShrunkState(2, Fraction(3, 7))
-    probs = ttr_probabilities(state)
+    probs = shrunk_probabilities(state)
     assert probs[2] == Fraction(1, 4) + Fraction(3, 7) / 4
     for x in (0, 1, 3):
         assert probs[x] == Fraction(1, 4) - Fraction(3, 7) / 12
@@ -104,6 +104,13 @@ def test_shrunk_state_domain():
         ShrunkState(7, Fraction(1, 2))
     with pytest.raises(ValueError, match="must be a Fraction"):
         ShrunkState(0, 0.5)
+    # a copy is checked too
+    state = ShrunkState(0, Fraction(1, 2))
+    assert state._replace(label=3) == ShrunkState(3, Fraction(1, 2))
+    with pytest.raises(ValueError, match="must lie in"):
+        state._replace(alpha=Fraction(3, 2))
+    with pytest.raises(ValueError, match="not a letter"):
+        state._replace(label=4)
 
 
 def test_densify_weights_round_trip():

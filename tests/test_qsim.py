@@ -981,6 +981,14 @@ def test_mixture_fidelity_exact():
     assert isinstance(approx, float)
 
 
+@pytest.mark.parametrize("entry", ["guess_fidelities", "mixture_fidelity", "estimate_fidelity"])
+def test_a_shrunk_state_is_no_fidelity_target(entry):
+    # a ShrunkState is a tuple, and (0, 1) is a unit vector, but it is
+    # neither a state vector nor a letter
+    with pytest.raises(ValueError, match="not a letter: ShrunkState"):
+        _STATE_VECTOR_ENTRY_POINTS[entry](ShrunkState(0, Fraction(1)))
+
+
 def test_estimate_fidelity_closed_form():
     counts = np.array([600, 200, 100, 100])
     est, se = estimate_fidelity(counts, 1000, 2)
