@@ -28,12 +28,15 @@ lives with the tests in `tests/_reference.py`.  `simulate_analytic` skips
 enumeration entirely and reads sink mixtures off the compiled shrink
 factors.  `simulate_montecarlo` samples trials in
 vectorized chunks with deterministic, chunk-indexed substreams, from the
-same verified kernels the sweep runs on: each node, sources included, makes
-one draw per trial from Vose alias tables built off its kernel's rows
-(`alias_table`), and each edge's letter array is freed once its consumer
-has read it.  Up to MAX_WORKERS threads each sample a contiguous range of
-at least a quarter chunk of trials, jumping each chunk's stream ahead to
-the trials they own, with the same counts on any number of threads.
+same verified kernels the sweep runs on: a node makes one draw per trial
+from Vose alias tables built off its kernel's rows (`alias_table`), unless
+its kernel is one point-mass row, as a source given a letter is: that node
+draws nothing and sends its letter on as an int.  A sink counts the
+letters it reads in place, and each edge's letter array is freed once its
+consumer has read it.  Up to MAX_WORKERS threads each sample a contiguous
+range of at least a quarter chunk of trials, jumping each chunk's stream
+ahead to the trials they own, with the same counts on any number of
+threads.
 
 Only the float code imports numpy, inside the functions that handle
 arrays: Monte Carlo with `alias_table`, `guess_fidelities` and the
@@ -392,18 +395,22 @@ def simulate_montecarlo(
 ) -> MonteCarloResult:
     """Sample full protocol runs and tally the letters reaching each sink.
 
-    Every node, sources included, makes one alias draw per trial from its
-    compiled kernel (a source from its input's law): one uniform picks the
-    slot and decides between it and its alias.  Edge letters are uint8
-    arrays, freed as soon as their consumer has read them.  Trials are
-    processed in chunks of CHUNK_SIZE; chunk c uses the substream spawned
-    from (seed, c), so a seed, a non-negative int, reproduces its counts
-    exactly.  A worker's uniforms, slot probabilities and intp indices live
-    in three work arrays, each min(ceil(trials / W), CHUNK_SIZE) long,
-    allocated once per worker and reused by every node and chunk.  Fresh
-    arrays, and the intp copy numpy makes of a uint8 index array for `take`
-    and `bincount`, would each come from new pages that the kernel
-    zero-fills, about a quarter of the run.
+    Each node makes one alias draw per trial from its compiled kernel (a
+    source from its input's law): one uniform picks the slot and decides
+    between it and its alias.  A node whose kernel is one point-mass row, a
+    source given a letter, has no outcome to choose: it draws nothing and
+    sends that letter on as a Python int, which its consumer reads as a
+    constant.  Other edge letters are uint8 arrays, freed as soon as their
+    consumer has read them.  A sink counts three letters with
+    `count_nonzero` and the fourth by difference.  Trials are processed in
+    chunks of CHUNK_SIZE; chunk c uses the substream spawned from (seed, c),
+    so a seed, a non-negative int, reproduces its counts exactly.  A
+    worker's uniforms, slot probabilities and intp indices live in three
+    work arrays, each min(ceil(trials / W), CHUNK_SIZE) long, allocated once
+    per worker and reused by every node and chunk.  Fresh arrays, and the
+    intp copy numpy makes of a uint8 index array for `take`, would each
+    come from new pages that the kernel zero-fills, about a quarter of the
+    run.
 
     The trials are split among W = max(1, min(usable CPUs,
     trials // (CHUNK_SIZE // 4), MAX_WORKERS)) workers, the calling thread
@@ -411,16 +418,17 @@ def simulate_montecarlo(
     (k + 1) * trials // W and keeps its own sink counts, which the caller
     adds up.  A worker walks its range one piece of a chunk at a time; a
     piece of m trials from offset lo of chunk c (n trials) advances chunk
-    c's PCG64 stream by lo, and at each node draws m uniforms and advances
-    by n - m.  Every float64 takes one 64-bit output, so each trial gets
-    the uniforms that drawing its chunk whole would give it, and the counts
-    are the same on any number of threads.  A worker gets at least a
-    quarter chunk, below which handing the interpreter lock back and forth
-    on short numpy operations costs more than a second CPU gains; so a call
-    of fewer than CHUNK_SIZE // 2 trials, or on one usable CPU, starts no
-    thread.  When any worker fails, the others stop at their next piece,
-    and its exception is raised once every thread has been joined, so a
-    caller never gets partial counts.
+    c's PCG64 stream by lo, and at each drawing node draws m uniforms and
+    advances by n - m, at each fixed one advances by n.  Every float64
+    takes one 64-bit output, so each trial gets the uniforms that drawing
+    its chunk whole would give it: the counts are the same on any number
+    of threads, and the same as when a fixed node drew its unread uniforms.
+    A worker gets at least a quarter chunk, below which handing the
+    interpreter lock back and forth on short numpy operations costs more
+    than a second CPU gains; so a call of fewer than CHUNK_SIZE // 2
+    trials, or on one usable CPU, starts no thread.  When any worker fails,
+    the others stop at their next piece, and its exception is raised once
+    every thread has been joined, so a caller never gets partial counts.
     """
     # threading is loaded with numpy; concurrent.futures would add about
     # 0.7 MB of modules to a process that samples
@@ -442,7 +450,9 @@ def simulate_montecarlo(
         table = None  # a sink draws nothing
         if outs:
             kernel = compiled.ops[v].kernel if ins else _source_kernel(laws[v])
-            if kernel not in tables:
+            if len(kernel.rows) == 1 and kernel.den in kernel.rows[0]:
+                tables[kernel] = kernel.rows[0].index(kernel.den)  # one fixed outcome
+            elif kernel not in tables:
                 tables[kernel] = alias_table(kernel)
             table = tables[kernel]
         steps.append((v, ins, outs, table))
@@ -475,26 +485,35 @@ def simulate_montecarlo(
             # every float64 takes one 64-bit output, so node by node the
             # piece draws the uniforms that the whole chunk would at lo..lo+m
             rng.bit_generator.advance(lo)
-            letters: dict[int, np.ndarray] = {}
+            # an edge's letters, or its one letter where a fixed node sent it
+            letters: dict[int, np.ndarray | int] = {}
             for v, in_edges, out_edges, table in steps:
                 ins = [letters.pop(e) for e in in_edges]
-                if table is None:
-                    np.copyto(i, ins[0])
-                    counts[v] += np.bincount(i, minlength=4)
+                if table is None:  # a sink
+                    x = ins[0]
+                    if isinstance(x, int):
+                        counts[v][x] += m
+                    else:
+                        tally = [np.count_nonzero(x == z) for z in (0, 1, 2)]
+                        counts[v] += (*tally, m - sum(tally))  # the last by difference
                     continue
-                shift, prob, outcomes = table
-                rng.random(out=u)
-                rng.bit_generator.advance(n - m)
-                u *= 1 << shift  # exact: a power of two
-                j = u.astype(np.uint8)
-                u -= j
-                if ins:  # the kernel's row index, first input letter highest
-                    j |= reduce(lambda row, z: row << 2 | z, ins) << shift
-                np.copyto(i, j)
-                prob.take(i, out=p)
-                i <<= 1
-                i |= u >= p
-                out = outcomes.take(i)
+                if isinstance(table, int):  # its uniforms would go unread
+                    rng.bit_generator.advance(n)
+                    out = table
+                else:
+                    shift, prob, outcomes = table
+                    rng.random(out=u)
+                    rng.bit_generator.advance(n - m)
+                    u *= 1 << shift  # exact: a power of two
+                    j = u.astype(np.uint8)
+                    u -= j
+                    if ins:  # the kernel's row index, first input letter highest
+                        j |= reduce(lambda row, z: row << 2 | z, ins) << shift
+                    np.copyto(i, j)
+                    prob.take(i, out=p)
+                    i <<= 1
+                    i |= u >= p
+                    out = outcomes.take(i)
                 for e in reversed(out_edges[1:]):  # the last output letter lowest
                     letters[e], out = out & 3, out >> 2
                 letters[out_edges[0]] = out

@@ -10,26 +10,14 @@ letter by W(1/3), and W(a) W(b) = W(ab), so the outcome laws are
 at alpha / 3 on a shrunk one (`shrunk_probabilities`).  Nothing here
 needs the states' complex matrices, so this module imports no numpy.
 
-`as_shrink` is the one range check of a shrink factor: `ShrunkState`
-calls it.
+`ShrunkState` is the one range check of a shrink factor: it takes a
+`Fraction` in (0, 1] and nothing else.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
 from .netgraph import LETTERS, Letter, as_letter
-
-
-def as_shrink(a):
-    """a as a shrink factor: the one check of every entry point that takes
-    one.  A float stays a float; anything else becomes an exact Fraction.
-    Raises ValueError unless it lies in (0, 1], NaN included."""
-    if not isinstance(a, (float, Fraction)):
-        a = Fraction(a)
-    # NaN fails every comparison, so it is refused; a denominator is positive
-    if not (0 < a <= 1 if isinstance(a, float) else 0 < a.numerator <= a.denominator):
-        raise ValueError(f"shrink factor must lie in (0, 1], got {a}")
-    return a
 
 
 class ShrunkState(namedtuple("ShrunkState", ("label", "alpha"))):
@@ -43,7 +31,8 @@ class ShrunkState(namedtuple("ShrunkState", ("label", "alpha"))):
         as_letter(label)
         if not isinstance(alpha, Fraction):
             raise ValueError(f"shrink factor must be a Fraction, got {alpha!r}")
-        as_shrink(alpha)
+        if not 0 < alpha.numerator <= alpha.denominator:  # a denominator is positive
+            raise ValueError(f"shrink factor must lie in (0, 1], got {alpha}")
         return tuple.__new__(cls, (label, alpha))
 
     @classmethod

@@ -25,11 +25,24 @@ import numpy as np
 
 from qnc4.errors import VerificationError
 from qnc4.netgraph import LETTERS, Letter, as_letter
-from qnc4.shrink import ShrunkState, as_shrink, shrunk_probabilities, tetra_weights
+from qnc4.shrink import ShrunkState, shrunk_probabilities, tetra_weights
 
 from _qubits import identity2
 
 PairDist = dict[tuple[Letter, Letter], Fraction]
+
+
+def as_shrink(a):
+    """a as a shrink factor: the one check of every cloner and reference
+    law that takes one.  A float stays a float; anything else becomes an
+    exact Fraction.  Raises ValueError unless it lies in (0, 1], NaN
+    included."""
+    if not isinstance(a, (float, Fraction)):
+        a = Fraction(a)
+    # NaN fails every comparison, so it is refused; a denominator is positive
+    if not (0 < a <= 1 if isinstance(a, float) else 0 < a.numerator <= a.denominator):
+        raise ValueError(f"shrink factor must lie in (0, 1], got {a}")
+    return a
 
 
 @dataclass(frozen=True)

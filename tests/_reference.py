@@ -43,7 +43,7 @@ from qnc4.qcompiler import (
     Kernel,
     QuantumOp,
 )
-from qnc4.shrink import as_shrink, shrunk_weights, ttr_outcome_weights
+from qnc4.shrink import shrunk_weights, ttr_outcome_weights
 from qnc4.qsim import _resolve_inputs
 
 import _efc
@@ -59,7 +59,7 @@ def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dic
     unmapped image letter is never produced.  Exact in the parameter.
     """
     letter = as_letter(letter)
-    param = Fraction(as_shrink(param))
+    param = Fraction(_efc.as_shrink(param))
     image = set(map_)
     if len(image) != 2:
         raise ValueError("emission law only applies to two-to-one maps")

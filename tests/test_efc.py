@@ -7,11 +7,12 @@ import pytest
 
 from qnc4.errors import VerificationError
 from qnc4.qmath import tetra_matrix
-from qnc4.shrink import ShrunkState, as_shrink, tetra_weights
+from qnc4.shrink import ShrunkState, tetra_weights
 
 import _efc
 from _efc import (
     Efc2Result,
+    as_shrink,
     efc_apply,
     efc_joint_distribution,
     efc_pair_distribution,

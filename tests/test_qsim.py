@@ -825,6 +825,98 @@ def test_montecarlo_splits_one_chunk_without_changing_counts(monkeypatch, cpus):
     }
 
 
+def _relay_chain_compiled(d: int):
+    """d forks in a chain from one source, fork i also feeding sink t<i>
+    and the last fork sink t<d + 1>: a sink per fork, as in the
+    benchmark's relay chain."""
+    nodes, edges, prev = [("s", "source")], [], "s"
+    for i in range(1, d + 1):
+        f, t = f"f{i:02d}", f"t{i:02d}"
+        nodes += [(f, "internal"), (t, "sink")]
+        edges += [(prev, f), (f, t)]
+        prev = f
+    nodes.append((f"t{d + 1:02d}", "sink"))
+    edges.append((prev, f"t{d + 1:02d}"))
+    net = netgraph.make_network(
+        nodes=nodes, edges=edges, requirements={t: "s" for t, kind in nodes if kind == "sink"})
+    return compile_protocol(netgraph.D3Network(net, {}, GroupKind.Z4))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_montecarlo_stream_is_pinned_beside_a_fixed_source(butterfly_compiled, monkeypatch, cpus):
+    # a letter source draws nothing, beside a shrunk source that draws;
+    # counts printed at a commit where every source drew
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    inputs = [1, ShrunkState(2, Fraction(1, 3))]
+    mc = simulate_montecarlo(butterfly_compiled, inputs, trials=5 * qsim.CHUNK_SIZE + 123, seed=5)
+    assert {t: c.tolist() for t, c in mc.sink_counts.items()} == {
+        "t1": [82025, 81764, 82055, 81959], "t2": [82277, 81928, 81835, 81763],
+    }
+
+
+def test_montecarlo_stream_is_pinned_on_a_relay_chain():
+    # 16 forks, each with a sink, fed by a letter source; counts printed at
+    # a commit where every source drew and every sink counted by bincount
+    comp = _relay_chain_compiled(16)
+    assert len(comp.d3.network.nodes) == 34
+    mc = simulate_montecarlo(comp, [0], trials=60_000, seed=5)
+    assert {t: c.tolist() for t, c in mc.sink_counts.items()} == {
+        "t01": [20075, 13284, 13469, 13172], "t02": [15514, 14775, 14848, 14863],
+        "t03": [15103, 14831, 15013, 15053], "t04": [15008, 15104, 15024, 14864],
+        "t05": [14891, 15181, 14906, 15022], "t06": [15024, 14896, 15121, 14959],
+        "t07": [14891, 14929, 15024, 15156], "t08": [15023, 14978, 14923, 15076],
+        "t09": [14993, 15133, 14819, 15055], "t10": [15032, 14996, 15006, 14966],
+        "t11": [14937, 15190, 15183, 14690], "t12": [15068, 15002, 15053, 14877],
+        "t13": [14902, 14980, 15141, 14977], "t14": [14965, 15005, 15191, 14839],
+        "t15": [14970, 14899, 14986, 15145], "t16": [14832, 15031, 15045, 15092],
+        "t17": [15214, 14945, 14862, 14979],
+    }
+
+
+@pytest.mark.parametrize("inputs, drawing", [
+    # both sources draw, or only the shrunk one: a letter source has one
+    # outcome, and so no uniform to spend
+    ([ShrunkState(1, Fraction(1, 2)), ShrunkState(2, Fraction(1, 3))], 8),
+    ([1, ShrunkState(2, Fraction(1, 3))], 7),
+    ([1, 2], 6),
+])
+def test_montecarlo_draws_only_where_chance_decides(butterfly_compiled, monkeypatch, inputs, drawing):
+    # each piece's generator: one random(out=) call per drawing node, and a
+    # stream that every node, drawing or not, moves on by the chunk's length
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    default_rng = np.random.default_rng
+    pieces = []
+
+    class CountedRng:
+        def __init__(self, seq):
+            self.rng, self.draws, self.skips = default_rng(seq), [], []
+            self.bit_generator = self
+
+        def random(self, *, out):
+            self.draws.append(len(out))
+            return self.rng.random(out=out)
+
+        def advance(self, delta):
+            self.skips.append(delta)
+            self.rng.bit_generator.advance(delta)
+
+    def counted_rng(seq):
+        pieces.append((seq.spawn_key[0], CountedRng(seq)))
+        return pieces[-1][1]
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    trials = 2 * qsim.CHUNK_SIZE + 123
+    nodes = len(butterfly_compiled.d3.network.nodes) - len(butterfly_compiled.d3.network.sink_ids)
+    assert nodes == 8
+    mc = simulate_montecarlo(butterfly_compiled, inputs, trials=trials, seed=5)
+    assert all(c.sum() == trials for c in mc.sink_counts.values())
+    assert len(pieces) == 4  # two workers, each over a chunk boundary
+    for c, rng in pieces:
+        n = min(qsim.CHUNK_SIZE, trials - c * qsim.CHUNK_SIZE)
+        assert len(rng.draws) == drawing
+        assert sum(rng.draws) + sum(rng.skips) == rng.skips[0] + nodes * n
+
+
 def _threads_started(monkeypatch, cpus: int, trials: int) -> int:
     """How many threads a Monte Carlo call of trials starts on cpus usable
     CPUs; it checks that every trial reached the sinks."""
