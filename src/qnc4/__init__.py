@@ -27,14 +27,12 @@ from .netgraph import (
     constant_map,
     instance_from_json,
     instance_to_json,
-    make_network,
-    node_op,
     normalize_to_d3,
     validate_d3,
     validate_network,
 )
 from .classical_eval import check_requirement, evaluate, truth_table
-from .shrink import ShrunkState, tetra_weights, ttr_outcome_weights
+from .shrink import ShrunkState, tetra_weights
 from .qcompiler import CompiledProtocol, QuantumOp, compile_protocol
 from .qsim import (
     estimate_fidelity,

@@ -13,7 +13,8 @@ progress logging; any other value exits 2.
 
 A run imports only what it uses: `logging` once QNC_LOG names a level,
 `csv` for `eval` and numpy for Monte Carlo.  A bundled instance name and
-a file path are read alike, with one `open`.
+a file path are read alike, with one `open`, and parsed by one call,
+`instances.bundled`.
 """
 
 import argparse
@@ -41,10 +42,11 @@ def load_instance(name: str):
     Returns (net, proto, d3, corr): the instance as given, its degree-3
     normal form and the node correspondence between them.  A file that
     `normalize` wrote is its own normal form, node for node and edge for
-    edge, and corr maps each of its nodes to itself.  Raises SchemaError on
-    unreadable input and ValidationError on any violation.
+    edge, and corr maps each of its nodes to itself.  `instances.bundled`
+    parses both.  Raises SchemaError on unreadable input and
+    ValidationError on any violation.
     """
-    net, proto = netgraph.instance_from_json(instances.read_json(name))
+    net, proto = instances.bundled(name)
     d3, corr = netgraph.normalize_to_d3(net, proto)
     return net, proto, d3, corr
 

@@ -3,9 +3,10 @@
 Each bundled instance is one JSON file in `qnc4/data/`, in the general
 layout.  `read_json` is the one reader for bundled names and file paths
 alike: a bundled name is read from that directory, beside this module,
-through the same `open` and error handling as a path.  `bundled(name)`
-parses a bundled instance into a (Network, ClassicalProtocol) pair ready
-for validation, normalization and compilation.
+through the same `open` and error handling as a path.  `bundled(name)` is
+the one parser: it turns a bundled name or a file path into a
+(Network, ClassicalProtocol) pair ready for validation, normalization and
+compilation.
 """
 
 import json
@@ -55,6 +56,7 @@ def read_json(name: str):
 
 
 def bundled(name: str) -> tuple[Network, ClassicalProtocol]:
-    """The bundled instance `name`, parsed from its JSON file."""
+    """The instance of a bundled name or of a file path, parsed from its
+    JSON file (`read_json`)."""
     return instance_from_json(read_json(name))
 

@@ -112,11 +112,6 @@ class NodeOp(namedtuple("NodeOp", ("out_pos", "terms"))):
     __slots__ = ()
 
 
-def node_op(out_pos: int, terms) -> NodeOp:
-    """Convenience constructor from (in_pos, LetterMap) pairs."""
-    return NodeOp(out_pos, tuple(Term(i, m) for i, m in terms))
-
-
 Node = namedtuple("Node", ("id", "kind"))  # kind: source | sink | internal
 
 
@@ -205,16 +200,6 @@ class Network:
         if len(order) != len(self.nodes):
             raise QncError("network contains a cycle")
         return order
-
-
-def make_network(nodes, edges, requirements) -> Network:
-    """Build a Network from (id, kind) pairs, (from, to) pairs and a
-    sink -> source mapping."""
-    return Network(
-        [Node(i, k) for i, k in nodes],
-        [(u, v) for u, v in edges],
-        dict(requirements),
-    )
 
 
 class ClassicalProtocol(namedtuple("ClassicalProtocol", ("group", "ops"))):

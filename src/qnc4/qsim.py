@@ -107,8 +107,13 @@ def source_distribution(value) -> dict[Letter, object]:
         if value.ndim == 1:
             value = qmath.as_state_vector(value)
             value = np.outer(value, value.conj())
-        elif not qmath.is_density_matrix(value):
-            raise ValueError("source matrix is not a single-qubit density matrix")
+        else:
+            try:
+                value = np.asarray(value, dtype=complex)
+            except (TypeError, ValueError, OverflowError):  # an entry is no number
+                value = None
+            if value is None or not qmath.is_density_matrix(value):
+                raise ValueError("source matrix is not a single-qubit density matrix")
         probs = qmath.ttr_probabilities(value)
     elif isinstance(value, ShrunkState):
         probs = shrunk_probabilities(value)

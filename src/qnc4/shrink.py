@@ -5,9 +5,8 @@ state alpha * chi(label) + (1 - alpha) * I/2, where chi is the letter's
 tetra state.  `tetra_weights` writes it as the one rational mixture of
 the four tetra states equal to it, which mixes its letter by
 W(alpha) = alpha I + (1 - alpha)/4 J.  The tetra measurement mixes a
-letter by W(1/3), and W(a) W(b) = W(ab), so the outcome laws are
-`tetra_weights` too: at 1/3 on a pure state (`ttr_outcome_weights`) and
-at alpha / 3 on a shrunk one (`shrunk_probabilities`).  Nothing here
+letter by W(1/3), and W(a) W(b) = W(ab), so the outcome law is
+`tetra_weights` too, at alpha / 3 (`shrunk_probabilities`).  Nothing here
 needs the states' complex matrices, so this module imports no numpy.
 
 `ShrunkState` is the one range check of a shrink factor: it takes a
@@ -54,12 +53,6 @@ def tetra_weights(state: ShrunkState) -> dict[Letter, Fraction]:
     own, off, den = shrunk_weights(state.alpha)
     own, off = Fraction(own, den), Fraction(off, den)
     return {z: own if z == state.label else off for z in LETTERS}
-
-
-def ttr_outcome_weights(z: Letter) -> dict[Letter, Fraction]:
-    """Tetra-measurement outcome law on a pure tetra state: the measurement
-    mixes the state's letter by W(1/3)."""
-    return tetra_weights(ShrunkState(z, Fraction(1, 3)))
 
 
 def shrunk_probabilities(state: ShrunkState) -> tuple[Fraction, ...]:

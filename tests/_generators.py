@@ -1,4 +1,6 @@
-"""Random instance generators shared by the structural and protocol tests."""
+"""Instance builders and random instance generators shared by the
+structural and protocol tests.  This module imports no numpy, so the tests
+that run without it can use it."""
 
 import random
 
@@ -8,13 +10,30 @@ from qnc4.netgraph import (
     GroupKind,
     IDENTITY_MAP,
     LetterMap,
+    Network,
+    Node,
+    NodeOp,
+    Term,
     constant_map,
-    make_network,
-    node_op,
 )
 
 HIGH_BIT = LetterMap((0, 0, 2, 2))
 LOW_BIT = LetterMap((0, 1, 0, 1))
+
+
+def make_network(nodes, edges, requirements) -> Network:
+    """A Network from (id, kind) pairs, (from, to) pairs and a
+    sink -> source mapping."""
+    return Network(
+        [Node(i, k) for i, k in nodes],
+        [(u, v) for u, v in edges],
+        dict(requirements),
+    )
+
+
+def node_op(out_pos: int, terms) -> NodeOp:
+    """A NodeOp from (in_pos, LetterMap) pairs."""
+    return NodeOp(out_pos, tuple(Term(i, m) for i, m in terms))
 
 
 def random_permutation_map(rng: random.Random) -> LetterMap:

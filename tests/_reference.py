@@ -1,5 +1,7 @@
 """Reference laws and an enumeration that the exact sweep is checked against.
 
+`ttr_outcome_weights` is the tetra measurement's outcome law on a pure
+tetra state, `shrink.tetra_weights` at 1/3.
 `transform_branch_law`, `join_branch_law` and `fork_branch_law` are the
 per-node `Fraction` branch laws, the two-to-one transform's built from
 `two_to_one_emission` and the fork's from `_efc`'s pair law, independently
@@ -43,12 +45,18 @@ from qnc4.qcompiler import (
     Kernel,
     QuantumOp,
 )
-from qnc4.shrink import shrunk_weights, ttr_outcome_weights
+from qnc4.shrink import ShrunkState, shrunk_weights, tetra_weights
 from qnc4.qsim import _resolve_inputs
 
 import _efc
 
 MAX_FULL_BRANCHES = 10**6
+
+
+def ttr_outcome_weights(z: Letter) -> dict[Letter, Fraction]:
+    """Tetra-measurement outcome law on a pure tetra state: the measurement
+    mixes the state's letter by W(1/3)."""
+    return tetra_weights(ShrunkState(z, Fraction(1, 3)))
 
 
 def two_to_one_emission(letter: Letter, map_: LetterMap, param: Fraction) -> dict:

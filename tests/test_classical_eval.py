@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from _generators import random_network_instance
+from _generators import make_network, node_op, random_network_instance
 from _reference import check_requirement_by_tuples, edge_values_by_tuple, truth_table_by_tuples
 from qnc4 import instances
 from qnc4.classical_eval import (
@@ -21,8 +21,6 @@ from qnc4.netgraph import (
     LetterMap,
     Network,
     Node,
-    make_network,
-    node_op,
     normalize_to_d3,
 )
 

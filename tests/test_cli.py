@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from _generators import diamond_chain, mutate_document
+from _generators import diamond_chain, make_network, mutate_document, node_op
 from qnc4 import cli, instances, netgraph, qsim
 from qnc4.cli import main
 from qnc4.errors import VerificationError
@@ -22,8 +22,6 @@ from qnc4.netgraph import (
     IDENTITY_MAP,
     LetterMap,
     letter_to_str,
-    make_network,
-    node_op,
 )
 from qnc4.qcompiler import compile_protocol
 

@@ -42,10 +42,10 @@ _PUBLIC = (
     "SchemaError", "ShrunkState", "SizeError", "Term", "ValidationError",
     "VerificationError", "check_requirement", "classical_eval", "compile_protocol",
     "constant_map", "errors", "estimate_fidelity", "evaluate",
-    "instance_from_json", "instance_to_json", "instances", "make_network", "netgraph",
-    "node_op", "normalize_to_d3", "qcompiler", "qmath", "qsim", "simulate_analytic",
+    "instance_from_json", "instance_to_json", "instances", "netgraph",
+    "normalize_to_d3", "qcompiler", "qmath", "qsim", "simulate_analytic",
     "simulate_montecarlo", "simulate_oracle", "tetra_weights", "truth_table",
-    "ttr_outcome_weights", "validate_d3", "validate_network",
+    "validate_d3", "validate_network",
 )
 
 
@@ -160,6 +160,8 @@ def test_public_names_still_import():
     assert qnc4.ShrunkState is shrink.ShrunkState
     # the paper's standalone cloners are the tests' reference, not API
     assert importlib.util.find_spec("qnc4.efc") is None
+    # nor are the builders and the pure-state law that only tests called
+    assert not {"make_network", "node_op", "ttr_outcome_weights"} & set(dir(qnc4))
 
 
 def test_records_are_immutable():

@@ -23,10 +23,10 @@ import random
 from pathlib import Path
 
 from qnc4 import instances, netgraph
-from qnc4.netgraph import GroupKind, IDENTITY_MAP, LetterMap, make_network, node_op
+from qnc4.netgraph import GroupKind, IDENTITY_MAP, LetterMap
 from qnc4.qcompiler import compile_protocol
 
-from _generators import diamond_chain, random_d3_instance
+from _generators import diamond_chain, make_network, node_op, random_d3_instance
 
 GOLDEN = Path(__file__).with_name("kernel_pins.json")
 

@@ -19,8 +19,6 @@ from qnc4.netgraph import (
     instance_to_json,
     letter_from_str,
     letter_to_str,
-    make_network,
-    node_op,
     normalize_to_d3,
     validate_d3,
     validate_network,
@@ -34,7 +32,7 @@ from qnc4.qcompiler import (
     compile_protocol,
 )
 
-from _generators import random_network_instance
+from _generators import make_network, node_op, random_network_instance
 
 
 def test_letter_strings_round_trip():

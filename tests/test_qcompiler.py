@@ -14,7 +14,6 @@ from qnc4.netgraph import (
     IDENTITY_MAP,
     LetterMap,
     constant_map,
-    make_network,
 )
 from qnc4.qcompiler import (
     FORK_EFC,
@@ -36,6 +35,7 @@ from _generators import (
     HIGH_BIT,
     LOW_BIT,
     diamond_chain,
+    make_network,
     random_d3_instance,
     random_permutation_map,
     random_two_to_one_map,

@@ -6,7 +6,7 @@ import pytest
 
 from qnc4 import qmath
 from qnc4.qmath import fidelity, tetra_matrix, ttr_probabilities
-from qnc4.shrink import ShrunkState, shrunk_probabilities, tetra_weights, ttr_outcome_weights
+from qnc4.shrink import ShrunkState, shrunk_probabilities, tetra_weights
 
 import _qubits
 from _qubits import (
@@ -19,6 +19,7 @@ from _qubits import (
     tetra_vector,
     ttr_channel,
 )
+from _reference import ttr_outcome_weights
 
 
 def _random_density(rng):

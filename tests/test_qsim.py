@@ -29,7 +29,7 @@ from qnc4.qsim import (
 import _efc
 import _qubits
 import _reference
-from _generators import HIGH_BIT, diamond_chain, grown_d3, random_d3_instance
+from _generators import HIGH_BIT, diamond_chain, grown_d3, make_network, random_d3_instance
 from _reference import enumerate_branches, fork_branch_law, join_branch_law, transform_branch_law
 
 SWAP01 = LetterMap((1, 0, 2, 3))
@@ -43,7 +43,7 @@ def single_compiled():
 
 
 def _swap_chain_compiled():
-    net = netgraph.make_network(
+    net = make_network(
         nodes=[("s", "source"), ("h", "internal"), ("t", "sink")],
         edges=[("s", "h"), ("h", "t")],
         requirements={"t": "s"},
@@ -69,8 +69,17 @@ def test_source_distribution_kinds():
     for bad in (7, "00", True):
         with pytest.raises(ValueError, match="not a letter"):
             source_distribution(bad)
-    with pytest.raises(ValueError, match="not a single-qubit density matrix"):
-        source_distribution(np.eye(3) / 3)
+    for bad in (
+        np.eye(3) / 3,
+        np.array([["a", "b"], ["c", "d"]]),
+        np.array([[None, 0], [0, 0]]),  # None converts to NaN
+        np.array([[10**400, 0], [0, 0]], dtype=object),
+    ):
+        with pytest.raises(ValueError, match="not a single-qubit density matrix"):
+            source_distribution(bad)
+    # numbers in an object array convert, as in as_state_vector
+    pure = np.array([[1, 0], [0, 0]])
+    assert source_distribution(pure.astype(object)) == source_distribution(pure)
 
 
 def test_transform_law_one_to_one():
@@ -233,7 +242,7 @@ def test_merged_orders_interleaved_inputs_by_in_edge():
 
 def _fork_rejoined_compiled():
     # s0's fork feeds the join j, together with s1, and the join k
-    net = netgraph.make_network(
+    net = make_network(
         nodes=[("s0", "source"), ("s1", "source"), ("f", "internal"),
                ("j", "internal"), ("k", "internal"), ("t", "sink")],
         edges=[("s0", "f"), ("f", "j"), ("s1", "j"), ("j", "k"), ("f", "k"), ("k", "t")],
@@ -437,7 +446,7 @@ def _disjoint_copies(d3, k: int) -> netgraph.D3Network:
     net = d3.network
     tags = [f"c{i}." for i in range(k)]
     return netgraph.D3Network(
-        netgraph.make_network(
+        make_network(
             nodes=[(c + n.id, n.kind) for c in tags for n in net.nodes],
             edges=[(c + u, c + v) for c in tags for u, v in net.edges],
             requirements={c + t: c + s for c in tags for t, s in net.requirements.items()},
@@ -655,7 +664,7 @@ def test_alias_tables_rebuild_kernels():
 
 def _every_op_network(group: GroupKind) -> netgraph.D3Network:
     """Every op kind, with the fork chain f0 -> f1 -> f2 -> f3."""
-    net = netgraph.make_network(
+    net = make_network(
         nodes=[("s0", "source"), ("s1", "source")]
         + [(v, "internal") for v in ("f0", "f1", "f2", "f3", "x0", "x1", "x2", "j")]
         + [(f"t{i}", "sink") for i in range(5)],
@@ -837,7 +846,7 @@ def _relay_chain_compiled(d: int):
         prev = f
     nodes.append((f"t{d + 1:02d}", "sink"))
     edges.append((prev, f"t{d + 1:02d}"))
-    net = netgraph.make_network(
+    net = make_network(
         nodes=nodes, edges=edges, requirements={t: "s" for t, kind in nodes if kind == "sink"})
     return compile_protocol(netgraph.D3Network(net, {}, GroupKind.Z4))
 
@@ -1008,7 +1017,7 @@ _LETTER_ENTRY_POINTS = {
     "tetra": lambda comp, x: _qubits.tetra(x),
     "tetra_matrix": lambda comp, x: qmath.tetra_matrix(x),
     "tetra_vector": lambda comp, x: _qubits.tetra_vector(x),
-    "ttr_outcome_weights": lambda comp, x: shrink.ttr_outcome_weights(x),
+    "ttr_outcome_weights": lambda comp, x: _reference.ttr_outcome_weights(x),
     "two_to_one_emission": lambda comp, x: _reference.two_to_one_emission(
         x, HIGH_BIT, Fraction(1, 9)),
     "efc_pair_distribution": lambda comp, x: _efc.efc_pair_distribution(Fraction(1, 9), x),
